@@ -376,8 +376,8 @@ def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedO
         for k, t in enumerate(t_grid):
             states[k] = (expm(gen * t) @ y0)[:4]
 
-    if np.abs(states[np.argmin(t_grid)] - rho0_vec).max() > 1e-4 and t_grid.min() == 0.0:
-        raise InversionAccuracyError("t=0 state not recovered within 1e-4")
+    if np.abs(states[np.argmin(t_grid)] - rho0_vec).max() > 1e-8 and t_grid.min() == 0.0:
+        raise InversionAccuracyError("t=0 state not recovered within 1e-8")
     tr_dual = trace_dual(2)
     out = []
     for k, t in enumerate(t_grid):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdqme.cli import ConfigError, main, parse_config, run_scenario
+from fdqme.cli import ConfigError, _write_csv, main, parse_config, run_scenario
 
 THERMAL_CONFIG = """
 [params]
@@ -144,6 +144,49 @@ def test_outputs_are_byte_identical(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+COMMENTS = {"zeta": "last", "param.g": "1", "alpha": 2}
+COMMENT_LINES = "# alpha = 2\n# param.g = 1\n# zeta = last\n"
+
+
+@pytest.mark.parametrize(
+    "header, columns, body",
+    [
+        (
+            ["x"],
+            [np.array([0.1, -0.0, 1e16, 5e-324, 3.0, 1 / 3, 1e300])],
+            "0.10000000000000001\n-0\n10000000000000000\n4.9406564584124654e-324\n"
+            "3\n0.33333333333333331\n1.0000000000000001e+300\n",
+        ),
+        (["a", "b"], [np.array([0.1]), np.array([-0.0])], "0.10000000000000001,-0\n"),
+        (
+            ["a", "b", "c"],
+            [np.array([1e16, 3.0]), np.array([5e-324, 1 / 3]), np.array([1e300, 0.1])],
+            "10000000000000000,4.9406564584124654e-324,1.0000000000000001e+300\n"
+            "3,0.33333333333333331,0.10000000000000001\n",
+        ),
+        (["a", "b"], [np.array([]), np.array([])], ""),
+    ],
+    ids=["values", "one-row", "three-columns", "zero-rows"],
+)
+def test_write_csv_golden_bytes(tmp_path, header, columns, body):
+    path = tmp_path / "golden.csv"
+    _write_csv(path, COMMENTS, header, columns)
+    raw = path.read_bytes()
+    assert raw == (COMMENT_LINES + ",".join(header) + "\n" + body).encode()
+    assert b"\r" not in raw and raw.endswith(b"\n") and not raw.endswith(b"\n\n")
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    rng = np.random.default_rng(2718)
+    data = rng.normal(size=(1000, 3)) * 10.0 ** rng.integers(-300, 300, size=(1000, 3))
+    path = tmp_path / "random.csv"
+    _write_csv(path, COMMENTS, ["a", "b", "c"], list(data.T))
+    expected = COMMENT_LINES + "a,b,c\n"
+    for row in data:
+        expected += ",".join(format(float(x), ".17g") for x in row) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
 def test_measure_sweep_kappa(tmp_path):
     text = """
 [params]
@@ -232,7 +275,7 @@ points = 1501
 path = blp.csv
 """
     cfg = parse_config(text, "blp-compare")
-    run_scenario(cfg, out_dir=str(tmp_path), threads=2)
+    run_scenario(cfg, out_dir=str(tmp_path))
     header, data = read_table(tmp_path / "blp.csv")
     assert header == ["delta[g]", "blp_measure", "spectral_measure"]
     assert data[0, 1] < 1e-8  # small detuning: no backflow

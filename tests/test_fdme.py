@@ -214,6 +214,16 @@ def test_inverse_transform_recovers_initial_state():
     assert np.abs(states[0].vec - rho0).max() < 1e-4
 
 
+@pytest.mark.parametrize("fp", [thermal_propagator(THERMAL), squeezed_propagator(SQUEEZED),
+                                squeezed_propagator(FIG8)], ids=["thermal", "squeezed", "fig8"])
+def test_inverse_transform_t0_state_within_documented_bound(fp):
+    # t = 0 sits in the middle of the grid: the bound applies wherever it is
+    ts = np.array([0.5, 0.0, 2.0])
+    for rho0 in [qubit_state(s).reshape(-1) for s in ("g", "e", "x+", "y-", "mixed")]:
+        states = inverse_transform(fp, rho0, ts)
+        assert np.abs(states[1].vec - rho0).max() <= 1e-8
+
+
 def test_inverse_transform_thermal_matches_markov_limit_at_fast_cavity():
     p = ThermalBathParams(g=1.0, omega_q=150.0, omega_c=150.0, kappa=100.0, nbar=0.1)
     fp = thermal_propagator(p)
