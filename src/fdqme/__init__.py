@@ -10,14 +10,14 @@ references for cross-validation.
 from .baths import (
     BogoliubovParams,
     EffectiveRates,
-    KernelModel,
+    KernelModes,
     SqueezedBathParams,
     ThermalBathParams,
     bogoliubov_params,
     default_frequency_grid,
     effective_rates,
     generic_kernel_time,
-    kernel_model,
+    kernel_modes,
     locate_peak,
     markovian_spectrum,
     squeezed_closed_spectrum,

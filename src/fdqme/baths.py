@@ -35,10 +35,8 @@ __all__ = [
     "BogoliubovParams",
     "EffectiveRates",
     "KernelModes",
-    "KernelModel",
     "bogoliubov_params",
     "kernel_modes",
-    "kernel_model",
     "thermal_kernel_time",
     "thermal_kernel_freq",
     "squeezed_kernel_time",
@@ -161,73 +159,55 @@ THERMAL_STRUCTURE = frozenset([(0, 0), (0, 3), (1, 1), (2, 2), (3, 0), (3, 3)])
 SQUEEZED_STRUCTURE = THERMAL_STRUCTURE | frozenset([(1, 2), (2, 1)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelModes:
     """Exponential-mode table of a 4x4 memory kernel.
 
-    ``entries[(i, j)]`` is a tuple of (coefficient, mu) pairs; the kernel
-    entry is sum_k c_k exp((-kappa + i mu_k) t) in time and
-    sum_k c_k / (kappa + i (omega - mu_k)) in frequency.  ``omega_ref`` is the
-    qubit frequency that defines the detuning convention delta = omega -
-    omega_ref and the free-rotation phases used by the time-local reduction.
+    Mode k has frequency ``mus[k]`` and coefficient matrix ``coef[k]``: the
+    kernel is sum_k coef[k] exp((-kappa + i mus[k]) t) in time and
+    sum_k coef[k] / (kappa + i (omega - mus[k])) in frequency.  ``mus`` holds
+    distinct values in increasing order.  ``omega_ref`` is the qubit
+    frequency that defines the detuning convention delta = omega - omega_ref
+    and the free-rotation phases used by the time-local reduction.
     """
 
     kappa: float
     omega_ref: float
-    entries: tuple  # ((i, j), ((c, mu), ...)) pairs, hashable
-
-    def entry_map(self) -> dict:
-        return {ij: modes for ij, modes in self.entries}
+    mus: np.ndarray  # (n,)
+    coef: np.ndarray  # (n, 4, 4) complex
 
     def time_matrix(self, t) -> np.ndarray:
         """Kernel matrix at time(s) t >= 0; shape (..., 4, 4)."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("kernel is defined for t >= 0 only")
-        out = np.zeros(t.shape + (4, 4), dtype=complex)
-        env = np.exp(-self.kappa * t)
-        for (i, j), modes in self.entries:
-            acc = np.zeros_like(t, dtype=complex)
-            for c, mu in modes:
-                acc = acc + c * np.exp(1j * mu * t)
-            out[..., i, j] = env * acc
-        return out
+        phases = np.multiply.outer(t, 1j * self.mus - self.kappa)
+        np.exp(phases, out=phases)
+        return (phases @ self.coef.reshape(-1, 16)).reshape(t.shape + (4, 4))
 
     def freq_matrix(self, omega) -> np.ndarray:
         """One-sided transform of the kernel at transform variable(s) omega."""
         omega = np.asarray(omega, dtype=float)
-        out = np.zeros(omega.shape + (4, 4), dtype=complex)
-        for (i, j), modes in self.entries:
-            acc = np.zeros_like(omega, dtype=complex)
-            for c, mu in modes:
-                acc = acc + c / (self.kappa + 1j * (omega - mu))
-            out[..., i, j] = acc
-        return out
+        poles = 1.0 / (self.kappa + 1j * np.subtract.outer(omega, self.mus))
+        return (poles @ self.coef.reshape(-1, 16)).reshape(omega.shape + (4, 4))
 
     def pole_frequencies(self) -> np.ndarray:
-        """Complex omega poles mu + i kappa of all entries (upper half plane)."""
-        mus = sorted({mu for _, modes in self.entries for _, mu in modes})
-        return np.array([mu + 1j * self.kappa for mu in mus])
+        """Complex omega poles mu + i kappa of all modes (upper half plane)."""
+        return self.mus + 1j * self.kappa
 
 
-@dataclass(frozen=True)
-class KernelModel:
-    """Callable pair of time- and frequency-domain kernels plus structure tag.
-
-    ``freq_kernel`` takes the detuning delta from the qubit frequency;
-    ``time_kernel`` takes t >= 0.
-    """
-
-    time_kernel: Callable
-    freq_kernel: Callable
-    structure: str
-    modes: KernelModes
-
-    def __post_init__(self):
-        allowed = THERMAL_STRUCTURE if self.structure == "thermal" else SQUEEZED_STRUCTURE
-        for ij, _ in self.modes.entries:
-            if ij not in allowed:
-                raise ValueError(f"kernel entry {ij} outside {self.structure} structure")
+def _mode_table(kappa: float, omega_ref: float, entries) -> KernelModes:
+    """Fold per-entry ((i, j), ((c, mu), ...)) lists into one dense table."""
+    mus = sorted({mu for _, modes in entries for _, mu in modes})
+    index = {mu: k for k, mu in enumerate(mus)}
+    coef = np.zeros((len(mus), 4, 4), dtype=complex)
+    for (i, j), modes in entries:
+        for c, mu in modes:
+            coef[index[mu], i, j] += c
+    mus = np.array(mus, dtype=float)
+    mus.setflags(write=False)
+    coef.setflags(write=False)
+    return KernelModes(kappa=kappa, omega_ref=omega_ref, mus=mus, coef=coef)
 
 
 def _conj_transform_modes(modes):
@@ -249,7 +229,7 @@ def _thermal_modes(p: ThermalBathParams) -> KernelModes:
         ((1, 1), k22),
         ((2, 2), _conj_transform_modes(k22)),
     )
-    return KernelModes(kappa=p.kappa, omega_ref=p.omega_q, entries=entries)
+    return _mode_table(p.kappa, p.omega_q, entries)
 
 
 def _squeezed_modes(p: SqueezedBathParams, include_sum_frequency: bool = True) -> KernelModes:
@@ -294,7 +274,7 @@ def _squeezed_modes(p: SqueezedBathParams, include_sum_frequency: bool = True) -
         ((2, 1), tuple(k32)),
         ((1, 2), _conj_transform_modes(k32)),
     )
-    return KernelModes(kappa=p.kappa, omega_ref=p.delta_q, entries=entries)
+    return _mode_table(p.kappa, p.delta_q, entries)
 
 
 def kernel_modes(p, include_sum_frequency: bool = True) -> KernelModes:
@@ -304,18 +284,6 @@ def kernel_modes(p, include_sum_frequency: bool = True) -> KernelModes:
     if isinstance(p, SqueezedBathParams):
         return _squeezed_modes(p, include_sum_frequency)
     raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
-
-
-def kernel_model(p, include_sum_frequency: bool = True) -> KernelModel:
-    """Bundle time- and frequency-domain kernels for a bath."""
-    modes = kernel_modes(p, include_sum_frequency)
-    structure = "thermal" if isinstance(p, ThermalBathParams) else "squeezed"
-    return KernelModel(
-        time_kernel=modes.time_matrix,
-        freq_kernel=lambda delta: modes.freq_matrix(np.asarray(delta) + modes.omega_ref),
-        structure=structure,
-        modes=modes,
-    )
 
 
 def thermal_kernel_time(p: ThermalBathParams, t) -> np.ndarray:
@@ -435,13 +403,12 @@ def generic_kernel_time(p, t) -> np.ndarray:
 def _k22_delta(p, delta):
     """Coherence-sector kernel entry as a function of detuning."""
     modes = kernel_modes(p)
-    omega_ref = modes.omega_ref
-    entry = modes.entry_map()[(1, 1)]
-    delta = np.asarray(delta, dtype=float)
-    acc = np.zeros(delta.shape, dtype=complex)
-    for c, mu in entry:
-        acc = acc + c / (modes.kappa + 1j * (delta + omega_ref - mu))
-    return acc
+    live = modes.coef[:, 1, 1] != 0
+    omega = np.asarray(delta, dtype=float) + modes.omega_ref
+    # one row per contributing mode; a sum over rows is cheaper than a matmul
+    # against a column of length one or two
+    c = modes.coef[live, 1, 1].reshape((-1,) + (1,) * omega.ndim)
+    return (c / (modes.kappa - 1j * np.subtract.outer(modes.mus[live], omega))).sum(axis=0)
 
 
 def effective_rates(p) -> EffectiveRates:

@@ -274,18 +274,25 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
     )
 
 
+def _thermal_bath(params: dict, delta: float, kappa: float) -> ThermalBathParams:
+    """Thermal bath of a [params] section at one detuning and cavity width."""
+    return ThermalBathParams(
+        g=params["g"],
+        omega_q=params["omega_q"],
+        omega_c=params["omega_q"] - delta,
+        kappa=kappa,
+        nbar=params["nbar"],
+    )
+
+
 def _build_bath(scenario: str, params: dict, extra: dict):
     """Instantiate parameter objects so their invariants run at parse time."""
-    if scenario in ("thermal-spectrum", "oracle-compare", "blp-compare"):
-        kappa = params.get("kappa", 1.0)
-        delta = params.get("delta", params.get("delta_min", 0.0))
-        return ThermalBathParams(
-            g=params["g"],
-            omega_q=params["omega_q"],
-            omega_c=params["omega_q"] - delta,
-            kappa=kappa,
-            nbar=params["nbar"],
-        )
+    if scenario == "measure-sweep" and extra["sweep_axis"] == "eta":
+        return waveguide.WaveguideParams(omega0=params["omega0"], gamma=params["gamma"], beta=params["beta"])
+    if scenario in ("thermal-spectrum", "oracle-compare", "blp-compare", "measure-sweep"):
+        # sweeps and blp-compare are checked at the first point of their axis
+        delta = params.get("delta", params.get("delta_min"))
+        return _thermal_bath(params, delta, params.get("kappa", params.get("kappa_min")))
     if scenario in ("squeezed-spectrum", "positivity"):
         return SqueezedBathParams(
             g=params["g"],
@@ -297,21 +304,6 @@ def _build_bath(scenario: str, params: dict, extra: dict):
     if scenario == "waveguide-spectrum":
         return waveguide.WaveguideParams(
             omega0=params["omega0"], gamma=params["gamma"], beta=params["beta"], eta=params["eta"]
-        )
-    if scenario == "measure-sweep":
-        axis = extra["sweep_axis"]
-        if axis == "eta":
-            return waveguide.WaveguideParams(
-                omega0=params["omega0"], gamma=params["gamma"], beta=params["beta"]
-            )
-        kappa = params.get("kappa", params.get("kappa_min", 1.0))
-        delta = params.get("delta", params.get("delta_min", 0.0))
-        return ThermalBathParams(
-            g=params["g"],
-            omega_q=params["omega_q"],
-            omega_c=params["omega_q"] - delta,
-            kappa=kappa,
-            nbar=params["nbar"],
         )
     return None
 
@@ -417,17 +409,11 @@ def _run_measure_sweep(cfg, base, meta, opts):
     else:
         if axis == "kappa":
             xs = np.geomspace(prm["kappa_min"], prm["kappa_max"], int(prm["kappa_points"]))
-            baths_list = [
-                ThermalBathParams(prm["g"], prm["omega_q"], prm["omega_q"] - prm["delta"], float(k), prm["nbar"])
-                for k in xs
-            ]
+            baths_list = [_thermal_bath(prm, prm["delta"], float(k)) for k in xs]
             header = ["kappa[g]", "spectral_measure"]
         else:
             xs = np.geomspace(prm["delta_min"], prm["delta_max"], int(prm["delta_points"]))
-            baths_list = [
-                ThermalBathParams(prm["g"], prm["omega_q"], prm["omega_q"] - float(d), prm["kappa"], prm["nbar"])
-                for d in xs
-            ]
+            baths_list = [_thermal_bath(prm, float(d), prm["kappa"]) for d in xs]
             header = ["delta[g]", "spectral_measure"]
         values = np.array([_thermal_ns(b, opts["gap_method"]) for b in baths_list])
     f1 = base.with_suffix(".csv")
@@ -441,7 +427,7 @@ def _run_blp_compare(cfg, base, meta, opts):
     deltas = np.linspace(prm["delta_min"], prm["delta_max"], int(prm["delta_points"]))
 
     def one(delta):
-        p = ThermalBathParams(prm["g"], prm["omega_q"], prm["omega_q"] - float(delta), prm["kappa"], prm["nbar"])
+        p = _thermal_bath(prm, float(delta), prm["kappa"])
         tg = redfield.br_evolve(p, qubit_state("g").reshape(-1), t_grid)
         te = redfield.br_evolve(p, qubit_state("e").reshape(-1), t_grid)
         blp = measures.blp_measure(tg, te).value
@@ -476,7 +462,7 @@ def _run_positivity(cfg, base, meta, opts):
 
 def _run_oracle_compare(cfg, base, meta, opts):
     prm = cfg.params
-    p = ThermalBathParams(prm["g"], prm["omega_q"], prm["omega_q"] - prm["delta"], prm["kappa"], prm["nbar"])
+    p = _build_bath(cfg.scenario, prm, cfg.extra)
     grid = _spectrum_grid(cfg, p)
     fp = fdme.thermal_propagator(p)
     rho_ss = fdme.steady_state(fp, qubit_state("mixed"))

@@ -2,9 +2,10 @@
 
 The master equation with memory is algebraic in the frequency domain: the
 transformed state is U[omega] applied to the initial state, with
-U[omega] = (i omega I - L0 - K[omega])^{-1}.  The steady state follows from
-the final value theorem, and the steady-state emission spectrum is a single
-resolvent contraction per frequency, with no two-time correlator needed.
+U[omega] = (i omega I - L0 - K[omega])^{-1}.  By the final value theorem the
+steady state spans the null space of L0 + K[0], and the steady-state emission
+spectrum is a single resolvent contraction per frequency, with no two-time
+correlator needed.
 
 Because every kernel used here is a finite sum of decaying exponentials, the
 formal inverse transform along the shifted contour (omega - i eps) can be
@@ -18,18 +19,11 @@ the imaginary axis of the Laplace variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
 
-from .baths import (
-    KernelModel,
-    SqueezedBathParams,
-    ThermalBathParams,
-    effective_rates,
-    kernel_model,
-)
+from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, kernel_modes
 from .liouville import (
     SIGMA_Z,
     VectorizedOperator,
@@ -114,35 +108,32 @@ def make_spectrum(grid, values, normalize: bool = True, clip_rel: float = NEGATI
 
 @dataclass(frozen=True)
 class FrequencyPropagator:
-    """Resolvent data for one bath: free Liouvillian plus frequency kernel.
+    """Resolvent data for one bath: free Liouvillian plus kernel mode table.
 
-    ``frame`` is 'lab' for the thermal bath and 'rotating' for the squeezed
-    one (pump frame); ``omega_ref`` is the qubit frequency in that frame,
-    which fixes the detuning convention of ``kernel_freq``.  When
-    ``markov_frozen_delta`` is set the kernel matrix is evaluated once at
-    that detuning, which collapses the propagator to a constant-Liouvillian
-    resolvent.
+    ``omega_ref`` is the qubit frequency in the propagator's frame (lab frame
+    for the thermal bath, pump frame for the squeezed one), which fixes the
+    detuning convention of ``kernel_freq``.  With ``markov`` set the kernel
+    is frozen at detuning 0, which collapses the propagator to a
+    constant-Liouvillian resolvent.  ``modes`` is None for free evolution.
     """
 
     l0: np.ndarray
-    kernel: KernelModel | None
-    frame: str
+    modes: KernelModes | None
     omega_ref: float
-    rate_scale: float
-    markov_frozen_delta: float | None = None
+    markov: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "l0", np.asarray(self.l0, dtype=complex))
 
-    @property
-    def kernel_freq(self) -> Callable:
-        """Effective kernel as a function of detuning from ``omega_ref``."""
-        if self.kernel is None:
-            return lambda delta: np.zeros(np.shape(delta) + (4, 4), dtype=complex)
-        if self.markov_frozen_delta is not None:
-            frozen = self.kernel.freq_kernel(self.markov_frozen_delta)
-            return lambda delta: np.broadcast_to(frozen, np.shape(delta) + (4, 4)).copy()
-        return self.kernel.freq_kernel
+    def kernel_freq(self, delta) -> np.ndarray:
+        """Kernel matrix at detuning(s) delta from ``omega_ref``; shape (..., 4, 4)."""
+        delta = np.asarray(delta, dtype=float)
+        if self.modes is None:
+            return np.zeros(delta.shape + (4, 4), dtype=complex)
+        if self.markov:
+            frozen = self.modes.freq_matrix(self.omega_ref)
+            return np.broadcast_to(frozen, delta.shape + (4, 4)).copy()
+        return self.modes.freq_matrix(delta + self.omega_ref)
 
     def _system_matrix(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -167,14 +158,7 @@ class FrequencyPropagator:
 def thermal_propagator(p: ThermalBathParams, markov: bool = False) -> FrequencyPropagator:
     """Propagator of a qubit with a thermal-cavity kernel (lab frame)."""
     l0 = commutator_superop(-(p.omega_q / 2.0) * SIGMA_Z).mat
-    return FrequencyPropagator(
-        l0=l0,
-        kernel=kernel_model(p),
-        frame="lab",
-        omega_ref=p.omega_q,
-        rate_scale=effective_rates(p).gamma_eff,
-        markov_frozen_delta=0.0 if markov else None,
-    )
+    return FrequencyPropagator(l0=l0, modes=kernel_modes(p), omega_ref=p.omega_q, markov=markov)
 
 
 def squeezed_propagator(
@@ -183,21 +167,14 @@ def squeezed_propagator(
     """Propagator of a qubit with a squeezed-cavity kernel (pump frame)."""
     l0 = commutator_superop(-(p.delta_q / 2.0) * SIGMA_Z).mat
     return FrequencyPropagator(
-        l0=l0,
-        kernel=kernel_model(p, include_sum_frequency),
-        frame="rotating",
-        omega_ref=p.delta_q,
-        rate_scale=effective_rates(p).gamma_eff,
-        markov_frozen_delta=0.0 if markov else None,
+        l0=l0, modes=kernel_modes(p, include_sum_frequency), omega_ref=p.delta_q, markov=markov
     )
 
 
-def free_propagator(l0, omega_ref: float = 0.0, rate_scale: float = 1.0) -> FrequencyPropagator:
+def free_propagator(l0, omega_ref: float = 0.0) -> FrequencyPropagator:
     """Kernel-free propagator (pure free evolution), mostly for validation."""
     mat = l0.mat if hasattr(l0, "mat") else np.asarray(l0, dtype=complex)
-    return FrequencyPropagator(
-        l0=mat, kernel=None, frame="lab", omega_ref=omega_ref, rate_scale=rate_scale
-    )
+    return FrequencyPropagator(l0=mat, modes=None, omega_ref=omega_ref)
 
 
 def _as_state_vector(rho) -> np.ndarray:
@@ -241,38 +218,29 @@ def propagate(fp: FrequencyPropagator, omega: float) -> np.ndarray:
 
 
 def steady_state(fp: FrequencyPropagator, rho0) -> VectorizedOperator:
-    """Steady state via the final value theorem.
+    """Steady state as the unit-trace null vector of L0 + K[omega = 0].
 
-    Evaluates i omega U[omega] rho0 on a three-point ladder omega =
-    {1e-3, 1e-4, 1e-5} x gamma_eff and extrapolates quadratically to
-    omega -> 0.  The result is Hermitized and checked for unit trace; a
-    mismatch between the quadratic and linear extrapolations signals a
-    degenerate steady-state manifold.
+    By the final value theorem lim i omega U[omega] rho0 is the null vector
+    of the generator with the kernel at transform variable 0 (detuning
+    -omega_ref).  The trace dual annihilates L0 and K[omega] for every
+    omega, so the first equation is redundant; replacing it by the trace
+    row gives a nonsingular bordered system whose solution is exact.  A
+    generator without exactly one zero eigenvalue has a degenerate
+    steady-state manifold and raises.  The result is Hermitized and checked
+    for unit trace.
     """
     rho0_vec = _as_state_vector(rho0)
     _validate_density(rho0_vec)
-    generator = fp.l0 + fp.kernel_freq(0.0)
+    generator = fp.l0 + fp.kernel_freq(-fp.omega_ref)
     lam = np.linalg.eigvals(generator)
-    tol = 1e-12 * np.abs(lam).max()
-    nonzero = np.abs(lam) >= tol
-    if np.count_nonzero(~nonzero) != 1:
+    if np.count_nonzero(np.abs(lam) < 1e-12 * np.abs(lam).max()) != 1:
         raise ValueError("steady-state manifold is degenerate; final value is not unique")
-    # keep the probe frequencies far below the slowest surviving mode
-    omegas = np.array([1e-3, 1e-4, 1e-5]) * np.abs(lam[nonzero]).min()
-    samples = []
-    for w in omegas:
-        m = fp._system_matrix(w)
-        samples.append(1j * w * np.linalg.solve(m, rho0_vec))
-    samples = np.array(samples)
-    extrap = np.empty(samples.shape[1], dtype=complex)
-    check = np.empty_like(extrap)
-    for k in range(samples.shape[1]):
-        extrap[k] = np.polyval(np.polyfit(omegas, samples[:, k], 2), 0.0)
-        check[k] = np.polyval(np.polyfit(omegas[1:], samples[1:, k], 1), 0.0)
-    if np.abs(extrap - check).max() > 1e-7:
-        raise ValueError("final-value extrapolation did not converge (degenerate steady state?)")
-    d = int(round(np.sqrt(extrap.size)))
-    mat = extrap.reshape(d, d)
+    d = int(round(np.sqrt(rho0_vec.size)))
+    bordered = generator.copy()
+    bordered[0] = trace_dual(d)
+    rhs = np.zeros(rho0_vec.size, dtype=complex)
+    rhs[0] = 1.0
+    mat = np.linalg.solve(bordered, rhs).reshape(d, d)
     mat = 0.5 * (mat + mat.conj().T)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-9:
@@ -310,33 +278,26 @@ def emission_spectrum(
     return make_spectrum(grid, raw, normalize=normalize)
 
 
-def _mode_embedding(fp: FrequencyPropagator):
+def _mode_embedding(fp: FrequencyPropagator) -> np.ndarray:
     """Equivalent linear system of the memory kernel's exponential modes.
 
-    Each distinct (source column, mode frequency) pair becomes one auxiliary
-    variable obeying dz/dt = (-kappa + i mu) z + rho_j, and the kernel feeds
-    c * z back into row i.  The Schur complement of the embedded generator
-    reproduces K[omega] exactly, so its modal expansion IS the shifted-contour
-    inverse transform.
+    Each (source column j, mode k) pair with a nonzero coefficient becomes
+    one auxiliary variable obeying dz/dt = (-kappa + i mu_k) z + rho_j, and
+    the kernel feeds coef[k, :, j] z back into the state rows.  The Schur
+    complement of the embedded generator reproduces K[omega] exactly, so its
+    modal expansion IS the shifted-contour inverse transform.
     """
-    if fp.kernel is None:
-        return fp.l0, 4
-    modes = fp.kernel.modes
-    aux_keys = sorted(
-        {(j, mu) for (_, j), mlist in modes.entries for _, mu in mlist},
-        key=lambda km: (km[0], km[1]),
-    )
-    index = {key: 4 + k for k, key in enumerate(aux_keys)}
-    n = 4 + len(aux_keys)
-    gen = np.zeros((n, n), dtype=complex)
+    if fp.modes is None:
+        return fp.l0
+    modes = fp.modes
+    cols, ks = np.nonzero(np.any(modes.coef != 0, axis=1).T)  # ordered by column, then mu
+    aux = np.arange(4, 4 + ks.size)
+    gen = np.zeros((aux.size + 4, aux.size + 4), dtype=complex)
     gen[:4, :4] = fp.l0
-    for (j, mu), k in index.items():
-        gen[k, j] = 1.0
-        gen[k, k] = -modes.kappa + 1j * mu
-    for (i, j), mlist in modes.entries:
-        for c, mu in mlist:
-            gen[i, index[(j, mu)]] += c
-    return gen, n
+    gen[aux, cols] = 1.0
+    gen[aux, aux] = -modes.kappa + 1j * modes.mus[ks]
+    gen[:4, aux] = modes.coef[ks, :, cols].T
+    return gen
 
 
 def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedOperator]:
@@ -349,15 +310,15 @@ def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedO
     trace to 1e-6 and the t=0 reconstruction to 1e-8; a failure raises
     InversionAccuracyError rather than returning degraded data.
     """
-    if fp.markov_frozen_delta is not None:
+    if fp.markov:
         raise ValueError("inverse transform of the frozen-kernel propagator is not supported")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0):
         raise ValueError("t_grid must be a 1-d array of nonnegative times")
     rho0_vec = _as_state_vector(rho0)
     _validate_density(rho0_vec)
-    gen, n = _mode_embedding(fp)
-    y0 = np.zeros(n, dtype=complex)
+    gen = _mode_embedding(fp)
+    y0 = np.zeros(gen.shape[0], dtype=complex)
     y0[:4] = rho0_vec
 
     states = None

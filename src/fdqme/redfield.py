@@ -194,46 +194,28 @@ def rates_generator_squeezed(rates: SqueezedRates) -> np.ndarray:
     return gen
 
 
-def _entry_modes(p, include_sum_frequency):
+def _column_modes(p, include_sum_frequency):
+    """Mode table plus the frequency of each (mode, column) pair under e^{-Ls s}."""
     modes = kernel_modes(p, include_sum_frequency)
-    rows, cols, coefs, nus = [], [], [], []
     # columns rotate with the free phases (0, -w, +w, 0) under e^{-Ls s}
-    phases = np.array([0.0, -modes.omega_ref, modes.omega_ref, 0.0])
-    for (i, j), mlist in modes.entries:
-        for c, mu in mlist:
-            rows.append(i)
-            cols.append(j)
-            coefs.append(c)
-            nus.append(mu + phases[j])
-    return (
-        modes.kappa,
-        np.array(rows),
-        np.array(cols),
-        np.array(coefs, dtype=complex),
-        np.array(nus, dtype=float),
-    )
+    nus = modes.mus[:, None] + np.array([0.0, -modes.omega_ref, modes.omega_ref, 0.0])
+    return modes, nus
 
 
 def br_induced_generator(p, t: float, include_sum_frequency: bool = False) -> np.ndarray:
-    """Induced generator as the running kernel integral, entry by entry.
+    """Induced generator as the running kernel integral, mode by mode.
 
     Equals the closed-form rate decomposition; kept separate so the two
     constructions can be checked against each other.
     """
-    kappa, rows, cols, coefs, nus = _entry_modes(p, include_sum_frequency)
-    vals = coefs * _ramp(kappa, nus, float(t))
-    gen = np.zeros((4, 4), dtype=complex)
-    np.add.at(gen, (rows, cols), vals)
-    return gen
+    modes, nus = _column_modes(p, include_sum_frequency)
+    return np.einsum("kij,kj->ij", modes.coef, _ramp(modes.kappa, nus, float(t)))
 
 
 def bm_induced_generator(p, include_sum_frequency: bool = False) -> np.ndarray:
     """Markov-limit induced generator (running integral frozen at infinity)."""
-    kappa, rows, cols, coefs, nus = _entry_modes(p, include_sum_frequency)
-    vals = coefs / (kappa - 1j * nus)
-    gen = np.zeros((4, 4), dtype=complex)
-    np.add.at(gen, (rows, cols), vals)
-    return gen
+    modes, nus = _column_modes(p, include_sum_frequency)
+    return np.einsum("kij,kj->ij", modes.coef, 1.0 / (modes.kappa - 1j * nus))
 
 
 def free_liouvillian(p) -> np.ndarray:
@@ -257,14 +239,18 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     t_grid = np.asarray(t_grid, dtype=float)
     rho0_vec = rho0.vec if isinstance(rho0, VectorizedOperator) else np.asarray(rho0, complex).reshape(-1)
     _validate_initial(rho0_vec)
-    l0 = free_liouvillian(p)
-    kappa, rows, cols, coefs, nus = _entry_modes(p, include_sum_frequency)
+    # L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
+    # E = coef / (kappa - i nu), so the generator is G_inf - sum E e^{lambda t}
+    modes, nus = _column_modes(p, include_sum_frequency)
+    residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
+    g_inf = free_liouvillian(p) + residues.sum(axis=0)
+    live = np.any(residues != 0, axis=1)  # (mode, column) pairs that contribute
+    lam = (-modes.kappa + 1j * nus)[live]
+    cols = np.nonzero(live)[1]
+    e_mat = residues.transpose(1, 0, 2)[:, live]
 
     def rhs(t, y):
-        vals = coefs * _ramp(kappa, nus, t)
-        gen = np.zeros((4, 4), dtype=complex)
-        np.add.at(gen, (rows, cols), vals)
-        return (l0 + gen) @ y
+        return g_inf @ y - e_mat @ (np.exp(lam * t) * y[cols])
 
     sol = solve_ivp(
         rhs,

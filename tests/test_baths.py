@@ -11,7 +11,7 @@ from fdqme.baths import (
     default_frequency_grid,
     effective_rates,
     generic_kernel_time,
-    kernel_model,
+    kernel_modes,
     locate_peak,
     markovian_spectrum,
     squeezed_closed_spectrum,
@@ -99,7 +99,7 @@ def test_thermal_freq_kernel_matches_quadrature():
 
 
 def test_thermal_freq_kernel_poles_are_causal():
-    modes = kernel_model(THERMAL).modes
+    modes = kernel_modes(THERMAL)
     assert np.all(modes.pole_frequencies().imag > 0)
 
 
@@ -170,7 +170,7 @@ def test_squeezed_kernel_structure():
     assert np.allclose(k[..., 1, 2], np.conj(k[..., 2, 1]), atol=1e-12)
     assert np.allclose(k[..., 0, 0] + k[..., 3, 0], 0, atol=1e-12)
     # causality: every transform pole decays in time
-    assert np.all(kernel_model(SQUEEZED).modes.pole_frequencies().imag > 0)
+    assert np.all(kernel_modes(SQUEEZED).pole_frequencies().imag > 0)
 
 
 def test_squeezed_kernel_matches_generic_construction():

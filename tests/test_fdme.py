@@ -62,7 +62,7 @@ def test_propagate_trace_identity():
 def test_propagate_markov_mode_is_constant_resolvent():
     fp = thermal_propagator(THERMAL, markov=True)
     frozen = fp.kernel_freq(123.0)  # any argument returns the frozen matrix
-    assert np.allclose(frozen, fp.kernel.freq_kernel(0.0))
+    assert np.allclose(frozen, thermal_propagator(THERMAL).kernel_freq(0.0))
     omega = THERMAL.omega_q + 3.7
     u = propagate(fp, omega)
     expected = np.linalg.inv(1j * omega * np.eye(4) - fp.l0 - frozen)
@@ -112,6 +112,15 @@ def test_squeezed_steady_state_matches_closed_form():
     ss = steady_state(fp, qubit_state("mixed"))
     assert abs(ss.vec[0].real - squeezed_steady_ground_population(SQUEEZED)) < 1e-9
     assert abs(ss.vec[1]) < 1e-9 and abs(ss.vec[2]) < 1e-9
+
+
+@pytest.mark.parametrize("r", [0.0, 60.0])
+def test_squeezed_steady_state_needs_kernel_at_zero_frequency(r):
+    # the generator needs the kernel at omega = 0: on these baths the kernel at
+    # the qubit frequency has a far faster slowest mode; r = 0 gives exactly 1
+    p = SqueezedBathParams(g=1.0, delta_q=150.0, delta_c=300.0, r=r, kappa=10.0)
+    ss = steady_state(squeezed_propagator(p), qubit_state("mixed"))
+    assert abs(ss.vec[0].real - squeezed_steady_ground_population(p)) < 1e-9
 
 
 def test_steady_state_rejects_invalid_input():
