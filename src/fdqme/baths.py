@@ -157,6 +157,8 @@ def bogoliubov_params(p: SqueezedBathParams) -> BogoliubovParams:
 
 THERMAL_STRUCTURE = frozenset([(0, 0), (0, 3), (1, 1), (2, 2), (3, 0), (3, 3)])
 SQUEEZED_STRUCTURE = THERMAL_STRUCTURE | frozenset([(1, 2), (2, 1)])
+# time samples per block in KernelModes.time_matrix
+_TIME_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +183,17 @@ class KernelModes:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("kernel is defined for t >= 0 only")
-        phases = np.multiply.outer(t, 1j * self.mus - self.kappa)
-        np.exp(phases, out=phases)
-        return (phases @ self.coef.reshape(-1, 16)).reshape(t.shape + (4, 4))
+        rates = 1j * self.mus - self.kappa
+        coef = self.coef.reshape(-1, 16)
+        flat = t.reshape(-1)
+        out = np.empty((flat.size, 16), dtype=complex)
+        # row blocks keep the phase temporary small next to the result
+        for start in range(0, flat.size, _TIME_BLOCK_ROWS):
+            rows = slice(start, start + _TIME_BLOCK_ROWS)
+            phases = np.multiply.outer(flat[rows], rates)
+            np.exp(phases, out=phases)
+            np.matmul(phases, coef, out=out[rows])
+        return out.reshape(t.shape + (4, 4))
 
     def freq_matrix(self, omega) -> np.ndarray:
         """One-sided transform of the kernel at transform variable(s) omega."""

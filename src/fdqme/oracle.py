@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .baths import SqueezedBathParams, ThermalBathParams
 from .fdme import Spectrum, make_spectrum
@@ -102,20 +104,41 @@ def build_full_model(p, n_fock: int) -> FullModel:
     )
 
 
+def _coupled_block(m: FullModel, support) -> np.ndarray:
+    """Sorted Liouville indices of the exact blocks of L that touch ``support``.
+
+    The blocks are the weakly connected components of the nonzero pattern
+    of ``m.liouvillian``: the thermal bath conserves the excitation-number
+    difference between ket and bra (U(1)), the squeezed bath its parity
+    (Z2).  No entry of L couples the returned indices to the rest, so a
+    linear solve or resolvent whose source lies in ``support`` never leaves
+    them.  Round-off in the pattern could only merge blocks, never drop one.
+    """
+    pattern = sparse.csr_array(m.liouvillian != 0)
+    _, labels = connected_components(pattern, directed=True, connection="weak")
+    return np.flatnonzero(np.isin(labels, labels[support]))
+
+
 def full_steady_state(m: FullModel) -> np.ndarray:
     """Joint steady state as a density matrix, with adequacy checks.
 
-    Solves the null-space problem with a trace constraint, verifies the
-    residual, positivity, and that the top two Fock levels are essentially
-    unpopulated (< 1e-6), otherwise the truncation is too small.
+    Solves the null-space problem with a trace constraint on the blocks of
+    L that hold the diagonal (a unique steady state has no part in the
+    traceless blocks), verifies the residual on the full L, positivity, and
+    that the top two Fock levels are essentially unpopulated (< 1e-6),
+    otherwise the truncation is too small.
     """
     d = m.dim
-    lv = m.liouvillian.copy()
-    rhs = np.zeros(d * d, dtype=complex)
-    trace_row = np.eye(d, dtype=complex).reshape(-1)
-    lv[0, :] = trace_row
+    diagonal = np.arange(d) * (d + 1)
+    block = _coupled_block(m, diagonal)
+    lv = m.liouvillian[np.ix_(block, block)]
+    rhs = np.zeros(block.size, dtype=complex)
+    # block[0] == 0 is the (0, 0) population, so the trace row replaces its equation
+    lv[0, :] = np.isin(block, diagonal)
     rhs[0] = 1.0
-    chi = np.linalg.solve(lv, rhs).reshape(d, d)
+    chi = np.zeros(d * d, dtype=complex)
+    chi[block] = np.linalg.solve(lv, rhs)
+    chi = chi.reshape(d, d)
     chi = 0.5 * (chi + chi.conj().T)
     chi = chi / np.trace(chi).real
     resid = np.linalg.norm(m.liouvillian @ chi.reshape(-1))
@@ -140,9 +163,10 @@ def full_steady_spectrum(m: FullModel, grid, chi_ss: np.ndarray | None = None) -
     """Steady-state qubit emission spectrum of the joint model.
 
     Same resolvent contraction as the reduced theory but on the full
-    Liouville space, evaluated through one eigendecomposition so the whole
-    frequency grid costs a single diagonalization.  ``grid`` holds detunings
-    from the qubit frequency.
+    Liouville space.  The resolvent of the source ``(sigma_- x I) chi_ss``
+    stays in the blocks of L that hold the source, so one eigendecomposition
+    of those blocks covers the whole frequency grid.  ``grid`` holds
+    detunings from the qubit frequency.
     """
     grid = np.asarray(grid, dtype=float)
     if chi_ss is None:
@@ -150,9 +174,10 @@ def full_steady_spectrum(m: FullModel, grid, chi_ss: np.ndarray | None = None) -
     sm_joint = np.kron(SIGMA_MINUS, np.eye(m.n_fock, dtype=complex))
     src = (sm_joint @ chi_ss).reshape(-1)
     dual = sm_joint.reshape(-1).conj()
-    lam, vmat = np.linalg.eig(m.liouvillian)
-    weights = (dual @ vmat) * np.linalg.solve(vmat, src)
-    # drop the steady-state mode's numerically-zero weight to avoid 0/0 at the pole
+    block = _coupled_block(m, np.flatnonzero(src))
+    lam, vmat = np.linalg.eig(m.liouvillian[np.ix_(block, block)])
+    weights = (dual[block] @ vmat) * np.linalg.solve(vmat, src[block])
+    # drop numerically-zero weights (a steady-state mode in the block) to avoid 0/0 at the pole
     keep = np.abs(weights) > 1e-14 * np.abs(weights).max()
     omega = grid + m.qubit_frequency
     dens = 2.0 * np.real(

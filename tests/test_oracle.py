@@ -21,6 +21,8 @@ from fdqme.oracle import (
     full_steady_state,
     reduced_qubit_state,
 )
+from fdqme.liouville import SIGMA_MINUS
+from fdqme.oracle import _coupled_block
 
 THERMAL = ThermalBathParams(g=1.0, omega_q=2000.0, omega_c=2000.0 - 100.0, kappa=10.0, nbar=0.1)
 
@@ -169,3 +171,73 @@ def test_full_evolution_preserves_positivity_in_squeezed_regime():
         chi_t = (vmat @ (np.exp(lam * t) * coef)).reshape(24, 24)
         red = reduced_qubit_state(chi_t, 12)
         assert purity(red.reshape(-1)) <= 1.0 + 1e-9
+
+
+SQUEEZED = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0)
+
+
+def _excitation_difference(n_fock):
+    """N_i - N_j at each Liouville index i * d + j, with N = n + (qubit excited)."""
+    n = np.arange(n_fock)
+    excitations = np.concatenate([n, n + 1])  # basis (g, n) then (e, n)
+    return np.subtract.outer(excitations, excitations).reshape(-1)
+
+
+def _source_support(m, block):
+    # support of sigma_- applied to a state that fills the given block
+    chi = np.zeros(m.dim * m.dim)
+    chi[block] = 1.0
+    sm_joint = np.kron(SIGMA_MINUS, np.eye(m.n_fock))
+    return np.flatnonzero(sm_joint @ chi.reshape(m.dim, m.dim))
+
+
+def _assert_decoupled(lv, block):
+    rest = np.setdiff1d(np.arange(lv.shape[0]), block)
+    assert not lv[np.ix_(block, rest)].any()
+    assert not lv[np.ix_(rest, block)].any()
+
+
+@pytest.mark.parametrize("n_fock", [6, 9])
+def test_thermal_blocks_are_excitation_difference_sectors(n_fock):
+    m = build_full_model(THERMAL, n_fock)
+    sector = _excitation_difference(n_fock)
+    steady = _coupled_block(m, np.arange(m.dim) * (m.dim + 1))
+    src = _coupled_block(m, _source_support(m, steady))
+    assert steady.size == 4 * n_fock - 2
+    assert src.size == 4 * n_fock - 4
+    np.testing.assert_array_equal(steady, np.flatnonzero(sector == 0))
+    np.testing.assert_array_equal(src, np.flatnonzero(sector == -1))
+    _assert_decoupled(m.liouvillian, steady)
+    _assert_decoupled(m.liouvillian, src)
+
+
+def test_squeezed_blocks_are_parity_halves():
+    m = build_full_model(SQUEEZED, n_fock=8)
+    parity = _excitation_difference(8) % 2
+    steady = _coupled_block(m, np.arange(m.dim) * (m.dim + 1))
+    src = _coupled_block(m, _source_support(m, steady))
+    np.testing.assert_array_equal(steady, np.flatnonzero(parity == 0))
+    np.testing.assert_array_equal(src, np.flatnonzero(parity == 1))
+    _assert_decoupled(m.liouvillian, steady)
+
+
+@pytest.mark.parametrize(
+    "bath",
+    [THERMAL, SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=40.0, kappa=10.0)],
+    ids=["thermal", "squeezed"],
+)
+def test_block_spectrum_matches_direct_full_space_solve(bath):
+    m = build_full_model(bath, n_fock=8)
+    chi = full_steady_state(m)
+    grid = np.array([-300.0, -150.0, -100.0, -50.0, -10.0, 0.0, 10.0, 50.0, 150.0])
+    spec = full_steady_spectrum(m, grid, chi)
+    sm_joint = np.kron(SIGMA_MINUS, np.eye(8))
+    src = (sm_joint @ chi).reshape(-1)
+    dual = sm_joint.reshape(-1).conj()
+    eye = np.eye(m.dim * m.dim)
+    direct = [
+        2.0 * np.real(dual @ np.linalg.solve(1j * (w + m.qubit_frequency) * eye - m.liouvillian, src))
+        for w in grid
+    ]
+    ref = make_spectrum(grid, direct, normalize=True, clip_rel=1e-7)
+    assert np.abs(spec.values - ref.values).max() < 1e-9 * ref.values.max()

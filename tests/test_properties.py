@@ -2,8 +2,8 @@
 
 Each property runs a fixed, derandomized example budget, so the suite stays
 deterministic.  Thermal baths come from the lab-frame spectrum range
-(omega_q = 2e5) and the moderate-carrier kernel range; squeezed baths span
-weak to strong squeezing of a stable drive.
+(omega_q = 2e5), the moderate-carrier kernel range and the oracle-comparison
+range; squeezed baths span weak to strong squeezing of a stable drive.
 """
 
 import numpy as np
@@ -17,8 +17,9 @@ from fdqme.baths import (
     kernel_modes,
     squeezed_steady_ground_population,
 )
-from fdqme.fdme import squeezed_propagator, steady_state, thermal_propagator
-from fdqme.liouville import qubit_state, trace_dual
+from fdqme.fdme import emission_spectrum, squeezed_propagator, steady_state, thermal_propagator
+from fdqme.liouville import SIGMA_MINUS, qubit_state, trace_dual
+from fdqme.oracle import build_full_model, full_steady_spectrum
 
 EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
@@ -39,6 +40,9 @@ thermal_baths = st.one_of(lab_thermal, moderate_thermal)
 squeezed_baths = st.builds(_squeezed, st.floats(150.0, 250.0), st.floats(250.0, 400.0),
                            st.floats(0.0, 0.9), kappas)
 baths = st.one_of(thermal_baths, squeezed_baths)
+# oracle-comparison range: weak coupling (g = 1 against kappa >= 8), nbar small enough for n_fock = 10
+oracle_thermal = st.builds(_thermal, st.floats(1000.0, 3000.0), st.floats(60.0, 150.0),
+                           st.floats(8.0, 15.0), st.floats(0.02, 0.2))
 
 
 @EXAMPLES
@@ -70,3 +74,13 @@ def test_thermal_steady_state_obeys_detailed_balance(p):
     ss = steady_state(thermal_propagator(p), qubit_state("mixed"))
     ground = (p.nbar + 1.0) / (2.0 * p.nbar + 1.0)
     assert np.abs(ss.vec - [ground, 0.0, 0.0, 1.0 - ground]).max() < 1e-9
+
+
+@EXAMPLES
+@given(oracle_thermal)
+def test_fd_spectrum_matches_oracle_at_weak_coupling(p):
+    grid = np.linspace(-(p.delta + 60.0), 80.0, 3001)
+    fp = thermal_propagator(p)
+    fd = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+    full = full_steady_spectrum(build_full_model(p, n_fock=10), grid)
+    assert abs(grid[np.argmax(fd.values)] - grid[np.argmax(full.values)]) < 1.0
