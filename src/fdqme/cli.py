@@ -180,6 +180,9 @@ def _grid(sections, name, errors, required) -> GridSpec | None:
     if pts < 2 or hi <= lo:
         errors.append(f"[{name}] must span at least 2 increasing points")
         return None
+    if name == "grid.time" and lo < 0:
+        errors.append(f"[{name}] min must be nonnegative: the state is prepared at t = 0")
+        return None
     return GridSpec(lo, hi, pts)
 
 

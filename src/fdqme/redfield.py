@@ -7,6 +7,12 @@ integral is analytic, and freezing it at t -> infinity gives the
 Born-Markov generator.  Unlike the frequency-domain route these generators
 erase the history of the system state, which shifts the non-Markovian side
 peak and, for the squeezed bath, can transiently break positivity.
+
+Both trajectories start from the state prepared at t = 0, where the running
+integral starts.  The Born-Redfield equation is linear, y' = A(t) y, so every
+DOP853 stage, step, error estimate and dense-output coefficient is a 4x4
+matrix that depends on (t, h) only: br_evolve builds them for a window of
+equal steps in batched products and propagates y with one mat-vec per step.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .baths import (
     SqueezedBathParams,
@@ -230,13 +236,142 @@ def _validate_initial(rho0_vec: np.ndarray):
         raise ValueError("initial state must be a unit-trace Hermitian density matrix")
 
 
+def _dop853_stage_table():
+    """Stage times and lower-triangular stage coefficients of DOP853.
+
+    Rows 0-11 are the main stages, row 12 is the stage at t + h whose
+    coefficients are the weights B (it evaluates the new state), and rows
+    13-15 are the extra stages of the 7th-order dense output.
+    """
+    n = DOP853.n_stages
+    coef = np.zeros((16, 16))
+    coef[:n, :n] = DOP853.A
+    coef[n, :n] = DOP853.B
+    coef[n + 1:] = DOP853.A_EXTRA
+    return np.concatenate([DOP853.C, [1.0], DOP853.C_EXTRA]), coef
+
+
+_STAGE_C, _STAGE_A = _dop853_stage_table()
+_EYE = np.eye(4).reshape(16)
+_RTOL, _ATOL = 1e-10, 1e-12
+# speculative windows of equal steps: doubled after a fully accepted window,
+# halved after a rejection
+_WINDOW_MIN, _WINDOW_MAX = 4, 64
+
+
+def _rms(v) -> float:
+    return float(np.linalg.norm(v)) / np.sqrt(v.size)
+
+
+def _first_step(generator, y0, t_end) -> float:
+    """Starting step for an order-7 error estimate (Hairer, Norsett & Wanner, II.4)."""
+    scale = _ATOL + np.abs(y0) * _RTOL
+    f0 = generator(np.array(0.0)) @ y0
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d2 = _rms((generator(np.array(h0)) @ (y0 + h0 * f0) - f0) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, t_end)
+
+
+def _window(generator, y, edges):
+    """DOP853 on consecutive steps edges[w] -> edges[w+1] of y' = A(t) y.
+
+    For a linear equation every stage is a matrix M_s with k_s = M_s y, so the
+    stages of all steps are batched (n, 16, 4, 4) products and only the
+    propagation y_{w+1} = P_w y_w is sequential.  Returns the states at the
+    edges, the error norm of each step (inf where not finite) and the
+    dense-output coefficients (n, 7, 4).
+    """
+    h = np.diff(edges)[:, None]
+    a_t = generator(edges[:-1, None] + h * _STAGE_C)  # (n, 16, 4, 4)
+    mats = np.empty(a_t.shape[:2] + (16,), dtype=complex)  # stage matrices, flattened
+    mats[:, 0] = a_t[:, 0].reshape(-1, 16)
+    for s in range(1, 16):
+        step = (_EYE + h * (_STAGE_A[s, :s] @ mats[:, :s])).reshape(-1, 4, 4)
+        if s == DOP853.n_stages:  # the stage at t + h: its step matrix maps y to y_new
+            prop = step
+        mats[:, s] = (a_t[:, s] @ step).reshape(-1, 16)
+    ys = np.empty((len(h) + 1, 4), dtype=complex)
+    ys[0] = y
+    for w, pw in enumerate(prop):
+        ys[w + 1] = pw @ ys[w]
+    k = (mats.reshape(-1, 16, 4, 4) @ ys[:-1, None, :, None])[..., 0]  # stage vectors (n, 16, 4)
+    scale = _ATOL + np.maximum(np.abs(ys[:-1]), np.abs(ys[1:])) * _RTOL
+    e5 = (np.abs((DOP853.E5 @ k[:, :13]) / scale) ** 2).sum(axis=1)
+    e3 = (np.abs((DOP853.E3 @ k[:, :13]) / scale) ** 2).sum(axis=1)
+    err = np.where(e5 + e3 == 0, 0.0, h[:, 0] * e5 / np.sqrt((e5 + 0.01 * e3) * 4))
+    err[~(np.isfinite(err) & np.isfinite(ys[1:]).all(axis=1))] = np.inf
+    dy = ys[1:] - ys[:-1]
+    f0, f1 = k[:, 0], k[:, DOP853.n_stages]
+    dense = np.concatenate(
+        [dy[:, None], (h * f0 - dy)[:, None], (2 * dy - h * (f1 + f0))[:, None],
+         h[:, :, None] * (DOP853.D @ k)],
+        axis=1,
+    )
+    return ys, err, dense
+
+
+def _dense_weights(x):
+    """Weights of the seven DOP853 dense-output coefficients at fractions x of a step."""
+    x, u = x[:, None], 1.0 - x[:, None]
+    return x ** np.array([1, 1, 2, 2, 3, 3, 4]) * u ** np.array([0, 1, 1, 2, 2, 3, 3])
+
+
+def _integrate_linear(generator, y0, t_out) -> np.ndarray:
+    """States of y' = A(t) y, y(0) = y0, at the sorted nonnegative times t_out.
+
+    Adaptive DOP853 with DOP853's step control (safety 0.9, factor in
+    [0.2, 10], exponent -1/8, no growth right after a rejection) applied to
+    windows of equal steps; a step is accepted when it and every step before
+    it in its window pass the error test.  A non-finite error estimate is a
+    rejection, so a diverging generator ends in the step-size underflow error.
+    """
+    states = np.empty((t_out.size, 4), dtype=complex)
+    states[t_out == 0.0] = y0
+    t, y, t_end = 0.0, y0, float(t_out[-1])
+    n_window, capped = _WINDOW_MIN, False
+    # rejected speculative steps may overflow; their results are discarded
+    with np.errstate(all="ignore"):
+        h = _first_step(generator, y0, t_end) if t_end > 0 else 0.0
+        while t < t_end:
+            if not h >= 10 * np.spacing(t):
+                raise RuntimeError(f"integration failed: step size {h:.3g} underflows at t = {t:.9g}")
+            edges = t + h * np.arange(n_window + 1)
+            n = min(n_window, int(np.searchsorted(edges, t_end)))
+            edges = edges[: n + 1]
+            edges[-1] = min(edges[-1], t_end)
+            ys, err, dense = _window(generator, y, edges)
+            n_ok = int(np.argmin(err < 1)) if np.any(err >= 1) else n
+            lo, hi = np.searchsorted(t_out, edges[[0, n_ok]], side="right")
+            if hi > lo:
+                w = np.searchsorted(edges[1:], t_out[lo:hi])
+                x = (t_out[lo:hi] - edges[w]) / (edges[w + 1] - edges[w])
+                states[lo:hi] = ys[w] + np.einsum("oj,oji->oi", _dense_weights(x), dense[w])
+            if n_ok == n:
+                worst = err.max()
+                factor = 10.0 if worst == 0 else min(10.0, 0.9 * worst ** -0.125)
+                h *= min(1.0, factor) if capped else factor
+                n_window, capped = min(2 * n_window, _WINDOW_MAX), False
+            else:
+                h *= max(0.2, 0.9 * err[n_ok] ** -0.125)
+                n_window, capped = max(n_window // 2, _WINDOW_MIN), True
+            t, y = edges[n_ok], ys[n_ok]
+    return states
+
+
 def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
     """Integrate the time-local equation with running rates.
 
-    Adaptive high-order Runge-Kutta with relative tolerance 1e-10 and
-    absolute 1e-12; raises on step-size underflow.
+    The state is prepared at t = 0, where the running rates start, and is
+    reported at the (nonnegative, increasing) times of t_grid.  The equation
+    is linear, y' = A(t) y with A(t) = G_inf - sum_k B_k e^{lambda_k t}, so
+    DOP853 (relative tolerance 1e-10, absolute 1e-12) runs on batched 4x4
+    step matrices; raises RuntimeError on step-size underflow.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
     rho0_vec = rho0.vec if isinstance(rho0, VectorizedOperator) else np.asarray(rho0, complex).reshape(-1)
     _validate_initial(rho0_vec)
     # L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
@@ -244,26 +379,17 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     modes, nus = _column_modes(p, include_sum_frequency)
     residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
     g_inf = free_liouvillian(p) + residues.sum(axis=0)
-    live = np.any(residues != 0, axis=1)  # (mode, column) pairs that contribute
-    lam = (-modes.kappa + 1j * nus)[live]
-    cols = np.nonzero(live)[1]
-    e_mat = residues.transpose(1, 0, 2)[:, live]
+    mode, col = np.nonzero(np.any(residues != 0, axis=1))  # contributing pairs
+    lam = -modes.kappa + 1j * nus[mode, col]
+    basis = np.zeros((lam.size, 4, 4), dtype=complex)
+    basis[np.arange(lam.size), :, col] = residues[mode, :, col]
+    basis = basis.reshape(lam.size, 16)
 
-    def rhs(t, y):
-        return g_inf @ y - e_mat @ (np.exp(lam * t) * y[cols])
+    def generator(t):
+        return g_inf - (np.exp(np.multiply.outer(t, lam)) @ basis).reshape(t.shape + (4, 4))
 
-    sol = solve_ivp(
-        rhs,
-        (float(t_grid[0]), float(t_grid[-1])),
-        rho0_vec.astype(complex),
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=1e-10,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    return Trajectory(times=t_grid, states=sol.y.T)
+    states = _integrate_linear(generator, rho0_vec.astype(complex), t_grid)
+    return Trajectory(times=t_grid, states=states)
 
 
 def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:

@@ -116,6 +116,32 @@ path = x.csv
     assert "at least 2 increasing points" in messages
 
 
+@pytest.mark.parametrize("scenario", ["blp-compare", "positivity"])
+def test_parse_rejects_negative_times(scenario):
+    params = {
+        "blp-compare": "g = 1.0\nomega_q = 2.0e5\nkappa = 20.0\nnbar = 0.1\n"
+                       "delta_min = 10.0\ndelta_max = 180.0\ndelta_points = 3\n",
+        "positivity": "g = 1.0\ndelta_q = 200.0\ndelta_c = 120.0\nr = 115.0\nkappa = 10.0\n",
+    }[scenario]
+    text = f"""
+[params]
+{params}
+[grid.time]
+min = -0.2
+max = 0.6
+points = 41
+step = 0.1
+
+[output]
+path = t.csv
+"""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, scenario)
+    messages = "\n".join(err.value.errors)
+    assert "[grid.time] min must be nonnegative" in messages
+    assert "unknown key 'step'" in messages  # collected with the other errors
+
+
 def test_thermal_scenario_outputs(tmp_path):
     cfg = parse_config(THERMAL_CONFIG, "thermal-spectrum")
     written = run_scenario(cfg, out_dir=str(tmp_path))

@@ -3,10 +3,13 @@
 Each property runs a fixed, derandomized example budget, so the suite stays
 deterministic.  Thermal baths come from the lab-frame spectrum range
 (omega_q = 2e5), the moderate-carrier kernel range and the oracle-comparison
-range; squeezed baths span weak to strong squeezing of a stable drive.
+range; squeezed baths span weak to strong squeezing of a stable drive.  The
+Born-Redfield trajectories are drawn from the BLP-comparison and positivity
+ranges and checked against a tight-tolerance scipy integration.
 """
 
 import numpy as np
+from conftest import br_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from fdqme.baths import (
 from fdqme.fdme import emission_spectrum, squeezed_propagator, steady_state, thermal_propagator
 from fdqme.liouville import SIGMA_MINUS, qubit_state, trace_dual
 from fdqme.oracle import build_full_model, full_steady_spectrum
+from fdqme.redfield import br_evolve
 
 EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
@@ -43,6 +47,16 @@ baths = st.one_of(thermal_baths, squeezed_baths)
 # oracle-comparison range: weak coupling (g = 1 against kappa >= 8), nbar small enough for n_fock = 10
 oracle_thermal = st.builds(_thermal, st.floats(1000.0, 3000.0), st.floats(60.0, 150.0),
                            st.floats(8.0, 15.0), st.floats(0.02, 0.2))
+# Born-Redfield ranges: the lab-frame BLP comparison (ground and excited states
+# up to t_max 0.4-0.8) and the squeezed positivity example (sigma_y- up to 2)
+br_cases = st.one_of(
+    st.tuples(st.builds(_thermal, st.just(2.0e5), st.floats(5.0, 200.0), st.floats(10.0, 30.0),
+                        st.floats(0.0, 0.3)),
+              st.sampled_from(["g", "e"]), st.floats(0.4, 0.8)),
+    st.tuples(st.builds(_squeezed, st.floats(190.0, 210.0), st.floats(110.0, 130.0),
+                        st.floats(0.93, 0.97), st.floats(8.0, 12.0)),
+              st.just("y-"), st.just(2.0)),
+)
 
 
 @EXAMPLES
@@ -84,3 +98,12 @@ def test_fd_spectrum_matches_oracle_at_weak_coupling(p):
     fd = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
     full = full_steady_spectrum(build_full_model(p, n_fock=10), grid)
     assert abs(grid[np.argmax(fd.values)] - grid[np.argmax(full.values)]) < 1.0
+
+
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(br_cases)
+def test_br_evolve_matches_tight_reference(case):
+    p, state, t_max = case
+    ts = np.linspace(0.0, t_max, 400)
+    rho0 = qubit_state(state).reshape(-1)
+    assert np.abs(br_evolve(p, rho0, ts).states - br_reference(p, rho0, ts)).max() < 1e-8

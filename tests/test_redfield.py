@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from conftest import br_reference
 
+from fdqme import redfield
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
@@ -153,6 +155,56 @@ def test_br_squeezed_positivity_violation_fig8_regime():
     ts = np.linspace(0.0, 3.0, 1500)
     traj = br_evolve(FIG8, qubit_state("y-").reshape(-1), ts)
     assert traj.purities().max() > 1.0 + 1e-4
+
+
+THERMAL_300 = ThermalBathParams(g=1.0, omega_q=300.0, omega_c=250.0, kappa=10.0, nbar=0.1)
+
+
+@pytest.mark.parametrize(
+    "p, state, ts",
+    [
+        (THERMAL_300, "x+", np.linspace(0.0, 0.5, 51)),
+        (THERMAL_300, "e", np.linspace(0.0, 0.5, 51)),
+        # about 400 carrier radians at omega_q = 2e5
+        (THERMAL, "x+", np.linspace(0.0, 0.002, 41)),
+        (THERMAL, "e", np.linspace(0.0, 0.5, 51)),
+        (FIG8, "y-", np.linspace(0.0, 1.0, 101)),
+    ],
+    ids=["thermal-300-x+", "thermal-300-e", "thermal-2e5-x+", "thermal-2e5-e", "fig8-y-"],
+)
+def test_br_evolve_matches_tight_reference(p, state, ts):
+    rho0 = qubit_state(state).reshape(-1)
+    traj = br_evolve(p, rho0, ts)
+    assert np.abs(traj.states - br_reference(p, rho0, ts)).max() < 1e-8
+
+
+def test_br_evolve_does_not_depend_on_the_output_grid():
+    rho0 = qubit_state("y-").reshape(-1)
+    coarse = br_evolve(FIG8, rho0, np.linspace(0.0, 3.0, 41))
+    fine = br_evolve(FIG8, rho0, np.linspace(0.0, 3.0, 1201))
+    assert np.abs(coarse.states - fine.states[::30]).max() < 1e-9
+
+
+def test_br_evolve_prepares_the_state_at_time_zero():
+    rho0 = qubit_state("y-").reshape(-1)
+    full = br_evolve(FIG8, rho0, np.array([0.0, 2.0]))
+    late = br_evolve(FIG8, rho0, np.array([0.5, 2.0]))
+    assert np.abs(full.states[-1] - late.states[-1]).max() < 1e-9
+    # the running rates have acted by t = 0.5, so the state has moved
+    assert np.abs(late.states[0] - rho0).max() > 1e-3
+    with pytest.raises(ValueError, match="nonnegative"):
+        br_evolve(FIG8, rho0, np.array([-0.1, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "free",
+    [np.full((4, 4), np.nan), np.diag([0.0, 5.0e3, -5.0e3, 0.0])],
+    ids=["not-finite", "overflowing"],
+)
+def test_br_evolve_raises_when_the_step_size_underflows(monkeypatch, free):
+    monkeypatch.setattr(redfield, "free_liouvillian", lambda p: free.astype(complex))
+    with pytest.raises(RuntimeError, match="integration failed"):
+        br_evolve(THERMAL_300, qubit_state("x+").reshape(-1), np.linspace(0.0, 1.0, 11))
 
 
 def test_bm_thermal_matches_rate_equation():
