@@ -46,7 +46,6 @@ from .liouville import (
     SIGMA_PLUS,
     SIGMA_Z,
     HilbertOperator,
-    LiouvilleOperator,
     VectorizedOperator,
     commutator_superop,
     devectorize,

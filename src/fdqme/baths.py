@@ -372,7 +372,7 @@ def _generic_kernel_single(
     M = _mode_matrix(nbar, mbar, kappa, omega_b)
     T = _correlator_matrix(nbar, mbar)
     G = _coupling_matrix(g1, g2)
-    l_s = commutator_superop(-(omega_q / 2.0) * SIGMA_Z).mat
+    l_s = commutator_superop(-(omega_q / 2.0) * SIGMA_Z)
     west = G @ T @ expm(M.T * t) @ G
     e_ls = expm(l_s * t)
     out = np.zeros((4, 4), dtype=complex)

@@ -450,8 +450,9 @@ def _run_positivity(cfg, base, meta, opts):
     rho0 = qubit_state("y-").reshape(-1)
     traj = redfield.br_evolve(p, rho0, t_grid, include_sum_frequency=opts["include_sum_frequency"])
     fp = fdme.squeezed_propagator(p)
-    states = fdme.inverse_transform(fp, rho0, t_grid)
-    pur_fd = np.array([fdme.purity(s) for s in states])
+    states = np.stack([s.vec for s in fdme.inverse_transform(fp, rho0, t_grid)]).reshape(-1, 2, 2)
+    mm = states @ states  # Tr[rho^2] below; inverse_transform has checked Hermiticity
+    pur_fd = (mm[:, 0, 0] + mm[:, 1, 1]).real
     f1 = base.with_suffix(".csv")
     _write_csv(
         f1,

@@ -26,6 +26,7 @@ from scipy.linalg import expm
 from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, kernel_modes
 from .liouville import (
     SIGMA_Z,
+    HilbertOperator,
     VectorizedOperator,
     commutator_superop,
     left_multiplier,
@@ -157,7 +158,7 @@ class FrequencyPropagator:
 
 def thermal_propagator(p: ThermalBathParams, markov: bool = False) -> FrequencyPropagator:
     """Propagator of a qubit with a thermal-cavity kernel (lab frame)."""
-    l0 = commutator_superop(-(p.omega_q / 2.0) * SIGMA_Z).mat
+    l0 = commutator_superop(-(p.omega_q / 2.0) * SIGMA_Z)
     return FrequencyPropagator(l0=l0, modes=kernel_modes(p), omega_ref=p.omega_q, markov=markov)
 
 
@@ -165,7 +166,7 @@ def squeezed_propagator(
     p: SqueezedBathParams, markov: bool = False, include_sum_frequency: bool = True
 ) -> FrequencyPropagator:
     """Propagator of a qubit with a squeezed-cavity kernel (pump frame)."""
-    l0 = commutator_superop(-(p.delta_q / 2.0) * SIGMA_Z).mat
+    l0 = commutator_superop(-(p.delta_q / 2.0) * SIGMA_Z)
     return FrequencyPropagator(
         l0=l0, modes=kernel_modes(p, include_sum_frequency), omega_ref=p.delta_q, markov=markov
     )
@@ -173,8 +174,7 @@ def squeezed_propagator(
 
 def free_propagator(l0, omega_ref: float = 0.0) -> FrequencyPropagator:
     """Kernel-free propagator (pure free evolution), mostly for validation."""
-    mat = l0.mat if hasattr(l0, "mat") else np.asarray(l0, dtype=complex)
-    return FrequencyPropagator(l0=mat, modes=None, omega_ref=omega_ref)
+    return FrequencyPropagator(l0=l0, modes=None, omega_ref=omega_ref)
 
 
 def _as_state_vector(rho) -> np.ndarray:
@@ -267,7 +267,7 @@ def emission_spectrum(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or grid.ndim != 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a nonempty strictly increasing 1-d array")
-    o_arr = o.entries if hasattr(o, "entries") else np.asarray(o, dtype=complex)
+    o_arr = o.entries if isinstance(o, HilbertOperator) else np.asarray(o, dtype=complex)
     rho_vec = _as_state_vector(rho_ss)
     src = left_multiplier(o_arr) @ rho_vec
     dual = o_arr.reshape(-1).conj()
@@ -307,7 +307,7 @@ def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedO
     U[omega] rho0 along the contour below the real axis, via the modal
     decomposition of the embedded linear system (all residues kept, no
     quadrature truncation).  Each state is checked for Hermiticity and unit
-    trace to 1e-6 and the t=0 reconstruction to 1e-8; a failure raises
+    trace to 1e-6 (a non-finite state fails) and the t=0 reconstruction to 1e-8; a failure raises
     InversionAccuracyError rather than returning degraded data.
     """
     if fp.markov:
@@ -339,18 +339,16 @@ def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedO
 
     if np.abs(states[np.argmin(t_grid)] - rho0_vec).max() > 1e-8 and t_grid.min() == 0.0:
         raise InversionAccuracyError("t=0 state not recovered within 1e-8")
-    tr_dual = trace_dual(2)
-    out = []
-    for k, t in enumerate(t_grid):
-        mat = states[k].reshape(2, 2)
-        herm_dev = np.abs(mat - mat.conj().T).max()
-        tr_dev = abs(tr_dual @ states[k] - 1.0)
-        if herm_dev > 1e-6 or tr_dev > 1e-6:
-            raise InversionAccuracyError(
-                f"accuracy budget exceeded at t={t}: hermiticity {herm_dev:.2e}, trace {tr_dev:.2e}"
-            )
-        out.append(VectorizedOperator(states[k]))
-    return out
+    mats = states.reshape(-1, 2, 2)
+    herm_dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    tr_dev = np.abs(states @ trace_dual(2) - 1.0)
+    bad = np.flatnonzero(~((herm_dev <= 1e-6) & (tr_dev <= 1e-6)))  # NaN fails too
+    if bad.size:
+        k = bad[0]
+        raise InversionAccuracyError(
+            f"accuracy budget exceeded at t={t_grid[k]}: hermiticity {herm_dev[k]:.2e}, trace {tr_dev[k]:.2e}"
+        )
+    return [VectorizedOperator(s) for s in states]
 
 
 def purity(rho) -> float:

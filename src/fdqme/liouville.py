@@ -1,10 +1,14 @@
 """Superoperator algebra on a finite Hilbert space.
 
 Operators on an N-dimensional Hilbert space are flattened into length-N^2
-vectors so that superoperators become dense N^2 x N^2 matrices.  The element
+vectors so that superoperators become N^2 x N^2 matrices.  The element
 order is row-stacked: (O_11, ..., O_1N, O_21, ..., O_NN).  For a qubit in the
 basis (g, e) this is (gg, ge, eg, ee), which makes the free-evolution
 Liouvillian of ``-(w/2) sigma_z`` the diagonal matrix (0, iw, -iw, 0).
+
+The superoperator builders return plain arrays: a dense operator gives a
+dense ndarray and a ``scipy.sparse`` operator a sparse CSR array, from the
+same Kronecker formula.
 """
 
 from __future__ import annotations
@@ -12,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 __all__ = [
     "HilbertOperator",
     "VectorizedOperator",
-    "LiouvilleOperator",
     "VECTORIZATION_ORDER",
     "vectorize",
     "devectorize",
@@ -47,8 +51,11 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
-def _as_square(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=complex)
+def _as_square(entries):
+    if sparse.issparse(entries):
+        arr = sparse.csr_array(entries, dtype=complex)
+    else:
+        arr = np.asarray(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -103,34 +110,17 @@ class VectorizedOperator:
         return self.vec.reshape(d, d)
 
 
-@dataclass(frozen=True)
-class LiouvilleOperator:
-    """Superoperator as a dense N^2 x N^2 matrix on vectorized operators."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_square(self.mat)
-        n = np.sqrt(arr.shape[0])
-        if int(round(n)) ** 2 != arr.shape[0]:
-            raise ValueError(f"matrix side {arr.shape[0]} is not a perfect square")
-        object.__setattr__(self, "mat", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.mat.shape[0])))
-
-
-def _entries(op) -> np.ndarray:
+def _entries(op):
     if isinstance(op, HilbertOperator):
         return op.entries
     return _as_square(op)
 
 
-def _matrep(superop) -> np.ndarray:
-    if isinstance(superop, LiouvilleOperator):
-        return superop.mat
-    return _as_square(superop)
+def _kron(a, b):
+    """Kronecker product; a sparse CSR array when either factor is sparse."""
+    if sparse.issparse(a) or sparse.issparse(b):
+        return sparse.kron(a, b, format="csr")
+    return np.kron(a, b)
 
 
 def vectorize(op) -> VectorizedOperator:
@@ -153,66 +143,65 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(am.reshape(-1), bm.reshape(-1)))
 
 
-def left_multiplier(a) -> np.ndarray:
-    """Matrix of X -> a X in the row-stacked convention."""
+def left_multiplier(a):
+    """Matrix of X -> a X in the row-stacked convention (sparse in, sparse out)."""
     am = _entries(a)
-    return np.kron(am, np.eye(am.shape[0], dtype=complex))
+    return _kron(am, np.eye(am.shape[0], dtype=complex))
 
 
-def right_multiplier(b) -> np.ndarray:
-    """Matrix of X -> X b in the row-stacked convention."""
+def right_multiplier(b):
+    """Matrix of X -> X b in the row-stacked convention (sparse in, sparse out)."""
     bm = _entries(b)
-    return np.kron(np.eye(bm.shape[0], dtype=complex), bm.T)
+    return _kron(np.eye(bm.shape[0], dtype=complex), bm.T)
 
 
-def commutator_superop(h, require_hermitian: bool = True) -> LiouvilleOperator:
-    """Matrix of -i[h, .]; purely imaginary spectrum for Hermitian h."""
+def commutator_superop(h, require_hermitian: bool = True):
+    """Matrix of -i[h, .]; purely imaginary spectrum for Hermitian h.
+
+    A sparse ``h`` gives a sparse CSR array, a dense one an ndarray.
+    """
     hm = _entries(h)
     if require_hermitian:
-        dev = np.abs(hm - hm.conj().T).max()
+        dev = abs(hm - hm.conj().T).max()
         if dev > HERMITICITY_TOL:
             raise ValueError(f"commutator generator is not Hermitian (deviation {dev:.3e})")
-    return LiouvilleOperator(-1j * (left_multiplier(hm) - right_multiplier(hm)))
+    return -1j * (left_multiplier(hm) - right_multiplier(hm))
 
 
-def lindblad_dissipator(o) -> LiouvilleOperator:
-    """Matrix of the dissipator X -> 2 o X o^dag - o^dag o X - X o^dag o."""
+def lindblad_dissipator(o):
+    """Matrix of the dissipator X -> 2 o X o^dag - o^dag o X - X o^dag o.
+
+    A sparse ``o`` gives a sparse CSR array, a dense one an ndarray.
+    """
     om = _entries(o)
     od = om.conj().T
-    n = om.shape[0]
-    eye = np.eye(n, dtype=complex)
-    mat = (
-        2.0 * np.kron(om, od.T)
-        - np.kron(od @ om, eye)
-        - np.kron(eye, (od @ om).T)
-    )
-    return LiouvilleOperator(mat)
+    eye = np.eye(om.shape[0], dtype=complex)
+    return 2.0 * _kron(om, od.T) - _kron(od @ om, eye) - _kron(eye, (od @ om).T)
 
 
-def squeeze_dissipator(o) -> LiouvilleOperator:
+def squeeze_dissipator(o):
     """Matrix of the two-photon-type term X -> 2 o X o - o^2 X - X o^2.
 
     Unlike the Lindblad form this couples opposite coherences; its action is
-    traceless for any input, so it never breaks trace preservation.
+    traceless for any input, so it never breaks trace preservation.  A
+    sparse ``o`` gives a sparse CSR array, a dense one an ndarray.
     """
     om = _entries(o)
-    n = om.shape[0]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(om.shape[0], dtype=complex)
     o2 = om @ om
-    mat = 2.0 * np.kron(om, om.T) - np.kron(o2, eye) - np.kron(eye, o2.T)
-    return LiouvilleOperator(mat)
+    return 2.0 * _kron(om, om.T) - _kron(o2, eye) - _kron(eye, o2.T)
 
 
-def frame_transform(l, l0, t: float) -> LiouvilleOperator:
-    """Conjugate a superoperator into the frame generated by l0.
+def frame_transform(l, l0, t: float) -> np.ndarray:
+    """Conjugate a dense superoperator into the frame generated by l0.
 
     Returns exp(-l0 t) l exp(l0 t); with l0 the free Liouvillian this is the
     interaction-picture version of l at time t.
     """
-    lm, l0m = _matrep(l), _matrep(l0)
+    lm, l0m = _as_square(l), _as_square(l0)
     if lm.shape != l0m.shape:
         raise ValueError(f"dimension mismatch: {lm.shape} vs {l0m.shape}")
-    return LiouvilleOperator(expm(-l0m * t) @ lm @ expm(l0m * t))
+    return expm(-l0m * t) @ lm @ expm(l0m * t)
 
 
 def trace_dual(dim: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fdme import Spectrum
+from .liouville import VectorizedOperator
 from .redfield import Trajectory, bm_induced_generator, free_liouvillian
 from .baths import effective_rates
 
@@ -122,8 +123,8 @@ def spectral_measure(s: Spectrum, s_m: Spectrum, gap: float) -> MeasureResult:
 
 def trace_distance(rho1, rho2) -> float:
     """Half the trace norm of the difference of two states."""
-    m1 = rho1.matrix() if hasattr(rho1, "matrix") else np.asarray(rho1, dtype=complex)
-    m2 = rho2.matrix() if hasattr(rho2, "matrix") else np.asarray(rho2, dtype=complex)
+    m1 = rho1.matrix() if isinstance(rho1, VectorizedOperator) else np.asarray(rho1, dtype=complex)
+    m2 = rho2.matrix() if isinstance(rho2, VectorizedOperator) else np.asarray(rho2, dtype=complex)
     if m1.ndim == 1:
         d = int(round(np.sqrt(m1.size)))
         m1 = m1.reshape(d, d)

@@ -22,8 +22,9 @@ from .liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    _kron,
     annihilation,
-    left_multiplier,
+    commutator_superop,
     lindblad_dissipator,
 )
 
@@ -43,24 +44,21 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FullModel:
-    """Joint Liouvillian of the qubit and the truncated cavity."""
+    """Joint Liouvillian of the qubit and the truncated cavity.
+
+    The operators are ``scipy.sparse`` CSR arrays; ``liouvillian`` stores no
+    zeros, so its stored structure is its nonzero pattern.
+    """
 
     n_fock: int
     qubit_frequency: float
-    hamiltonian: np.ndarray
+    hamiltonian: sparse.csr_array
     dissipators: tuple  # (rate, operator) pairs
-    liouvillian: np.ndarray
+    liouvillian: sparse.csr_array
 
     @property
     def dim(self) -> int:
         return 2 * self.n_fock
-
-
-def _joint_liouvillian(h: np.ndarray, dissipators) -> np.ndarray:
-    lv = -1j * (left_multiplier(h) - np.kron(np.eye(h.shape[0], dtype=complex), h.T))
-    for rate, op in dissipators:
-        lv = lv + rate * lindblad_dissipator(op).mat
-    return lv
 
 
 def build_full_model(p, n_fock: int) -> FullModel:
@@ -68,19 +66,20 @@ def build_full_model(p, n_fock: int) -> FullModel:
 
     Thermal: lab frame with heating and cooling on the cavity.  Squeezed:
     frame rotating at half the pump, two-photon drive on the cavity and a
-    single loss channel.
+    single loss channel.  Every operator is sparse, and L is built only by
+    the ``liouville`` builders.
     """
     if n_fock < 4:
         raise ValueError("n_fock must be at least 4")
-    a = annihilation(n_fock)
-    eye_c = np.eye(n_fock, dtype=complex)
+    a = sparse.csr_array(annihilation(n_fock))
+    eye_c = sparse.csr_array(np.eye(n_fock, dtype=complex))
     eye_q = np.eye(2, dtype=complex)
-    a_joint = np.kron(eye_q, a)
-    coupling = lambda g: g * (np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, a.conj().T))
+    a_joint = _kron(eye_q, a)
+    coupling = lambda g: g * (_kron(SIGMA_PLUS, a) + _kron(SIGMA_MINUS, a.conj().T))
     if isinstance(p, ThermalBathParams):
         h = (
-            np.kron(-(p.omega_q / 2.0) * SIGMA_Z, eye_c)
-            + np.kron(eye_q, p.omega_c * (a.conj().T @ a))
+            _kron(-(p.omega_q / 2.0) * SIGMA_Z, eye_c)
+            + _kron(eye_q, p.omega_c * (a.conj().T @ a))
             + coupling(p.g)
         )
         dissipators = (
@@ -90,33 +89,40 @@ def build_full_model(p, n_fock: int) -> FullModel:
         omega_ref = p.omega_q
     elif isinstance(p, SqueezedBathParams):
         h_cav = p.delta_c * (a.conj().T @ a) + 0.5 * p.r * (a @ a + a.conj().T @ a.conj().T)
-        h = np.kron(-(p.delta_q / 2.0) * SIGMA_Z, eye_c) + np.kron(eye_q, h_cav) + coupling(p.g)
+        h = _kron(-(p.delta_q / 2.0) * SIGMA_Z, eye_c) + _kron(eye_q, h_cav) + coupling(p.g)
         dissipators = ((p.kappa, a_joint),)
         omega_ref = p.delta_q
     else:
         raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
+    lv = commutator_superop(h)
+    for rate, op in dissipators:
+        lv = lv + rate * lindblad_dissipator(op)
+    lv.eliminate_zeros()
     return FullModel(
-        n_fock=n_fock,
-        qubit_frequency=omega_ref,
-        hamiltonian=h,
-        dissipators=dissipators,
-        liouvillian=_joint_liouvillian(h, dissipators),
+        n_fock=n_fock, qubit_frequency=omega_ref, hamiltonian=h, dissipators=dissipators, liouvillian=lv
     )
 
 
 def _coupled_block(m: FullModel, support) -> np.ndarray:
     """Sorted Liouville indices of the exact blocks of L that touch ``support``.
 
-    The blocks are the weakly connected components of the nonzero pattern
-    of ``m.liouvillian``: the thermal bath conserves the excitation-number
-    difference between ket and bra (U(1)), the squeezed bath its parity
-    (Z2).  No entry of L couples the returned indices to the rest, so a
-    linear solve or resolvent whose source lies in ``support`` never leaves
-    them.  Round-off in the pattern could only merge blocks, never drop one.
+    The blocks are the weakly connected components of the stored structure
+    of ``m.liouvillian``, which is its nonzero pattern: the thermal bath
+    conserves the excitation-number difference between ket and bra (U(1)),
+    the squeezed bath its parity (Z2).  No entry of L couples the returned
+    indices to the rest, so a linear solve or resolvent whose source lies in
+    ``support`` never leaves them.  Round-off in the pattern could only
+    merge blocks, never drop one.
     """
-    pattern = sparse.csr_array(m.liouvillian != 0)
-    _, labels = connected_components(pattern, directed=True, connection="weak")
+    labels = _block_labels(m.liouvillian)
     return np.flatnonzero(np.isin(labels, labels[support]))
+
+
+def _block_labels(lv: sparse.csr_array) -> np.ndarray:
+    """Weakly connected component of each Liouville index in the structure of lv."""
+    # a real-valued pattern, since connected_components casts complex data with a warning
+    pattern = sparse.csr_array((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
+    return connected_components(pattern, directed=True, connection="weak")[1]
 
 
 def full_steady_state(m: FullModel) -> np.ndarray:
@@ -131,7 +137,7 @@ def full_steady_state(m: FullModel) -> np.ndarray:
     d = m.dim
     diagonal = np.arange(d) * (d + 1)
     block = _coupled_block(m, diagonal)
-    lv = m.liouvillian[np.ix_(block, block)]
+    lv = m.liouvillian[block, :][:, block].toarray()
     rhs = np.zeros(block.size, dtype=complex)
     # block[0] == 0 is the (0, 0) population, so the trace row replaces its equation
     lv[0, :] = np.isin(block, diagonal)
@@ -142,7 +148,8 @@ def full_steady_state(m: FullModel) -> np.ndarray:
     chi = 0.5 * (chi + chi.conj().T)
     chi = chi / np.trace(chi).real
     resid = np.linalg.norm(m.liouvillian @ chi.reshape(-1))
-    if resid > 1e-9 * max(1.0, np.linalg.norm(m.liouvillian)):
+    # Frobenius norm of L from its stored values
+    if resid > 1e-9 * max(1.0, np.linalg.norm(m.liouvillian.data)):
         raise RuntimeError(f"steady-state residual {resid:.3e} too large")
     if np.linalg.eigvalsh(chi).min() < -1e-10:
         raise RuntimeError("joint steady state is not positive semidefinite")
@@ -175,7 +182,7 @@ def full_steady_spectrum(m: FullModel, grid, chi_ss: np.ndarray | None = None) -
     src = (sm_joint @ chi_ss).reshape(-1)
     dual = sm_joint.reshape(-1).conj()
     block = _coupled_block(m, np.flatnonzero(src))
-    lam, vmat = np.linalg.eig(m.liouvillian[np.ix_(block, block)])
+    lam, vmat = np.linalg.eig(m.liouvillian[block, :][:, block].toarray())
     weights = (dual[block] @ vmat) * np.linalg.solve(vmat, src[block])
     # drop numerically-zero weights (a steady-state mode in the block) to avoid 0/0 at the pole
     keep = np.abs(weights) > 1e-14 * np.abs(weights).max()

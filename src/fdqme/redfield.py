@@ -57,10 +57,10 @@ __all__ = [
 
 TRAJECTORY_TOL = 1e-8
 
-_D_MINUS = lindblad_dissipator(SIGMA_MINUS).mat
-_D_PLUS = lindblad_dissipator(SIGMA_PLUS).mat
-_S_MINUS = squeeze_dissipator(SIGMA_MINUS).mat
-_S_PLUS = squeeze_dissipator(SIGMA_PLUS).mat
+_D_MINUS = lindblad_dissipator(SIGMA_MINUS)
+_D_PLUS = lindblad_dissipator(SIGMA_PLUS)
+_S_MINUS = squeeze_dissipator(SIGMA_MINUS)
+_S_PLUS = squeeze_dissipator(SIGMA_PLUS)
 _EXCITED_PROJ = SIGMA_PLUS @ SIGMA_MINUS
 _GROUND_PROJ = SIGMA_MINUS @ SIGMA_PLUS
 
@@ -186,7 +186,7 @@ def br_rates_squeezed(
 def rates_generator_thermal(p: ThermalBathParams, rates: ThermalRates) -> np.ndarray:
     """Assemble the induced generator from thermal rates."""
     h = (p.nbar + 1) * _EXCITED_PROJ - p.nbar * _GROUND_PROJ
-    comm = commutator_superop(h).mat
+    comm = commutator_superop(h)
     diss = (p.nbar + 1) * _D_MINUS + p.nbar * _D_PLUS
     return float(rates.delta_eff) * comm + float(rates.gamma_eff) * diss
 
@@ -194,7 +194,7 @@ def rates_generator_thermal(p: ThermalBathParams, rates: ThermalRates) -> np.nda
 def rates_generator_squeezed(rates: SqueezedRates) -> np.ndarray:
     """Assemble the induced generator from squeezed rates."""
     h = float(rates.delta_pm) * _EXCITED_PROJ - float(rates.delta_mp) * _GROUND_PROJ
-    gen = commutator_superop(h).mat
+    gen = commutator_superop(h)
     gen = gen + float(np.real(rates.gamma_mp)) * _D_MINUS + float(np.real(rates.gamma_pm)) * _D_PLUS
     gen = gen + complex(rates.gamma_mm) * _S_MINUS + complex(rates.gamma_pp) * _S_PLUS
     return gen
@@ -227,7 +227,7 @@ def bm_induced_generator(p, include_sum_frequency: bool = False) -> np.ndarray:
 def free_liouvillian(p) -> np.ndarray:
     """Free qubit Liouvillian diag(0, i w, -i w, 0) for either bath."""
     w = p.omega_q if isinstance(p, ThermalBathParams) else p.delta_q
-    return commutator_superop(-(w / 2.0) * SIGMA_Z).mat
+    return commutator_superop(-(w / 2.0) * SIGMA_Z)
 
 
 def _validate_initial(rho0_vec: np.ndarray):
@@ -393,8 +393,10 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
 
 
 def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
-    """Propagate under the constant Markov-limit generator (exact modal form)."""
+    """Propagate under the constant Markov-limit generator (exact modal form) from t = 0."""
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
     rho0_vec = rho0.vec if isinstance(rho0, VectorizedOperator) else np.asarray(rho0, complex).reshape(-1)
     _validate_initial(rho0_vec)
     gen = free_liouvillian(p) + bm_induced_generator(p, include_sum_frequency)

@@ -3,7 +3,8 @@
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from fdqme.baths import kernel_modes
+from fdqme.baths import SqueezedBathParams, ThermalBathParams, kernel_modes
+from fdqme.liouville import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, annihilation
 from fdqme.redfield import free_liouvillian
 
 
@@ -41,3 +42,30 @@ def br_reference(p, rho0, t_grid, include_sum_frequency=False):
                     t_eval=t_grid, method="DOP853", rtol=1e-13, atol=1e-15)
     assert sol.success, sol.message
     return sol.y.T
+
+
+def dense_full_liouvillian(p, n_fock):
+    """Joint qubit-cavity Liouvillian from dense Kronecker products of full-size matrices.
+
+    An assembly independent of ``oracle.build_full_model`` and of the
+    ``liouville`` builders: -i[H, .] plus 2 o X o^dag - {o^dag o, X} per
+    channel, in the row-stacked convention.
+    """
+    a = annihilation(n_fock)
+    ad = a.conj().T
+    eye_c, eye_q = np.eye(n_fock, dtype=complex), np.eye(2, dtype=complex)
+    coupling = p.g * (np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, ad))
+    a_joint = np.kron(eye_q, a)
+    if isinstance(p, ThermalBathParams):
+        h = np.kron(-(p.omega_q / 2.0) * SIGMA_Z, eye_c) + np.kron(eye_q, p.omega_c * (ad @ a)) + coupling
+        channels = ((p.kappa * (p.nbar + 1.0), a_joint), (p.kappa * p.nbar, a_joint.conj().T))
+    elif isinstance(p, SqueezedBathParams):
+        h_cav = p.delta_c * (ad @ a) + 0.5 * p.r * (a @ a + ad @ ad)
+        h = np.kron(-(p.delta_q / 2.0) * SIGMA_Z, eye_c) + np.kron(eye_q, h_cav) + coupling
+        channels = ((p.kappa, a_joint),)
+    eye = np.eye(2 * n_fock, dtype=complex)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for rate, o in channels:
+        od = o.conj().T
+        lv = lv + rate * (2.0 * np.kron(o, od.T) - np.kron(od @ o, eye) - np.kron(eye, (od @ o).T))
+    return lv

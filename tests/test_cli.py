@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from fdqme import fdme
+from fdqme.baths import SqueezedBathParams
 from fdqme.cli import ConfigError, _write_csv, main, parse_config, run_scenario
+from fdqme.liouville import qubit_state
 
 THERMAL_CONFIG = """
 [params]
@@ -256,8 +259,7 @@ path = sweep.csv
         parse_config(text, "measure-sweep")
 
 
-def test_positivity_scenario(tmp_path):
-    text = """
+POSITIVITY_CONFIG = """
 [params]
 g = 1.0
 delta_q = 200.0
@@ -273,12 +275,24 @@ points = 400
 [output]
 path = pos.csv
 """
-    cfg = parse_config(text, "positivity")
+
+
+def test_positivity_scenario(tmp_path):
+    cfg = parse_config(POSITIVITY_CONFIG, "positivity")
     run_scenario(cfg, out_dir=str(tmp_path))
     header, data = read_table(tmp_path / "pos.csv")
     assert header == ["time[1/g]", "purity_br", "purity_fdqme"]
     assert data[:, 1].max() > 1.0 + 1e-4
     assert data[:, 2].max() <= 1.0 + 1e-4
+
+
+def test_positivity_purity_equals_per_state_loop(tmp_path):
+    cfg = parse_config(POSITIVITY_CONFIG, "positivity")
+    run_scenario(cfg, out_dir=str(tmp_path))
+    _, data = read_table(tmp_path / "pos.csv")
+    p = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=120.0, r=115.0813, kappa=10.0)
+    states = fdme.inverse_transform(fdme.squeezed_propagator(p), qubit_state("y-"), data[:, 0])
+    assert np.array_equal(data[:, 2], [fdme.purity(s) for s in states])
 
 
 def test_blp_compare_scenario(tmp_path):

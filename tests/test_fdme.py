@@ -11,6 +11,7 @@ from fdqme.baths import (
     thermal_closed_spectrum,
 )
 from fdqme.fdme import (
+    InversionAccuracyError,
     emission_spectrum,
     free_propagator,
     inverse_transform,
@@ -130,7 +131,7 @@ def test_steady_state_rejects_invalid_input():
 
 
 def test_steady_state_degenerate_manifold_detected():
-    fp = free_propagator(commutator_superop(-(5.0 / 2) * SIGMA_Z).mat, omega_ref=5.0)
+    fp = free_propagator(commutator_superop(-(5.0 / 2) * SIGMA_Z), omega_ref=5.0)
     with pytest.raises(ValueError):
         steady_state(fp, qubit_state("x+"))
 
@@ -206,7 +207,7 @@ def test_spectrum_container_invariants():
 
 def test_inverse_transform_free_coherence():
     omega_q = 7.3
-    fp = free_propagator(commutator_superop(-(omega_q / 2) * SIGMA_Z).mat, omega_ref=omega_q)
+    fp = free_propagator(commutator_superop(-(omega_q / 2) * SIGMA_Z), omega_ref=omega_q)
     rho0 = qubit_state("x+").reshape(-1)
     ts = np.linspace(0.0, 3.0, 61)
     states = inverse_transform(fp, rho0, ts)
@@ -259,6 +260,25 @@ def test_inverse_transform_validates_input():
         inverse_transform(fp, qubit_state("g").reshape(-1), np.array([-1.0, 0.0]))
     with pytest.raises(ValueError, match="frozen"):
         inverse_transform(thermal_propagator(THERMAL, markov=True), qubit_state("g").reshape(-1), np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "l0, rho0",
+    [(-np.eye(4), "g"), (np.diag([0.0, 1j, 1j, 0.0]), "x+")],
+    ids=["trace", "hermiticity"],
+)
+def test_inverse_transform_names_the_first_failing_time(l0, rho0):
+    # a generator that loses trace, or Hermiticity, from t = 0 on
+    fp = free_propagator(l0)
+    with pytest.raises(InversionAccuracyError, match=r"at t=0\.25: "):
+        inverse_transform(fp, qubit_state(rho0), np.array([0.0, 1e-9, 0.25, 1.0]))
+
+
+def test_inverse_transform_rejects_non_finite_states():
+    # the growing coherences overflow to NaN by t = 1, and NaN passes any "> bound" test
+    fp = free_propagator(np.diag([0.0, 800.0, 800.0, 0.0]))
+    with np.errstate(all="ignore"), pytest.raises(InversionAccuracyError, match=r"at t=1\.0: "):
+        inverse_transform(fp, qubit_state("x+"), np.array([0.0, 0.25, 1.0]))
 
 
 # --------------------------------------------------------------------------

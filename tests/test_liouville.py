@@ -78,17 +78,17 @@ def test_hs_inner_dim_mismatch():
 
 def test_commutator_superop_free_qubit():
     l0 = commutator_superop(-(1.0 / 2.0) * SIGMA_Z)
-    assert np.allclose(l0.mat, np.diag([0, 1j, -1j, 0]), atol=1e-15)
+    assert np.allclose(l0, np.diag([0, 1j, -1j, 0]), atol=1e-15)
 
 
 def test_commutator_superop_trivial_generators():
-    assert np.allclose(commutator_superop(np.zeros((2, 2))).mat, 0)
-    assert np.allclose(commutator_superop(np.eye(3)).mat, 0)
+    assert np.allclose(commutator_superop(np.zeros((2, 2))), 0)
+    assert np.allclose(commutator_superop(np.eye(3)), 0)
 
 
 def test_commutator_superop_antihermitian_spectrum():
     h = random_hermitian(4)
-    eigs = np.linalg.eigvals(commutator_superop(h).mat)
+    eigs = np.linalg.eigvals(commutator_superop(h))
     assert np.abs(eigs.real).max() < 1e-10
 
 
@@ -99,21 +99,21 @@ def test_commutator_superop_rejects_nonhermitian():
 
 def test_lindblad_dissipator_decay():
     d = lindblad_dissipator(SIGMA_MINUS)
-    out = devectorize(d.mat @ vectorize(qubit_state("e")).vec).entries
+    out = devectorize(d @ vectorize(qubit_state("e")).vec).entries
     expected = 2.0 * qubit_state("g") - 2.0 * qubit_state("e")
     assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_lindblad_dissipator_dark_state_and_zero():
     d = lindblad_dissipator(SIGMA_MINUS)
-    assert np.allclose(d.mat @ vectorize(qubit_state("g")).vec, 0, atol=1e-14)
-    assert np.allclose(lindblad_dissipator(np.zeros((3, 3))).mat, 0)
+    assert np.allclose(d @ vectorize(qubit_state("g")).vec, 0, atol=1e-14)
+    assert np.allclose(lindblad_dissipator(np.zeros((3, 3))), 0)
 
 
 def test_lindblad_dissipator_trace_preserving():
     for n in (2, 3):
         o = random_matrix(n)
-        left = trace_dual(n) @ lindblad_dissipator(o).mat
+        left = trace_dual(n) @ lindblad_dissipator(o)
         assert np.abs(left).max() < 1e-12
 
 
@@ -122,27 +122,27 @@ def test_squeeze_dissipator_structure():
     # sigma_minus^2 = 0, so only the coherence-swapping block survives
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 2] = 2.0
-    assert np.allclose(s.mat, expected, atol=1e-14)
+    assert np.allclose(s, expected, atol=1e-14)
     # diagonal states are untouched
-    assert np.allclose(s.mat @ vectorize(qubit_state("e")).vec, 0, atol=1e-14)
+    assert np.allclose(s @ vectorize(qubit_state("e")).vec, 0, atol=1e-14)
 
 
 def test_squeeze_dissipator_trivial_cases():
-    assert np.allclose(squeeze_dissipator(np.zeros((2, 2))).mat, 0)
-    assert np.allclose(squeeze_dissipator(np.eye(2)).mat, 0)
+    assert np.allclose(squeeze_dissipator(np.zeros((2, 2))), 0)
+    assert np.allclose(squeeze_dissipator(np.eye(2)), 0)
 
 
 def test_squeeze_dissipator_traceless_action():
     o = random_matrix(3)
-    left = trace_dual(3) @ squeeze_dissipator(o).mat
+    left = trace_dual(3) @ squeeze_dissipator(o)
     assert np.abs(left).max() < 1e-12
 
 
 def test_lindblad_form_liouvillian_annihilates_trace():
     h = random_hermitian(3)
-    lv = commutator_superop(h).mat
+    lv = commutator_superop(h)
     for rate in (0.3, 1.7):
-        lv = lv + rate * lindblad_dissipator(random_matrix(3)).mat
+        lv = lv + rate * lindblad_dissipator(random_matrix(3))
     assert np.abs(trace_dual(3) @ lv).max() < 1e-10
     # and it has a (right) eigenvalue at zero
     assert np.abs(np.linalg.eigvals(lv)).min() < 1e-9
@@ -151,10 +151,10 @@ def test_lindblad_form_liouvillian_annihilates_trace():
 def test_frame_transform_identities():
     l0 = commutator_superop(-(0.7 / 2.0) * SIGMA_Z)
     l = lindblad_dissipator(SIGMA_MINUS)
-    assert np.allclose(frame_transform(l, l0, 0.0).mat, l.mat, atol=1e-14)
+    assert np.allclose(frame_transform(l, l0, 0.0), l, atol=1e-14)
     # anything commuting with l0 is left alone
     lz = commutator_superop(SIGMA_Z)
-    assert np.allclose(frame_transform(lz, l0, 2.3).mat, lz.mat, atol=1e-12)
+    assert np.allclose(frame_transform(lz, l0, 2.3), lz, atol=1e-12)
 
 
 def test_frame_transform_short_time_expansion():
@@ -169,9 +169,9 @@ def test_frame_transform_short_time_expansion():
     l0 = commutator_superop(h0)
     lv = commutator_superop(v)
     t = 1e-5
-    moved = frame_transform(lv, l0, t).mat
-    first_order = lv.mat + t * (lv.mat @ l0.mat - l0.mat @ lv.mat)
-    assert np.abs(moved - first_order).max() < 10 * t**2 * np.abs(l0.mat).max() ** 2 * np.abs(lv.mat).max()
+    moved = frame_transform(lv, l0, t)
+    first_order = lv + t * (lv @ l0 - l0 @ lv)
+    assert np.abs(moved - first_order).max() < 10 * t**2 * np.abs(l0).max() ** 2 * np.abs(lv).max()
 
 
 def test_superoperator_composition_is_matrix_product():
@@ -201,8 +201,8 @@ def test_left_right_multipliers():
 
 
 def test_frame_transform_matches_expm_conjugation():
-    l0 = commutator_superop(random_hermitian(2)).mat
-    l = lindblad_dissipator(random_matrix(2)).mat
+    l0 = commutator_superop(random_hermitian(2))
+    l = lindblad_dissipator(random_matrix(2))
     t = 0.37
     expected = expm(-l0 * t) @ l @ expm(l0 * t)
-    assert np.allclose(frame_transform(l, l0, t).mat, expected, atol=1e-12)
+    assert np.allclose(frame_transform(l, l0, t), expected, atol=1e-12)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
+from conftest import dense_full_liouvillian
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
@@ -22,7 +25,7 @@ from fdqme.oracle import (
     reduced_qubit_state,
 )
 from fdqme.liouville import SIGMA_MINUS
-from fdqme.oracle import _coupled_block
+from fdqme.oracle import _block_labels, _coupled_block
 
 THERMAL = ThermalBathParams(g=1.0, omega_q=2000.0, omega_c=2000.0 - 100.0, kappa=10.0, nbar=0.1)
 
@@ -76,9 +79,9 @@ def test_joint_steady_state_quality():
     assert abs(np.trace(chi) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(chi).min() > -1e-10
     resid = np.linalg.norm(m.liouvillian @ chi.reshape(-1))
-    assert resid < 1e-9 * np.linalg.norm(m.liouvillian)
+    assert resid < 1e-9 * np.linalg.norm(m.liouvillian.toarray())
     # unique kernel direction
-    lam = np.linalg.eigvals(m.liouvillian)
+    lam = np.linalg.eigvals(m.liouvillian.toarray())
     assert np.count_nonzero(np.abs(lam) < 1e-9 * np.abs(lam).max()) == 1
 
 
@@ -118,6 +121,14 @@ def test_full_spectrum_truncation_convergence():
     s1 = full_steady_spectrum(m1, grid)
     s2 = full_steady_spectrum(m2, grid)
     assert np.abs(s1.values - s2.values).max() < 1e-6 * s2.values.max()
+
+
+def test_large_truncation_thermal_spectrum():
+    # n_fock = 40: a 6400-dimensional Liouville space, where a dense L would take 655 MB
+    grid = np.linspace(-120.0, 80.0, 4001)
+    big = full_steady_spectrum(build_full_model(THERMAL, n_fock=40), grid)
+    ref = full_steady_spectrum(build_full_model(THERMAL, n_fock=16), grid)
+    assert np.abs(big.values - ref.values).max() < 1e-6 * ref.values.max()
 
 
 def test_perturbative_linewidth_and_center():
@@ -165,7 +176,7 @@ def test_full_evolution_preserves_positivity_in_squeezed_regime():
     cav = reduced_cavity(full_steady_state(build_full_model(
         SqueezedBathParams(g=5e-3, delta_q=p.delta_q, delta_c=p.delta_c, r=p.r, kappa=p.kappa), 12)))
     chi0 = np.kron(qubit_state("y-"), cav)
-    lam, vmat = np.linalg.eig(m.liouvillian)
+    lam, vmat = np.linalg.eig(m.liouvillian.toarray())
     coef = np.linalg.solve(vmat, chi0.reshape(-1))
     for t in np.linspace(0.0, 2.0, 21):
         chi_t = (vmat @ (np.exp(lam * t) * coef)).reshape(24, 24)
@@ -207,8 +218,8 @@ def test_thermal_blocks_are_excitation_difference_sectors(n_fock):
     assert src.size == 4 * n_fock - 4
     np.testing.assert_array_equal(steady, np.flatnonzero(sector == 0))
     np.testing.assert_array_equal(src, np.flatnonzero(sector == -1))
-    _assert_decoupled(m.liouvillian, steady)
-    _assert_decoupled(m.liouvillian, src)
+    _assert_decoupled(m.liouvillian.toarray(), steady)
+    _assert_decoupled(m.liouvillian.toarray(), src)
 
 
 def test_squeezed_blocks_are_parity_halves():
@@ -218,7 +229,7 @@ def test_squeezed_blocks_are_parity_halves():
     src = _coupled_block(m, _source_support(m, steady))
     np.testing.assert_array_equal(steady, np.flatnonzero(parity == 0))
     np.testing.assert_array_equal(src, np.flatnonzero(parity == 1))
-    _assert_decoupled(m.liouvillian, steady)
+    _assert_decoupled(m.liouvillian.toarray(), steady)
 
 
 @pytest.mark.parametrize(
@@ -236,8 +247,19 @@ def test_block_spectrum_matches_direct_full_space_solve(bath):
     dual = sm_joint.reshape(-1).conj()
     eye = np.eye(m.dim * m.dim)
     direct = [
-        2.0 * np.real(dual @ np.linalg.solve(1j * (w + m.qubit_frequency) * eye - m.liouvillian, src))
+        2.0 * np.real(dual @ np.linalg.solve(1j * (w + m.qubit_frequency) * eye - m.liouvillian.toarray(), src))
         for w in grid
     ]
     ref = make_spectrum(grid, direct, normalize=True, clip_rel=1e-7)
     assert np.abs(spec.values - ref.values).max() < 1e-9 * ref.values.max()
+
+
+@pytest.mark.parametrize("n_fock", [4, 8, 14])
+@pytest.mark.parametrize("bath", [THERMAL, SQUEEZED], ids=["thermal", "squeezed"])
+def test_sparse_liouvillian_equals_dense_assembly(bath, n_fock):
+    lv = build_full_model(bath, n_fock).liouvillian
+    ref = dense_full_liouvillian(bath, n_fock)
+    assert isinstance(lv, sparse.csr_array)
+    assert np.abs(lv.toarray() - ref).max() == 0.0
+    _, dense_labels = connected_components(sparse.csr_array(ref != 0), directed=True, connection="weak")
+    np.testing.assert_array_equal(_block_labels(lv), dense_labels)

@@ -244,6 +244,19 @@ def test_bm_squeezed_transient_purity_violation():
     assert traj.purities().max() > 1.0 + 1e-4
 
 
+@pytest.mark.parametrize("t_grid", [[-5.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]],
+                         ids=["negative", "decreasing", "repeated"])
+def test_bm_evolve_rejects_bad_times_like_br_evolve(t_grid):
+    # before the check, [-5, 0] returned populations -0.234 and 1.234 at t = -5
+    p = ThermalBathParams(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
+    e = qubit_state("e").reshape(-1)
+    message = "t_grid must be a 1-d array of increasing nonnegative times"
+    with pytest.raises(ValueError, match=message):
+        bm_evolve(p, e, t_grid)
+    with pytest.raises(ValueError, match=message):
+        br_evolve(p, e, t_grid)
+
+
 def test_trajectory_validation():
     ts = np.array([0.0, 1.0])
     bad_trace = np.array([[0.6, 0, 0, 0.6], [0.6, 0, 0, 0.6]], dtype=complex)
