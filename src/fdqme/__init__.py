@@ -66,17 +66,7 @@ from .measures import (
     trace_distance,
 )
 from .oracle import FullModel, build_full_model, full_steady_spectrum, full_steady_state
-from .redfield import (
-    SqueezedRates,
-    ThermalRates,
-    Trajectory,
-    bm_evolve,
-    br_correlator,
-    br_evolve,
-    br_rates_squeezed,
-    br_rates_thermal,
-    br_spectrum,
-)
+from .redfield import Trajectory, bm_evolve, br_correlator, br_evolve, br_spectrum
 from .waveguide import (
     WaveguideParams,
     field_amplitude,

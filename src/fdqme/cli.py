@@ -46,19 +46,18 @@ _THERMAL_KEYS = ("g", "omega_q", "kappa", "nbar", "delta")
 _SQUEEZED_KEYS = ("g", "delta_q", "delta_c", "r", "kappa")
 _WAVEGUIDE_KEYS = ("omega0", "gamma", "beta")
 
-# required [params] keys, allowed optional [params] keys, required grid sections
+# required [params] keys, required grid sections
 _SCHEMAS = {
-    "thermal-spectrum": (_THERMAL_KEYS, (), ()),
-    "squeezed-spectrum": (_SQUEEZED_KEYS, (), ()),
-    "waveguide-spectrum": (_WAVEGUIDE_KEYS + ("eta",), (), ()),
-    "measure-sweep": ((), None, ()),  # validated by sweep-group logic
+    "thermal-spectrum": (_THERMAL_KEYS, ()),
+    "squeezed-spectrum": (_SQUEEZED_KEYS, ()),
+    "waveguide-spectrum": (_WAVEGUIDE_KEYS + ("eta",), ()),
+    "measure-sweep": ((), ()),  # [params] validated by sweep-group logic
     "blp-compare": (
         ("g", "omega_q", "kappa", "nbar", "delta_min", "delta_max", "delta_points"),
-        (),
         ("grid.time",),
     ),
-    "positivity": (_SQUEEZED_KEYS, (), ("grid.time",)),
-    "oracle-compare": (_THERMAL_KEYS + ("n_fock",), (), ()),
+    "positivity": (_SQUEEZED_KEYS, ("grid.time",)),
+    "oracle-compare": (_THERMAL_KEYS + ("n_fock",), ()),
 }
 
 _SWEEP_GROUPS = {
@@ -101,7 +100,6 @@ class ScenarioConfig:
     params: dict
     grids: dict
     output_path: str
-    output_format: str = "csv"
     extra: dict = field(default_factory=dict)
 
 
@@ -218,10 +216,9 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
         group = _SWEEP_GROUPS[axis]
         integer_keys = {"kappa_points", "delta_points", "eta_index_max", "eta_index_step"}
         required = tuple(group["fixed"]) + tuple(group["sweep"])
-        optional = ()
         extra = {"sweep_axis": axis}
     else:
-        required, optional, _ = _SCHEMAS[scenario]
+        required, _ = _SCHEMAS[scenario]
         integer_keys = {"n_fock", "delta_points"}
         extra = {}
 
@@ -230,13 +227,12 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
         val = _number(sections, "params", key, errors, integer=key in integer_keys)
         if val is not None:
             params[key] = val
-    allowed = set(required) | set(optional or ())
     for key in sections["params"]:
-        if key not in allowed:
+        if key not in required:
             errors.append(f"[params] unknown key {key!r} for scenario {scenario}")
 
     grids = {}
-    _, _, needed_grids = _SCHEMAS[scenario]
+    _, needed_grids = _SCHEMAS[scenario]
     for name in ("grid.frequency", "grid.time"):
         g = _grid(sections, name, errors, required=name in needed_grids)
         if g is not None:
@@ -252,9 +248,8 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
     else:
         out_path = out_entry[1]
     fmt_entry = sections["output"].get("format")
-    fmt = fmt_entry[1] if fmt_entry is not None else "csv"
-    if fmt != "csv":
-        errors.append(f"[output] unsupported format {fmt!r}")
+    if fmt_entry is not None and fmt_entry[1] != "csv":
+        errors.append(f"[output] unsupported format {fmt_entry[1]!r}")
     for key in sections["output"]:
         if key not in ("path", "format"):
             errors.append(f"[output] unknown key {key!r}")
@@ -272,7 +267,6 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
         params=params,
         grids=grids,
         output_path=out_path,
-        output_format=fmt,
         extra=extra,
     )
 

@@ -21,13 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, kernel_modes
 from .liouville import (
     SIGMA_Z,
     HilbertOperator,
     VectorizedOperator,
+    _coupled_block,
+    _modal_evolution,
+    _steady_state,
     commutator_superop,
     left_multiplier,
     trace_dual,
@@ -222,12 +224,10 @@ def steady_state(fp: FrequencyPropagator, rho0) -> VectorizedOperator:
 
     By the final value theorem lim i omega U[omega] rho0 is the null vector
     of the generator with the kernel at transform variable 0 (detuning
-    -omega_ref).  The trace dual annihilates L0 and K[omega] for every
-    omega, so the first equation is redundant; replacing it by the trace
-    row gives a nonsingular bordered system whose solution is exact.  A
-    generator without exactly one zero eigenvalue has a degenerate
-    steady-state manifold and raises.  The result is Hermitized and checked
-    for unit trace.
+    -omega_ref).  A generator without exactly one zero eigenvalue has a
+    degenerate steady-state manifold and raises.  Otherwise the null vector
+    comes from ``liouville._steady_state``: the trace-bordered solve on the
+    blocks that hold the populations, Hermitized and checked for unit trace.
     """
     rho0_vec = _as_state_vector(rho0)
     _validate_density(rho0_vec)
@@ -236,16 +236,7 @@ def steady_state(fp: FrequencyPropagator, rho0) -> VectorizedOperator:
     if np.count_nonzero(np.abs(lam) < 1e-12 * np.abs(lam).max()) != 1:
         raise ValueError("steady-state manifold is degenerate; final value is not unique")
     d = int(round(np.sqrt(rho0_vec.size)))
-    bordered = generator.copy()
-    bordered[0] = trace_dual(d)
-    rhs = np.zeros(rho0_vec.size, dtype=complex)
-    rhs[0] = 1.0
-    mat = np.linalg.solve(bordered, rhs).reshape(d, d)
-    mat = 0.5 * (mat + mat.conj().T)
-    tr = np.trace(mat).real
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"steady state trace {tr:.12g} deviates from 1")
-    return VectorizedOperator(mat.reshape(-1) / tr)
+    return VectorizedOperator(_steady_state(generator, d).reshape(-1))
 
 
 def emission_spectrum(
@@ -257,12 +248,15 @@ def emission_spectrum(
 ) -> Spectrum:
     """Steady-state emission spectrum, twice the real part of <<o|U|o rho_ss>>.
 
-    ``grid`` holds detunings from ``fp.omega_ref``.  The contraction is done
-    with one batched 4x4 solve per grid point; round-off negativity is
-    clipped and the result optionally normalized to unit area.  Taking twice
-    the real part folds in the anti-time-ordered half of the correlator via
-    a conjugation identity that holds for stationary states, so ``rho_ss``
-    must be the steady state for the result to be a physical spectrum.
+    ``grid`` holds detunings from ``fp.omega_ref``.  One batched solve per
+    point, on the blocks of the system matrix (its nonzeros over the grid)
+    that hold the source, so a coherence source never meets the singular
+    population block at transform frequency 0.  A singular source block, or
+    a residual |M x - src| / |src| above RESIDUAL_TOL, raises a ValueError
+    naming the detuning.  Round-off negativity is clipped and the result
+    optionally normalized.  Twice the real part folds in the anti-time-ordered
+    half of the correlator by an identity of stationary states, so ``rho_ss``
+    must be the steady state.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or grid.ndim != 1 or np.any(np.diff(grid) <= 0):
@@ -272,9 +266,21 @@ def emission_spectrum(
     src = left_multiplier(o_arr) @ rho_vec
     dual = o_arr.reshape(-1).conj()
     m = fp._system_matrix_delta(grid)
-    rhs = np.broadcast_to(src[:, None], grid.shape + (4, 1))
-    x = np.linalg.solve(m, rhs)[..., 0]
-    raw = 2.0 * np.real(x @ dual)
+    block = _coupled_block(np.any(m != 0, axis=0), np.flatnonzero(src))
+    m = m[:, block[:, None], block]
+    rhs = np.broadcast_to(src[block, None], grid.shape + (block.size, 1))
+    try:
+        x = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        k = np.argmin(np.abs(np.linalg.det(m)))
+        raise ValueError(f"emission resolvent is singular on the source block at delta={grid[k]}") from exc
+    resid = np.linalg.norm(m @ x - rhs, axis=(1, 2))
+    bad = np.flatnonzero(~(resid <= RESIDUAL_TOL * np.linalg.norm(src)))  # NaN fails too
+    if bad.size:
+        k = bad[0]
+        rel = resid[k] / np.linalg.norm(src)
+        raise ValueError(f"emission residual {rel:.3e} at delta={grid[k]} exceeds {RESIDUAL_TOL}")
+    raw = 2.0 * np.real(x[..., 0] @ dual[block])
     return make_spectrum(grid, raw, normalize=normalize)
 
 
@@ -306,9 +312,9 @@ def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedO
     Exact evaluation of (1/2 pi) times the integral of exp(i omega t)
     U[omega] rho0 along the contour below the real axis, via the modal
     decomposition of the embedded linear system (all residues kept, no
-    quadrature truncation).  Each state is checked for Hermiticity and unit
-    trace to 1e-6 (a non-finite state fails) and the t=0 reconstruction to 1e-8; a failure raises
-    InversionAccuracyError rather than returning degraded data.
+    quadrature truncation; ``liouville._modal_evolution`` checks t=0 to
+    1e-10).  Each state is checked for Hermiticity and unit trace to 1e-6
+    (a non-finite state fails); a failure raises InversionAccuracyError.
     """
     if fp.markov:
         raise ValueError("inverse transform of the frozen-kernel propagator is not supported")
@@ -320,25 +326,7 @@ def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedO
     gen = _mode_embedding(fp)
     y0 = np.zeros(gen.shape[0], dtype=complex)
     y0[:4] = rho0_vec
-
-    states = None
-    try:
-        lam, vmat = np.linalg.eig(gen)
-        coef = np.linalg.solve(vmat, y0)
-        recon0 = vmat[:4, :] @ coef
-        if np.abs(recon0 - rho0_vec).max() <= 1e-10:
-            phases = np.exp(np.outer(t_grid, lam))
-            states = (phases * coef) @ vmat[:4, :].T
-    except np.linalg.LinAlgError:
-        states = None
-    if states is None:
-        # defective or ill-conditioned eigenbasis; exponentiate directly
-        states = np.empty((t_grid.size, 4), dtype=complex)
-        for k, t in enumerate(t_grid):
-            states[k] = (expm(gen * t) @ y0)[:4]
-
-    if np.abs(states[np.argmin(t_grid)] - rho0_vec).max() > 1e-8 and t_grid.min() == 0.0:
-        raise InversionAccuracyError("t=0 state not recovered within 1e-8")
+    states = _modal_evolution(gen, y0, t_grid, 4)
     mats = states.reshape(-1, 2, 2)
     herm_dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     tr_dev = np.abs(states @ trace_dual(2) - 1.0)

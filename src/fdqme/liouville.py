@@ -9,20 +9,23 @@ Liouvillian of ``-(w/2) sigma_z`` the diagonal matrix (0, iw, -iw, 0).
 The superoperator builders return plain arrays: a dense operator gives a
 dense ndarray and a ``scipy.sparse`` operator a sparse CSR array, from the
 same Kronecker formula.
+
+The private solvers at the end serve every constant generator, reduced or
+joint: exact blocks, bordered steady state and eigen-modal evolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "HilbertOperator",
     "VectorizedOperator",
-    "VECTORIZATION_ORDER",
     "vectorize",
     "devectorize",
     "hs_inner",
@@ -39,8 +42,6 @@ __all__ = [
     "SIGMA_PLUS",
     "qubit_state",
 ]
-
-VECTORIZATION_ORDER = "row-major"
 
 HERMITICITY_TOL = 1e-12
 
@@ -90,15 +91,12 @@ class VectorizedOperator:
     """Operator flattened to a length-N^2 vector in row-stacked order."""
 
     vec: np.ndarray
-    ordering: str = field(default=VECTORIZATION_ORDER)
 
     def __post_init__(self):
         arr = np.asarray(self.vec, dtype=complex).reshape(-1)
         n = np.sqrt(arr.size)
         if int(round(n)) ** 2 != arr.size:
             raise ValueError(f"vector length {arr.size} is not a perfect square")
-        if self.ordering != VECTORIZATION_ORDER:
-            raise ValueError(f"unsupported element order {self.ordering!r}")
         object.__setattr__(self, "vec", arr)
 
     @property
@@ -231,3 +229,60 @@ def qubit_state(name: str) -> np.ndarray:
     a, b = axis[name]
     v = np.array([a, b], dtype=complex) / np.sqrt(2.0)
     return np.outer(v, v.conj())
+
+
+def _coupled_block(gen, support) -> np.ndarray:
+    """Sorted indices of the exact blocks of ``gen`` that touch ``support``.
+
+    The blocks are the weakly connected components of the nonzero pattern of
+    the dense or sparse matrix ``gen``.  A solve or resolvent whose source
+    lies in ``support`` never leaves them; round-off in the pattern could
+    only merge blocks, never drop one.
+    """
+    # a boolean pattern, since connected_components casts complex data with a warning
+    labels = connected_components(gen != 0, directed=True, connection="weak")[1]
+    return np.flatnonzero(np.isin(labels, labels[support]))
+
+
+def _steady_state(gen, dim: int) -> np.ndarray:
+    """Unit-trace null vector of a trace-preserving generator, as a dim x dim matrix.
+
+    Solved exactly on the blocks of ``gen`` that hold the diagonal, with the
+    redundant (0, 0) equation replaced by the trace row; Hermitized, and
+    checked for unit trace to 1e-9.
+    """
+    diagonal = np.arange(dim) * (dim + 1)
+    block = _coupled_block(gen, diagonal)
+    sub = gen[block, :][:, block]
+    sub = sub.toarray() if sparse.issparse(sub) else sub
+    # block[0] == 0 is the (0, 0) population, so the trace row replaces its equation
+    sub[0, :] = np.isin(block, diagonal)
+    rhs = np.zeros(block.size, dtype=complex)
+    rhs[0] = 1.0
+    chi = np.zeros(dim * dim, dtype=complex)
+    chi[block] = np.linalg.solve(sub, rhs)
+    chi = chi.reshape(dim, dim)
+    chi = 0.5 * (chi + chi.conj().T)
+    tr = np.trace(chi).real
+    if abs(tr - 1.0) > 1e-9:
+        raise ValueError(f"steady state trace {tr:.12g} deviates from 1")
+    return chi / tr
+
+
+def _modal_evolution(gen, y0, t_grid, n_out: int) -> np.ndarray:
+    """First ``n_out`` components of exp(gen t) y0 at each time of ``t_grid``.
+
+    Modal expansion, unless the modes miss y0 at t = 0 by 1e-10 or rebuild
+    it by a cancellation costing over 6 digits (a defective generator, such
+    as a Jordan block): then ``expm`` at each time.
+    """
+    try:
+        lam, vmat = np.linalg.eig(gen)
+        coef = np.linalg.solve(vmat, y0)
+        parts = vmat[:n_out, :] * coef  # each mode's part of y0
+        if (np.abs(parts.sum(axis=1) - y0[:n_out]).max() <= 1e-10
+                and np.abs(parts).sum(axis=1).max() <= 1e6 * np.abs(y0[:n_out]).max()):
+            return (np.exp(np.outer(t_grid, lam)) * coef) @ vmat[:n_out, :].T
+    except np.linalg.LinAlgError:
+        pass
+    return np.array([(expm(gen * t) @ y0)[:n_out] for t in t_grid])

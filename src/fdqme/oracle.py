@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .baths import SqueezedBathParams, ThermalBathParams
 from .fdme import Spectrum, make_spectrum
@@ -22,7 +21,9 @@ from .liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    _coupled_block,
     _kron,
+    _steady_state,
     annihilation,
     commutator_superop,
     lindblad_dissipator,
@@ -103,50 +104,16 @@ def build_full_model(p, n_fock: int) -> FullModel:
     )
 
 
-def _coupled_block(m: FullModel, support) -> np.ndarray:
-    """Sorted Liouville indices of the exact blocks of L that touch ``support``.
-
-    The blocks are the weakly connected components of the stored structure
-    of ``m.liouvillian``, which is its nonzero pattern: the thermal bath
-    conserves the excitation-number difference between ket and bra (U(1)),
-    the squeezed bath its parity (Z2).  No entry of L couples the returned
-    indices to the rest, so a linear solve or resolvent whose source lies in
-    ``support`` never leaves them.  Round-off in the pattern could only
-    merge blocks, never drop one.
-    """
-    labels = _block_labels(m.liouvillian)
-    return np.flatnonzero(np.isin(labels, labels[support]))
-
-
-def _block_labels(lv: sparse.csr_array) -> np.ndarray:
-    """Weakly connected component of each Liouville index in the structure of lv."""
-    # a real-valued pattern, since connected_components casts complex data with a warning
-    pattern = sparse.csr_array((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
-    return connected_components(pattern, directed=True, connection="weak")[1]
-
-
 def full_steady_state(m: FullModel) -> np.ndarray:
     """Joint steady state as a density matrix, with adequacy checks.
 
-    Solves the null-space problem with a trace constraint on the blocks of
-    L that hold the diagonal (a unique steady state has no part in the
-    traceless blocks), verifies the residual on the full L, positivity, and
-    that the top two Fock levels are essentially unpopulated (< 1e-6),
-    otherwise the truncation is too small.
+    The bordered solve on the blocks of L that hold the diagonal (the
+    thermal bath conserves the ket-bra excitation difference, the squeezed
+    bath its parity), then checks of the residual on the full L, positivity,
+    and that the top two Fock levels hold < 1e-6 (else the truncation is
+    too small).
     """
-    d = m.dim
-    diagonal = np.arange(d) * (d + 1)
-    block = _coupled_block(m, diagonal)
-    lv = m.liouvillian[block, :][:, block].toarray()
-    rhs = np.zeros(block.size, dtype=complex)
-    # block[0] == 0 is the (0, 0) population, so the trace row replaces its equation
-    lv[0, :] = np.isin(block, diagonal)
-    rhs[0] = 1.0
-    chi = np.zeros(d * d, dtype=complex)
-    chi[block] = np.linalg.solve(lv, rhs)
-    chi = chi.reshape(d, d)
-    chi = 0.5 * (chi + chi.conj().T)
-    chi = chi / np.trace(chi).real
+    chi = _steady_state(m.liouvillian, m.dim)
     resid = np.linalg.norm(m.liouvillian @ chi.reshape(-1))
     # Frobenius norm of L from its stored values
     if resid > 1e-9 * max(1.0, np.linalg.norm(m.liouvillian.data)):
@@ -181,7 +148,7 @@ def full_steady_spectrum(m: FullModel, grid, chi_ss: np.ndarray | None = None) -
     sm_joint = np.kron(SIGMA_MINUS, np.eye(m.n_fock, dtype=complex))
     src = (sm_joint @ chi_ss).reshape(-1)
     dual = sm_joint.reshape(-1).conj()
-    block = _coupled_block(m, np.flatnonzero(src))
+    block = _coupled_block(m.liouvillian, np.flatnonzero(src))
     lam, vmat = np.linalg.eig(m.liouvillian[block, :][:, block].toarray())
     weights = (dual[block] @ vmat) * np.linalg.solve(vmat, src[block])
     # drop numerically-zero weights (a steady-state mode in the block) to avoid 0/0 at the pole

@@ -22,30 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import DOP853
 
-from .baths import (
-    SqueezedBathParams,
-    ThermalBathParams,
-    bogoliubov_params,
-    effective_rates,
-    kernel_modes,
-)
-from .fdme import Spectrum, make_spectrum
-from .liouville import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_Z,
-    VectorizedOperator,
-    commutator_superop,
-    lindblad_dissipator,
-    squeeze_dissipator,
-)
+from .baths import ThermalBathParams, effective_rates, kernel_modes
+from .fdme import Spectrum, _as_state_vector, _validate_density, make_spectrum
+from .liouville import SIGMA_Z, VectorizedOperator, _modal_evolution, commutator_superop
 
 __all__ = [
     "Trajectory",
-    "ThermalRates",
-    "SqueezedRates",
-    "br_rates_thermal",
-    "br_rates_squeezed",
     "br_induced_generator",
     "bm_induced_generator",
     "free_liouvillian",
@@ -56,13 +38,6 @@ __all__ = [
 ]
 
 TRAJECTORY_TOL = 1e-8
-
-_D_MINUS = lindblad_dissipator(SIGMA_MINUS)
-_D_PLUS = lindblad_dissipator(SIGMA_PLUS)
-_S_MINUS = squeeze_dissipator(SIGMA_MINUS)
-_S_PLUS = squeeze_dissipator(SIGMA_PLUS)
-_EXCITED_PROJ = SIGMA_PLUS @ SIGMA_MINUS
-_GROUND_PROJ = SIGMA_MINUS @ SIGMA_PLUS
 
 
 @dataclass(frozen=True)
@@ -105,99 +80,11 @@ class Trajectory:
         return np.real(self.states[:, 3])
 
 
-@dataclass(frozen=True)
-class ThermalRates:
-    """Time-dependent frequency shift and decay rate of the thermal bath.
-
-    These multiply the fixed dissipator pattern -i d(t) [(n+1) s+s- - n s-s+, .]
-    + g(t) ((n+1) D[s-] + n D[s+]); their t -> infinity limits times (2n+1)
-    give the Markov-limit Lamb shift and linewidth.
-    """
-
-    delta_eff: np.ndarray
-    gamma_eff: np.ndarray
-
-
-@dataclass(frozen=True)
-class SqueezedRates:
-    """Time-dependent rates of the squeezed bath's five-generator split.
-
-    gamma_mm multiplies the coherence-coupling term on sigma_minus and equals
-    the conjugate of gamma_pp at all times.
-    """
-
-    gamma_mp: np.ndarray
-    gamma_pm: np.ndarray
-    gamma_mm: np.ndarray
-    gamma_pp: np.ndarray
-    delta_pm: np.ndarray
-    delta_mp: np.ndarray
-
-
 def _ramp(kappa: float, nu, t):
     """int_0^t exp((-kappa + i nu) s) ds, vectorized over both arguments."""
     nu = np.asarray(nu, dtype=float)
     t = np.asarray(t, dtype=float)
     return (1.0 - np.exp((-kappa + 1j * nu) * t)) / (kappa - 1j * nu)
-
-
-def br_rates_thermal(p: ThermalBathParams, t) -> ThermalRates:
-    """Running-integral rates of the thermal bath; both vanish at t = 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("rates are defined for t >= 0")
-    e = p.g**2 * _ramp(p.kappa, -p.delta, t)
-    return ThermalRates(delta_eff=-np.imag(e), gamma_eff=np.real(e))
-
-
-def br_rates_squeezed(
-    p: SqueezedBathParams, t, include_sum_frequency: bool = False
-) -> SqueezedRates:
-    """Running-integral rates of the squeezed bath.
-
-    Sum-frequency contributions are dropped by default; including them folds
-    the rapidly rotating pole at the qubit-cavity sum frequency into the same
-    rate pattern.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("rates are defined for t >= 0")
-    b = bogoliubov_params(p)
-    mbc = np.conj(b.mbar)
-    e_diff = _ramp(p.kappa, -b.delta_diff, t)
-    z_mp = ((b.nbar + 1) * b.g1**2 + mbc * b.g1 * b.g2) * e_diff
-    z_pm = (b.nbar * b.g1**2 + mbc * b.g1 * b.g2) * e_diff
-    gamma_pp = (mbc * b.g2**2 + 0.5 * (2 * b.nbar + 1) * b.g1 * b.g2) * e_diff
-    if include_sum_frequency:
-        e_sum = _ramp(p.kappa, -b.sigma_sum, t)
-        z_mp = z_mp + (b.g1 * b.g2 * b.mbar + b.g2**2 * b.nbar) * e_sum
-        z_pm = z_pm + (b.g1 * b.g2 * b.mbar + b.g2**2 * (b.nbar + 1)) * e_sum
-        gamma_pp = gamma_pp + (b.g1**2 * b.mbar + 0.5 * (2 * b.nbar + 1) * b.g1 * b.g2) * e_sum
-    return SqueezedRates(
-        gamma_mp=np.real(z_mp),
-        gamma_pm=np.real(z_pm),
-        gamma_mm=np.conj(gamma_pp),
-        gamma_pp=gamma_pp,
-        delta_pm=-np.imag(z_mp),
-        delta_mp=-np.imag(z_pm),
-    )
-
-
-def rates_generator_thermal(p: ThermalBathParams, rates: ThermalRates) -> np.ndarray:
-    """Assemble the induced generator from thermal rates."""
-    h = (p.nbar + 1) * _EXCITED_PROJ - p.nbar * _GROUND_PROJ
-    comm = commutator_superop(h)
-    diss = (p.nbar + 1) * _D_MINUS + p.nbar * _D_PLUS
-    return float(rates.delta_eff) * comm + float(rates.gamma_eff) * diss
-
-
-def rates_generator_squeezed(rates: SqueezedRates) -> np.ndarray:
-    """Assemble the induced generator from squeezed rates."""
-    h = float(rates.delta_pm) * _EXCITED_PROJ - float(rates.delta_mp) * _GROUND_PROJ
-    gen = commutator_superop(h)
-    gen = gen + float(np.real(rates.gamma_mp)) * _D_MINUS + float(np.real(rates.gamma_pm)) * _D_PLUS
-    gen = gen + complex(rates.gamma_mm) * _S_MINUS + complex(rates.gamma_pp) * _S_PLUS
-    return gen
 
 
 def _column_modes(p, include_sum_frequency):
@@ -211,8 +98,8 @@ def _column_modes(p, include_sum_frequency):
 def br_induced_generator(p, t: float, include_sum_frequency: bool = False) -> np.ndarray:
     """Induced generator as the running kernel integral, mode by mode.
 
-    Equals the closed-form rate decomposition; kept separate so the two
-    constructions can be checked against each other.
+    Equals the closed-form rate decomposition, which the tests keep as an
+    independent reference construction.
     """
     modes, nus = _column_modes(p, include_sum_frequency)
     return np.einsum("kij,kj->ij", modes.coef, _ramp(modes.kappa, nus, float(t)))
@@ -228,12 +115,6 @@ def free_liouvillian(p) -> np.ndarray:
     """Free qubit Liouvillian diag(0, i w, -i w, 0) for either bath."""
     w = p.omega_q if isinstance(p, ThermalBathParams) else p.delta_q
     return commutator_superop(-(w / 2.0) * SIGMA_Z)
-
-
-def _validate_initial(rho0_vec: np.ndarray):
-    m = rho0_vec.reshape(2, 2)
-    if abs(np.trace(m) - 1.0) > 1e-9 or np.abs(m - m.conj().T).max() > 1e-9:
-        raise ValueError("initial state must be a unit-trace Hermitian density matrix")
 
 
 def _dop853_stage_table():
@@ -372,8 +253,8 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
-    rho0_vec = rho0.vec if isinstance(rho0, VectorizedOperator) else np.asarray(rho0, complex).reshape(-1)
-    _validate_initial(rho0_vec)
+    rho0_vec = _as_state_vector(rho0)
+    _validate_density(rho0_vec)
     # L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
     # E = coef / (kappa - i nu), so the generator is G_inf - sum E e^{lambda t}
     modes, nus = _column_modes(p, include_sum_frequency)
@@ -388,21 +269,19 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     def generator(t):
         return g_inf - (np.exp(np.multiply.outer(t, lam)) @ basis).reshape(t.shape + (4, 4))
 
-    states = _integrate_linear(generator, rho0_vec.astype(complex), t_grid)
+    states = _integrate_linear(generator, rho0_vec, t_grid)
     return Trajectory(times=t_grid, states=states)
 
 
 def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
-    """Propagate under the constant Markov-limit generator (exact modal form) from t = 0."""
+    """Propagate under the constant Markov-limit generator from t = 0 (checked modal form)."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
-    rho0_vec = rho0.vec if isinstance(rho0, VectorizedOperator) else np.asarray(rho0, complex).reshape(-1)
-    _validate_initial(rho0_vec)
+    rho0_vec = _as_state_vector(rho0)
+    _validate_density(rho0_vec)
     gen = free_liouvillian(p) + bm_induced_generator(p, include_sum_frequency)
-    lam, vmat = np.linalg.eig(gen)
-    coef = np.linalg.solve(vmat, rho0_vec)
-    states = (np.exp(np.outer(t_grid, lam)) * coef) @ vmat.T
+    states = _modal_evolution(gen, rho0_vec, t_grid, 4)
     return Trajectory(times=t_grid, states=states)
 
 

@@ -1,11 +1,21 @@
 """Shared numeric oracles for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from fdqme.baths import SqueezedBathParams, ThermalBathParams, kernel_modes
-from fdqme.liouville import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, annihilation
-from fdqme.redfield import free_liouvillian
+from fdqme.baths import SqueezedBathParams, ThermalBathParams, bogoliubov_params, kernel_modes
+from fdqme.liouville import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_Z,
+    annihilation,
+    commutator_superop,
+    lindblad_dissipator,
+    squeeze_dissipator,
+)
+from fdqme.redfield import _ramp, free_liouvillian
 
 
 def one_sided_transform(time_fn, omega, kappa, points_per_period: int = 80):
@@ -69,3 +79,104 @@ def dense_full_liouvillian(p, n_fock):
         od = o.conj().T
         lv = lv + rate * (2.0 * np.kron(o, od.T) - np.kron(od @ o, eye) - np.kron(eye, (od @ o).T))
     return lv
+
+
+# --------------------------------------------------------------------------
+# closed-form rate decomposition of the time-local generator: a reference
+# construction that br_induced_generator is checked against
+# --------------------------------------------------------------------------
+
+_D_MINUS = lindblad_dissipator(SIGMA_MINUS)
+_D_PLUS = lindblad_dissipator(SIGMA_PLUS)
+_S_MINUS = squeeze_dissipator(SIGMA_MINUS)
+_S_PLUS = squeeze_dissipator(SIGMA_PLUS)
+_EXCITED_PROJ = SIGMA_PLUS @ SIGMA_MINUS
+_GROUND_PROJ = SIGMA_MINUS @ SIGMA_PLUS
+
+
+@dataclass(frozen=True)
+class ThermalRates:
+    """Time-dependent frequency shift and decay rate of the thermal bath.
+
+    These multiply the fixed dissipator pattern -i d(t) [(n+1) s+s- - n s-s+, .]
+    + g(t) ((n+1) D[s-] + n D[s+]); their t -> infinity limits times (2n+1)
+    give the Markov-limit Lamb shift and linewidth.
+    """
+
+    delta_eff: np.ndarray
+    gamma_eff: np.ndarray
+
+
+@dataclass(frozen=True)
+class SqueezedRates:
+    """Time-dependent rates of the squeezed bath's five-generator split.
+
+    gamma_mm multiplies the coherence-coupling term on sigma_minus and equals
+    the conjugate of gamma_pp at all times.
+    """
+
+    gamma_mp: np.ndarray
+    gamma_pm: np.ndarray
+    gamma_mm: np.ndarray
+    gamma_pp: np.ndarray
+    delta_pm: np.ndarray
+    delta_mp: np.ndarray
+
+
+def br_rates_thermal(p: ThermalBathParams, t) -> ThermalRates:
+    """Running-integral rates of the thermal bath; both vanish at t = 0."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("rates are defined for t >= 0")
+    e = p.g**2 * _ramp(p.kappa, -p.delta, t)
+    return ThermalRates(delta_eff=-np.imag(e), gamma_eff=np.real(e))
+
+
+def br_rates_squeezed(
+    p: SqueezedBathParams, t, include_sum_frequency: bool = False
+) -> SqueezedRates:
+    """Running-integral rates of the squeezed bath.
+
+    Sum-frequency contributions are dropped by default; including them folds
+    the rapidly rotating pole at the qubit-cavity sum frequency into the same
+    rate pattern.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("rates are defined for t >= 0")
+    b = bogoliubov_params(p)
+    mbc = np.conj(b.mbar)
+    e_diff = _ramp(p.kappa, -b.delta_diff, t)
+    z_mp = ((b.nbar + 1) * b.g1**2 + mbc * b.g1 * b.g2) * e_diff
+    z_pm = (b.nbar * b.g1**2 + mbc * b.g1 * b.g2) * e_diff
+    gamma_pp = (mbc * b.g2**2 + 0.5 * (2 * b.nbar + 1) * b.g1 * b.g2) * e_diff
+    if include_sum_frequency:
+        e_sum = _ramp(p.kappa, -b.sigma_sum, t)
+        z_mp = z_mp + (b.g1 * b.g2 * b.mbar + b.g2**2 * b.nbar) * e_sum
+        z_pm = z_pm + (b.g1 * b.g2 * b.mbar + b.g2**2 * (b.nbar + 1)) * e_sum
+        gamma_pp = gamma_pp + (b.g1**2 * b.mbar + 0.5 * (2 * b.nbar + 1) * b.g1 * b.g2) * e_sum
+    return SqueezedRates(
+        gamma_mp=np.real(z_mp),
+        gamma_pm=np.real(z_pm),
+        gamma_mm=np.conj(gamma_pp),
+        gamma_pp=gamma_pp,
+        delta_pm=-np.imag(z_mp),
+        delta_mp=-np.imag(z_pm),
+    )
+
+
+def rates_generator_thermal(p: ThermalBathParams, rates: ThermalRates) -> np.ndarray:
+    """Assemble the induced generator from thermal rates."""
+    h = (p.nbar + 1) * _EXCITED_PROJ - p.nbar * _GROUND_PROJ
+    comm = commutator_superop(h)
+    diss = (p.nbar + 1) * _D_MINUS + p.nbar * _D_PLUS
+    return float(rates.delta_eff) * comm + float(rates.gamma_eff) * diss
+
+
+def rates_generator_squeezed(rates: SqueezedRates) -> np.ndarray:
+    """Assemble the induced generator from squeezed rates."""
+    h = float(rates.delta_pm) * _EXCITED_PROJ - float(rates.delta_mp) * _GROUND_PROJ
+    gen = commutator_superop(h)
+    gen = gen + float(np.real(rates.gamma_mp)) * _D_MINUS + float(np.real(rates.gamma_pm)) * _D_PLUS
+    gen = gen + complex(rates.gamma_mm) * _S_MINUS + complex(rates.gamma_pp) * _S_PLUS
+    return gen

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdqme import fdme
-from fdqme.baths import SqueezedBathParams
+from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
 from fdqme.cli import ConfigError, _write_csv, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
 
@@ -349,6 +349,32 @@ path = cmp.csv
     peak1 = data[np.argmax(data[:, 1]), 0]
     peak2 = data[np.argmax(data[:, 2]), 0]
     assert abs(peak1 - peak2) < 1.0
+
+
+def test_squeezed_spectrum_scenario_at_fig8_unrounded(tmp_path):
+    # r = sqrt(120^2 - 34^2) written with every digit: the default grid then
+    # meets transform frequency 0 (detuning -delta_q) exactly
+    r = float(np.sqrt(120.0**2 - 34.0**2))
+    text = f"""
+[params]
+g = 1.0
+delta_q = 200.0
+delta_c = 120.0
+r = {r!r}
+kappa = 10.0
+
+[output]
+path = fig8.csv
+"""
+    cfg = parse_config(text, "squeezed-spectrum")
+    assert cfg.params["r"] == r
+    run_scenario(cfg, out_dir=str(tmp_path))
+    _, data = read_table(tmp_path / "fig8.csv")
+    grid, dens = data[:, 0], data[:, 1]
+    assert np.any(grid == -200.0)
+    closed = squeezed_closed_spectrum(SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=120.0, r=r, kappa=10.0), grid)
+    assert np.all(np.isfinite(dens))
+    assert np.abs(dens - closed / np.trapezoid(closed, grid)).max() < 1e-8
 
 
 def test_waveguide_scenario(tmp_path):

@@ -22,7 +22,15 @@ from fdqme.fdme import (
     steady_state,
     thermal_propagator,
 )
-from fdqme.liouville import SIGMA_MINUS, SIGMA_Z, commutator_superop, qubit_state, trace_dual
+from fdqme.liouville import (
+    SIGMA_MINUS,
+    SIGMA_Z,
+    _coupled_block,
+    commutator_superop,
+    left_multiplier,
+    qubit_state,
+    trace_dual,
+)
 from fdqme.redfield import bm_evolve
 
 RNG = np.random.default_rng(31415)
@@ -170,6 +178,54 @@ def test_squeezed_spectrum_matches_closed_form():
     spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
     closed = make_spectrum(grid, squeezed_closed_spectrum(SQUEEZED, grid))
     assert np.abs(spec.values - closed.values).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [default_frequency_grid(FIG8), np.linspace(-500.0, 500.0, 20001)],
+    ids=["default-grid", "linspace"],
+)
+def test_fig8_spectrum_is_finite_at_transform_frequency_zero(grid):
+    # detuning -delta_q is transform frequency 0, where the 4x4 system matrix
+    # is the steady-state generator, singular in its population block
+    assert np.any(grid == -FIG8.delta_q)
+    fp = squeezed_propagator(FIG8)
+    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+    closed = make_spectrum(grid, squeezed_closed_spectrum(FIG8, grid))
+    assert np.all(np.isfinite(spec.values))
+    assert np.abs(spec.values - closed.values).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "fp, source_block",
+    [(thermal_propagator(THERMAL), [1]), (squeezed_propagator(SQUEEZED), [1, 2])],
+    ids=["thermal", "squeezed"],
+)
+def test_source_block_is_found_from_the_pattern_alone(fp, source_block):
+    grid = default_frequency_grid(THERMAL)
+    pattern = np.any(fp._system_matrix_delta(grid) != 0, axis=0)
+    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp, qubit_state("mixed")).vec
+    np.testing.assert_array_equal(_coupled_block(pattern, np.flatnonzero(src)), source_block)
+    np.testing.assert_array_equal(_coupled_block(pattern, [0]), [0, 3])
+
+
+def test_emission_spectrum_names_a_singular_source_block():
+    # a coherent rho_ss puts source weight on the population block, which is
+    # singular at transform frequency 0 (detuning -omega_q)
+    p = ThermalBathParams(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
+    grid = np.linspace(-200.0, 200.0, 401)
+    assert np.any(grid == -120.0)
+    with pytest.raises(ValueError, match=r"singular .* at delta=-120\.0"):
+        emission_spectrum(thermal_propagator(p), SIGMA_MINUS, qubit_state("x+"), grid)
+
+
+def test_emission_spectrum_residual_guard_rejects_non_finite_points():
+    fp = free_propagator(np.diag([0.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"residual nan at delta=-1\.0"):
+        emission_spectrum(fp, SIGMA_MINUS, qubit_state("mixed"), np.linspace(-1.0, 1.0, 5))
+    # a zero source (no excitation) has an empty source block and no spectrum
+    with pytest.raises(ValueError, match="no positive values"):
+        emission_spectrum(thermal_propagator(THERMAL), SIGMA_MINUS, qubit_state("g"), np.linspace(-1.0, 1.0, 5))
 
 
 def test_resonant_thermal_spectrum_symmetric():

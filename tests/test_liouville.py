@@ -8,6 +8,7 @@ from fdqme.liouville import (
     SIGMA_Z,
     HilbertOperator,
     VectorizedOperator,
+    _modal_evolution,
     commutator_superop,
     devectorize,
     frame_transform,
@@ -206,3 +207,16 @@ def test_frame_transform_matches_expm_conjugation():
     t = 0.37
     expected = expm(-l0 * t) @ l @ expm(l0 * t)
     assert np.allclose(frame_transform(l, l0, t), expected, atol=1e-12)
+
+
+def test_modal_evolution_falls_back_to_expm_on_a_defective_generator():
+    # a Jordan block has no eigenbasis: exp(gen t) (0, 1) = (t, 1)
+    gen = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    ts = np.array([0.0, 0.5, 2.0])
+    states = _modal_evolution(gen, np.array([0.0, 1.0], dtype=complex), ts, 2)
+    np.testing.assert_allclose(states, np.stack([ts, np.ones(3)], axis=1), atol=1e-14)
+    # a diagonalizable generator agrees with expm too
+    gen = random_matrix(4)
+    y0 = RNG.normal(size=4).astype(complex)
+    for t, state in zip(ts, _modal_evolution(gen, y0, ts, 3)):
+        np.testing.assert_allclose(state, (expm(gen * t) @ y0)[:3], rtol=1e-10, atol=1e-12)

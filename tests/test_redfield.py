@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import br_reference
+from conftest import (
+    br_rates_squeezed,
+    br_rates_thermal,
+    br_reference,
+    rates_generator_squeezed,
+    rates_generator_thermal,
+)
 
 from fdqme import redfield
 from fdqme.baths import (
@@ -17,11 +23,7 @@ from fdqme.redfield import (
     br_correlator,
     br_evolve,
     br_induced_generator,
-    br_rates_squeezed,
-    br_rates_thermal,
     br_spectrum,
-    rates_generator_squeezed,
-    rates_generator_thermal,
 )
 
 THERMAL = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 50.0, kappa=10.0, nbar=0.1)
@@ -255,6 +257,12 @@ def test_bm_evolve_rejects_bad_times_like_br_evolve(t_grid):
         bm_evolve(p, e, t_grid)
     with pytest.raises(ValueError, match=message):
         br_evolve(p, e, t_grid)
+
+
+@pytest.mark.parametrize("evolve", [br_evolve, bm_evolve], ids=["br", "bm"])
+def test_evolve_rejects_a_non_positive_initial_state(evolve):
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        evolve(THERMAL, np.diag([1.2, -0.2]), np.linspace(0.0, 1.0, 11))
 
 
 def test_trajectory_validation():
