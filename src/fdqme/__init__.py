@@ -45,8 +45,6 @@ from .liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
-    HilbertOperator,
-    VectorizedOperator,
     commutator_superop,
     devectorize,
     frame_transform,

@@ -98,9 +98,6 @@ class SqueezedBathParams:
         if not 0 <= self.r < abs(self.delta_c):
             raise ValueError(f"require 0 <= r < |delta_c|, got r={self.r}, delta_c={self.delta_c}")
 
-    def bogoliubov(self) -> "BogoliubovParams":
-        return bogoliubov_params(self)
-
 
 @dataclass(frozen=True)
 class BogoliubovParams:
@@ -428,7 +425,14 @@ def effective_rates(p) -> EffectiveRates:
 
 
 def markovian_spectrum(p_or_rates, delta) -> np.ndarray:
-    """Unit-area Lorentzian emission line of the Markov-limit master equation."""
+    """Unit-area Lorentzian emission line of the Markov-limit master equation.
+
+    Its width and shift come from the coherence entry K22[0] alone.  For the
+    squeezed bath the frozen generator also couples the two coherences
+    (K12/K21), which this line leaves out: the spectrum of
+    ``squeezed_propagator(p, markov=True)`` differs from it by 4.7e-6 of the
+    peak at r = 115, delta_c = 320, and by 4e-16 with that coupling zeroed.
+    """
     rates = p_or_rates if isinstance(p_or_rates, EffectiveRates) else effective_rates(p_or_rates)
     if rates.gamma_eff <= 0:
         raise ValueError(f"gamma_eff must be positive, got {rates.gamma_eff}")
@@ -491,11 +495,11 @@ def squeezed_steady_ground_population(p: SqueezedBathParams) -> float:
 # --------------------------------------------------------------------------
 
 
-def default_frequency_grid(p, n_base: int = 2**14) -> np.ndarray:
+def default_frequency_grid(p) -> np.ndarray:
     """Symmetric detuning grid, densified around the emission features.
 
-    Covers +/- (|detuning| + sum-frequency span + 40 kappa) with at least
-    ``n_base`` uniform points, plus a fine window around the central line
+    Covers +/- (|detuning| + sum-frequency span + 40 kappa) with 2**14
+    uniform points, plus a fine window around the central line
     (scale gamma_eff) with logarithmic shoulders out to the grid edge, and
     fine windows around each kernel resonance (scale kappa).  The shoulders
     keep the trapezoid rule accurate on the 1/x^2 Lorentzian wings even when
@@ -509,7 +513,7 @@ def default_frequency_grid(p, n_base: int = 2**14) -> np.ndarray:
         b = bogoliubov_params(p)
         span = abs(b.delta_diff) + abs(b.sigma_sum) + 40 * p.kappa
         features = [-b.delta_diff, -b.sigma_sum]
-    base = np.linspace(-span, span, n_base)
+    base = np.linspace(-span, span, 2**14)
     core_halfwidth = 30 * rates.gamma_eff
     fine = [rates.delta_eff + np.linspace(-core_halfwidth, core_halfwidth, 2001)]
     decades = np.log10(2.0 * span / core_halfwidth)

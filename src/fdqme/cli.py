@@ -444,7 +444,7 @@ def _run_positivity(cfg, base, meta, opts):
     rho0 = qubit_state("y-").reshape(-1)
     traj = redfield.br_evolve(p, rho0, t_grid, include_sum_frequency=opts["include_sum_frequency"])
     fp = fdme.squeezed_propagator(p)
-    states = np.stack([s.vec for s in fdme.inverse_transform(fp, rho0, t_grid)]).reshape(-1, 2, 2)
+    states = fdme.inverse_transform(fp, rho0, t_grid).reshape(-1, 2, 2)
     mm = states @ states  # Tr[rho^2] below; inverse_transform has checked Hermiticity
     pur_fd = (mm[:, 0, 0] + mm[:, 1, 1]).real
     f1 = base.with_suffix(".csv")
@@ -522,8 +522,8 @@ def run_scenario(
                 "propagator_residual": fdme.RESIDUAL_TOL,
                 "trajectory_trace_hermiticity": redfield.TRAJECTORY_TOL,
                 "kl_tail_cutoff_rel": measures.TAIL_CUTOFF_REL,
-                "ode_rtol": 1e-10,
-                "ode_atol": 1e-12,
+                "ode_rtol": redfield.ODE_RTOL,
+                "ode_atol": redfield.ODE_ATOL,
             },
             "metadata": meta,
         },

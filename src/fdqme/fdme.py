@@ -25,12 +25,12 @@ import numpy as np
 from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, kernel_modes
 from .liouville import (
     SIGMA_Z,
-    HilbertOperator,
-    VectorizedOperator,
     _coupled_block,
+    _density_vector,
     _modal_evolution,
     _steady_state,
     commutator_superop,
+    devectorize,
     left_multiplier,
     trace_dual,
 )
@@ -117,7 +117,11 @@ class FrequencyPropagator:
     for the thermal bath, pump frame for the squeezed one), which fixes the
     detuning convention of ``kernel_freq``.  With ``markov`` set the kernel
     is frozen at detuning 0, which collapses the propagator to a
-    constant-Liouvillian resolvent.  ``modes`` is None for free evolution.
+    constant-Liouvillian resolvent.  For the thermal bath its spectrum is
+    ``markovian_spectrum``; for the squeezed bath the frozen kernel keeps the
+    coherence coupling K12/K21, which that single Lorentzian leaves out, and
+    the whole difference between the two (4.7e-6 of the peak at r = 115,
+    delta_c = 320) comes from it.  ``modes`` is None for free evolution.
     """
 
     l0: np.ndarray
@@ -164,39 +168,15 @@ def thermal_propagator(p: ThermalBathParams, markov: bool = False) -> FrequencyP
     return FrequencyPropagator(l0=l0, modes=kernel_modes(p), omega_ref=p.omega_q, markov=markov)
 
 
-def squeezed_propagator(
-    p: SqueezedBathParams, markov: bool = False, include_sum_frequency: bool = True
-) -> FrequencyPropagator:
-    """Propagator of a qubit with a squeezed-cavity kernel (pump frame)."""
+def squeezed_propagator(p: SqueezedBathParams, markov: bool = False) -> FrequencyPropagator:
+    """Propagator of a qubit with a squeezed-cavity kernel (pump frame), full mode table."""
     l0 = commutator_superop(-(p.delta_q / 2.0) * SIGMA_Z)
-    return FrequencyPropagator(
-        l0=l0, modes=kernel_modes(p, include_sum_frequency), omega_ref=p.delta_q, markov=markov
-    )
+    return FrequencyPropagator(l0=l0, modes=kernel_modes(p), omega_ref=p.delta_q, markov=markov)
 
 
 def free_propagator(l0, omega_ref: float = 0.0) -> FrequencyPropagator:
     """Kernel-free propagator (pure free evolution), mostly for validation."""
     return FrequencyPropagator(l0=l0, modes=None, omega_ref=omega_ref)
-
-
-def _as_state_vector(rho) -> np.ndarray:
-    if isinstance(rho, VectorizedOperator):
-        return rho.vec
-    arr = np.asarray(rho, dtype=complex)
-    if arr.ndim == 2:
-        return arr.reshape(-1)
-    return arr
-
-
-def _validate_density(vec: np.ndarray, tol: float = 1e-9):
-    d = int(round(np.sqrt(vec.size)))
-    m = vec.reshape(d, d)
-    if abs(np.trace(m) - 1.0) > tol:
-        raise ValueError(f"state trace {np.trace(m):.12g} is not 1")
-    if np.abs(m - m.conj().T).max() > tol:
-        raise ValueError("state is not Hermitian")
-    if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -tol:
-        raise ValueError("state is not positive semidefinite")
 
 
 def propagate(fp: FrequencyPropagator, omega: float) -> np.ndarray:
@@ -219,7 +199,7 @@ def propagate(fp: FrequencyPropagator, omega: float) -> np.ndarray:
     return u
 
 
-def steady_state(fp: FrequencyPropagator, rho0) -> VectorizedOperator:
+def steady_state(fp: FrequencyPropagator, rho0) -> np.ndarray:
     """Steady state as the unit-trace null vector of L0 + K[omega = 0].
 
     By the final value theorem lim i omega U[omega] rho0 is the null vector
@@ -228,15 +208,15 @@ def steady_state(fp: FrequencyPropagator, rho0) -> VectorizedOperator:
     degenerate steady-state manifold and raises.  Otherwise the null vector
     comes from ``liouville._steady_state``: the trace-bordered solve on the
     blocks that hold the populations, Hermitized and checked for unit trace.
+    Returns the row-stacked vector (gg, ge, eg, ee).
     """
-    rho0_vec = _as_state_vector(rho0)
-    _validate_density(rho0_vec)
+    rho0_vec = _density_vector(rho0)
     generator = fp.l0 + fp.kernel_freq(-fp.omega_ref)
     lam = np.linalg.eigvals(generator)
     if np.count_nonzero(np.abs(lam) < 1e-12 * np.abs(lam).max()) != 1:
         raise ValueError("steady-state manifold is degenerate; final value is not unique")
     d = int(round(np.sqrt(rho0_vec.size)))
-    return VectorizedOperator(_steady_state(generator, d).reshape(-1))
+    return _steady_state(generator, d).reshape(-1)
 
 
 def emission_spectrum(
@@ -261,8 +241,8 @@ def emission_spectrum(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or grid.ndim != 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a nonempty strictly increasing 1-d array")
-    o_arr = o.entries if isinstance(o, HilbertOperator) else np.asarray(o, dtype=complex)
-    rho_vec = _as_state_vector(rho_ss)
+    o_arr = np.asarray(o, dtype=complex)
+    rho_vec = np.asarray(rho_ss, dtype=complex).reshape(-1)
     src = left_multiplier(o_arr) @ rho_vec
     dual = o_arr.reshape(-1).conj()
     m = fp._system_matrix_delta(grid)
@@ -306,23 +286,23 @@ def _mode_embedding(fp: FrequencyPropagator) -> np.ndarray:
     return gen
 
 
-def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedOperator]:
+def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> np.ndarray:
     """Reconstruct rho(t) from the frequency-domain solution.
 
     Exact evaluation of (1/2 pi) times the integral of exp(i omega t)
     U[omega] rho0 along the contour below the real axis, via the modal
     decomposition of the embedded linear system (all residues kept, no
     quadrature truncation; ``liouville._modal_evolution`` checks t=0 to
-    1e-10).  Each state is checked for Hermiticity and unit trace to 1e-6
-    (a non-finite state fails); a failure raises InversionAccuracyError.
+    1e-10).  Returns the row-stacked states as an (n_times, 4) array in
+    ``t_grid`` order.  Each state is checked for Hermiticity and unit trace to
+    1e-6 (a non-finite state fails); a failure raises InversionAccuracyError.
     """
     if fp.markov:
         raise ValueError("inverse transform of the frozen-kernel propagator is not supported")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0):
         raise ValueError("t_grid must be a 1-d array of nonnegative times")
-    rho0_vec = _as_state_vector(rho0)
-    _validate_density(rho0_vec)
+    rho0_vec = _density_vector(rho0)
     gen = _mode_embedding(fp)
     y0 = np.zeros(gen.shape[0], dtype=complex)
     y0[:4] = rho0_vec
@@ -336,14 +316,12 @@ def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> list[VectorizedO
         raise InversionAccuracyError(
             f"accuracy budget exceeded at t={t_grid[k]}: hermiticity {herm_dev[k]:.2e}, trace {tr_dev[k]:.2e}"
         )
-    return [VectorizedOperator(s) for s in states]
+    return states
 
 
 def purity(rho) -> float:
     """Tr[rho^2] of a vectorized or matrix-form state."""
-    vec = _as_state_vector(rho)
-    d = int(round(np.sqrt(vec.size)))
-    m = vec.reshape(d, d)
+    m = devectorize(rho)
     if np.abs(m - m.conj().T).max() > 1e-6:
         raise ValueError("state is not Hermitian within 1e-6")
     return float(np.real(np.trace(m @ m)))

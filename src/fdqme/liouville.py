@@ -10,13 +10,14 @@ The superoperator builders return plain arrays: a dense operator gives a
 dense ndarray and a ``scipy.sparse`` operator a sparse CSR array, from the
 same Kronecker formula.
 
-The private solvers at the end serve every constant generator, reduced or
-joint: exact blocks, bordered steady state and eigen-modal evolution.
+States and Hilbert-space operators are plain arrays: a state may be given as
+a d x d matrix or as its row-stacked length-d^2 vector.  The private helpers
+at the end read and check a density matrix, and serve every constant
+generator, reduced or joint: exact blocks, bordered steady state and
+eigen-modal evolution.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -24,8 +25,6 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
-    "HilbertOperator",
-    "VectorizedOperator",
     "vectorize",
     "devectorize",
     "hs_inner",
@@ -62,58 +61,6 @@ def _as_square(entries):
     return arr
 
 
-@dataclass(frozen=True)
-class HilbertOperator:
-    """Dense operator on an N-dimensional Hilbert space.
-
-    When ``hermitian`` is set the entries are checked against the conjugate
-    transpose at construction time.
-    """
-
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        arr = _as_square(self.entries)
-        object.__setattr__(self, "entries", arr)
-        if self.hermitian:
-            dev = np.abs(arr - arr.conj().T).max()
-            if dev > HERMITICITY_TOL:
-                raise ValueError(f"operator flagged hermitian deviates by {dev:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class VectorizedOperator:
-    """Operator flattened to a length-N^2 vector in row-stacked order."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.vec, dtype=complex).reshape(-1)
-        n = np.sqrt(arr.size)
-        if int(round(n)) ** 2 != arr.size:
-            raise ValueError(f"vector length {arr.size} is not a perfect square")
-        object.__setattr__(self, "vec", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.vec.size)))
-
-    def matrix(self) -> np.ndarray:
-        d = self.dim
-        return self.vec.reshape(d, d)
-
-
-def _entries(op):
-    if isinstance(op, HilbertOperator):
-        return op.entries
-    return _as_square(op)
-
-
 def _kron(a, b):
     """Kronecker product; a sparse CSR array when either factor is sparse."""
     if sparse.issparse(a) or sparse.issparse(b):
@@ -121,21 +68,23 @@ def _kron(a, b):
     return np.kron(a, b)
 
 
-def vectorize(op) -> VectorizedOperator:
+def vectorize(op) -> np.ndarray:
     """Flatten an operator into its row-stacked Liouville-space vector."""
-    return VectorizedOperator(_entries(op).reshape(-1))
+    return _as_square(op).reshape(-1)
 
 
-def devectorize(v) -> HilbertOperator:
+def devectorize(v) -> np.ndarray:
     """Inverse of :func:`vectorize`; exact round trip."""
-    if isinstance(v, VectorizedOperator):
-        return HilbertOperator(v.matrix())
-    return HilbertOperator(VectorizedOperator(np.asarray(v)).matrix())
+    arr = np.asarray(v, dtype=complex).reshape(-1)
+    d = int(round(np.sqrt(arr.size)))
+    if d * d != arr.size:
+        raise ValueError(f"vector length {arr.size} is not a perfect square")
+    return arr.reshape(d, d)
 
 
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product Tr[a^dag b]."""
-    am, bm = _entries(a), _entries(b)
+    am, bm = _as_square(a), _as_square(b)
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
     return complex(np.vdot(am.reshape(-1), bm.reshape(-1)))
@@ -143,26 +92,25 @@ def hs_inner(a, b) -> complex:
 
 def left_multiplier(a):
     """Matrix of X -> a X in the row-stacked convention (sparse in, sparse out)."""
-    am = _entries(a)
+    am = _as_square(a)
     return _kron(am, np.eye(am.shape[0], dtype=complex))
 
 
 def right_multiplier(b):
     """Matrix of X -> X b in the row-stacked convention (sparse in, sparse out)."""
-    bm = _entries(b)
+    bm = _as_square(b)
     return _kron(np.eye(bm.shape[0], dtype=complex), bm.T)
 
 
-def commutator_superop(h, require_hermitian: bool = True):
-    """Matrix of -i[h, .]; purely imaginary spectrum for Hermitian h.
+def commutator_superop(h):
+    """Matrix of -i[h, .] for a Hermitian h; purely imaginary spectrum.
 
     A sparse ``h`` gives a sparse CSR array, a dense one an ndarray.
     """
-    hm = _entries(h)
-    if require_hermitian:
-        dev = abs(hm - hm.conj().T).max()
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"commutator generator is not Hermitian (deviation {dev:.3e})")
+    hm = _as_square(h)
+    dev = abs(hm - hm.conj().T).max()
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"commutator generator is not Hermitian (deviation {dev:.3e})")
     return -1j * (left_multiplier(hm) - right_multiplier(hm))
 
 
@@ -171,7 +119,7 @@ def lindblad_dissipator(o):
 
     A sparse ``o`` gives a sparse CSR array, a dense one an ndarray.
     """
-    om = _entries(o)
+    om = _as_square(o)
     od = om.conj().T
     eye = np.eye(om.shape[0], dtype=complex)
     return 2.0 * _kron(om, od.T) - _kron(od @ om, eye) - _kron(eye, (od @ om).T)
@@ -184,7 +132,7 @@ def squeeze_dissipator(o):
     traceless for any input, so it never breaks trace preservation.  A
     sparse ``o`` gives a sparse CSR array, a dense one an ndarray.
     """
-    om = _entries(o)
+    om = _as_square(o)
     eye = np.eye(om.shape[0], dtype=complex)
     o2 = om @ om
     return 2.0 * _kron(om, om.T) - _kron(o2, eye) - _kron(eye, o2.T)
@@ -242,6 +190,21 @@ def _coupled_block(gen, support) -> np.ndarray:
     # a boolean pattern, since connected_components casts complex data with a warning
     labels = connected_components(gen != 0, directed=True, connection="weak")[1]
     return np.flatnonzero(np.isin(labels, labels[support]))
+
+
+def _density_vector(rho) -> np.ndarray:
+    """Row-stacked vector of a density matrix given as a matrix or a vector.
+
+    Checked for unit trace, Hermiticity and positive semidefiniteness to 1e-9.
+    """
+    m = devectorize(rho)
+    if abs(np.trace(m) - 1.0) > 1e-9:
+        raise ValueError(f"state trace {np.trace(m):.12g} is not 1")
+    if np.abs(m - m.conj().T).max() > 1e-9:
+        raise ValueError("state is not Hermitian")
+    if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -1e-9:
+        raise ValueError("state is not positive semidefinite")
+    return m.reshape(-1)
 
 
 def _steady_state(gen, dim: int) -> np.ndarray:

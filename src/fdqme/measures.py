@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fdme import Spectrum
-from .liouville import VectorizedOperator
+from .liouville import devectorize
 from .redfield import Trajectory, bm_induced_generator, free_liouvillian
 from .baths import effective_rates
 
@@ -122,16 +122,8 @@ def spectral_measure(s: Spectrum, s_m: Spectrum, gap: float) -> MeasureResult:
 
 
 def trace_distance(rho1, rho2) -> float:
-    """Half the trace norm of the difference of two states."""
-    m1 = rho1.matrix() if isinstance(rho1, VectorizedOperator) else np.asarray(rho1, dtype=complex)
-    m2 = rho2.matrix() if isinstance(rho2, VectorizedOperator) else np.asarray(rho2, dtype=complex)
-    if m1.ndim == 1:
-        d = int(round(np.sqrt(m1.size)))
-        m1 = m1.reshape(d, d)
-    if m2.ndim == 1:
-        d = int(round(np.sqrt(m2.size)))
-        m2 = m2.reshape(d, d)
-    diff = m1 - m2
+    """Half the trace norm of the difference of two states, each a matrix or a row-stacked vector."""
+    diff = devectorize(rho1) - devectorize(rho2)
     if np.abs(diff - diff.conj().T).max() > 1e-8:
         raise ValueError("state difference is not Hermitian within 1e-8")
     diff = 0.5 * (diff + diff.conj().T)

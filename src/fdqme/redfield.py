@@ -23,8 +23,8 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from .baths import ThermalBathParams, effective_rates, kernel_modes
-from .fdme import Spectrum, _as_state_vector, _validate_density, make_spectrum
-from .liouville import SIGMA_Z, VectorizedOperator, _modal_evolution, commutator_superop
+from .fdme import Spectrum, make_spectrum
+from .liouville import SIGMA_Z, _density_vector, _modal_evolution, commutator_superop
 
 __all__ = [
     "Trajectory",
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 TRAJECTORY_TOL = 1e-8
+# relative and absolute error tolerances of the DOP853 step control in br_evolve
+ODE_RTOL, ODE_ATOL = 1e-10, 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,6 @@ class Trajectory:
             raise ValueError("trajectory loses Hermiticity beyond 1e-8")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-
-    def state(self, k: int) -> VectorizedOperator:
-        return VectorizedOperator(self.states[k])
 
     def purities(self) -> np.ndarray:
         mats = self.states.reshape(-1, 2, 2)
@@ -134,7 +133,6 @@ def _dop853_stage_table():
 
 _STAGE_C, _STAGE_A = _dop853_stage_table()
 _EYE = np.eye(4).reshape(16)
-_RTOL, _ATOL = 1e-10, 1e-12
 # speculative windows of equal steps: doubled after a fully accepted window,
 # halved after a rejection
 _WINDOW_MIN, _WINDOW_MAX = 4, 64
@@ -146,7 +144,7 @@ def _rms(v) -> float:
 
 def _first_step(generator, y0, t_end) -> float:
     """Starting step for an order-7 error estimate (Hairer, Norsett & Wanner, II.4)."""
-    scale = _ATOL + np.abs(y0) * _RTOL
+    scale = ODE_ATOL + np.abs(y0) * ODE_RTOL
     f0 = generator(np.array(0.0)) @ y0
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
@@ -178,7 +176,7 @@ def _window(generator, y, edges):
     for w, pw in enumerate(prop):
         ys[w + 1] = pw @ ys[w]
     k = (mats.reshape(-1, 16, 4, 4) @ ys[:-1, None, :, None])[..., 0]  # stage vectors (n, 16, 4)
-    scale = _ATOL + np.maximum(np.abs(ys[:-1]), np.abs(ys[1:])) * _RTOL
+    scale = ODE_ATOL + np.maximum(np.abs(ys[:-1]), np.abs(ys[1:])) * ODE_RTOL
     e5 = (np.abs((DOP853.E5 @ k[:, :13]) / scale) ** 2).sum(axis=1)
     e3 = (np.abs((DOP853.E3 @ k[:, :13]) / scale) ** 2).sum(axis=1)
     err = np.where(e5 + e3 == 0, 0.0, h[:, 0] * e5 / np.sqrt((e5 + 0.01 * e3) * 4))
@@ -247,14 +245,13 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     The state is prepared at t = 0, where the running rates start, and is
     reported at the (nonnegative, increasing) times of t_grid.  The equation
     is linear, y' = A(t) y with A(t) = G_inf - sum_k B_k e^{lambda_k t}, so
-    DOP853 (relative tolerance 1e-10, absolute 1e-12) runs on batched 4x4
+    DOP853 (tolerances ODE_RTOL and ODE_ATOL) runs on batched 4x4
     step matrices; raises RuntimeError on step-size underflow.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
-    rho0_vec = _as_state_vector(rho0)
-    _validate_density(rho0_vec)
+    rho0_vec = _density_vector(rho0)
     # L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
     # E = coef / (kappa - i nu), so the generator is G_inf - sum E e^{lambda t}
     modes, nus = _column_modes(p, include_sum_frequency)
@@ -278,8 +275,7 @@ def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
-    rho0_vec = _as_state_vector(rho0)
-    _validate_density(rho0_vec)
+    rho0_vec = _density_vector(rho0)
     gen = free_liouvillian(p) + bm_induced_generator(p, include_sum_frequency)
     states = _modal_evolution(gen, rho0_vec, t_grid, 4)
     return Trajectory(times=t_grid, states=states)

@@ -71,14 +71,14 @@ def field_amplitude(p: WaveguideParams, omega) -> np.ndarray:
     return num / den
 
 
-def default_waveguide_grid(p: WaveguideParams, span: float = 60.0, min_points: int = 20001) -> np.ndarray:
+def default_waveguide_grid(p: WaveguideParams) -> np.ndarray:
     """Frequency grid around omega0 resolving the Fano comb.
 
     At least 40 points per interference period 2 pi gamma / eta, and never
-    fewer than ``min_points`` across +/- span * gamma.
+    fewer than 20001 across +/- 60 gamma.
     """
-    half = span * p.gamma
-    n = min_points
+    half = 60.0 * p.gamma
+    n = 20001
     if p.eta > 0:
         period = 2.0 * np.pi * p.gamma / p.eta
         n = max(n, int(np.ceil(2 * half / (period / 40.0))) + 1)

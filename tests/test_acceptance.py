@@ -67,7 +67,7 @@ def test_criterion_01_thermal_steady_state():
     start = time.time()
     fp = thermal_propagator(FIG1)
     ss = steady_state(fp, qubit_state("mixed"))
-    err = np.abs(ss.vec - np.array([11.0 / 12.0, 0.0, 0.0, 1.0 / 12.0])).max()
+    err = np.abs(ss - np.array([11.0 / 12.0, 0.0, 0.0, 1.0 / 12.0])).max()
     elapsed = time.time() - start
     report(1, err < 1e-9 and elapsed < 1.0,
            f"steady-state error {err:.2e} (tol 1e-9), {elapsed:.2f} s (< 1 s)")

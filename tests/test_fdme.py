@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,18 +102,18 @@ def test_thermal_steady_state_occupations():
     fp = thermal_propagator(THERMAL)
     ss = steady_state(fp, qubit_state("mixed"))
     expected = np.array([11.0 / 12.0, 0, 0, 1.0 / 12.0])
-    assert np.abs(ss.vec - expected).max() < 1e-9
+    assert np.abs(ss - expected).max() < 1e-9
 
 
 def test_zero_temperature_steady_state_is_ground():
     p = ThermalBathParams(g=1.0, omega_q=300.0, omega_c=280.0, kappa=8.0, nbar=0.0)
     ss = steady_state(thermal_propagator(p), qubit_state("e"))
-    assert np.abs(ss.vec - np.array([1, 0, 0, 0])).max() < 1e-9
+    assert np.abs(ss - np.array([1, 0, 0, 0])).max() < 1e-9
 
 
 def test_steady_state_unique_across_initial_states():
     fp = thermal_propagator(THERMAL)
-    results = [steady_state(fp, random_density()).vec for _ in range(3)]
+    results = [steady_state(fp, random_density()) for _ in range(3)]
     assert np.abs(results[0] - results[1]).max() < 1e-8
     assert np.abs(results[0] - results[2]).max() < 1e-8
 
@@ -119,8 +121,8 @@ def test_steady_state_unique_across_initial_states():
 def test_squeezed_steady_state_matches_closed_form():
     fp = squeezed_propagator(SQUEEZED)
     ss = steady_state(fp, qubit_state("mixed"))
-    assert abs(ss.vec[0].real - squeezed_steady_ground_population(SQUEEZED)) < 1e-9
-    assert abs(ss.vec[1]) < 1e-9 and abs(ss.vec[2]) < 1e-9
+    assert abs(ss[0].real - squeezed_steady_ground_population(SQUEEZED)) < 1e-9
+    assert abs(ss[1]) < 1e-9 and abs(ss[2]) < 1e-9
 
 
 @pytest.mark.parametrize("r", [0.0, 60.0])
@@ -129,7 +131,7 @@ def test_squeezed_steady_state_needs_kernel_at_zero_frequency(r):
     # the qubit frequency has a far faster slowest mode; r = 0 gives exactly 1
     p = SqueezedBathParams(g=1.0, delta_q=150.0, delta_c=300.0, r=r, kappa=10.0)
     ss = steady_state(squeezed_propagator(p), qubit_state("mixed"))
-    assert abs(ss.vec[0].real - squeezed_steady_ground_population(p)) < 1e-9
+    assert abs(ss[0].real - squeezed_steady_ground_population(p)) < 1e-9
 
 
 def test_steady_state_rejects_invalid_input():
@@ -171,6 +173,20 @@ def test_markov_mode_spectrum_is_lorentzian():
     assert np.abs(spec.values - markov.values).max() < 1e-9
 
 
+def test_squeezed_markov_gap_is_the_frozen_coherence_coupling():
+    # the frozen squeezed propagator keeps K12/K21, which the single Lorentzian
+    # leaves out (4.7e-6 of the peak here); without them the two coincide
+    fp = squeezed_propagator(SQUEEZED, markov=True)
+    coef = fp.modes.coef.copy()
+    coef[:, 1, 2] = 0.0
+    coef[:, 2, 1] = 0.0
+    fp = replace(fp, modes=replace(fp.modes, coef=coef))
+    grid = default_frequency_grid(SQUEEZED)
+    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+    markov = make_spectrum(grid, markovian_spectrum(SQUEEZED, grid))
+    assert np.abs(spec.values - markov.values).max() <= 1e-12 * markov.values.max()
+
+
 def test_squeezed_spectrum_matches_closed_form():
     fp = squeezed_propagator(SQUEEZED)
     ss = steady_state(fp, qubit_state("mixed"))
@@ -204,7 +220,7 @@ def test_fig8_spectrum_is_finite_at_transform_frequency_zero(grid):
 def test_source_block_is_found_from_the_pattern_alone(fp, source_block):
     grid = default_frequency_grid(THERMAL)
     pattern = np.any(fp._system_matrix_delta(grid) != 0, axis=0)
-    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp, qubit_state("mixed")).vec
+    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp, qubit_state("mixed"))
     np.testing.assert_array_equal(_coupled_block(pattern, np.flatnonzero(src)), source_block)
     np.testing.assert_array_equal(_coupled_block(pattern, [0]), [0, 3])
 
@@ -269,15 +285,15 @@ def test_inverse_transform_free_coherence():
     states = inverse_transform(fp, rho0, ts)
     for t, st in zip(ts, states):
         expected = 0.5 * np.exp(1j * omega_q * t)
-        assert abs(st.vec[1] - expected) < 1e-5
-        assert abs(st.vec[0] - 0.5) < 1e-10
+        assert abs(st[1] - expected) < 1e-5
+        assert abs(st[0] - 0.5) < 1e-10
 
 
 def test_inverse_transform_recovers_initial_state():
     fp = squeezed_propagator(FIG8)
     rho0 = qubit_state("y-").reshape(-1)
     states = inverse_transform(fp, rho0, np.array([0.0, 0.01]))
-    assert np.abs(states[0].vec - rho0).max() < 1e-4
+    assert np.abs(states[0] - rho0).max() < 1e-4
 
 
 @pytest.mark.parametrize("fp", [thermal_propagator(THERMAL), squeezed_propagator(SQUEEZED),
@@ -287,7 +303,7 @@ def test_inverse_transform_t0_state_within_documented_bound(fp):
     ts = np.array([0.5, 0.0, 2.0])
     for rho0 in [qubit_state(s).reshape(-1) for s in ("g", "e", "x+", "y-", "mixed")]:
         states = inverse_transform(fp, rho0, ts)
-        assert np.abs(states[1].vec - rho0).max() <= 1e-8
+        assert np.abs(states[1] - rho0).max() <= 1e-8
 
 
 def test_inverse_transform_thermal_matches_markov_limit_at_fast_cavity():
@@ -296,7 +312,7 @@ def test_inverse_transform_thermal_matches_markov_limit_at_fast_cavity():
     rho0 = qubit_state("e").reshape(-1)
     ts = np.linspace(0.0, 150.0, 151)
     states = inverse_transform(fp, rho0, ts)
-    pops = np.array([s.vec[3].real for s in states])
+    pops = np.array([s[3].real for s in states])
     traj = bm_evolve(p, rho0, ts)
     assert np.abs(pops - traj.excited_population()).max() < 0.02
 

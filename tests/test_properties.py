@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
+    default_frequency_grid,
     generic_kernel_time,
     kernel_modes,
+    markovian_spectrum,
     squeezed_steady_ground_population,
 )
-from fdqme.fdme import emission_spectrum, squeezed_propagator, steady_state, thermal_propagator
+from fdqme.fdme import emission_spectrum, make_spectrum, squeezed_propagator, steady_state, thermal_propagator
 from fdqme.liouville import SIGMA_MINUS, qubit_state, trace_dual
 from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import br_evolve
@@ -44,6 +46,15 @@ thermal_baths = st.one_of(lab_thermal, moderate_thermal)
 squeezed_baths = st.builds(_squeezed, st.floats(150.0, 250.0), st.floats(250.0, 400.0),
                            st.floats(0.0, 0.9), kappas)
 baths = st.one_of(thermal_baths, squeezed_baths)
+# emitting baths: at nbar = 0 or r = 0 the steady state is the ground state,
+# which emits nothing, and emission_spectrum rightly raises "no positive values"
+nbars_emitting = st.floats(0.01, 0.5)
+thermal_emitting = st.one_of(
+    st.builds(_thermal, st.just(2.0e5), st.floats(20.0, 300.0), kappas, nbars_emitting),
+    st.builds(_thermal, st.floats(50.0, 300.0), st.floats(-100.0, 100.0), kappas, nbars_emitting),
+)
+squeezed_emitting = st.builds(_squeezed, st.floats(150.0, 250.0), st.floats(250.0, 400.0),
+                              st.floats(0.05, 0.9), kappas)
 # oracle-comparison range: weak coupling (g = 1 against kappa >= 8), nbar small enough for n_fock = 10
 oracle_thermal = st.builds(_thermal, st.floats(1000.0, 3000.0), st.floats(60.0, 150.0),
                            st.floats(8.0, 15.0), st.floats(0.02, 0.2))
@@ -79,7 +90,7 @@ def test_time_kernel_matches_mode_equations(p, times):
 @given(squeezed_baths)
 def test_squeezed_steady_state_matches_closed_form(p):
     ss = steady_state(squeezed_propagator(p), qubit_state("mixed"))
-    assert abs(ss.vec[0].real - squeezed_steady_ground_population(p)) < 1e-9
+    assert abs(ss[0].real - squeezed_steady_ground_population(p)) < 1e-9
 
 
 @EXAMPLES
@@ -87,7 +98,29 @@ def test_squeezed_steady_state_matches_closed_form(p):
 def test_thermal_steady_state_obeys_detailed_balance(p):
     ss = steady_state(thermal_propagator(p), qubit_state("mixed"))
     ground = (p.nbar + 1.0) / (2.0 * p.nbar + 1.0)
-    assert np.abs(ss.vec - [ground, 0.0, 0.0, 1.0 - ground]).max() < 1e-9
+    assert np.abs(ss - [ground, 0.0, 0.0, 1.0 - ground]).max() < 1e-9
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.one_of(thermal_emitting, squeezed_emitting))
+def test_emission_spectrum_is_a_unit_area_density(p):
+    make = thermal_propagator if isinstance(p, ThermalBathParams) else squeezed_propagator
+    grid = default_frequency_grid(p)
+    for markov in (False, True):
+        fp = make(p, markov=markov)
+        spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+        assert spec.values.min() >= 0.0
+        assert abs(spec.area - 1.0) <= 1e-12
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(thermal_emitting)
+def test_frozen_thermal_spectrum_is_the_markov_lorentzian(p):
+    fp = thermal_propagator(p, markov=True)
+    grid = default_frequency_grid(p)
+    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+    markov = make_spectrum(grid, markovian_spectrum(p, grid))
+    assert np.abs(spec.values - markov.values).max() <= 1e-12 * markov.values.max()
 
 
 @EXAMPLES
