@@ -192,11 +192,20 @@ class KernelModes:
             np.matmul(phases, coef, out=out[rows])
         return out.reshape(t.shape + (4, 4))
 
-    def freq_matrix(self, omega) -> np.ndarray:
-        """One-sided transform of the kernel at transform variable(s) omega."""
+    def freq_matrix(self, omega, block=(0, 1, 2, 3)) -> np.ndarray:
+        """One-sided transform of the kernel at transform variable(s) omega.
+
+        Only the ``block`` x ``block`` entries (sorted indices; all by
+        default) are formed; shape (..., len(block), len(block)).  Their
+        columns of the table are copied C-contiguous: a strided view would
+        leave BLAS for numpy's own loop, whose sums differ from the full
+        product's in the last bit.
+        """
         omega = np.asarray(omega, dtype=float)
+        block = np.asarray(block, dtype=int)
+        coef = np.ascontiguousarray(self.coef.reshape(-1, 16)[:, (4 * block[:, None] + block).ravel()])
         poles = 1.0 / (self.kappa + 1j * np.subtract.outer(omega, self.mus))
-        return (poles @ self.coef.reshape(-1, 16)).reshape(omega.shape + (4, 4))
+        return (poles @ coef).reshape(omega.shape + (block.size, block.size))
 
     def pole_frequencies(self) -> np.ndarray:
         """Complex omega poles mu + i kappa of all modes (upper half plane)."""

@@ -314,13 +314,23 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, comments: dict, header: list[str], columns: list[np.ndarray]):
+def _format_column(values) -> list[str]:
+    """The "%.17g" cells of a column that several files share, formatted once."""
+    return ("%.17g\n" * len(values) % tuple(np.asarray(values, dtype=float).tolist())).split("\n")[:-1]
+
+
+def _write_csv(path: Path, comments: dict, header: list[str], columns: list):
     # One %-format over all cells and one write: "%.17g" % x gives the same
     # bytes as _fmt(x) (both call PyOS_double_to_string with the same
-    # arguments), at a fraction of the cost of formatting cell by cell.
-    cells = np.column_stack(columns).ravel().tolist()
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    body = row * (len(cells) // len(columns)) % tuple(cells)
+    # arguments), at a fraction of the cost of formatting cell by cell.  A
+    # column given as a list holds the cells of _format_column, written by %s.
+    nrows, ncols = len(columns[0]), len(columns)
+    cells = [None] * (nrows * ncols)
+    for j, col in enumerate(columns):
+        # an extended slice rejects a column of another length with ValueError
+        cells[j::ncols] = col if isinstance(col, list) else np.asarray(col, dtype=float).tolist()
+    row = ",".join("%s" if isinstance(col, list) else "%.17g" for col in columns) + "\n"
+    body = row * nrows % tuple(cells)
     lines = [f"# {key} = {comments[key]}\n" for key in sorted(comments)]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("".join(lines) + ",".join(header) + "\n" + body)
@@ -360,8 +370,9 @@ def _run_cavity_spectrum(propagator, cfg, base, meta, opts):
     markov = make_spectrum(grid, markovian_spectrum(p, grid))
     f1 = base.with_suffix(".csv")
     f2 = base.with_suffix(".markov.csv")
-    _write_csv(f1, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [grid, spec.values])
-    _write_csv(f2, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [grid, markov.values])
+    freq = _format_column(grid)
+    _write_csv(f1, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [freq, spec.values])
+    _write_csv(f2, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [freq, markov.values])
     meta["grid_points"] = int(grid.size)
     return [f1, f2]
 
@@ -376,8 +387,9 @@ def _run_waveguide_spectrum(cfg, base, meta, opts):
     ref = waveguide.waveguide_spectrum(replace(p, eta=0.0), grid)
     f1 = base.with_suffix(".csv")
     f2 = base.with_suffix(".markov.csv")
-    _write_csv(f1, meta, ["frequency[gamma]", "density[1/gamma]"], [grid, spec.values])
-    _write_csv(f2, meta, ["frequency[gamma]", "density[1/gamma]"], [grid, ref.values])
+    freq = _format_column(grid)
+    _write_csv(f1, meta, ["frequency[gamma]", "density[1/gamma]"], [freq, spec.values])
+    _write_csv(f2, meta, ["frequency[gamma]", "density[1/gamma]"], [freq, ref.values])
     meta["grid_points"] = int(grid.size)
     return [f1, f2]
 

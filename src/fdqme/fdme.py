@@ -73,10 +73,12 @@ class Spectrum:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing with at least 2 points")
         if values.shape != grid.shape:
             raise ValueError("values and grid shapes differ")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("spectrum values must be finite")
         if np.any(values < 0):
             raise ValueError("spectrum values must be nonnegative")
         object.__setattr__(self, "grid", grid)
@@ -91,9 +93,12 @@ def make_spectrum(grid, values, normalize: bool = True, clip_rel: float = NEGATI
     """Clip round-off negativity, optionally normalize to unit area.
 
     Negative values beyond ``clip_rel`` of the peak indicate a sign error in
-    the kernel and raise instead of being hidden.
+    the kernel and raise instead of being hidden, as do non-finite values.
     """
     values = np.asarray(values, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grid))):
+        raise ValueError("spectrum values and grid must be finite")
     peak = values.max() if values.size else 0.0
     if peak <= 0:
         raise ValueError("spectrum has no positive values")
@@ -101,7 +106,7 @@ def make_spectrum(grid, values, normalize: bool = True, clip_rel: float = NEGATI
     if worst < -clip_rel * peak:
         raise ValueError(f"spectrum negativity {worst:.3e} exceeds {clip_rel:.1e} of peak {peak:.3e}")
     values = np.clip(values, 0.0, None)
-    area = float(np.trapezoid(values, np.asarray(grid, dtype=float)))
+    area = float(np.trapezoid(values, grid))
     if normalize:
         if area <= 0:
             raise ValueError("cannot normalize zero-area spectrum")
@@ -132,15 +137,28 @@ class FrequencyPropagator:
     def __post_init__(self):
         object.__setattr__(self, "l0", np.asarray(self.l0, dtype=complex))
 
-    def kernel_freq(self, delta) -> np.ndarray:
-        """Kernel matrix at detuning(s) delta from ``omega_ref``; shape (..., 4, 4)."""
+    def kernel_freq(self, delta, block=(0, 1, 2, 3)) -> np.ndarray:
+        """Kernel matrix at detuning(s) delta from ``omega_ref``; shape (..., 4, 4).
+
+        Only the ``block`` x ``block`` entries (sorted indices; all by
+        default) are formed, bit-identical to those of the full matrix.
+        """
         delta = np.asarray(delta, dtype=float)
+        size = len(block)
         if self.modes is None:
-            return np.zeros(delta.shape + (4, 4), dtype=complex)
+            return np.zeros(delta.shape + (size, size), dtype=complex)
         if self.markov:
-            frozen = self.modes.freq_matrix(self.omega_ref)
-            return np.broadcast_to(frozen, delta.shape + (4, 4)).copy()
-        return self.modes.freq_matrix(delta + self.omega_ref)
+            # one 0-d evaluation: a (1,)-shaped omega takes another BLAS path
+            frozen = self.modes.freq_matrix(self.omega_ref, block)
+            return np.broadcast_to(frozen, delta.shape + (size, size)).copy()
+        return self.modes.freq_matrix(delta + self.omega_ref, block)
+
+    def _pattern(self) -> np.ndarray:
+        """Structural nonzeros of the system matrix i omega I - L0 - K at any frequency."""
+        pattern = np.eye(self.l0.shape[0], dtype=bool) | (self.l0 != 0)
+        if self.modes is not None:
+            pattern |= np.any(self.modes.coef != 0, axis=0)
+        return pattern
 
     def _system_matrix(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -148,18 +166,20 @@ class FrequencyPropagator:
         k = self.kernel_freq(omega - self.omega_ref)
         return 1j * omega[..., None, None] * eye - self.l0 - k
 
-    def _system_matrix_delta(self, delta) -> np.ndarray:
-        """Resolvent matrix assembled in detuning form.
+    def _system_matrix_delta(self, delta, block) -> np.ndarray:
+        """Block x block entries of the resolvent matrix, in detuning form.
 
         i omega I - L0 is regrouped as i delta I + (i omega_ref I - L0) so no
         large-frequency cancellation contaminates the near-resonant entries;
         the parenthesis is exact because L0's diagonal carries omega_ref.
+        Each entry is bit-identical to that of the full 4x4 assembly.
         """
         delta = np.asarray(delta, dtype=float)
+        sub = np.ix_(block, block)
         eye = np.eye(self.l0.shape[0], dtype=complex)
-        shift = 1j * self.omega_ref * eye - self.l0
-        k = self.kernel_freq(delta)
-        return 1j * delta[..., None, None] * eye + shift - k
+        shift = (1j * self.omega_ref * eye - self.l0)[sub]
+        k = self.kernel_freq(delta, block)
+        return 1j * delta[..., None, None] * eye[sub] + shift - k
 
 
 def thermal_propagator(p: ThermalBathParams, markov: bool = False) -> FrequencyPropagator:
@@ -229,8 +249,9 @@ def emission_spectrum(
     """Steady-state emission spectrum, twice the real part of <<o|U|o rho_ss>>.
 
     ``grid`` holds detunings from ``fp.omega_ref``.  One batched solve per
-    point, on the blocks of the system matrix (its nonzeros over the grid)
-    that hold the source, so a coherence source never meets the singular
+    point, on the blocks of the system matrix (its structural nonzeros: the
+    identity, L0 and the mode table) that hold the source; only those
+    entries are assembled, and a coherence source never meets the singular
     population block at transform frequency 0.  A singular source block, or
     a residual |M x - src| / |src| above RESIDUAL_TOL, raises a ValueError
     naming the detuning.  Round-off negativity is clipped and the result
@@ -245,9 +266,8 @@ def emission_spectrum(
     rho_vec = np.asarray(rho_ss, dtype=complex).reshape(-1)
     src = left_multiplier(o_arr) @ rho_vec
     dual = o_arr.reshape(-1).conj()
-    m = fp._system_matrix_delta(grid)
-    block = _coupled_block(np.any(m != 0, axis=0), np.flatnonzero(src))
-    m = m[:, block[:, None], block]
+    block = _coupled_block(fp._pattern(), np.flatnonzero(src))
+    m = fp._system_matrix_delta(grid, block)
     rhs = np.broadcast_to(src[block, None], grid.shape + (block.size, 1))
     try:
         x = np.linalg.solve(m, rhs)

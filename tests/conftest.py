@@ -6,12 +6,15 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from fdqme.baths import SqueezedBathParams, ThermalBathParams, bogoliubov_params, kernel_modes
+from fdqme.fdme import make_spectrum
 from fdqme.liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    _coupled_block,
     annihilation,
     commutator_superop,
+    left_multiplier,
     lindblad_dissipator,
     squeeze_dissipator,
 )
@@ -79,6 +82,32 @@ def dense_full_liouvillian(p, n_fock):
         od = o.conj().T
         lv = lv + rate * (2.0 * np.kron(o, od.T) - np.kron(od @ o, eye) - np.kron(eye, (od @ o).T))
     return lv
+
+
+def full_system_matrix_delta(fp, delta):
+    """The full (n, 4, 4) system matrix i delta I + (i omega_ref I - L0) - K[delta]."""
+    delta = np.asarray(delta, dtype=float)
+    eye = np.eye(4, dtype=complex)
+    shift = 1j * fp.omega_ref * eye - fp.l0
+    return 1j * delta[..., None, None] * eye + shift - fp.kernel_freq(delta)
+
+
+def full_assembly_emission_spectrum(fp, o, rho_ss, grid, normalize=True):
+    """Emission spectrum from the full system matrix over the grid.
+
+    The source block comes from the union of its nonzeros over the grid and
+    is sliced out of the (n, 4, 4) assembly; the solve and contraction are
+    those of ``fdme.emission_spectrum``, without its checks.
+    """
+    grid = np.asarray(grid, dtype=float)
+    o_arr = np.asarray(o, dtype=complex)
+    src = left_multiplier(o_arr) @ np.asarray(rho_ss, dtype=complex).reshape(-1)
+    m = full_system_matrix_delta(fp, grid)
+    block = _coupled_block(np.any(m != 0, axis=0), np.flatnonzero(src))
+    m = m[:, block[:, None], block]
+    x = np.linalg.solve(m, np.broadcast_to(src[block, None], grid.shape + (block.size, 1)))
+    raw = 2.0 * np.real(x[..., 0] @ o_arr.reshape(-1).conj()[block])
+    return make_spectrum(grid, raw, normalize=normalize)
 
 
 # --------------------------------------------------------------------------

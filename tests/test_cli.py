@@ -5,7 +5,7 @@ import pytest
 
 from fdqme import fdme
 from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
-from fdqme.cli import ConfigError, _write_csv, main, parse_config, run_scenario
+from fdqme.cli import ConfigError, _format_column, _write_csv, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
 
 THERMAL_CONFIG = """
@@ -203,6 +203,12 @@ def test_write_csv_golden_bytes(tmp_path, header, columns, body):
     raw = path.read_bytes()
     assert raw == (COMMENT_LINES + ",".join(header) + "\n" + body).encode()
     assert b"\r" not in raw and raw.endswith(b"\n") and not raw.endswith(b"\n\n")
+    # each column, then every column, preformatted by _format_column: the same bytes
+    for j in range(len(columns)):
+        _write_csv(path, COMMENTS, header, columns[:j] + [_format_column(columns[j])] + columns[j + 1:])
+        assert path.read_bytes() == raw
+    _write_csv(path, COMMENTS, header, [_format_column(c) for c in columns])
+    assert path.read_bytes() == raw
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
@@ -214,6 +220,22 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     for row in data:
         expected += ",".join(format(float(x), ".17g") for x in row) + "\n"
     assert path.read_bytes() == expected.encode()
+    # any column may come preformatted, with the same bytes
+    for j in range(3):
+        columns = list(data.T)
+        columns[j] = _format_column(columns[j])
+        _write_csv(path, COMMENTS, ["a", "b", "c"], columns)
+        assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("first", [np.arange(3.0), _format_column(np.arange(3.0))], ids=["array", "list"])
+@pytest.mark.parametrize("second", [np.arange(2.0), np.arange(4.0), ["0", "1"], ["0", "1", "2", "3"]],
+                         ids=["short-array", "long-array", "short-list", "long-list"])
+def test_write_csv_rejects_columns_of_different_lengths(tmp_path, first, second):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "ragged.csv", COMMENTS, ["a", "b"], [first, second])
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "ragged.csv", COMMENTS, ["a", "b"], [second, first])
 
 
 def test_measure_sweep_kappa(tmp_path):

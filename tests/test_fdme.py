@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import full_assembly_emission_spectrum, full_system_matrix_delta
 
 from fdqme.baths import (
     SqueezedBathParams,
@@ -14,6 +15,7 @@ from fdqme.baths import (
 )
 from fdqme.fdme import (
     InversionAccuracyError,
+    Spectrum,
     emission_spectrum,
     free_propagator,
     inverse_transform,
@@ -218,11 +220,30 @@ def test_fig8_spectrum_is_finite_at_transform_frequency_zero(grid):
     ids=["thermal", "squeezed"],
 )
 def test_source_block_is_found_from_the_pattern_alone(fp, source_block):
+    # the structural pattern is the nonzero union of the full assembly over a grid
     grid = default_frequency_grid(THERMAL)
-    pattern = np.any(fp._system_matrix_delta(grid) != 0, axis=0)
+    pattern = fp._pattern()
+    np.testing.assert_array_equal(pattern, np.any(full_system_matrix_delta(fp, grid) != 0, axis=0))
     src = left_multiplier(SIGMA_MINUS) @ steady_state(fp, qubit_state("mixed"))
     np.testing.assert_array_equal(_coupled_block(pattern, np.flatnonzero(src)), source_block)
     np.testing.assert_array_equal(_coupled_block(pattern, [0]), [0, 3])
+
+
+@pytest.mark.parametrize("markov", [False, True], ids=["memory", "markov"])
+@pytest.mark.parametrize(
+    "p, make",
+    [(THERMAL, thermal_propagator), (SQUEEZED, squeezed_propagator), (FIG8, squeezed_propagator)],
+    ids=["thermal", "squeezed", "fig8"],
+)
+def test_source_block_assembly_equals_the_full_assembly(p, make, markov):
+    # only the source block is assembled, with every entry bit-identical
+    fp = make(p, markov=markov)
+    grid = default_frequency_grid(p)
+    rho_ss = steady_state(fp, qubit_state("mixed"))
+    spec = emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+    ref = full_assembly_emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+    np.testing.assert_array_equal(spec.values, ref.values)
+    assert spec.norm == ref.norm
 
 
 def test_emission_spectrum_names_a_singular_source_block():
@@ -270,6 +291,30 @@ def test_spectrum_container_invariants():
     assert s.norm == pytest.approx(np.trapezoid(vals, grid))
     with pytest.raises(ValueError, match="negativity"):
         make_spectrum(grid, vals - 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectra_reject_non_finite_values(bad):
+    grid = np.linspace(0.0, 1.0, 5)
+    vals = np.array([0.0, 1.0, bad, 1.0, 0.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        make_spectrum(grid, vals)
+    with pytest.raises(ValueError, match="must be finite"):
+        make_spectrum(grid, vals, normalize=False)
+    with pytest.raises(ValueError, match="must be finite"):
+        Spectrum(grid, vals, norm=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectra_reject_non_finite_grids(bad):
+    grid = np.array([0.0, 0.25, bad, 0.75, 1.0])
+    vals = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        make_spectrum(grid, vals)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Spectrum(grid, vals, norm=1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Spectrum(np.full(5, np.nan), vals, norm=1.0)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ ranges and checked against a tight-tolerance scipy integration.
 """
 
 import numpy as np
-from conftest import br_reference
+from conftest import br_reference, full_assembly_emission_spectrum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +111,25 @@ def test_emission_spectrum_is_a_unit_area_density(p):
         spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
         assert spec.values.min() >= 0.0
         assert abs(spec.area - 1.0) <= 1e-12
+
+
+# the spectra benchmark ranges: lab-frame thermal baths and squeezed baths
+spectra_emitting = st.one_of(
+    st.builds(_thermal, st.just(2.0e5), st.floats(20.0, 300.0), kappas, nbars_emitting),
+    squeezed_emitting,
+)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(spectra_emitting, st.booleans())
+def test_source_block_spectrum_equals_the_full_assembly(p, markov):
+    make = thermal_propagator if isinstance(p, ThermalBathParams) else squeezed_propagator
+    fp = make(p, markov=markov)
+    grid = default_frequency_grid(p)
+    rho_ss = steady_state(fp, qubit_state("mixed"))
+    spec = emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+    ref = full_assembly_emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+    np.testing.assert_array_equal(spec.values, ref.values)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
