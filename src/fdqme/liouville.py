@@ -179,17 +179,35 @@ def qubit_state(name: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _coupled_block(gen, support) -> np.ndarray:
-    """Sorted indices of the exact blocks of ``gen`` that touch ``support``.
+def _coupled_blocks(gen, support) -> list[np.ndarray]:
+    """The exact blocks of ``gen`` that touch ``support``, in order of their first index.
 
     The blocks are the weakly connected components of the nonzero pattern of
-    the dense or sparse matrix ``gen``.  A solve or resolvent whose source
-    lies in ``support`` never leaves them; round-off in the pattern could
-    only merge blocks, never drop one.
+    the dense or sparse matrix ``gen``, each as sorted indices.  A solve,
+    resolvent or evolution whose source lies in ``support`` never leaves
+    them; round-off in the pattern could only merge blocks, never drop one.
+    A dense pattern is closed by repeated boolean squaring, which on a few
+    indices costs a fraction of a ``connected_components`` call.
     """
-    # a boolean pattern, since connected_components casts complex data with a warning
-    labels = connected_components(gen != 0, directed=True, connection="weak")[1]
-    return np.flatnonzero(np.isin(labels, labels[support]))
+    pattern = gen != 0
+    if sparse.issparse(pattern):
+        # a boolean pattern, since connected_components casts complex data with a warning
+        labels = connected_components(pattern, directed=True, connection="weak")[1]
+    else:
+        n = pattern.shape[0]
+        reach = pattern | pattern.T
+        reach.flat[:: n + 1] = True
+        for _ in range((n - 1).bit_length()):  # paths of up to 2**k >= n - 1 links
+            reach = reach @ reach
+        labels = reach.argmax(axis=1)  # the first index of each block
+    blocks = [np.flatnonzero(labels == lab) for lab in set(labels[support].tolist())]
+    return sorted(blocks, key=lambda block: block[0])
+
+
+def _coupled_block(gen, support) -> np.ndarray:
+    """Sorted indices of the union of the exact blocks of ``gen`` that touch ``support``."""
+    blocks = _coupled_blocks(gen, support)
+    return np.sort(np.concatenate(blocks)) if blocks else np.empty(0, dtype=np.intp)
 
 
 def _density_vector(rho) -> np.ndarray:

@@ -10,21 +10,24 @@ peak and, for the squeezed bath, can transiently break positivity.
 
 Both trajectories start from the state prepared at t = 0, where the running
 integral starts.  The Born-Redfield equation is linear, y' = A(t) y, so every
-DOP853 stage, step, error estimate and dense-output coefficient is a 4x4
-matrix that depends on (t, h) only: br_evolve builds them for a window of
-equal steps in batched products and propagates y with one mat-vec per step.
+DOP853 stage, step, error estimate and dense-output coefficient is a matrix
+that depends on (t, h) only.  br_evolve keeps only the exact blocks of A that
+hold the initial state (the other components stay exactly 0), builds those
+matrices for a window of equal steps as elementwise products of blocks
+stored stage-major, and propagates y with one block mat-vec per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853
 
 from .baths import ThermalBathParams, effective_rates, kernel_modes
 from .fdme import Spectrum, make_spectrum
-from .liouville import SIGMA_Z, _density_vector, _modal_evolution, commutator_superop
+from .liouville import SIGMA_Z, _coupled_blocks, _density_vector, _modal_evolution, commutator_superop
 
 __all__ = [
     "Trajectory",
@@ -48,11 +51,14 @@ class Trajectory:
 
     Unit trace and Hermiticity are enforced at every step; positivity is
     deliberately not (its violation is a measured output of the time-local
-    equations).
+    equations).  ``diagnostics`` holds the integrator's counts (from
+    br_evolve: accepted steps, rejected steps and windows); no output file
+    records them.
     """
 
     times: np.ndarray
     states: np.ndarray  # (n_times, 4)
+    diagnostics: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -132,61 +138,93 @@ def _dop853_stage_table():
 
 
 _STAGE_C, _STAGE_A = _dop853_stage_table()
-_EYE = np.eye(4).reshape(16)
+_ERROR = np.stack([DOP853.E5, DOP853.E3])
 # speculative windows of equal steps: doubled after a fully accepted window,
 # halved after a rejection
-_WINDOW_MIN, _WINDOW_MAX = 4, 64
+_WINDOW_MIN, _WINDOW_MAX = 4, 256
 
 
 def _rms(v) -> float:
-    return float(np.linalg.norm(v)) / np.sqrt(v.size)
+    """Root mean square over the four state components; those outside the held blocks are 0."""
+    return float(np.linalg.norm(v)) / 2.0
+
+
+def _block_product(a, b) -> np.ndarray:
+    """Blockwise products a_w @ b_w, stage-major: a (..., m, m, n) and b (..., m, k, n)."""
+    out = a[..., :1, :] * b[..., None, 0, :, :]
+    for j in range(1, a.shape[-2]):
+        out += a[..., j : j + 1, :] * b[..., None, j, :, :]
+    return out
 
 
 def _first_step(generator, y0, t_end) -> float:
     """Starting step for an order-7 error estimate (Hairer, Norsett & Wanner, II.4)."""
+
+    def rhs(t, y):  # A(t) y on the held blocks
+        a = generator(np.array([t]), np.zeros(1)).reshape(y.shape + y.shape[-1:] + (1,))
+        return _block_product(a, y[..., None, None])[..., 0, 0]
+
     scale = ODE_ATOL + np.abs(y0) * ODE_RTOL
-    f0 = generator(np.array(0.0)) @ y0
+    f0 = rhs(0.0, y0)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    d2 = _rms((generator(np.array(h0)) @ (y0 + h0 * f0) - f0) / scale) / h0
+    d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, t_end)
 
 
-def _window(generator, y, edges):
+def _window(generator, y, edges, h_nominal):
     """DOP853 on consecutive steps edges[w] -> edges[w+1] of y' = A(t) y.
 
-    For a linear equation every stage is a matrix M_s with k_s = M_s y, so the
-    stages of all steps are batched (n, 16, 4, 4) products and only the
-    propagation y_{w+1} = P_w y_w is sequential.  Returns the states at the
-    edges, the error norm of each step (inf where not finite) and the
-    dense-output coefficients (n, 7, 4).
+    The held state y is (n_blocks, m): the blocks of A that hold the initial
+    state, stacked when they have one size and else merged into one, outside
+    which every component stays exactly 0.  For a linear equation every
+    stage is a matrix M_s with k_s = M_s y.  The stage matrices of all steps
+    are stored stage-major, (16, n_blocks, m, m, n), so a stage combination
+    is one GEMV and a stage product m elementwise multiply-adds over all
+    blocks and steps; only the propagation y_{w+1} = P_w y_w is sequential.
+    ``generator`` gives A at the stage times of steps h_nominal long; a last
+    step clipped to the end time gets its own.
+    Returns the states at the edges (n_blocks, m, n + 1), the error norm of
+    each step (inf where not finite; its divisor counts all four components,
+    as for the full state) and the dense-output coefficients
+    (7, n_blocks, m, n).
     """
-    h = np.diff(edges)[:, None]
-    a_t = generator(edges[:-1, None] + h * _STAGE_C)  # (n, 16, 4, 4)
-    mats = np.empty(a_t.shape[:2] + (16,), dtype=complex)  # stage matrices, flattened
-    mats[:, 0] = a_t[:, 0].reshape(-1, 16)
+    n = edges.size - 1
+    n_blocks, m = y.shape
+    shape = (n_blocks, m, m, n)
+    h = np.diff(edges)
+    a_t = generator(edges[:-1], h_nominal * _STAGE_C)  # (16, n_blocks * m * m, n)
+    if edges[-1] < edges[0] + h_nominal * n:
+        a_t[..., -1:] = generator(edges[-2:-1], h[-1] * _STAGE_C)
+    a_t *= h
+    a_t = a_t.reshape((16,) + shape)
+    # stage matrices times h, so a stage vector times h is mats[s] @ y
+    mats = np.empty((16,) + shape, dtype=complex)
+    mats[0] = a_t[0]
     for s in range(1, 16):
-        step = (_EYE + h * (_STAGE_A[s, :s] @ mats[:, :s])).reshape(-1, 4, 4)
+        step = (_STAGE_A[s, :s] @ mats[:s].reshape(s, -1)).reshape(shape)
+        step.reshape(n_blocks, m * m, n)[:, :: m + 1] += 1.0  # the identity on each block
         if s == DOP853.n_stages:  # the stage at t + h: its step matrix maps y to y_new
             prop = step
-        mats[:, s] = (a_t[:, s] @ step).reshape(-1, 16)
-    ys = np.empty((len(h) + 1, 4), dtype=complex)
-    ys[0] = y
-    for w, pw in enumerate(prop):
-        ys[w + 1] = pw @ ys[w]
-    k = (mats.reshape(-1, 16, 4, 4) @ ys[:-1, None, :, None])[..., 0]  # stage vectors (n, 16, 4)
-    scale = ODE_ATOL + np.maximum(np.abs(ys[:-1]), np.abs(ys[1:])) * ODE_RTOL
-    e5 = (np.abs((DOP853.E5 @ k[:, :13]) / scale) ** 2).sum(axis=1)
-    e3 = (np.abs((DOP853.E3 @ k[:, :13]) / scale) ** 2).sum(axis=1)
-    err = np.where(e5 + e3 == 0, 0.0, h[:, 0] * e5 / np.sqrt((e5 + 0.01 * e3) * 4))
-    err[~(np.isfinite(err) & np.isfinite(ys[1:]).all(axis=1))] = np.inf
-    dy = ys[1:] - ys[:-1]
-    f0, f1 = k[:, 0], k[:, DOP853.n_stages]
+        mats[s] = _block_product(a_t[s], step)
+    steps = np.moveaxis(prop, -1, 0)  # (n, n_blocks, m, m)
+    ys = np.empty((n_blocks, m, n + 1), dtype=complex)
+    ys[..., 0] = y
+    for w in range(n):
+        ys[..., w + 1] = (steps[w] @ ys[..., w, None])[..., 0]
+    hk = _block_product(mats, ys[..., None, :-1])[..., 0, :]  # stage vectors times h
+    scale = ODE_ATOL + np.maximum(np.abs(ys[..., :-1]), np.abs(ys[..., 1:])) * ODE_RTOL
+    scaled = (_ERROR @ hk[:13].reshape(13, -1)).reshape((2,) + scale.shape) / scale
+    e5, e3 = (np.abs(scaled) ** 2).sum(axis=(1, 2))
+    # with h k in place of k the h of DOP853's err = h e5 / sqrt(...) cancels
+    err = np.where(e5 + e3 == 0, 0.0, e5 / np.sqrt((e5 + 0.01 * e3) * 4))
+    err[~(np.isfinite(err) & np.isfinite(ys[..., 1:]).all(axis=(0, 1)))] = np.inf
+    dy = ys[..., 1:] - ys[..., :-1]
+    hf0, hf1 = hk[0], hk[DOP853.n_stages]
     dense = np.concatenate(
-        [dy[:, None], (h * f0 - dy)[:, None], (2 * dy - h * (f1 + f0))[:, None],
-         h[:, :, None] * (DOP853.D @ k)],
-        axis=1,
+        [dy[None], (hf0 - dy)[None], (2 * dy - (hf1 + hf0))[None],
+         (DOP853.D @ hk.reshape(16, -1)).reshape((4,) + dy.shape)],
     )
     return ys, err, dense
 
@@ -197,19 +235,25 @@ def _dense_weights(x):
     return x ** np.array([1, 1, 2, 2, 3, 3, 4]) * u ** np.array([0, 1, 1, 2, 2, 3, 3])
 
 
-def _integrate_linear(generator, y0, t_out) -> np.ndarray:
+def _integrate_linear(generator, y0, t_out):
     """States of y' = A(t) y, y(0) = y0, at the sorted nonnegative times t_out.
 
-    Adaptive DOP853 with DOP853's step control (safety 0.9, factor in
-    [0.2, 10], exponent -1/8, no growth right after a rejection) applied to
-    windows of equal steps; a step is accepted when it and every step before
-    it in its window pass the error test.  A non-finite error estimate is a
-    rejection, so a diverging generator ends in the step-size underflow error.
+    y0 is the held state (n_blocks, m) and ``generator(starts, offsets)`` is
+    A on the held blocks at every starts[w] + offsets[s], as
+    (n_offsets, n_blocks * m * m, n_starts).  Adaptive DOP853 with DOP853's
+    step control (safety 0.9, factor in [0.2, 10], exponent -1/8, no growth
+    right after a rejection) applied to windows of equal steps; a step is
+    accepted when it and every step before it in its window pass the error
+    test.  A non-finite error estimate is a rejection, so a diverging
+    generator ends in the step-size underflow error.  Returns the states
+    (n_out, n_blocks, m) and the counts of accepted steps, rejected steps
+    and windows.
     """
-    states = np.empty((t_out.size, 4), dtype=complex)
+    states = np.empty((t_out.size,) + y0.shape, dtype=complex)
     states[t_out == 0.0] = y0
     t, y, t_end = 0.0, y0, float(t_out[-1])
     n_window, capped = _WINDOW_MIN, False
+    counts = {"accepted_steps": 0, "rejected_steps": 0, "windows": 0}
     # rejected speculative steps may overflow; their results are discarded
     with np.errstate(all="ignore"):
         h = _first_step(generator, y0, t_end) if t_end > 0 else 0.0
@@ -220,23 +264,27 @@ def _integrate_linear(generator, y0, t_out) -> np.ndarray:
             n = min(n_window, int(np.searchsorted(edges, t_end)))
             edges = edges[: n + 1]
             edges[-1] = min(edges[-1], t_end)
-            ys, err, dense = _window(generator, y, edges)
+            ys, err, dense = _window(generator, y, edges, h)
             n_ok = int(np.argmin(err < 1)) if np.any(err >= 1) else n
+            counts["windows"] += 1
+            counts["accepted_steps"] += n_ok
             lo, hi = np.searchsorted(t_out, edges[[0, n_ok]], side="right")
             if hi > lo:
                 w = np.searchsorted(edges[1:], t_out[lo:hi])
                 x = (t_out[lo:hi] - edges[w]) / (edges[w + 1] - edges[w])
-                states[lo:hi] = ys[w] + np.einsum("oj,oji->oi", _dense_weights(x), dense[w])
+                interpolated = np.einsum("oj,jbio->obi", _dense_weights(x), dense[..., w])
+                states[lo:hi] = np.moveaxis(ys[..., w], -1, 0) + interpolated
             if n_ok == n:
                 worst = err.max()
                 factor = 10.0 if worst == 0 else min(10.0, 0.9 * worst ** -0.125)
                 h *= min(1.0, factor) if capped else factor
                 n_window, capped = min(2 * n_window, _WINDOW_MAX), False
             else:
+                counts["rejected_steps"] += 1
                 h *= max(0.2, 0.9 * err[n_ok] ** -0.125)
                 n_window, capped = max(n_window // 2, _WINDOW_MIN), True
-            t, y = edges[n_ok], ys[n_ok]
-    return states
+            t, y = edges[n_ok], ys[..., n_ok]
+    return states, counts
 
 
 def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
@@ -245,8 +293,10 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     The state is prepared at t = 0, where the running rates start, and is
     reported at the (nonnegative, increasing) times of t_grid.  The equation
     is linear, y' = A(t) y with A(t) = G_inf - sum_k B_k e^{lambda_k t}, so
-    DOP853 (tolerances ODE_RTOL and ODE_ATOL) runs on batched 4x4
-    step matrices; raises RuntimeError on step-size underflow.
+    DOP853 (tolerances ODE_RTOL and ODE_ATOL) runs on step matrices of the
+    exact blocks of A that hold rho0; the other components stay exactly 0.
+    Raises RuntimeError on step-size underflow.  The trajectory's
+    ``diagnostics`` count accepted steps, rejected steps and windows.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
@@ -257,17 +307,32 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     modes, nus = _column_modes(p, include_sum_frequency)
     residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
     g_inf = free_liouvillian(p) + residues.sum(axis=0)
+    pattern = (g_inf != 0) | np.any(residues != 0, axis=0)
+    blocks = _coupled_blocks(pattern, np.flatnonzero(rho0_vec))
+    # held blocks of one size are stacked; blocks of different sizes run as their union
+    if len({block.size for block in blocks}) == 1:
+        held = np.array(blocks)  # (n_blocks, m)
+    else:
+        held = np.sort(np.concatenate(blocks))[None, :]
+    rows, cols = held[:, :, None], held[:, None, :]
     mode, col = np.nonzero(np.any(residues != 0, axis=1))  # contributing pairs
-    lam = -modes.kappa + 1j * nus[mode, col]
-    basis = np.zeros((lam.size, 4, 4), dtype=complex)
-    basis[np.arange(lam.size), :, col] = residues[mode, :, col]
-    basis = basis.reshape(lam.size, 16)
+    basis = np.zeros((mode.size, 4, 4), dtype=complex)
+    basis[np.arange(mode.size), :, col] = residues[mode, :, col]
+    basis = basis[:, rows, cols].reshape(mode.size, -1)
+    keep = np.any(basis != 0, axis=1)  # the pairs that act on the held blocks
+    lam = -modes.kappa + 1j * nus[mode[keep], col[keep]]
+    basis_t = basis[keep].T
+    g_held = g_inf[rows, cols].reshape(-1, 1)
 
-    def generator(t):
-        return g_inf - (np.exp(np.multiply.outer(t, lam)) @ basis).reshape(t.shape + (4, 4))
+    def generator(starts, offsets):
+        # e^{lambda (t + c)} = e^{lambda c} e^{lambda t}: the offset factors scale the basis
+        coef = basis_t * np.exp(np.multiply.outer(offsets, lam))[:, None, :]  # (offsets, block entries, pairs)
+        terms = coef.reshape(offsets.size * g_held.size, lam.size) @ np.exp(np.multiply.outer(lam, starts))
+        return g_held - terms.reshape(offsets.size, g_held.size, starts.size)
 
-    states = _integrate_linear(generator, rho0_vec, t_grid)
-    return Trajectory(times=t_grid, states=states)
+    states = np.zeros((t_grid.size, 4), dtype=complex)
+    states[:, held], counts = _integrate_linear(generator, rho0_vec[held], t_grid)
+    return Trajectory(times=t_grid, states=states, diagnostics=counts)
 
 
 def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:

@@ -12,6 +12,7 @@ import numpy as np
 from conftest import br_reference, full_assembly_emission_spectrum
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from fdqme.baths import (
     SqueezedBathParams,
@@ -23,7 +24,7 @@ from fdqme.baths import (
     squeezed_steady_ground_population,
 )
 from fdqme.fdme import emission_spectrum, make_spectrum, squeezed_propagator, steady_state, thermal_propagator
-from fdqme.liouville import SIGMA_MINUS, qubit_state, trace_dual
+from fdqme.liouville import SIGMA_MINUS, _coupled_blocks, qubit_state, trace_dual
 from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import br_evolve
 
@@ -150,6 +151,32 @@ def test_fd_spectrum_matches_oracle_at_weak_coupling(p):
     fd = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
     full = full_steady_spectrum(build_full_model(p, n_fock=10), grid)
     assert abs(grid[np.argmax(fd.values)] - grid[np.argmax(full.values)]) < 1.0
+
+
+@st.composite
+def patterns_with_support(draw):
+    n = draw(st.integers(1, 12))
+    density = draw(st.floats(0.0, 0.4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pattern = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)) + 1j, 0.0)
+    support = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return pattern, support
+
+
+@EXAMPLES
+@given(patterns_with_support())
+def test_block_finder_gives_dense_and_sparse_inputs_identical_blocks(case):
+    pattern, support = case
+    dense = _coupled_blocks(pattern, support)
+    from_sparse = _coupled_blocks(sparse.csr_array(pattern), support)
+    assert [b.tolist() for b in dense] == [b.tolist() for b in from_sparse]
+    # disjoint, ordered blocks that cover the support and are closed under the pattern
+    members = np.concatenate([np.empty(0, dtype=int)] + dense)
+    assert members.size == np.unique(members).size and set(support) <= set(members.tolist())
+    assert [b[0] for b in dense] == sorted(b[0] for b in dense)
+    outside = np.setdiff1d(np.arange(pattern.shape[0]), members)
+    assert not np.any(pattern[np.ix_(members, outside)]) and not np.any(pattern[np.ix_(outside, members)])
 
 
 @settings(max_examples=8, derandomize=True, deadline=None, database=None)

@@ -171,8 +171,9 @@ THERMAL_300 = ThermalBathParams(g=1.0, omega_q=300.0, omega_c=250.0, kappa=10.0,
         (THERMAL, "x+", np.linspace(0.0, 0.002, 41)),
         (THERMAL, "e", np.linspace(0.0, 0.5, 51)),
         (FIG8, "y-", np.linspace(0.0, 1.0, 101)),
+        (FIG8, "e", np.linspace(0.0, 1.0, 101)),
     ],
-    ids=["thermal-300-x+", "thermal-300-e", "thermal-2e5-x+", "thermal-2e5-e", "fig8-y-"],
+    ids=["thermal-300-x+", "thermal-300-e", "thermal-2e5-x+", "thermal-2e5-e", "fig8-y-", "fig8-e"],
 )
 def test_br_evolve_matches_tight_reference(p, state, ts):
     rho0 = qubit_state(state).reshape(-1)
@@ -185,6 +186,19 @@ def test_br_evolve_does_not_depend_on_the_output_grid():
     coarse = br_evolve(FIG8, rho0, np.linspace(0.0, 3.0, 41))
     fine = br_evolve(FIG8, rho0, np.linspace(0.0, 3.0, 1201))
     assert np.abs(coarse.states - fine.states[::30]).max() < 1e-9
+    # the output grid never moves a step, so the integrator's counts agree too
+    assert set(coarse.diagnostics) == {"accepted_steps", "rejected_steps", "windows"}
+    assert dict(coarse.diagnostics) == dict(fine.diagnostics)
+    assert coarse.diagnostics["accepted_steps"] > coarse.diagnostics["windows"] > 0
+
+
+@pytest.mark.parametrize("p", [THERMAL_300, FIG8], ids=["thermal", "squeezed"])
+@pytest.mark.parametrize("state", ["g", "e"])
+def test_br_evolve_keeps_populations_out_of_the_coherences(p, state):
+    # the populations are an exact block of both generators, so nothing leaks
+    traj = br_evolve(p, qubit_state(state).reshape(-1), np.linspace(0.0, 1.0, 51))
+    assert np.all(traj.states[:, [1, 2]] == 0.0)
+    assert np.abs(traj.states[:, 3] - traj.states[0, 3]).max() > 1e-4  # and the populations move
 
 
 def test_br_evolve_prepares_the_state_at_time_zero():
