@@ -230,6 +230,13 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
     for key in sections["params"]:
         if key not in required:
             errors.append(f"[params] unknown key {key!r} for scenario {scenario}")
+    for key in ("kappa_points", "delta_points", "eta_index_step"):
+        if params.get(key, 1) < 1:
+            errors.append(f"[params] {key} must be at least 1, got {params[key]}")
+    # the eta axis 0, step, 2 step, ..., eta_index_max needs two points for the sweep
+    step, top = params.get("eta_index_step"), params.get("eta_index_max")
+    if step is not None and top is not None and 1 <= step and top < step:
+        errors.append(f"[params] eta_index_max must be at least eta_index_step ({step}), got {top}")
 
     grids = {}
     _, needed_grids = _SCHEMAS[scenario]
@@ -437,8 +444,7 @@ def _run_blp_compare(cfg, base, meta, opts):
 
     def one(delta):
         p = _thermal_bath(prm, float(delta), prm["kappa"])
-        tg = redfield.br_evolve(p, qubit_state("g").reshape(-1), t_grid)
-        te = redfield.br_evolve(p, qubit_state("e").reshape(-1), t_grid)
+        tg, te = redfield.br_evolve(p, np.stack([qubit_state("g"), qubit_state("e")]), t_grid)
         blp = measures.blp_measure(tg, te).value
         return blp, _thermal_ns(p, opts["gap_method"])
 

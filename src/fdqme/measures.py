@@ -48,9 +48,9 @@ class MeasureResult:
 def kl_divergence(s: Spectrum, s_ref: Spectrum) -> float:
     """Relative entropy (base 2) between unit-area spectra on a common grid.
 
-    Points where both densities are below 1e-12 of their peaks are dropped
-    (the integrand vanishes there anyway); a vanishing reference under
-    appreciable signal is an error.
+    Points where the signal density p is below 1e-12 of its peak are
+    dropped, whatever the reference there, since p log(p / q) -> 0 as
+    p -> 0; a vanishing reference under appreciable signal is an error.
     """
     if not (s.normalized and s_ref.normalized):
         raise ValueError("both spectra must be normalized to unit area")

@@ -15,6 +15,9 @@ that depends on (t, h) only.  br_evolve keeps only the exact blocks of A that
 hold the initial state (the other components stay exactly 0), builds those
 matrices for a window of equal steps as elementwise products of blocks
 stored stage-major, and propagates y with one block mat-vec per step.
+Given a stack of initial states, br_evolve integrates them under one
+generator as the columns of one system, so those matrices are built once
+for all of them.
 """
 
 from __future__ import annotations
@@ -145,8 +148,8 @@ _WINDOW_MIN, _WINDOW_MAX = 4, 256
 
 
 def _rms(v) -> float:
-    """Root mean square over the four state components; those outside the held blocks are 0."""
-    return float(np.linalg.norm(v)) / 2.0
+    """Root mean square over the 4 k components of k states; those outside the held blocks are 0."""
+    return float(np.linalg.norm(v)) / np.sqrt(4 * v.shape[-1])
 
 
 def _block_product(a, b) -> np.ndarray:
@@ -160,9 +163,9 @@ def _block_product(a, b) -> np.ndarray:
 def _first_step(generator, y0, t_end) -> float:
     """Starting step for an order-7 error estimate (Hairer, Norsett & Wanner, II.4)."""
 
-    def rhs(t, y):  # A(t) y on the held blocks
-        a = generator(np.array([t]), np.zeros(1)).reshape(y.shape + y.shape[-1:] + (1,))
-        return _block_product(a, y[..., None, None])[..., 0, 0]
+    def rhs(t, y):  # A(t) y on the held blocks, for every column of y
+        a = generator(np.array([t]), np.zeros(1)).reshape(y.shape[:-1] + y.shape[-2:-1] + (1,))
+        return _block_product(a, y[..., None])[..., 0]
 
     scale = ODE_ATOL + np.abs(y0) * ODE_RTOL
     f0 = rhs(0.0, y0)
@@ -176,22 +179,23 @@ def _first_step(generator, y0, t_end) -> float:
 def _window(generator, y, edges, h_nominal):
     """DOP853 on consecutive steps edges[w] -> edges[w+1] of y' = A(t) y.
 
-    The held state y is (n_blocks, m): the blocks of A that hold the initial
-    state, stacked when they have one size and else merged into one, outside
-    which every component stays exactly 0.  For a linear equation every
-    stage is a matrix M_s with k_s = M_s y.  The stage matrices of all steps
+    The held state y is (n_blocks, m, k): the blocks of A that hold the
+    initial states, stacked when they have one size and else merged into
+    one, outside which every component stays exactly 0, for each of k
+    states.  For a linear equation every stage is a matrix M_s with
+    k_s = M_s y, the same for every column.  The stage matrices of all steps
     are stored stage-major, (16, n_blocks, m, m, n), so a stage combination
     is one GEMV and a stage product m elementwise multiply-adds over all
     blocks and steps; only the propagation y_{w+1} = P_w y_w is sequential.
     ``generator`` gives A at the stage times of steps h_nominal long; a last
     step clipped to the end time gets its own.
-    Returns the states at the edges (n_blocks, m, n + 1), the error norm of
-    each step (inf where not finite; its divisor counts all four components,
-    as for the full state) and the dense-output coefficients
-    (7, n_blocks, m, n).
+    Returns the states at the edges (n_blocks, m, k, n + 1), the error norm
+    of each step over all columns (inf where not finite; its divisor counts
+    all 4 k components, as for the full states) and the dense-output
+    coefficients (7, n_blocks, m, k, n).
     """
     n = edges.size - 1
-    n_blocks, m = y.shape
+    n_blocks, m, k = y.shape
     shape = (n_blocks, m, m, n)
     h = np.diff(edges)
     a_t = generator(edges[:-1], h_nominal * _STAGE_C)  # (16, n_blocks * m * m, n)
@@ -209,17 +213,17 @@ def _window(generator, y, edges, h_nominal):
             prop = step
         mats[s] = _block_product(a_t[s], step)
     steps = np.moveaxis(prop, -1, 0)  # (n, n_blocks, m, m)
-    ys = np.empty((n_blocks, m, n + 1), dtype=complex)
+    ys = np.empty((n_blocks, m, k, n + 1), dtype=complex)
     ys[..., 0] = y
     for w in range(n):
-        ys[..., w + 1] = (steps[w] @ ys[..., w, None])[..., 0]
-    hk = _block_product(mats, ys[..., None, :-1])[..., 0, :]  # stage vectors times h
+        ys[..., w + 1] = steps[w] @ ys[..., w]
+    hk = _block_product(mats, ys[..., :-1])  # stage vectors times h
     scale = ODE_ATOL + np.maximum(np.abs(ys[..., :-1]), np.abs(ys[..., 1:])) * ODE_RTOL
     scaled = (_ERROR @ hk[:13].reshape(13, -1)).reshape((2,) + scale.shape) / scale
-    e5, e3 = (np.abs(scaled) ** 2).sum(axis=(1, 2))
+    e5, e3 = (np.abs(scaled) ** 2).sum(axis=(1, 2, 3))
     # with h k in place of k the h of DOP853's err = h e5 / sqrt(...) cancels
-    err = np.where(e5 + e3 == 0, 0.0, e5 / np.sqrt((e5 + 0.01 * e3) * 4))
-    err[~(np.isfinite(err) & np.isfinite(ys[..., 1:]).all(axis=(0, 1)))] = np.inf
+    err = np.where(e5 + e3 == 0, 0.0, e5 / np.sqrt((e5 + 0.01 * e3) * (4 * k)))
+    err[~(np.isfinite(err) & np.isfinite(ys[..., 1:]).all(axis=(0, 1, 2)))] = np.inf
     dy = ys[..., 1:] - ys[..., :-1]
     hf0, hf1 = hk[0], hk[DOP853.n_stages]
     dense = np.concatenate(
@@ -238,15 +242,16 @@ def _dense_weights(x):
 def _integrate_linear(generator, y0, t_out):
     """States of y' = A(t) y, y(0) = y0, at the sorted nonnegative times t_out.
 
-    y0 is the held state (n_blocks, m) and ``generator(starts, offsets)`` is
-    A on the held blocks at every starts[w] + offsets[s], as
-    (n_offsets, n_blocks * m * m, n_starts).  Adaptive DOP853 with DOP853's
+    y0 is the held state (n_blocks, m, k) of k initial states, and
+    ``generator(starts, offsets)`` is A on the held blocks at every
+    starts[w] + offsets[s], as (n_offsets, n_blocks * m * m, n_starts).
+    The step control reads all k columns.  Adaptive DOP853 with DOP853's
     step control (safety 0.9, factor in [0.2, 10], exponent -1/8, no growth
     right after a rejection) applied to windows of equal steps; a step is
     accepted when it and every step before it in its window pass the error
     test.  A non-finite error estimate is a rejection, so a diverging
     generator ends in the step-size underflow error.  Returns the states
-    (n_out, n_blocks, m) and the counts of accepted steps, rejected steps
+    (n_out, n_blocks, m, k) and the counts of accepted steps, rejected steps
     and windows.
     """
     states = np.empty((t_out.size,) + y0.shape, dtype=complex)
@@ -272,7 +277,7 @@ def _integrate_linear(generator, y0, t_out):
             if hi > lo:
                 w = np.searchsorted(edges[1:], t_out[lo:hi])
                 x = (t_out[lo:hi] - edges[w]) / (edges[w + 1] - edges[w])
-                interpolated = np.einsum("oj,jbio->obi", _dense_weights(x), dense[..., w])
+                interpolated = np.einsum("oj,jbico->obic", _dense_weights(x), dense[..., w])
                 states[lo:hi] = np.moveaxis(ys[..., w], -1, 0) + interpolated
             if n_ok == n:
                 worst = err.max()
@@ -287,7 +292,7 @@ def _integrate_linear(generator, y0, t_out):
     return states, counts
 
 
-def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
+def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory | tuple[Trajectory, ...]:
     """Integrate the time-local equation with running rates.
 
     The state is prepared at t = 0, where the running rates start, and is
@@ -297,18 +302,28 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     exact blocks of A that hold rho0; the other components stay exactly 0.
     Raises RuntimeError on step-size underflow.  The trajectory's
     ``diagnostics`` count accepted steps, rejected steps and windows.
+
+    rho0 is one state, a 2x2 matrix or its row-stacked 4-vector, or a stack
+    of k states, (k, 2, 2) or (k, 4), which gives a tuple of k trajectories.
+    The states of a stack are the columns of one linear system: the step
+    matrices are built once for all of them, on the blocks of A that hold
+    any of them, and the step control reads DOP853's error norm over all
+    columns (the RMS over 4 k components).  So every trajectory of a stack
+    reports the same ``diagnostics``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
-    rho0_vec = _density_vector(rho0)
+    rho0 = np.asarray(rho0)
+    one = rho0.shape in ((2, 2), (4,))
+    rho0 = np.stack([_density_vector(r) for r in (rho0[None] if one else rho0)], axis=-1)  # (4, k)
     # L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
     # E = coef / (kappa - i nu), so the generator is G_inf - sum E e^{lambda t}
     modes, nus = _column_modes(p, include_sum_frequency)
     residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
     g_inf = free_liouvillian(p) + residues.sum(axis=0)
     pattern = (g_inf != 0) | np.any(residues != 0, axis=0)
-    blocks = _coupled_blocks(pattern, np.flatnonzero(rho0_vec))
+    blocks = _coupled_blocks(pattern, np.flatnonzero(np.any(rho0 != 0, axis=1)))
     # held blocks of one size are stacked; blocks of different sizes run as their union
     if len({block.size for block in blocks}) == 1:
         held = np.array(blocks)  # (n_blocks, m)
@@ -330,9 +345,13 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
         terms = coef.reshape(offsets.size * g_held.size, lam.size) @ np.exp(np.multiply.outer(lam, starts))
         return g_held - terms.reshape(offsets.size, g_held.size, starts.size)
 
-    states = np.zeros((t_grid.size, 4), dtype=complex)
-    states[:, held], counts = _integrate_linear(generator, rho0_vec[held], t_grid)
-    return Trajectory(times=t_grid, states=states, diagnostics=counts)
+    states = np.zeros((t_grid.size,) + rho0.shape, dtype=complex)
+    states[:, held], counts = _integrate_linear(generator, rho0[held], t_grid)
+    trajs = tuple(
+        Trajectory(times=t_grid, states=np.ascontiguousarray(states[..., j]), diagnostics=dict(counts))
+        for j in range(rho0.shape[-1])
+    )
+    return trajs[0] if one else trajs
 
 
 def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:

@@ -99,21 +99,24 @@ def waveguide_measure_sweep(p: WaveguideParams, eta_grid) -> dict:
 
     The Markovian reference is the eta = 0 line evaluated on each sweep
     point's own grid, with the bandwidth fixed once from its full width at
-    half maximum.  Returns the per-eta results plus the interior maximum
-    position and the large-eta saturation estimate (mean of the top quartile
-    of the sweep range).
+    half maximum.  The reference is computed once on its own default grid,
+    which every sweep point shares until eta is large enough to need a
+    longer grid; only there is it evaluated again.  Returns the per-eta
+    results plus the interior maximum position and the large-eta saturation
+    estimate (mean of the top quartile of the sweep range).
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
     if eta_grid.ndim != 1 or eta_grid.size < 2 or np.any(np.diff(eta_grid) <= 0):
         raise ValueError("eta_grid must be strictly increasing with at least 2 points")
     reference = replace(p, eta=0.0)
-    gap = fwhm(waveguide_spectrum(reference, default_waveguide_grid(reference)))
+    s_ref = waveguide_spectrum(reference, default_waveguide_grid(reference))
+    gap = fwhm(s_ref)
     results = []
     for eta in eta_grid:
         point = replace(p, eta=float(eta))
         grid = default_waveguide_grid(point)
         s = waveguide_spectrum(point, grid)
-        s_m = waveguide_spectrum(reference, grid)
+        s_m = s_ref if np.array_equal(grid, s_ref.grid) else waveguide_spectrum(reference, grid)
         res = spectral_measure(s, s_m, gap)
         res = MeasureResult(res.value, res.method, {**res.metadata, "eta": float(eta)})
         results.append(res)

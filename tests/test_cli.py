@@ -281,6 +281,72 @@ path = sweep.csv
         parse_config(text, "measure-sweep")
 
 
+SWEEP_PARAMS = {
+    "blp-compare": "g = 1.0\nomega_q = 2.0e5\nkappa = 20.0\nnbar = 0.1\n"
+                   "delta_min = 10.0\ndelta_max = 170.0\ndelta_points = {delta_points}\n"
+                   "[grid.time]\nmin = 0.0\nmax = 0.6\npoints = 61\n",
+    "kappa": "g = 1.0\nomega_q = 2.0e5\nnbar = 0.1\ndelta = 5.0\n"
+             "kappa_min = 20.0\nkappa_max = 200.0\nkappa_points = {kappa_points}\n",
+    "delta": "g = 1.0\nomega_q = 2.0e5\nnbar = 0.1\nkappa = 20.0\n"
+             "delta_min = 10.0\ndelta_max = 170.0\ndelta_points = {delta_points}\n",
+    "eta": "omega0 = 200.0\ngamma = 1.0\nbeta = 0.9\n"
+           "eta_index_max = {eta_index_max}\neta_index_step = {eta_index_step}\n",
+}
+SWEEP_COUNTS = {"delta_points": 4, "kappa_points": 4, "eta_index_max": 8, "eta_index_step": 2}
+
+
+def _sweep_config(kind, **counts):
+    """(scenario, config text) of a sweep with the given point counts."""
+    params = SWEEP_PARAMS[kind].format(**{**SWEEP_COUNTS, **counts})
+    scenario = "blp-compare" if kind == "blp-compare" else "measure-sweep"
+    return scenario, f"[params]\n{params}\n[output]\npath = sweep.csv\n"
+
+
+def _case(kind, message, **counts):
+    label = ",".join(f"{key}={value}" for key, value in counts.items())
+    return pytest.param(kind, counts, message, id=f"{kind}-{label}")
+
+
+@pytest.mark.parametrize(
+    "kind, counts, message",
+    [
+        _case("blp-compare", "delta_points must be at least 1", delta_points=0),
+        _case("blp-compare", "delta_points must be at least 1", delta_points=-3),
+        _case("kappa", "kappa_points must be at least 1", kappa_points=0),
+        _case("kappa", "kappa_points must be at least 1", kappa_points=-1),
+        _case("delta", "delta_points must be at least 1", delta_points=0),
+        _case("delta", "delta_points must be at least 1", delta_points=-5),
+        _case("eta", "eta_index_step must be at least 1", eta_index_step=0),
+        _case("eta", "eta_index_step must be at least 1", eta_index_step=-2),
+        # the eta axis 0, step, ..., eta_index_max would hold a single point or none
+        _case("eta", "eta_index_max must be at least eta_index_step", eta_index_max=0),
+        _case("eta", "eta_index_max must be at least eta_index_step", eta_index_max=3, eta_index_step=4),
+        _case("eta", "eta_index_max must be at least eta_index_step", eta_index_max=-8),
+    ],
+)
+def test_parse_rejects_sweeps_without_enough_points(tmp_path, kind, counts, message):
+    scenario, text = _sweep_config(kind, **counts)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text, scenario)
+    # and the console entry point exits with the error instead of writing a header-only file
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    assert main([scenario, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, counts",
+    [("blp-compare", {"delta_points": 1}), ("kappa", {"kappa_points": 1}), ("delta", {"delta_points": 1}),
+     ("eta", {"eta_index_max": 2, "eta_index_step": 2})],
+    ids=["blp-compare", "kappa", "delta", "eta"],
+)
+def test_parse_accepts_the_smallest_sweeps(kind, counts):
+    scenario, text = _sweep_config(kind, **counts)
+    cfg = parse_config(text, scenario)
+    assert all(cfg.params[key] == value for key, value in counts.items())
+
+
 POSITIVITY_CONFIG = """
 [params]
 g = 1.0

@@ -181,6 +181,47 @@ def test_br_evolve_matches_tight_reference(p, state, ts):
     assert np.abs(traj.states - br_reference(p, rho0, ts)).max() < 1e-8
 
 
+@pytest.mark.parametrize(
+    "p, ts",
+    [
+        (THERMAL_300, np.linspace(0.0, 0.5, 51)),
+        (THERMAL, np.linspace(0.0, 0.5, 51)),
+        (FIG8, np.linspace(0.0, 1.0, 101)),
+    ],
+    ids=["thermal-300", "thermal-2e5", "fig8"],
+)
+def test_br_evolve_stack_integrates_ground_and_excited_together(p, ts):
+    rho0s = np.stack([qubit_state("g").reshape(-1), qubit_state("e").reshape(-1)])
+    trajs = br_evolve(p, rho0s, ts)
+    assert len(trajs) == 2
+    for rho0, traj in zip(rho0s, trajs):
+        assert np.abs(traj.states - br_reference(p, rho0, ts)).max() < 1e-8
+        # the populations are an exact block: nothing leaks into the coherences
+        assert np.all(traj.states[:, [1, 2]] == 0.0)
+    # one step sequence serves both columns
+    assert dict(trajs[0].diagnostics) == dict(trajs[1].diagnostics)
+    assert trajs[0].diagnostics["accepted_steps"] > trajs[0].diagnostics["windows"] > 0
+
+
+def test_br_evolve_stack_with_states_of_different_support():
+    # x+ holds every block, e only the populations: they run as one 4x4 group
+    ts = np.linspace(0.0, 0.5, 51)
+    rho0s = np.stack([qubit_state("x+"), qubit_state("e")])
+    trajs = br_evolve(THERMAL_300, rho0s, ts)
+    for rho0, traj in zip(rho0s, trajs):
+        assert np.abs(traj.states - br_reference(THERMAL_300, rho0.reshape(-1), ts)).max() < 1e-8
+    assert dict(trajs[0].diagnostics) == dict(trajs[1].diagnostics)
+
+
+def test_br_evolve_stack_of_one_state_is_the_single_state_run():
+    ts = np.linspace(0.0, 0.5, 51)
+    rho0 = qubit_state("y-")
+    single = br_evolve(FIG8, rho0, ts)
+    (stacked,) = br_evolve(FIG8, rho0[None], ts)
+    assert np.array_equal(stacked.states, single.states)
+    assert dict(stacked.diagnostics) == dict(single.diagnostics)
+
+
 def test_br_evolve_does_not_depend_on_the_output_grid():
     rho0 = qubit_state("y-").reshape(-1)
     coarse = br_evolve(FIG8, rho0, np.linspace(0.0, 3.0, 41))

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fdqme.measures import fwhm
+from fdqme.measures import fwhm, spectral_measure
 from fdqme.waveguide import (
     WaveguideParams,
     default_waveguide_grid,
@@ -115,8 +117,26 @@ def test_measure_sweep_shape():
     assert 2 * np.pi < sweep["eta_max"] < 5 * np.pi
 
 
-def test_measure_sweep_threads_equivalence_not_needed_single_call():
+def test_measure_sweep_reports_one_result_per_eta_with_its_eta():
     etas = resonant_eta_grid(P0, n_max=200, step=100)
     sweep = waveguide_measure_sweep(P0, etas)
     assert len(sweep["results"]) == etas.size
     assert sweep["results"][1].metadata["eta"] == pytest.approx(etas[1])
+
+
+def test_measure_sweep_reuses_the_reference_only_where_the_grids_agree():
+    # eta above about 26 needs more than the default 20001 points, so this
+    # sweep runs on the shared reference grid and on two longer grids
+    etas = np.array([0.0, 3.0, 12.5, 27.0, 33.0])
+    sizes = [default_waveguide_grid(replace(P0, eta=e)).size for e in etas]
+    assert sizes[:3] == [20001] * 3 and min(sizes[3:]) > 20001
+    sweep = waveguide_measure_sweep(P0, etas)
+    reference = replace(P0, eta=0.0)
+    gap = fwhm(waveguide_spectrum(reference, default_waveguide_grid(reference)))
+    assert sweep["markov_bandwidth"] == gap
+    for eta, res in zip(etas, sweep["results"]):
+        point = replace(P0, eta=float(eta))
+        grid = default_waveguide_grid(point)
+        fresh = spectral_measure(waveguide_spectrum(point, grid), waveguide_spectrum(reference, grid), gap)
+        assert res.value == fresh.value
+        assert res.metadata == {**fresh.metadata, "eta": float(eta)}
