@@ -158,6 +158,16 @@ SQUEEZED_STRUCTURE = THERMAL_STRUCTURE | frozenset([(1, 2), (2, 1)])
 _TIME_BLOCK_ROWS = 4096
 
 
+def _kernel_times(t) -> np.ndarray:
+    """Kernel times as a float array; a non-finite or negative time raises."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("kernel times must be finite")
+    if np.any(t < 0):
+        raise ValueError("kernel is defined for t >= 0 only")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class KernelModes:
     """Exponential-mode table of a 4x4 memory kernel.
@@ -176,20 +186,40 @@ class KernelModes:
     coef: np.ndarray  # (n, 4, 4) complex
 
     def time_matrix(self, t) -> np.ndarray:
-        """Kernel matrix at time(s) t >= 0; shape (..., 4, 4)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("kernel is defined for t >= 0 only")
-        rates = 1j * self.mus - self.kappa
+        """Kernel matrix at finite time(s) t >= 0; shape (..., 4, 4).
+
+        Modes at +mu and -mu share cos(mu t) and sin(mu t): with C+ and C-
+        their coefficients (zero where a mode has no partner), the kernel is
+        exp(-kappa t) sum over distinct |mu| of cos(|mu| t) (C+ + C-) +
+        sin(|mu| t) i (C+ - C-).  Per time sample that is one exp, one cos and
+        one sin per distinct |mu|, and one real matrix product of the decayed
+        [cos | sin] row against the table, read as interleaved re/im.
+        """
+        t = _kernel_times(t)
+        freqs, pair = np.unique(np.abs(self.mus), return_inverse=True)
+        h = freqs.size
         coef = self.coef.reshape(-1, 16)
+        # rows [C+ + C-; i (C+ - C-)] per distinct |mu|; a mu = 0 mode has no sine row
+        table = np.zeros((2 * h, 16), dtype=complex)
+        np.add.at(table, pair, coef)
+        np.add.at(table, h + pair, 1j * np.sign(self.mus)[:, None] * coef)
+        table_re_im = table.view(float)
         flat = t.reshape(-1)
         out = np.empty((flat.size, 16), dtype=complex)
-        # row blocks keep the phase temporary small next to the result
+        out_re_im = out.view(float)
+        # one row per trigonometric column, so each ufunc runs over contiguous memory;
+        # row blocks keep the buffer small next to the result
+        trig = np.empty((2 * h, min(flat.size, _TIME_BLOCK_ROWS)))
         for start in range(0, flat.size, _TIME_BLOCK_ROWS):
             rows = slice(start, start + _TIME_BLOCK_ROWS)
-            phases = np.multiply.outer(flat[rows], rates)
-            np.exp(phases, out=phases)
-            np.matmul(phases, coef, out=out[rows])
+            ts = flat[rows]
+            buf = trig[:, : ts.size]
+            cos, sin = buf[:h], buf[h:]
+            np.multiply.outer(freqs, ts, out=sin)
+            np.cos(sin, out=cos)
+            np.sin(sin, out=sin)
+            buf *= np.exp(-self.kappa * ts)
+            np.matmul(buf.T, table_re_im, out=out_re_im[rows])
         return out.reshape(t.shape + (4, 4))
 
     def freq_matrix(self, omega, block=(0, 1, 2, 3)) -> np.ndarray:
@@ -326,11 +356,13 @@ def squeezed_kernel_freq(p: SqueezedBathParams, delta, include_sum_frequency: bo
 # independent construction from bath-superoperator modes
 # --------------------------------------------------------------------------
 
-_SIGMA_SUPEROPS = (
-    left_multiplier(SIGMA_PLUS),
-    left_multiplier(SIGMA_MINUS),
-    right_multiplier(SIGMA_MINUS),
-    right_multiplier(SIGMA_PLUS),
+_SIGMA_SUPEROPS = np.stack(
+    [
+        left_multiplier(SIGMA_PLUS),
+        left_multiplier(SIGMA_MINUS),
+        right_multiplier(SIGMA_MINUS),
+        right_multiplier(SIGMA_PLUS),
+    ]
 )
 
 
@@ -372,43 +404,32 @@ def _coupling_matrix(g1: float, g2: float) -> np.ndarray:
     return G
 
 
-def _generic_kernel_single(
-    t: float, g1: float, g2: float, nbar: float, mbar: complex, kappa: float, omega_b: float, omega_q: float
-) -> np.ndarray:
-    M = _mode_matrix(nbar, mbar, kappa, omega_b)
-    T = _correlator_matrix(nbar, mbar)
-    G = _coupling_matrix(g1, g2)
-    l_s = commutator_superop(-(omega_q / 2.0) * SIGMA_Z)
-    west = G @ T @ expm(M.T * t) @ G
-    e_ls = expm(l_s * t)
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            out -= west[i, j] * (_SIGMA_SUPEROPS[i] @ e_ls @ _SIGMA_SUPEROPS[j])
-    return out
-
-
 def generic_kernel_time(p, t) -> np.ndarray:
     """Memory kernel from the bath-superoperator mode equations.
 
     This route never uses the per-entry closed forms: it exponentiates the
     4x4 adjoint-action matrix of the cavity superoperators and contracts with
     the steady-state correlator matrix, so it cross-checks every coefficient
-    of the mode tables.
+    of the mode tables.  All times share one stacked ``expm`` per matrix and
+    one contraction; shape (..., 4, 4) for finite t >= 0.
     """
     if isinstance(p, SqueezedBathParams):
         b = bogoliubov_params(p)
-        args = (b.g1, b.g2, b.nbar, b.mbar, p.kappa, b.delta_c_eff, p.delta_q)
+        g1, g2, nbar, mbar, omega_b, omega_q = b.g1, b.g2, b.nbar, b.mbar, b.delta_c_eff, p.delta_q
     elif isinstance(p, ThermalBathParams):
-        args = (p.g, 0.0, p.nbar, 0.0 + 0.0j, p.kappa, p.omega_c, p.omega_q)
+        g1, g2, nbar, mbar, omega_b, omega_q = p.g, 0.0, p.nbar, 0.0 + 0.0j, p.omega_c, p.omega_q
     else:
         raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("kernel is defined for t >= 0 only")
-    if t_arr.ndim == 0:
-        return _generic_kernel_single(float(t_arr), *args)
-    return np.stack([_generic_kernel_single(float(ti), *args) for ti in t_arr])
+    t = _kernel_times(t)
+    flat = t.reshape(-1, 1, 1)
+    M = _mode_matrix(nbar, mbar, p.kappa, omega_b)
+    G = _coupling_matrix(g1, g2)
+    l_s = commutator_superop(-(omega_q / 2.0) * SIGMA_Z)
+    west = G @ _correlator_matrix(nbar, mbar) @ expm(M.T * flat) @ G
+    e_ls = expm(l_s * flat)
+    # sum_ij west[i, j] S_i e_ls S_j over the stacked superoperators S
+    out = -np.einsum("nij,niac,jcd->nad", west, _SIGMA_SUPEROPS @ e_ls[:, None], _SIGMA_SUPEROPS)
+    return out.reshape(t.shape + (4, 4))
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -549,7 +550,9 @@ def run_scenario(
     return written + [sidecar]
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="fdqme",
         description="Frequency-domain master equation scenario runner",
@@ -564,6 +567,11 @@ def main(argv=None) -> int:
                         help="Markovian bandwidth definition for measures")
         sp.add_argument("--include-sum-frequency", action="store_true",
                         help="keep sum-frequency terms in time-local rates")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.list_scenarios:
         for name in SCENARIOS:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import one_sided_transform
+from scipy.linalg import expm
 
 from fdqme.baths import (
     SQUEEZED_STRUCTURE,
@@ -22,6 +23,8 @@ from fdqme.baths import (
     thermal_kernel_freq,
     thermal_kernel_time,
 )
+from fdqme.baths import _correlator_matrix, _coupling_matrix, _mode_matrix
+from fdqme.liouville import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, commutator_superop, left_multiplier, right_multiplier
 
 RNG = np.random.default_rng(1729)
 
@@ -68,6 +71,22 @@ def test_thermal_kernel_structure_and_symmetries():
 def test_thermal_kernel_negative_time_rejected():
     with pytest.raises(ValueError, match="t >= 0"):
         thermal_kernel_time(THERMAL, -0.1)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, [0.1, np.nan], [0.0, np.inf]])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda t: thermal_kernel_time(THERMAL, t),
+        lambda t: squeezed_kernel_time(SQUEEZED, t),
+        lambda t: generic_kernel_time(THERMAL, t),
+        lambda t: generic_kernel_time(SQUEEZED, t),
+    ],
+    ids=["thermal", "squeezed", "generic-thermal", "generic-squeezed"],
+)
+def test_kernels_reject_non_finite_times(kernel, t):
+    with pytest.raises(ValueError, match="finite"):
+        kernel(t)
 
 
 def test_thermal_kernel_freq_resonant_zero_temperature():
@@ -190,6 +209,45 @@ def test_generic_construction_matches_thermal_with_occupation():
     p = ThermalBathParams(g=1.0, omega_q=120.0, omega_c=80.0, kappa=6.0, nbar=0.35)
     diff = np.abs(generic_kernel_time(p, t_vals) - thermal_kernel_time(p, t_vals)).max()
     assert diff < 1e-9
+
+
+def _generic_kernel_per_time(p, times):
+    # one expm pair and a 16-term sum per time, the loop the stacked route replaced
+    if isinstance(p, SqueezedBathParams):
+        b = bogoliubov_params(p)
+        g1, g2, nbar, mbar, omega_b, omega_q = b.g1, b.g2, b.nbar, b.mbar, b.delta_c_eff, p.delta_q
+    else:
+        g1, g2, nbar, mbar, omega_b, omega_q = p.g, 0.0, p.nbar, 0.0 + 0.0j, p.omega_c, p.omega_q
+    M = _mode_matrix(nbar, mbar, p.kappa, omega_b)
+    T = _correlator_matrix(nbar, mbar)
+    G = _coupling_matrix(g1, g2)
+    l_s = commutator_superop(-(omega_q / 2.0) * SIGMA_Z)
+    sig = (left_multiplier(SIGMA_PLUS), left_multiplier(SIGMA_MINUS),
+           right_multiplier(SIGMA_MINUS), right_multiplier(SIGMA_PLUS))
+    out = []
+    for t in times:
+        west = G @ T @ expm(M.T * t) @ G
+        e_ls = expm(l_s * t)
+        k = np.zeros((4, 4), dtype=complex)
+        for i in range(4):
+            for j in range(4):
+                k -= west[i, j] * (sig[i] @ e_ls @ sig[j])
+        out.append(k)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p", [THERMAL, SQUEEZED, ThermalBathParams(g=1.0, omega_q=120.0, omega_c=80.0, kappa=6.0,
+                                                                   nbar=0.35)])
+def test_generic_kernel_time_matches_per_time_loop(p):
+    times = np.array([0.0, 0.013, 0.05, 0.12, 0.29, 0.8])
+    reference = _generic_kernel_per_time(p, times)
+    scale = np.abs(reference).max()
+    assert np.abs(generic_kernel_time(p, times) - reference).max() <= 1e-14 * scale
+    assert np.abs(generic_kernel_time(p, times[2]) - reference[2]).max() <= 1e-14 * scale
+    stacked = generic_kernel_time(p, times.reshape(2, 3))
+    assert stacked.shape == (2, 3, 4, 4)
+    assert np.abs(stacked.reshape(6, 4, 4) - reference).max() <= 1e-14 * scale
+    assert generic_kernel_time(p, []).shape == (0, 4, 4)
 
 
 def test_squeezed_freq_kernel_matches_quadrature():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdqme import fdme
+from fdqme import cli, fdme
 from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
 from fdqme.cli import ConfigError, _format_column, _write_csv, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
@@ -500,3 +500,37 @@ def test_cli_main_list_and_errors(tmp_path, capsys):
     assert main(["thermal-spectrum", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out
     assert "thermal.csv" in printed
+
+
+def test_cli_main_calls_parse_independently(tmp_path, capsys, monkeypatch):
+    # the parser is built once and shared, so no flag of one call may leak into the next
+    calls = []
+
+    def record(cfg, out_dir, gap_method, include_sum_frequency):
+        calls.append((cfg.scenario, out_dir, gap_method, include_sum_frequency))
+        return []
+
+    monkeypatch.setattr(cli, "run_scenario", record)
+    thermal = tmp_path / "thermal.cfg"
+    thermal.write_text(THERMAL_CONFIG)
+    positivity = tmp_path / "positivity.cfg"
+    positivity.write_text(POSITIVITY_CONFIG)
+
+    assert main(["positivity", "--config", str(positivity), "--gap", "fwhm", "--include-sum-frequency",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["thermal-spectrum", "--config", str(thermal)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["thermal-spectrum", "--gap", "fwhm"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    assert main(["positivity", "--config", str(positivity), "--include-sum-frequency"]) == 0
+    assert main([]) == 2
+    assert capsys.readouterr().err.startswith("usage: fdqme")
+    assert main(["thermal-spectrum", "--config", str(thermal), "--gap", "fwhm"]) == 0
+    assert calls == [
+        ("positivity", str(tmp_path), "fwhm", True),
+        ("thermal-spectrum", None, "eigen", False),
+        ("positivity", None, "eigen", True),
+        ("thermal-spectrum", None, "fwhm", False),
+    ]
+    assert cli._parser() is cli._parser()

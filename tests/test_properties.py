@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from fdqme.baths import (
+    KernelModes,
     SqueezedBathParams,
     ThermalBathParams,
     default_frequency_grid,
@@ -85,6 +86,36 @@ def test_kernel_transform_preserves_trace(p, detunings):
 def test_time_kernel_matches_mode_equations(p, times):
     t = np.array(times)
     assert np.abs(kernel_modes(p).time_matrix(t) - generic_kernel_time(p, t)).max() < 1e-9
+
+
+def _hand_built_modes(kappa, seed):
+    # a +-40 pair, a mu = 0 mode and an unpaired mu = 25; entries (1, 0) and (2, 0) are structurally zero
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    coef[:, [1, 2], 0] = 0.0
+    return KernelModes(kappa=kappa, omega_ref=0.0, mus=np.array([-40.0, 0.0, 25.0, 40.0]), coef=coef)
+
+
+mode_tables = st.one_of(
+    st.builds(kernel_modes, baths, st.booleans()),
+    st.builds(_hand_built_modes, kappas, st.integers(0, 2**32 - 1)),
+)
+# a scalar, an empty array, a 2-d array and the edges of the 4096-sample row blocks
+time_shapes = st.sampled_from([(), (0,), (3, 5), (4095,), (4096,), (4097,), (8193,)])
+
+
+@EXAMPLES
+@given(mode_tables, time_shapes, st.floats(0.0, 40.0))
+def test_time_matrix_matches_direct_mode_sum(modes, shape, decays):
+    t_max = decays / modes.kappa
+    t = np.asarray(t_max) if shape == () else np.linspace(0.0, t_max, int(np.prod(shape))).reshape(shape)
+    got = modes.time_matrix(t)
+    direct = np.einsum("...k,kij->...ij", np.exp(np.multiply.outer(t, 1j * modes.mus - modes.kappa)), modes.coef)
+    assert got.shape == direct.shape == t.shape + (4, 4)
+    if direct.size:
+        assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+    zero = ~np.any(modes.coef != 0, axis=0)
+    assert np.all(got[..., zero] == 0.0)
 
 
 @EXAMPLES
