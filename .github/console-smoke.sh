@@ -26,6 +26,17 @@ points = 401
 path = smoke.csv
 CFG
 fdqme thermal-spectrum --config "$work/smoke.cfg" --out "$work/smoke"
+# every cell as Python's own format(x, ".17g") writes it, with the installed numpy
+python - "$work/smoke/smoke.csv" "$work/smoke/smoke.markov.csv" <<'PY'
+import sys
+for path in sys.argv[1:]:
+    lines = [line for line in open(path).read().splitlines() if not line.startswith("#")][1:]
+    assert len(lines) == 401, (path, len(lines))
+    for line in lines:
+        cells = line.split(",")
+        assert line == ",".join(format(float(c), ".17g") for c in cells), (path, line)
+    print(f"{path}: {len(lines)} rows in %.17g")
+PY
 echo "::endgroup::"
 
 # The Born-Redfield integrator and the exact inverse transform behind the entry point,

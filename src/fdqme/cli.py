@@ -322,26 +322,119 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _format_column(values) -> list[str]:
-    """The "%.17g" cells of a column that several files share, formatted once."""
-    return ("%.17g\n" * len(values) % tuple(np.asarray(values, dtype=float).tolist())).split("\n")[:-1]
+# "%.17g" of whole float64 arrays.  The reference rounds |x| half to even to
+# the 17-digit integer D = |x| * 10**(16 - k), k = floor(log10 |x|), and
+# writes D in fixed notation for -4 <= k <= 16 and in exponential notation
+# otherwise, without trailing zeros.  _format_rows computes D exactly from a
+# double-double table of powers of ten and Dekker's two-product, and lays the
+# cells out as a NUL-padded byte table with one row per character slot.
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
+
+
+def _pow10(j: int) -> tuple[float, float]:
+    """10**j as hi + lo: hi the nearest double, lo the double nearest to the rest."""
+    if j >= 0:
+        hi = float(10**j)
+        return hi, float(10**j - int(hi))
+    d = 10**-j
+    hi = 1 / d  # int / int rounds correctly
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (den * d)
+
+
+def _slots(strings: list[str], width: int) -> np.ndarray:
+    """(width, len(strings)) uint8: column i holds strings[i], NUL-padded."""
+    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(-1, width).T.copy()
+
+
+# 10**j at index j + 300: hi, its halves hh + hl, lo, and the least double >= 10**j
+_P_HI, _P_LO = np.array([_pow10(j) for j in range(-300, 301)]).T
+_P_HH = _P_HI * _SPLIT - (_P_HI * _SPLIT - _P_HI)
+_P_HL = _P_HI - _P_HH
+_P_CEIL = np.where(_P_LO > 0, np.nextafter(_P_HI, np.inf), _P_HI)
+# "%04d" % g as one 4-byte word, gathered whole
+_QUAD = np.array([b"%04d" % g for g in range(10000)], dtype="S4").view(np.uint32)
+# sign and "0.000" prefix by 5 * negative + (-k in fixed notation with k < 0)
+_PREFIX = _slots([sign + ("0." + "0" * (c - 1) if c else "") for sign in ("", "-") for c in range(5)], 6)
+# exponent by k + 300; index 601 is empty
+_EXPONENT = _slots([f"e{k:+03d}" for k in range(-300, 301)] + [""], 5)
+_SLOT = np.arange(18, dtype=np.uint8)[:, None]
+
+
+def _format_rows(columns: list) -> bytes:
+    """The CSV rows of columns of floats: cells "%.17g" % x, joined by "," and "\\n"."""
+    nrows, ncols = len(columns[0]), len(columns)
+    x = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1).reshape(-1)
+    n = x.size
+    a = np.abs(x)
+    # the reference formats 0, inf, nan and the values whose scaling could over-
+    # or underflow; near ties of an inexact power of ten join them below
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    # k = floor(log10 a) exactly: log10 may be one off next to a power of ten
+    k = np.floor(np.log10(a)).astype(np.intp)
+    k += (a >= _P_CEIL[k + 301]).view(np.int8) - (a < _P_CEIL[k + 300]).view(np.int8)
+    # D = round_half_even(a * 10**(16 - k)) = p + rint(t): p = fl(a * hi) is an
+    # even integer (1e16 > 2**53), and t is its Dekker error plus a * lo
+    s = 316 - k
+    ah = a * _SPLIT
+    ah -= ah - a
+    al = a - ah
+    hh, hl, lo = _P_HH[s], _P_HL[s], _P_LO[s]
+    p = a * _P_HI[s]
+    t = ah * hh - p
+    t += ah * hl
+    t += al * hh
+    t += al * hl
+    t += a * lo
+    r = np.rint(t)
+    # t is exact where lo = 0 (10**(16 - k) is a double), else within about
+    # 1e-14 of the exact rest: a rounding within 1e-7 of a tie goes to the reference
+    slow = ~fast | ((lo != 0) & (np.abs(t - r) > 0.5 - 1e-7))
+    d = p.astype(np.int64) + r.astype(np.int64)
+    carry = d == 10**17  # rounded up into the next decade
+    d[carry] = 10**16
+    k += carry
+    # digit i of D on row 1 + i; rows 0 and 18 stay NUL
+    hi9 = d // 10**8
+    lead = hi9 // 10**8
+    words = np.concatenate([hi9 - lead * 10**8, d - hi9 * 10**8]).astype(np.uint32)
+    quads = words // 10**4
+    words -= quads * 10**4
+    groups = _QUAD.take(np.stack([quads[:n], words[:n], quads[n:], words[n:]]))
+    dg = np.zeros((19, n), dtype=np.uint8)
+    dg[1] = lead + 48
+    dg[2:18] = groups.view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1).reshape(16, n)
+    # nd significant digits, q of them before the point (0 for "0.000ddd")
+    nd = ((dg[1:18] != 48).view(np.uint8) * _SLOT[1:]).max(axis=0)
+    expo = (k < -4) | (k > 16)
+    qi = np.maximum(k + 1, 0)  # at most 17 in fixed notation
+    qi[expo] = 1
+    q = qi.astype(np.uint8)
+    dg[1:18] *= (_SLOT[:17] < np.maximum(nd, q)).view(np.uint8)  # trailing zeros
+    # one row per character slot: sign and prefix, mantissa, exponent, separator
+    out = np.empty((30, n), dtype=np.uint8)
+    out[:6] = _PREFIX.take(5 * (x < 0) + np.where(expo, 0, np.maximum(-k, 0)), axis=1)
+    mant = out[6:24]  # slot j: digit j before the point, digit j - 1 after it
+    np.subtract(dg[:18], dg[1:], out=mant)
+    mant *= (_SLOT > q).view(np.uint8)
+    mant += dg[1:]
+    out.reshape(-1)[(6 + qi) * n + np.arange(n)] = ((nd > q) & (q > 0)).view(np.uint8) * np.uint8(46)
+    out[24:29] = _EXPONENT.take(np.where(expo, k + 300, 601), axis=1)
+    out[29].reshape(nrows, ncols)[:] = np.frombuffer(b"," * (ncols - 1) + b"\n", dtype=np.uint8)
+    idx = np.flatnonzero(slow)
+    if idx.size:
+        out[:29, idx] = _slots(["%.17g" % v for v in x[idx].tolist()], 29)
+    return out.T.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, comments: dict, header: list[str], columns: list):
-    # One %-format over all cells and one write: "%.17g" % x gives the same
-    # bytes as _fmt(x) (both call PyOS_double_to_string with the same
-    # arguments), at a fraction of the cost of formatting cell by cell.  A
-    # column given as a list holds the cells of _format_column, written by %s.
-    nrows, ncols = len(columns[0]), len(columns)
-    cells = [None] * (nrows * ncols)
-    for j, col in enumerate(columns):
-        # an extended slice rejects a column of another length with ValueError
-        cells[j::ncols] = col if isinstance(col, list) else np.asarray(col, dtype=float).tolist()
-    row = ",".join("%s" if isinstance(col, list) else "%.17g" for col in columns) + "\n"
-    body = row * nrows % tuple(cells)
+    if any(len(col) != len(columns[0]) for col in columns):
+        raise ValueError("CSV columns differ in length")
     lines = [f"# {key} = {comments[key]}\n" for key in sorted(comments)]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join(lines) + ",".join(header) + "\n" + body)
+    with open(path, "wb") as f:
+        f.write(("".join(lines) + ",".join(header) + "\n").encode() + _format_rows(columns))
 
 
 def _write_sidecar(path: Path, payload: dict):
@@ -378,9 +471,8 @@ def _run_cavity_spectrum(propagator, cfg, base, meta, opts):
     markov = make_spectrum(grid, markovian_spectrum(p, grid))
     f1 = base.with_suffix(".csv")
     f2 = base.with_suffix(".markov.csv")
-    freq = _format_column(grid)
-    _write_csv(f1, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [freq, spec.values])
-    _write_csv(f2, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [freq, markov.values])
+    _write_csv(f1, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [grid, spec.values])
+    _write_csv(f2, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [grid, markov.values])
     meta["grid_points"] = int(grid.size)
     return [f1, f2]
 
@@ -395,9 +487,8 @@ def _run_waveguide_spectrum(cfg, base, meta, opts):
     ref = waveguide.waveguide_spectrum(replace(p, eta=0.0), grid)
     f1 = base.with_suffix(".csv")
     f2 = base.with_suffix(".markov.csv")
-    freq = _format_column(grid)
-    _write_csv(f1, meta, ["frequency[gamma]", "density[1/gamma]"], [freq, spec.values])
-    _write_csv(f2, meta, ["frequency[gamma]", "density[1/gamma]"], [freq, ref.values])
+    _write_csv(f1, meta, ["frequency[gamma]", "density[1/gamma]"], [grid, spec.values])
+    _write_csv(f2, meta, ["frequency[gamma]", "density[1/gamma]"], [grid, ref.values])
     meta["grid_points"] = int(grid.size)
     return [f1, f2]
 

@@ -26,14 +26,17 @@ def one_sided_transform(time_fn, omega, kappa, points_per_period: int = 80):
 
     Truncates at 40 decay times (envelope ~ 4e-18) and resolves the fastest
     oscillation of the product with at least ``points_per_period`` samples.
+    ``time_fn`` maps the times to an array with time on axis 0 (a matrix-valued
+    kernel gives shape (n, 4, 4)); the transform has the shape of one sample.
     """
     upper = 40.0 / kappa
     fastest = max(abs(omega), kappa) + kappa
     n = int(np.ceil(points_per_period * fastest * upper / (2 * np.pi))) | 1
     n = max(n, 20001)
     ts = np.linspace(0.0, upper, n)
-    integrand = time_fn(ts) * np.exp(-1j * omega * ts)
-    return complex(simpson(integrand, x=ts))
+    values = time_fn(ts)
+    phase = np.exp(-1j * omega * ts).reshape((-1,) + (1,) * (values.ndim - 1))
+    return simpson(values * phase, x=ts, axis=0)
 
 
 

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdqme import cli, fdme
 from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
-from fdqme.cli import ConfigError, _format_column, _write_csv, main, parse_config, run_scenario
+from fdqme.cli import ConfigError, _format_rows, _write_csv, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
 
 THERMAL_CONFIG = """
@@ -177,6 +179,35 @@ COMMENTS = {"zeta": "last", "param.g": "1", "alpha": 2}
 COMMENT_LINES = "# alpha = 2\n# param.g = 1\n# zeta = last\n"
 
 
+def _per_cell(columns):
+    """The reference CSV body: format(x, ".17g") cell by cell."""
+    return "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in zip(*columns))
+
+
+# inputs where an exact conversion to 17 digits can go wrong
+_POW10 = 10.0 ** np.arange(-323, 309)
+EDGE_VALUES = np.concatenate([
+    # powers of ten and their neighbours one ulp away, over the whole exponent range
+    _POW10, np.nextafter(_POW10, 0.0), np.nextafter(_POW10, np.inf), -_POW10,
+    # exact ties (18 significant digits ending in 5): m * 2**(k - 17) with m odd,
+    # inside (k >= -6) and outside (k = -7, -8) 1e-6 <= |x| < 1e17
+    [np.ldexp(m, k - 17) for k, ms in [(-8, (1, 3)), (-7, (3, 5, 7)), (-6, (27, 29, 41)),
+                                       (0, (131073, 131075, 999999)), (10, (1280000000001, 1280000000003)),
+                                       (14, (800000000000001, 800000000000003)),
+                                       (15, (4000000000000001, 4000000000000003))] for m in ms],
+    # 17-digit roundings up into the next decade (doubles just below 10**j, j < -5
+    # or j > 22: none lie close enough to a power of ten inside the exact range)
+    [1e-14, -1e-14, 1e98, 1e-305, 1e129, 1e-243],
+    # the switches between fixed and exponential notation, k = -5 / -4 and 16 / 17
+    [1e-4, np.nextafter(1e-4, 0.0), 9.9999999999999e-5, 0.00012345, 1e16, np.nextafter(1e16, 0.0),
+     np.nextafter(1e17, 0.0), 1e17, 1.5e17],
+    # subnormals, zeros, infinities, nan and the edges of the scaled range
+    [5e-324, 2.5e-320, -2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+     0.0, -0.0, np.inf, -np.inf, np.nan, 1e-280, np.nextafter(1e-280, 0.0), 1e280,
+     np.nextafter(1e280, np.inf), 1.7976931348623157e308],
+])
+
+
 @pytest.mark.parametrize(
     "header, columns, body",
     [
@@ -194,8 +225,38 @@ COMMENT_LINES = "# alpha = 2\n# param.g = 1\n# zeta = last\n"
             "3,0.33333333333333331,0.10000000000000001\n",
         ),
         (["a", "b"], [np.array([]), np.array([])], ""),
+        (
+            # half to even: 1.00000762939453125 and 2.98023223876953125e-07 round
+            # down, 1.00002288818359375 and 1.78813934326171875e-07 up
+            ["x"],
+            [np.array([131073 * 2.0**-17, 131075 * 2.0**-17, -131073 * 2.0**-17, 5 * 2.0**-24,
+                       3 * 2.0**-24])],
+            "1.0000076293945312\n1.0000228881835938\n-1.0000076293945312\n2.9802322387695312e-07\n"
+            "1.7881393432617188e-07\n",
+        ),
+        (
+            # doubles just below a power of ten whose 17 digits round up to it
+            ["a", "b"],
+            [np.array([1e-14, 1e98]), np.array([-1e-14, 1e-305])],
+            "1e-14,-1e-14\n1e+98,1e-305\n",
+        ),
+        (
+            ["x"],
+            [np.array([1e-4, np.nextafter(1e-4, 0.0), -1e-5, 0.00012345, -0.0625, 1234567.5, 1e16,
+                       np.nextafter(1e17, 0.0), 1e17, 123456789012345678.0])],
+            "0.0001\n9.9999999999999991e-05\n-1.0000000000000001e-05\n0.00012344999999999999\n"
+            "-0.0625\n1234567.5\n10000000000000000\n99999999999999984\n1e+17\n1.2345678901234568e+17\n",
+        ),
+        (
+            ["x"],
+            [np.array([-2.2250738585072014e-308, 1e-280, np.nextafter(1e-280, 0.0),
+                       np.nextafter(1e280, np.inf), np.inf, -np.inf, np.nan, 0.0,
+                       1.7976931348623157e308])],
+            "-2.2250738585072014e-308\n9.9999999999999996e-281\n9.9999999999999984e-281\n"
+            "1.0000000000000002e+280\ninf\n-inf\nnan\n0\n1.7976931348623157e+308\n",
+        ),
     ],
-    ids=["values", "one-row", "three-columns", "zero-rows"],
+    ids=["values", "one-row", "three-columns", "zero-rows", "ties", "carry", "notation-switch", "edges"],
 )
 def test_write_csv_golden_bytes(tmp_path, header, columns, body):
     path = tmp_path / "golden.csv"
@@ -203,33 +264,39 @@ def test_write_csv_golden_bytes(tmp_path, header, columns, body):
     raw = path.read_bytes()
     assert raw == (COMMENT_LINES + ",".join(header) + "\n" + body).encode()
     assert b"\r" not in raw and raw.endswith(b"\n") and not raw.endswith(b"\n\n")
-    # each column, then every column, preformatted by _format_column: the same bytes
-    for j in range(len(columns)):
-        _write_csv(path, COMMENTS, header, columns[:j] + [_format_column(columns[j])] + columns[j + 1:])
-        assert path.read_bytes() == raw
-    _write_csv(path, COMMENTS, header, [_format_column(c) for c in columns])
+    # columns given as lists of floats: the same bytes
+    _write_csv(path, COMMENTS, header, [c.tolist() for c in columns])
     assert path.read_bytes() == raw
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
     rng = np.random.default_rng(2718)
     data = rng.normal(size=(1000, 3)) * 10.0 ** rng.integers(-300, 300, size=(1000, 3))
+    bits = rng.integers(0, 2**63, size=3000, dtype=np.int64).view(np.float64) * rng.choice([-1, 1], 3000)
+    edges = np.resize(EDGE_VALUES, (len(EDGE_VALUES) + 2) // 3 * 3)
     path = tmp_path / "random.csv"
-    _write_csv(path, COMMENTS, ["a", "b", "c"], list(data.T))
-    expected = COMMENT_LINES + "a,b,c\n"
-    for row in data:
-        expected += ",".join(format(float(x), ".17g") for x in row) + "\n"
-    assert path.read_bytes() == expected.encode()
-    # any column may come preformatted, with the same bytes
-    for j in range(3):
-        columns = list(data.T)
-        columns[j] = _format_column(columns[j])
-        _write_csv(path, COMMENTS, ["a", "b", "c"], columns)
-        assert path.read_bytes() == expected.encode()
+    for table in (data, bits.reshape(-1, 3), rng.permutation(edges).reshape(-1, 3)):
+        _write_csv(path, COMMENTS, ["a", "b", "c"], list(table.T))
+        assert path.read_bytes() == (COMMENT_LINES + "a,b,c\n" + _per_cell(table.T)).encode()
+    # one column of every edge value, in order
+    _write_csv(path, COMMENTS, ["x"], [EDGE_VALUES])
+    assert path.read_bytes() == (COMMENT_LINES + "x\n" + _per_cell([EDGE_VALUES])).encode()
 
 
-@pytest.mark.parametrize("first", [np.arange(3.0), _format_column(np.arange(3.0))], ids=["array", "list"])
-@pytest.mark.parametrize("second", [np.arange(2.0), np.arange(4.0), ["0", "1"], ["0", "1", "2", "3"]],
+@st.composite
+def float_tables(draw):
+    ncols, nrows = draw(st.integers(1, 3)), draw(st.integers(0, 30))
+    return [draw(st.lists(st.floats(width=64), min_size=nrows, max_size=nrows)) for _ in range(ncols)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(float_tables())
+def test_csv_rows_match_per_cell_format_for_any_floats(columns):
+    assert _format_rows(columns) == _per_cell(columns).encode()
+
+
+@pytest.mark.parametrize("first", [np.arange(3.0), [0.0, 1.0, 2.0]], ids=["array", "list"])
+@pytest.mark.parametrize("second", [np.arange(2.0), np.arange(4.0), [0.0, 1.0], [0.0, 1.0, 2.0, 3.0]],
                          ids=["short-array", "long-array", "short-list", "long-list"])
 def test_write_csv_rejects_columns_of_different_lengths(tmp_path, first, second):
     with pytest.raises(ValueError):
