@@ -105,3 +105,56 @@ assert all(a < b for a, b in zip(ns, ns[1:])), ns
 print(f"backflow {blp}, spectral measure {ns}")
 PY
 echo "::endgroup::"
+
+# The delay sweep of the waveguide example: the measure at each resonant
+# separation, with the sweep's summary values in the CSV comments.
+echo "::group::measure-sweep (eta axis) through the console script"
+cat > "$work/eta.cfg" <<'CFG'
+[params]
+omega0 = 200.0
+gamma = 1.0
+beta = 0.9
+eta_index_max = 8
+eta_index_step = 2
+
+[output]
+path = eta.csv
+CFG
+fdqme measure-sweep --config "$work/eta.cfg" --out "$work/eta"
+python - "$work/eta/eta.csv" <<'PY'
+import sys
+lines = open(sys.argv[1]).read().splitlines()
+comments = {line[2:].split(" = ")[0] for line in lines if line.startswith("#")}
+body = [line for line in lines if not line.startswith("#")]
+header, rows = body[0].split(","), [[float(x) for x in line.split(",")] for line in body[1:]]
+assert header == ["eta", "spectral_measure"] and len(rows) == 5, (header, len(rows))
+assert {"markov_bandwidth", "eta_max", "saturation"} <= comments, comments
+# eta = 0 is the Markovian reference itself; any delay adds memory
+assert rows[0][1] < 1e-12 < rows[-1][1], rows
+print(f"spectral measure along eta: {[row[1] for row in rows]}")
+PY
+echo "::endgroup::"
+
+# A log-spaced sweep through zero is a config error: exit status 1, the error
+# on stderr, and no file written.
+echo "::group::Rejected sweep config through the console script"
+cat > "$work/bad-sweep.cfg" <<'CFG'
+[params]
+g = 1.0
+omega_q = 2.0e5
+nbar = 0.1
+delta = 5.0
+kappa_min = 20.0
+kappa_max = 0
+kappa_points = 4
+
+[output]
+path = bad-sweep.csv
+CFG
+status=0
+fdqme measure-sweep --config "$work/bad-sweep.cfg" --out "$work/bad-sweep" 2> "$work/bad-sweep.err" || status=$?
+cat "$work/bad-sweep.err"
+test "$status" -eq 1
+case "$(cat "$work/bad-sweep.err")" in "error: invalid config"*) ;; *) exit 1 ;; esac
+test -z "$(find "$work" -name 'bad-sweep*.csv')"
+echo "::endgroup::"

@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -33,48 +34,7 @@ from .liouville import SIGMA_MINUS, qubit_state
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "run_scenario", "main"]
 
-SCENARIOS = (
-    "thermal-spectrum",
-    "squeezed-spectrum",
-    "waveguide-spectrum",
-    "measure-sweep",
-    "blp-compare",
-    "positivity",
-    "oracle-compare",
-)
-
-_THERMAL_KEYS = ("g", "omega_q", "kappa", "nbar", "delta")
-_SQUEEZED_KEYS = ("g", "delta_q", "delta_c", "r", "kappa")
-_WAVEGUIDE_KEYS = ("omega0", "gamma", "beta")
-
-# required [params] keys, required grid sections
-_SCHEMAS = {
-    "thermal-spectrum": (_THERMAL_KEYS, ()),
-    "squeezed-spectrum": (_SQUEEZED_KEYS, ()),
-    "waveguide-spectrum": (_WAVEGUIDE_KEYS + ("eta",), ()),
-    "measure-sweep": ((), ()),  # [params] validated by sweep-group logic
-    "blp-compare": (
-        ("g", "omega_q", "kappa", "nbar", "delta_min", "delta_max", "delta_points"),
-        ("grid.time",),
-    ),
-    "positivity": (_SQUEEZED_KEYS, ("grid.time",)),
-    "oracle-compare": (_THERMAL_KEYS + ("n_fock",), ()),
-}
-
-_SWEEP_GROUPS = {
-    "kappa": {
-        "sweep": ("kappa_min", "kappa_max", "kappa_points"),
-        "fixed": ("g", "omega_q", "nbar", "delta"),
-    },
-    "delta": {
-        "sweep": ("delta_min", "delta_max", "delta_points"),
-        "fixed": ("g", "omega_q", "nbar", "kappa"),
-    },
-    "eta": {
-        "sweep": ("eta_index_max", "eta_index_step"),
-        "fixed": _WAVEGUIDE_KEYS,
-    },
-}
+_INTEGER_KEYS = ("n_fock", "delta_points", "kappa_points", "eta_index_max", "eta_index_step")
 
 
 class ConfigError(ValueError):
@@ -185,21 +145,6 @@ def _grid(sections, name, errors, required) -> GridSpec | None:
     return GridSpec(lo, hi, pts)
 
 
-def _sweep_axis(param_keys, errors):
-    present = [
-        axis
-        for axis, group in _SWEEP_GROUPS.items()
-        if any(k in param_keys for k in group["sweep"])
-    ]
-    if len(present) != 1:
-        errors.append(
-            "measure-sweep needs exactly one sweep group "
-            "(kappa_min/max/points, delta_min/max/points, or eta_index_max/step)"
-        )
-        return None
-    return present[0]
-
-
 def parse_config(text: str, scenario: str) -> ScenarioConfig:
     """Validate a config for the given scenario; report every error found."""
     if scenario not in SCENARIOS:
@@ -209,27 +154,21 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
     if "params" not in sections:
         errors.append("missing required section [params]")
         raise ConfigError(errors)
-
-    if scenario == "measure-sweep":
-        axis = _sweep_axis(sections["params"].keys(), errors)
-        if axis is None:
-            raise ConfigError(errors)
-        group = _SWEEP_GROUPS[axis]
-        integer_keys = {"kappa_points", "delta_points", "eta_index_max", "eta_index_step"}
-        required = tuple(group["fixed"]) + tuple(group["sweep"])
-        extra = {"sweep_axis": axis}
-    else:
-        required, _ = _SCHEMAS[scenario]
-        integer_keys = {"n_fock", "delta_points"}
-        extra = {}
+    record = _record(scenario, sections["params"])
+    if record is None:
+        errors.append(
+            "measure-sweep needs exactly one sweep group "
+            "(kappa_min/max/points, delta_min/max/points, or eta_index_max/step)"
+        )
+        raise ConfigError(errors)
 
     params = {}
-    for key in required:
-        val = _number(sections, "params", key, errors, integer=key in integer_keys)
+    for key in record.keys:
+        val = _number(sections, "params", key, errors, integer=key in _INTEGER_KEYS)
         if val is not None:
             params[key] = val
     for key in sections["params"]:
-        if key not in required:
+        if key not in record.keys:
             errors.append(f"[params] unknown key {key!r} for scenario {scenario}")
     for key in ("kappa_points", "delta_points", "eta_index_step"):
         if params.get(key, 1) < 1:
@@ -240,9 +179,8 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
         errors.append(f"[params] eta_index_max must be at least eta_index_step ({step}), got {top}")
 
     grids = {}
-    _, needed_grids = _SCHEMAS[scenario]
     for name in ("grid.frequency", "grid.time"):
-        g = _grid(sections, name, errors, required=name in needed_grids)
+        g = _grid(sections, name, errors, required=name in record.grids)
         if g is not None:
             grids[name] = g
 
@@ -255,6 +193,8 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
         out_path = ""
     else:
         out_path = out_entry[1]
+        if Path(out_path).name in ("", ".", ".."):
+            errors.append(f"[output] path must end in a file name, got {out_path!r}")
     fmt_entry = sections["output"].get("format")
     if fmt_entry is not None and fmt_entry[1] != "csv":
         errors.append(f"[output] unsupported format {fmt_entry[1]!r}")
@@ -262,55 +202,16 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
         if key not in ("path", "format"):
             errors.append(f"[output] unknown key {key!r}")
 
-    # physical constraints, checked only once the values themselves parsed
+    # physical constraints, checked only once the values themselves parsed: the
+    # builder that run_scenario calls, on every point of a sweep
     if not errors:
         try:
-            _build_bath(scenario, params, extra)
+            record.bath(params)
         except (ValueError, TypeError) as exc:
             errors.append(str(exc))
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        scenario=scenario,
-        params=params,
-        grids=grids,
-        output_path=out_path,
-        extra=extra,
-    )
-
-
-def _thermal_bath(params: dict, delta: float, kappa: float) -> ThermalBathParams:
-    """Thermal bath of a [params] section at one detuning and cavity width."""
-    return ThermalBathParams(
-        g=params["g"],
-        omega_q=params["omega_q"],
-        omega_c=params["omega_q"] - delta,
-        kappa=kappa,
-        nbar=params["nbar"],
-    )
-
-
-def _build_bath(scenario: str, params: dict, extra: dict):
-    """Instantiate parameter objects so their invariants run at parse time."""
-    if scenario == "measure-sweep" and extra["sweep_axis"] == "eta":
-        return waveguide.WaveguideParams(omega0=params["omega0"], gamma=params["gamma"], beta=params["beta"])
-    if scenario in ("thermal-spectrum", "oracle-compare", "blp-compare", "measure-sweep"):
-        # sweeps and blp-compare are checked at the first point of their axis
-        delta = params.get("delta", params.get("delta_min"))
-        return _thermal_bath(params, delta, params.get("kappa", params.get("kappa_min")))
-    if scenario in ("squeezed-spectrum", "positivity"):
-        return SqueezedBathParams(
-            g=params["g"],
-            delta_q=params["delta_q"],
-            delta_c=params["delta_c"],
-            r=params["r"],
-            kappa=params["kappa"],
-        )
-    if scenario == "waveguide-spectrum":
-        return waveguide.WaveguideParams(
-            omega0=params["omega0"], gamma=params["gamma"], beta=params["beta"], eta=params["eta"]
-        )
-    return None
+    return ScenarioConfig(scenario=scenario, params=params, grids=grids, output_path=out_path)
 
 
 # --------------------------------------------------------------------------
@@ -452,45 +353,99 @@ def _resolve_out(cfg: ScenarioConfig, out_dir: str | None) -> Path:
 
 
 # --------------------------------------------------------------------------
-# scenario implementations
+# scenarios: a bath builder and a runner each
 # --------------------------------------------------------------------------
 
 
-def _spectrum_grid(cfg: ScenarioConfig, p) -> np.ndarray:
-    if "grid.frequency" in cfg.grids:
-        return cfg.grids["grid.frequency"].array()
-    return default_frequency_grid(p)
+def _thermal_bath(params: dict, delta: float, kappa: float) -> ThermalBathParams:
+    """Thermal bath of a [params] section at one detuning and cavity width."""
+    return ThermalBathParams(
+        g=params["g"],
+        omega_q=params["omega_q"],
+        omega_c=params["omega_q"] - delta,
+        kappa=kappa,
+        nbar=params["nbar"],
+    )
 
 
-def _run_cavity_spectrum(propagator, cfg, base, meta, opts):
-    p = _build_bath(cfg.scenario, cfg.params, cfg.extra)
-    grid = _spectrum_grid(cfg, p)
+def _thermal(params: dict) -> ThermalBathParams:
+    return _thermal_bath(params, params["delta"], params["kappa"])
+
+
+def _squeezed(params: dict) -> SqueezedBathParams:
+    return SqueezedBathParams(**params)
+
+
+def _waveguide(params: dict) -> waveguide.WaveguideParams:
+    return waveguide.WaveguideParams(**params)
+
+
+def _log_axis(params: dict, axis: str) -> np.ndarray:
+    """{axis}_min ... {axis}_max in {axis}_points log-spaced steps."""
+    lo, hi = params[f"{axis}_min"], params[f"{axis}_max"]
+    if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
+        raise ValueError(f"[params] {axis}_min and {axis}_max of a log-spaced sweep must be nonzero "
+                         f"and of one sign, got {lo} and {hi}")
+    return np.geomspace(lo, hi, params[f"{axis}_points"])
+
+
+def _kappa_sweep(params: dict):
+    kappas = _log_axis(params, "kappa")
+    return kappas, [_thermal_bath(params, params["delta"], float(k)) for k in kappas]
+
+
+def _delta_sweep(params: dict):
+    deltas = _log_axis(params, "delta")
+    return deltas, [_thermal_bath(params, float(d), params["kappa"]) for d in deltas]
+
+
+def _blp_sweep(params: dict):
+    deltas = np.linspace(params["delta_min"], params["delta_max"], params["delta_points"])
+    return deltas, [_thermal_bath(params, float(d), params["kappa"]) for d in deltas]
+
+
+def _eta_sweep(params: dict):
+    """The resonant delays and the waveguide swept along them (its own eta is unused)."""
+    p = waveguide.WaveguideParams(params["omega0"], params["gamma"], params["beta"])
+    return waveguide.resonant_eta_grid(p, params["eta_index_max"], params["eta_index_step"]), p
+
+
+# A runner takes (cfg, what the bath builder returned, opts) and returns the
+# CSV tables as (suffix, header, columns), the metadata for the CSV comments
+# and the sidecar, and the metadata for the sidecar alone.  Library functions
+# are looked up at call time, so wrappers installed on their modules (as
+# benchmarks/tracing.py does) see every call.
+
+
+def _frequency_grid(cfg: ScenarioConfig, p, default) -> np.ndarray:
+    spec = cfg.grids.get("grid.frequency")
+    return default(p) if spec is None else spec.array()
+
+
+def _emission(cfg: ScenarioConfig, p):
+    """Frequency grid and FD-QME emission spectrum of a cavity bath at its steady state."""
+    grid = _frequency_grid(cfg, p, default_frequency_grid)
+    propagator = fdme.thermal_propagator if isinstance(p, ThermalBathParams) else fdme.squeezed_propagator
     fp = propagator(p)
     rho_ss = fdme.steady_state(fp, qubit_state("mixed"))
-    spec = fdme.emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+    return grid, fdme.emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+
+
+def _run_cavity_spectrum(cfg, p, opts):
+    grid, spec = _emission(cfg, p)
     markov = make_spectrum(grid, markovian_spectrum(p, grid))
-    f1 = base.with_suffix(".csv")
-    f2 = base.with_suffix(".markov.csv")
-    _write_csv(f1, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [grid, spec.values])
-    _write_csv(f2, meta, ["frequency_minus_qubit[g]", "density[1/g]"], [grid, markov.values])
-    meta["grid_points"] = int(grid.size)
-    return [f1, f2]
+    header = ["frequency_minus_qubit[g]", "density[1/g]"]
+    tables = [(".csv", header, [grid, spec.values]), (".markov.csv", header, [grid, markov.values])]
+    return tables, {}, {"grid_points": grid.size}
 
 
-def _run_waveguide_spectrum(cfg, base, meta, opts):
-    p = _build_bath(cfg.scenario, cfg.params, cfg.extra)
-    if "grid.frequency" in cfg.grids:
-        grid = cfg.grids["grid.frequency"].array()
-    else:
-        grid = waveguide.default_waveguide_grid(p)
+def _run_waveguide_spectrum(cfg, p, opts):
+    grid = _frequency_grid(cfg, p, waveguide.default_waveguide_grid)
     spec = waveguide.waveguide_spectrum(p, grid)
     ref = waveguide.waveguide_spectrum(replace(p, eta=0.0), grid)
-    f1 = base.with_suffix(".csv")
-    f2 = base.with_suffix(".markov.csv")
-    _write_csv(f1, meta, ["frequency[gamma]", "density[1/gamma]"], [grid, spec.values])
-    _write_csv(f2, meta, ["frequency[gamma]", "density[1/gamma]"], [grid, ref.values])
-    meta["grid_points"] = int(grid.size)
-    return [f1, f2]
+    header = ["frequency[gamma]", "density[1/gamma]"]
+    tables = [(".csv", header, [grid, spec.values]), (".markov.csv", header, [grid, ref.values])]
+    return tables, {}, {"grid_points": grid.size}
 
 
 def _thermal_ns(p: ThermalBathParams, gap_method: str) -> float:
@@ -501,104 +456,86 @@ def _thermal_ns(p: ThermalBathParams, gap_method: str) -> float:
     return measures.spectral_measure(s, s_m, gap).value
 
 
-def _run_measure_sweep(cfg, base, meta, opts):
-    axis = cfg.extra["sweep_axis"]
-    prm = cfg.params
-    if axis == "eta":
-        p = waveguide.WaveguideParams(omega0=prm["omega0"], gamma=prm["gamma"], beta=prm["beta"])
-        etas = waveguide.resonant_eta_grid(p, int(prm["eta_index_max"]), int(prm["eta_index_step"]))
-        sweep = waveguide.waveguide_measure_sweep(p, etas)
-        values = sweep["values"]
-        xs = sweep["eta"]
-        meta["markov_bandwidth"] = _fmt(sweep["markov_bandwidth"])
-        meta["eta_max"] = _fmt(sweep["eta_max"])
-        meta["saturation"] = _fmt(sweep["saturation"])
-        header = ["eta", "spectral_measure"]
-    else:
-        if axis == "kappa":
-            xs = np.geomspace(prm["kappa_min"], prm["kappa_max"], int(prm["kappa_points"]))
-            baths_list = [_thermal_bath(prm, prm["delta"], float(k)) for k in xs]
-            header = ["kappa[g]", "spectral_measure"]
-        else:
-            xs = np.geomspace(prm["delta_min"], prm["delta_max"], int(prm["delta_points"]))
-            baths_list = [_thermal_bath(prm, float(d), prm["kappa"]) for d in xs]
-            header = ["delta[g]", "spectral_measure"]
-        values = np.array([_thermal_ns(b, opts["gap_method"]) for b in baths_list])
-    f1 = base.with_suffix(".csv")
-    _write_csv(f1, meta, header, [xs, values])
-    return [f1]
+def _run_thermal_sweep(axis_header, cfg, sweep, opts):
+    xs, baths = sweep
+    values = [_thermal_ns(p, opts["gap_method"]) for p in baths]
+    return [(".csv", [axis_header, "spectral_measure"], [xs, values])], {}, {}
 
 
-def _run_blp_compare(cfg, base, meta, opts):
-    prm = cfg.params
+def _run_eta_sweep(cfg, sweep, opts):
+    etas, p = sweep
+    result = waveguide.waveguide_measure_sweep(p, etas)
+    summary = {key: _fmt(result[key]) for key in ("markov_bandwidth", "eta_max", "saturation")}
+    return [(".csv", ["eta", "spectral_measure"], [result["eta"], result["values"]])], summary, {}
+
+
+def _run_blp_compare(cfg, sweep, opts):
+    deltas, baths = sweep
     t_grid = cfg.grids["grid.time"].array()
-    deltas = np.linspace(prm["delta_min"], prm["delta_max"], int(prm["delta_points"]))
-
-    def one(delta):
-        p = _thermal_bath(prm, float(delta), prm["kappa"])
+    blp, ns = [], []
+    for p in baths:
         tg, te = redfield.br_evolve(p, np.stack([qubit_state("g"), qubit_state("e")]), t_grid)
-        blp = measures.blp_measure(tg, te).value
-        return blp, _thermal_ns(p, opts["gap_method"])
-
-    pairs = [one(d) for d in deltas]
-    blp_vals = np.array([a for a, _ in pairs])
-    ns_vals = np.array([b for _, b in pairs])
-    f1 = base.with_suffix(".csv")
-    _write_csv(f1, meta, ["delta[g]", "blp_measure", "spectral_measure"], [deltas, blp_vals, ns_vals])
-    return [f1]
+        blp.append(measures.blp_measure(tg, te).value)
+        ns.append(_thermal_ns(p, opts["gap_method"]))
+    return [(".csv", ["delta[g]", "blp_measure", "spectral_measure"], [deltas, blp, ns])], {}, {}
 
 
-def _run_positivity(cfg, base, meta, opts):
-    p = _build_bath(cfg.scenario, cfg.params, cfg.extra)
+def _run_positivity(cfg, p, opts):
     t_grid = cfg.grids["grid.time"].array()
     rho0 = qubit_state("y-").reshape(-1)
     traj = redfield.br_evolve(p, rho0, t_grid, include_sum_frequency=opts["include_sum_frequency"])
-    fp = fdme.squeezed_propagator(p)
-    states = fdme.inverse_transform(fp, rho0, t_grid).reshape(-1, 2, 2)
+    states = fdme.inverse_transform(fdme.squeezed_propagator(p), rho0, t_grid).reshape(-1, 2, 2)
     mm = states @ states  # Tr[rho^2] below; inverse_transform has checked Hermiticity
     pur_fd = (mm[:, 0, 0] + mm[:, 1, 1]).real
-    f1 = base.with_suffix(".csv")
-    _write_csv(
-        f1,
-        meta,
-        ["time[1/g]", "purity_br", "purity_fdqme"],
-        [t_grid, traj.purities(), pur_fd],
-    )
-    meta["initial_state"] = "sigma_y_minus"
-    return [f1]
+    header = ["time[1/g]", "purity_br", "purity_fdqme"]
+    return [(".csv", header, [t_grid, traj.purities(), pur_fd])], {}, {"initial_state": "sigma_y_minus"}
 
 
-def _run_oracle_compare(cfg, base, meta, opts):
-    prm = cfg.params
-    p = _build_bath(cfg.scenario, prm, cfg.extra)
-    grid = _spectrum_grid(cfg, p)
-    fp = fdme.thermal_propagator(p)
-    rho_ss = fdme.steady_state(fp, qubit_state("mixed"))
-    spec = fdme.emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
-    model = oracle.build_full_model(p, int(prm["n_fock"]))
-    full = oracle.full_steady_spectrum(model, grid)
-    f1 = base.with_suffix(".csv")
-    _write_csv(
-        f1,
-        meta,
-        ["frequency_minus_qubit[g]", "density_fdqme[1/g]", "density_full[1/g]"],
-        [grid, spec.values, full.values],
-    )
-    meta["n_fock"] = int(prm["n_fock"])
-    return [f1]
+def _run_oracle_compare(cfg, p, opts):
+    grid, spec = _emission(cfg, p)
+    full = oracle.full_steady_spectrum(oracle.build_full_model(p, cfg.params["n_fock"]), grid)
+    header = ["frequency_minus_qubit[g]", "density_fdqme[1/g]", "density_full[1/g]"]
+    return [(".csv", header, [grid, spec.values, full.values])], {}, {"n_fock": cfg.params["n_fock"]}
 
 
-# the propagator factories are looked up on the fdme module at call time, so
-# wrappers installed there (as benchmarks/tracing.py does) see every call
-_RUNNERS = {
-    "thermal-spectrum": lambda *args: _run_cavity_spectrum(fdme.thermal_propagator, *args),
-    "squeezed-spectrum": lambda *args: _run_cavity_spectrum(fdme.squeezed_propagator, *args),
-    "waveguide-spectrum": _run_waveguide_spectrum,
-    "measure-sweep": _run_measure_sweep,
-    "blp-compare": _run_blp_compare,
-    "positivity": _run_positivity,
-    "oracle-compare": _run_oracle_compare,
+@dataclass(frozen=True)
+class _Scenario:
+    keys: tuple  # required [params] keys
+    grids: tuple  # required grid sections
+    bath: Callable  # [params] -> what the runner takes; raises ValueError on unphysical input
+    run: Callable  # (cfg, bath, opts) -> (tables, comments, sidecar metadata)
+
+
+_THERMAL_KEYS = ("g", "omega_q", "kappa", "nbar", "delta")
+_SQUEEZED_KEYS = ("g", "delta_q", "delta_c", "r", "kappa")
+_WAVEGUIDE_KEYS = ("omega0", "gamma", "beta")
+_SCENARIOS = {
+    "thermal-spectrum": _Scenario(_THERMAL_KEYS, (), _thermal, _run_cavity_spectrum),
+    "squeezed-spectrum": _Scenario(_SQUEEZED_KEYS, (), _squeezed, _run_cavity_spectrum),
+    "waveguide-spectrum": _Scenario(_WAVEGUIDE_KEYS + ("eta",), (), _waveguide, _run_waveguide_spectrum),
+    # one record per axis; a [params] key starting "<axis>_" picks it
+    "measure-sweep": {
+        "kappa": _Scenario(("g", "omega_q", "nbar", "delta", "kappa_min", "kappa_max", "kappa_points"), (),
+                           _kappa_sweep, partial(_run_thermal_sweep, "kappa[g]")),
+        "delta": _Scenario(("g", "omega_q", "nbar", "kappa", "delta_min", "delta_max", "delta_points"), (),
+                           _delta_sweep, partial(_run_thermal_sweep, "delta[g]")),
+        "eta": _Scenario(_WAVEGUIDE_KEYS + ("eta_index_max", "eta_index_step"), (), _eta_sweep, _run_eta_sweep),
+    },
+    "blp-compare": _Scenario(("g", "omega_q", "kappa", "nbar", "delta_min", "delta_max", "delta_points"),
+                             ("grid.time",), _blp_sweep, _run_blp_compare),
+    "positivity": _Scenario(_SQUEEZED_KEYS, ("grid.time",), _squeezed, _run_positivity),
+    "oracle-compare": _Scenario(_THERMAL_KEYS + ("n_fock",), (), _thermal, _run_oracle_compare),
 }
+SCENARIOS = tuple(_SCENARIOS)
+
+
+def _record(scenario: str, param_keys) -> _Scenario | None:
+    """The table record of a scenario; for measure-sweep, of the one axis its keys name."""
+    record = _SCENARIOS[scenario]
+    if isinstance(record, dict):
+        axes = [axis for axis in record if any(key.startswith(axis + "_") for key in param_keys)]
+        record = record[axes[0]] if len(axes) == 1 else None
+    return record
 
 
 def run_scenario(
@@ -614,10 +551,17 @@ def run_scenario(
     meta["scenario"] = cfg.scenario
     for name, g in cfg.grids.items():
         meta[f"{name}.min"], meta[f"{name}.max"], meta[f"{name}.points"] = _fmt(g.lo), _fmt(g.hi), g.points
+    written = []
     try:
-        written = _RUNNERS[cfg.scenario](cfg, base, meta, opts)
+        record = _record(cfg.scenario, cfg.params)
+        tables, comments, sidecar_meta = record.run(cfg, record.bath(cfg.params), opts)
+        meta.update(comments)
+        for suffix, header, columns in tables:
+            written.append(base.with_suffix(suffix))
+            _write_csv(written[-1], meta, header, columns)
     except Exception as exc:
         raise RuntimeError(f"scenario {cfg.scenario} failed: {exc}") from exc
+    meta.update(sidecar_meta)
     sidecar = base.with_suffix(".meta.json")
     _write_sidecar(
         sidecar,

@@ -53,6 +53,8 @@ def resonant_eta_grid(p: WaveguideParams, n_max: int, step: int = 1) -> np.ndarr
 
     Returns eta_n = 2 pi n gamma / omega0 for n = 0, step, 2 step, ..., n_max.
     """
+    if p.omega0 <= 0:
+        raise ValueError(f"omega0 must be positive for resonant delays, got {p.omega0}")
     n = np.arange(0, n_max + 1, step)
     return 2.0 * np.pi * n * p.gamma / p.omega0
 

@@ -353,18 +353,19 @@ SWEEP_PARAMS = {
                    "delta_min = 10.0\ndelta_max = 170.0\ndelta_points = {delta_points}\n"
                    "[grid.time]\nmin = 0.0\nmax = 0.6\npoints = 61\n",
     "kappa": "g = 1.0\nomega_q = 2.0e5\nnbar = 0.1\ndelta = 5.0\n"
-             "kappa_min = 20.0\nkappa_max = 200.0\nkappa_points = {kappa_points}\n",
+             "kappa_min = 20.0\nkappa_max = {kappa_max}\nkappa_points = {kappa_points}\n",
     "delta": "g = 1.0\nomega_q = 2.0e5\nnbar = 0.1\nkappa = 20.0\n"
-             "delta_min = 10.0\ndelta_max = 170.0\ndelta_points = {delta_points}\n",
-    "eta": "omega0 = 200.0\ngamma = 1.0\nbeta = 0.9\n"
+             "delta_min = {delta_min}\ndelta_max = {delta_max}\ndelta_points = {delta_points}\n",
+    "eta": "omega0 = {omega0}\ngamma = 1.0\nbeta = 0.9\n"
            "eta_index_max = {eta_index_max}\neta_index_step = {eta_index_step}\n",
 }
-SWEEP_COUNTS = {"delta_points": 4, "kappa_points": 4, "eta_index_max": 8, "eta_index_step": 2}
+SWEEP_DEFAULTS = {"delta_points": 4, "kappa_points": 4, "eta_index_max": 8, "eta_index_step": 2,
+                "kappa_max": 200.0, "delta_min": 10.0, "delta_max": 170.0, "omega0": 200.0}
 
 
 def _sweep_config(kind, **counts):
     """(scenario, config text) of a sweep with the given point counts."""
-    params = SWEEP_PARAMS[kind].format(**{**SWEEP_COUNTS, **counts})
+    params = SWEEP_PARAMS[kind].format(**{**SWEEP_DEFAULTS, **counts})
     scenario = "blp-compare" if kind == "blp-compare" else "measure-sweep"
     return scenario, f"[params]\n{params}\n[output]\npath = sweep.csv\n"
 
@@ -389,6 +390,13 @@ def _case(kind, message, **counts):
         _case("eta", "eta_index_max must be at least eta_index_step", eta_index_max=0),
         _case("eta", "eta_index_max must be at least eta_index_step", eta_index_max=3, eta_index_step=4),
         _case("eta", "eta_index_max must be at least eta_index_step", eta_index_max=-8),
+        # a log-spaced axis needs both ends nonzero and of one sign, and every
+        # point of a sweep must be a valid bath
+        _case("kappa", "kappa_min and kappa_max .* must be nonzero and of one sign", kappa_max=0),
+        _case("kappa", "kappa_min and kappa_max .* must be nonzero and of one sign", kappa_max=-5),
+        _case("delta", "delta_min and delta_max .* must be nonzero and of one sign", delta_min=-5, delta_max=100),
+        _case("eta", "omega0 must be positive", omega0=0.0),
+        _case("eta", "omega0 must be positive", omega0=-200.0),
     ],
 )
 def test_parse_rejects_sweeps_without_enough_points(tmp_path, kind, counts, message):
@@ -405,8 +413,8 @@ def test_parse_rejects_sweeps_without_enough_points(tmp_path, kind, counts, mess
 @pytest.mark.parametrize(
     "kind, counts",
     [("blp-compare", {"delta_points": 1}), ("kappa", {"kappa_points": 1}), ("delta", {"delta_points": 1}),
-     ("eta", {"eta_index_max": 2, "eta_index_step": 2})],
-    ids=["blp-compare", "kappa", "delta", "eta"],
+     ("eta", {"eta_index_max": 2, "eta_index_step": 2}), ("delta", {"delta_min": -100.0, "delta_max": -5.0})],
+    ids=["blp-compare", "kappa", "delta", "eta", "delta-negative"],
 )
 def test_parse_accepts_the_smallest_sweeps(kind, counts):
     scenario, text = _sweep_config(kind, **counts)
@@ -478,8 +486,7 @@ path = blp.csv
     assert np.all(np.diff(data[:, 2]) > 0)
 
 
-def test_oracle_compare_scenario(tmp_path):
-    text = """
+ORACLE_CONFIG = """
 [params]
 g = 1.0
 omega_q = 2000.0
@@ -496,7 +503,10 @@ points = 3000
 [output]
 path = cmp.csv
 """
-    cfg = parse_config(text, "oracle-compare")
+
+
+def test_oracle_compare_scenario(tmp_path):
+    cfg = parse_config(ORACLE_CONFIG, "oracle-compare")
     run_scenario(cfg, out_dir=str(tmp_path))
     header, data = read_table(tmp_path / "cmp.csv")
     assert header[0] == "frequency_minus_qubit[g]"
@@ -532,8 +542,7 @@ path = fig8.csv
     assert np.abs(dens - closed / np.trapezoid(closed, grid)).max() < 1e-8
 
 
-def test_waveguide_scenario(tmp_path):
-    text = """
+WAVEGUIDE_CONFIG = """
 [params]
 omega0 = 500.0
 gamma = 1.0
@@ -543,7 +552,10 @@ eta = 8.29
 [output]
 path = wg.csv
 """
-    cfg = parse_config(text, "waveguide-spectrum")
+
+
+def test_waveguide_scenario(tmp_path):
+    cfg = parse_config(WAVEGUIDE_CONFIG, "waveguide-spectrum")
     run_scenario(cfg, out_dir=str(tmp_path))
     header, data = read_table(tmp_path / "wg.csv")
     assert header == ["frequency[gamma]", "density[1/gamma]"]
@@ -601,3 +613,51 @@ def test_cli_main_calls_parse_independently(tmp_path, capsys, monkeypatch):
         ("thermal-spectrum", None, "fwhm", False),
     ]
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("path", ["", ".", "..", "results/.."], ids=["empty", "dot", "dot-dot", "ends-in-dot-dot"])
+def test_output_path_must_name_a_file(tmp_path, path):
+    text = THERMAL_CONFIG.replace("path = thermal.csv", f"path = {path}")
+    with pytest.raises(ConfigError, match="path must end in a file name"):
+        parse_config(text, "thermal-spectrum")
+    # nothing is written inside or next to --out
+    cfg = tmp_path / "thermal.cfg"
+    cfg.write_text(text)
+    assert main(["thermal-spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["thermal.cfg"]
+
+
+SQUEEZED_CONFIG = POSITIVITY_CONFIG.replace("[grid.time]\nmin = 0.0\nmax = 2.0\npoints = 400\n", "")
+# metadata beyond the parameters, the scenario name and the grids: in the CSV
+# comments and the sidecar, or in the sidecar alone
+SUMMARY_KEYS = {"eta": {"markov_bandwidth", "eta_max", "saturation"}}
+SIDECAR_ONLY_KEYS = {"thermal-spectrum": {"grid_points"}, "squeezed-spectrum": {"grid_points"},
+                     "waveguide-spectrum": {"grid_points"}, "positivity": {"initial_state"},
+                     "oracle-compare": {"n_fock"}}
+
+
+METADATA_CASES = {
+    "thermal-spectrum": ("thermal-spectrum", THERMAL_CONFIG),
+    "squeezed-spectrum": ("squeezed-spectrum", SQUEEZED_CONFIG),
+    "waveguide-spectrum": ("waveguide-spectrum", WAVEGUIDE_CONFIG),
+    "kappa": _sweep_config("kappa"),
+    "delta": _sweep_config("delta"),
+    "eta": _sweep_config("eta"),
+    "blp-compare": _sweep_config("blp-compare"),
+    "positivity": ("positivity", POSITIVITY_CONFIG),
+    "oracle-compare": ("oracle-compare", ORACLE_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", METADATA_CASES)
+def test_metadata_split_between_csv_comments_and_sidecar(tmp_path, case):
+    scenario, text = METADATA_CASES[case]
+    cfg = parse_config(text, scenario)
+    written = run_scenario(cfg, out_dir=str(tmp_path))
+    shared = {"scenario"} | {f"param.{key}" for key in cfg.params} | SUMMARY_KEYS.get(case, set())
+    shared |= {f"{name}.{end}" for name in cfg.grids for end in ("min", "max", "points")}
+    for path in written[:-1]:
+        comments = [line[2:].split(" = ")[0] for line in path.read_text().splitlines() if line.startswith("#")]
+        assert set(comments) == shared, path.name
+    sidecar = json.loads(written[-1].read_text())
+    assert set(sidecar["metadata"]) == shared | SIDECAR_ONLY_KEYS.get(case, set())
