@@ -7,6 +7,8 @@ set -euo pipefail
 work="${1:-$(mktemp -d)}"
 mkdir -p "$work"
 
+# 9001 rows of two columns: the rows are formatted in several blocks, the shared
+# frequency column once for both files
 echo "::group::Console script"
 fdqme --list-scenarios
 cat > "$work/smoke.cfg" <<'CFG'
@@ -20,7 +22,7 @@ delta = 50.0
 [grid.frequency]
 min = -200.0
 max = 200.0
-points = 401
+points = 9001
 
 [output]
 path = smoke.csv
@@ -31,7 +33,7 @@ python - "$work/smoke/smoke.csv" "$work/smoke/smoke.markov.csv" <<'PY'
 import sys
 for path in sys.argv[1:]:
     lines = [line for line in open(path).read().splitlines() if not line.startswith("#")][1:]
-    assert len(lines) == 401, (path, len(lines))
+    assert len(lines) == 9001, (path, len(lines))
     for line in lines:
         cells = line.split(",")
         assert line == ",".join(format(float(c), ".17g") for c in cells), (path, line)
@@ -157,4 +159,17 @@ cat "$work/bad-sweep.err"
 test "$status" -eq 1
 case "$(cat "$work/bad-sweep.err")" in "error: invalid config"*) ;; *) exit 1 ;; esac
 test -z "$(find "$work" -name 'bad-sweep*.csv')"
+echo "::endgroup::"
+
+# nbar = 0 parses, but the thermal spectrum has no positive values: a run-time
+# failure, so exit status 1, the error on stderr, and no --out directory made.
+echo "::group::Failed run through the console script"
+sed 's/^nbar = 0.1$/nbar = 0/' "$work/smoke.cfg" > "$work/no-photons.cfg"
+grep -qx 'nbar = 0' "$work/no-photons.cfg"
+status=0
+fdqme thermal-spectrum --config "$work/no-photons.cfg" --out "$work/no-photons" 2> "$work/no-photons.err" || status=$?
+cat "$work/no-photons.err"
+test "$status" -eq 1
+case "$(cat "$work/no-photons.err")" in "error:"*) ;; *) exit 1 ;; esac
+test ! -e "$work/no-photons"
 echo "::endgroup::"

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -263,10 +264,8 @@ _EXPONENT = _slots([f"e{k:+03d}" for k in range(-300, 301)] + [""], 5)
 _SLOT = np.arange(18, dtype=np.uint8)[:, None]
 
 
-def _format_rows(columns: list) -> bytes:
-    """The CSV rows of columns of floats: cells "%.17g" % x, joined by "," and "\\n"."""
-    nrows, ncols = len(columns[0]), len(columns)
-    x = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1).reshape(-1)
+def _slot_block(x: np.ndarray) -> np.ndarray:
+    """(29, x.size) uint8: column i holds "%.17g" % x[i], NUL-padded, one row per character slot."""
     n = x.size
     a = np.abs(x)
     # the reference formats 0, inf, nan and the values whose scaling could over-
@@ -314,8 +313,8 @@ def _format_rows(columns: list) -> bytes:
     qi[expo] = 1
     q = qi.astype(np.uint8)
     dg[1:18] *= (_SLOT[:17] < np.maximum(nd, q)).view(np.uint8)  # trailing zeros
-    # one row per character slot: sign and prefix, mantissa, exponent, separator
-    out = np.empty((30, n), dtype=np.uint8)
+    # one row per character slot: sign and prefix, mantissa, exponent
+    out = np.empty((29, n), dtype=np.uint8)
     out[:6] = _PREFIX.take(5 * (x < 0) + np.where(expo, 0, np.maximum(-k, 0)), axis=1)
     mant = out[6:24]  # slot j: digit j before the point, digit j - 1 after it
     np.subtract(dg[:18], dg[1:], out=mant)
@@ -323,33 +322,78 @@ def _format_rows(columns: list) -> bytes:
     mant += dg[1:]
     out.reshape(-1)[(6 + qi) * n + np.arange(n)] = ((nd > q) & (q > 0)).view(np.uint8) * np.uint8(46)
     out[24:29] = _EXPONENT.take(np.where(expo, k + 300, 601), axis=1)
-    out[29].reshape(nrows, ncols)[:] = np.frombuffer(b"," * (ncols - 1) + b"\n", dtype=np.uint8)
     idx = np.flatnonzero(slow)
     if idx.size:
-        out[:29, idx] = _slots(["%.17g" % v for v in x[idx].tolist()], 29)
-    return out.T.tobytes().translate(None, b"\0")
+        out[:, idx] = _slots(["%.17g" % v for v in x[idx].tolist()], 29)
+    return out
+
+
+# Cells per _slot_block call: its few dozen temporaries of this many elements
+# stay in cache; over whole files of 20k-row columns they did not, and a cell
+# cost up to twice as much.
+_BLOCK_CELLS = 8192
+
+
+def _format_tables(tables: list, writers: list):
+    """Pass the CSV rows of each table of float columns to its writer, a block of rows at a time.
+
+    Cells are "%.17g" % x, joined by "," and "\\n".  A column object that
+    appears more than once, in one table or several, is formatted once.
+    """
+    arrays, index, layouts = [], {}, []
+    for columns in tables:
+        layout = []
+        for col in columns:
+            if id(col) not in index:
+                index[id(col)] = len(arrays)
+                arrays.append(np.asarray(col, dtype=float))
+            layout.append(index[id(col)])
+        if any(len(arrays[i]) != len(arrays[layout[0]]) for i in layout):
+            raise ValueError("CSV columns differ in length")
+        layouts.append(layout)
+    rows = max(1, _BLOCK_CELLS // len(arrays))
+    seps = [np.frombuffer(b"," * (len(layout) - 1) + b"\n", dtype=np.uint8) for layout in layouts]
+    for start in range(0, max(len(a) for a in arrays), rows):
+        pieces = [a[start:start + rows] for a in arrays]
+        slots = _slot_block(np.concatenate(pieces))
+        ends = np.cumsum([len(piece) for piece in pieces])
+        for layout, sep, write in zip(layouts, seps, writers):
+            m = len(pieces[layout[0]])
+            if not m:
+                continue
+            cells = np.empty((m, len(layout), 30), dtype=np.uint8)
+            for j, i in enumerate(layout):
+                cells[:, j, :29] = slots[:, ends[i] - m:ends[i]].T
+            cells[:, :, 29] = sep
+            write(cells.tobytes().translate(None, b"\0"))
+
+
+def _format_rows(columns: list) -> bytes:
+    """The CSV rows of one table of float columns."""
+    parts = []
+    _format_tables([columns], [parts.append])
+    return b"".join(parts)
+
+
+def _write_csvs(paths: list, comments: dict, tables: list):
+    """One CSV file per (header, columns) table: the comment lines, the header and the rows."""
+    lines = "".join(f"# {key} = {comments[key]}\n" for key in sorted(comments))
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for f, (header, _) in zip(files, tables):
+            f.write((lines + ",".join(header) + "\n").encode())
+        _format_tables([columns for _, columns in tables], [f.write for f in files])
 
 
 def _write_csv(path: Path, comments: dict, header: list[str], columns: list):
-    if any(len(col) != len(columns[0]) for col in columns):
-        raise ValueError("CSV columns differ in length")
-    lines = [f"# {key} = {comments[key]}\n" for key in sorted(comments)]
-    with open(path, "wb") as f:
-        f.write(("".join(lines) + ",".join(header) + "\n").encode() + _format_rows(columns))
+    """One table's CSV file."""
+    _write_csvs([path], comments, [(header, columns)])
 
 
 def _write_sidecar(path: Path, payload: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
-
-
-def _resolve_out(cfg: ScenarioConfig, out_dir: str | None) -> Path:
-    path = Path(cfg.output_path)
-    if out_dir is not None:
-        path = Path(out_dir) / path.name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 # --------------------------------------------------------------------------
@@ -545,20 +589,22 @@ def run_scenario(
     include_sum_frequency: bool = False,
 ) -> list:
     """Execute a parsed scenario; returns the written file paths."""
-    base = _resolve_out(cfg, out_dir)
+    base = Path(cfg.output_path)
+    if out_dir is not None:
+        base = Path(out_dir) / base.name
     opts = {"gap_method": gap_method, "include_sum_frequency": include_sum_frequency}
     meta = {f"param.{k}": _fmt(v) for k, v in cfg.params.items()}
     meta["scenario"] = cfg.scenario
     for name, g in cfg.grids.items():
         meta[f"{name}.min"], meta[f"{name}.max"], meta[f"{name}.points"] = _fmt(g.lo), _fmt(g.hi), g.points
-    written = []
     try:
         record = _record(cfg.scenario, cfg.params)
         tables, comments, sidecar_meta = record.run(cfg, record.bath(cfg.params), opts)
         meta.update(comments)
-        for suffix, header, columns in tables:
-            written.append(base.with_suffix(suffix))
-            _write_csv(written[-1], meta, header, columns)
+        written = [base.with_suffix(suffix) for suffix, _, _ in tables]
+        # made only now, so that a scenario that fails leaves no directory behind
+        base.parent.mkdir(parents=True, exist_ok=True)
+        _write_csvs(written, meta, [(header, columns) for _, header, columns in tables])
     except Exception as exc:
         raise RuntimeError(f"scenario {cfg.scenario} failed: {exc}") from exc
     meta.update(sidecar_meta)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fdqme import cli, fdme
 from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
-from fdqme.cli import ConfigError, _format_rows, _write_csv, main, parse_config, run_scenario
+from fdqme.cli import ConfigError, _format_rows, _format_tables, _write_csv, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
 
 THERMAL_CONFIG = """
@@ -293,6 +293,77 @@ def float_tables(draw):
 @given(float_tables())
 def test_csv_rows_match_per_cell_format_for_any_floats(columns):
     assert _format_rows(columns) == _per_cell(columns).encode()
+
+
+def _bit_columns(rng, nrows, ncols):
+    """ncols columns of random bit patterns, with edge values on the rows next to every block edge."""
+    columns = [rng.integers(0, 2**64, size=nrows, dtype=np.uint64).view(np.float64) for _ in range(ncols)]
+    block = cli._BLOCK_CELLS // ncols
+    near = np.array([e + d for e in range(block, nrows + block, block) for d in range(-3, 3) if 0 <= e + d < nrows],
+                    int)
+    for col in columns:
+        col[near] = rng.choice(EDGE_VALUES, near.size)
+    return columns
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-minus-1", "block", "block-plus-1"])
+def test_csv_rows_match_per_cell_format_across_block_edges(ncols, offset):
+    rng = np.random.default_rng(100 * ncols + offset)
+    for blocks in (1, 2):
+        columns = _bit_columns(rng, blocks * (cli._BLOCK_CELLS // ncols) + offset, ncols)
+        assert _format_rows(columns) == _per_cell(columns).encode()
+
+
+def test_csv_rows_of_a_default_grid_sized_table_match_per_cell_format():
+    rng = np.random.default_rng(20262)
+    grid, values = _bit_columns(rng, 20262, 2)
+    grid[::2] = np.linspace(-300.0, 300.0, 20262)[::2]
+    values[1::3] = rng.random(6754)
+    # every edge value, one run of them across the first block edge
+    edge = cli._BLOCK_CELLS // 2
+    values[edge - EDGE_VALUES.size // 2:edge - EDGE_VALUES.size // 2 + EDGE_VALUES.size] = EDGE_VALUES
+    assert _format_rows([grid, values]) == _per_cell([grid, values]).encode()
+
+
+def _format_each(tables):
+    """The rows of each table, formatted together."""
+    parts = [[] for _ in tables]
+    _format_tables(tables, [part.append for part in parts])
+    return [b"".join(part) for part in parts]
+
+
+@pytest.fixture
+def formatted_cells(monkeypatch):
+    """The size of every block of cells formatted from here on."""
+    sizes = []
+    real = cli._slot_block
+    monkeypatch.setattr(cli, "_slot_block", lambda x: (sizes.append(x.size), real(x))[1])
+    return sizes
+
+
+def test_shared_columns_are_formatted_once(formatted_cells):
+    rng = np.random.default_rng(7)
+    n = cli._BLOCK_CELLS + 5
+    grid, a, b = _bit_columns(rng, n, 3)
+    short, c = _bit_columns(rng, 10, 2)
+    alone = [_format_rows([grid, a]), _format_rows([grid, b]), _format_rows([short, c]), _format_rows([a, a, b])]
+    formatted_cells.clear()
+    # tables of different row counts, a column shared between tables and one repeated in a table
+    assert _format_each([[grid, a], [grid, b], [short, c], [a, a, b]]) == alone
+    assert sum(formatted_cells) == 3 * n + 2 * 10
+    assert _format_each([[short, c], [grid, a]]) == [alone[2], alone[0]]
+    assert alone[3] == _per_cell([a, a, b]).encode()
+    for first, second in ((a, short), (short, a)):
+        with pytest.raises(ValueError, match="differ in length"):
+            _format_each([[grid, b], [first, second]])
+
+
+def test_spectrum_files_format_the_shared_grid_once(tmp_path, formatted_cells):
+    written = run_scenario(parse_config(THERMAL_CONFIG, "thermal-spectrum"), out_dir=str(tmp_path))
+    assert sum(formatted_cells) == 3 * 4096
+    (grid, spec), (grid_m, markov) = (read_table(path)[1].T for path in written[:2])
+    assert np.array_equal(grid, grid_m) and spec.size == markov.size == 4096
 
 
 @pytest.mark.parametrize("first", [np.arange(3.0), [0.0, 1.0, 2.0]], ids=["array", "list"])
@@ -624,6 +695,15 @@ def test_output_path_must_name_a_file(tmp_path, path):
     cfg = tmp_path / "thermal.cfg"
     cfg.write_text(text)
     assert main(["thermal-spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["thermal.cfg"]
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    # nbar = 0 parses, but the thermal spectrum then has no positive values
+    cfg = tmp_path / "thermal.cfg"
+    cfg.write_text(THERMAL_CONFIG.replace("nbar = 0.1", "nbar = 0"))
+    assert main(["thermal-spectrum", "--config", str(cfg), "--out", str(tmp_path / "out" / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error: scenario thermal-spectrum failed")
     assert [p.name for p in tmp_path.iterdir()] == ["thermal.cfg"]
 
 
