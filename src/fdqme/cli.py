@@ -16,7 +16,7 @@ import json
 import sys
 from collections.abc import Callable
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -62,7 +62,6 @@ class ScenarioConfig:
     params: dict
     grids: dict
     output_path: str
-    extra: dict = field(default_factory=dict)
 
 
 def _parse_sections(text: str, errors: list) -> dict:
@@ -227,7 +226,7 @@ def _fmt(x) -> str:
 # "%.17g" of whole float64 arrays.  The reference rounds |x| half to even to
 # the 17-digit integer D = |x| * 10**(16 - k), k = floor(log10 |x|), and
 # writes D in fixed notation for -4 <= k <= 16 and in exponential notation
-# otherwise, without trailing zeros.  _format_rows computes D exactly from a
+# otherwise, without trailing zeros.  _slot_block computes D exactly from a
 # double-double table of powers of ten and Dekker's two-product, and lays the
 # cells out as a NUL-padded byte table with one row per character slot.
 
@@ -368,13 +367,6 @@ def _format_tables(tables: list, writers: list):
             write(cells.tobytes().translate(None, b"\0"))
 
 
-def _format_rows(columns: list) -> bytes:
-    """The CSV rows of one table of float columns."""
-    parts = []
-    _format_tables([columns], [parts.append])
-    return b"".join(parts)
-
-
 def _write_csvs(paths: list, comments: dict, tables: list):
     """One CSV file per (header, columns) table: the comment lines, the header and the rows."""
     lines = "".join(f"# {key} = {comments[key]}\n" for key in sorted(comments))
@@ -383,11 +375,6 @@ def _write_csvs(paths: list, comments: dict, tables: list):
         for f, (header, _) in zip(files, tables):
             f.write((lines + ",".join(header) + "\n").encode())
         _format_tables([columns for _, columns in tables], [f.write for f in files])
-
-
-def _write_csv(path: Path, comments: dict, header: list[str], columns: list):
-    """One table's CSV file."""
-    _write_csvs([path], comments, [(header, columns)])
 
 
 def _write_sidecar(path: Path, payload: dict):
@@ -454,11 +441,10 @@ def _eta_sweep(params: dict):
     return waveguide.resonant_eta_grid(p, params["eta_index_max"], params["eta_index_step"]), p
 
 
-# A runner takes (cfg, what the bath builder returned, opts) and returns the
-# CSV tables as (suffix, header, columns), the metadata for the CSV comments
-# and the sidecar, and the metadata for the sidecar alone.  Library functions
-# are looked up at call time, so wrappers installed on their modules (as
-# benchmarks/tracing.py does) see every call.
+# A runner takes the config, what the bath builder returned and, as keyword
+# arguments, the options its record names.  It returns the CSV tables as
+# (suffix, header, columns), the metadata for the CSV comments and the
+# sidecar, and the metadata for the sidecar alone.
 
 
 def _frequency_grid(cfg: ScenarioConfig, p, default) -> np.ndarray:
@@ -475,7 +461,7 @@ def _emission(cfg: ScenarioConfig, p):
     return grid, fdme.emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
 
 
-def _run_cavity_spectrum(cfg, p, opts):
+def _run_cavity_spectrum(cfg, p):
     grid, spec = _emission(cfg, p)
     markov = make_spectrum(grid, markovian_spectrum(p, grid))
     header = ["frequency_minus_qubit[g]", "density[1/g]"]
@@ -483,7 +469,7 @@ def _run_cavity_spectrum(cfg, p, opts):
     return tables, {}, {"grid_points": grid.size}
 
 
-def _run_waveguide_spectrum(cfg, p, opts):
+def _run_waveguide_spectrum(cfg, p):
     grid = _frequency_grid(cfg, p, waveguide.default_waveguide_grid)
     spec = waveguide.waveguide_spectrum(p, grid)
     ref = waveguide.waveguide_spectrum(replace(p, eta=0.0), grid)
@@ -500,34 +486,34 @@ def _thermal_ns(p: ThermalBathParams, gap_method: str) -> float:
     return measures.spectral_measure(s, s_m, gap).value
 
 
-def _run_thermal_sweep(axis_header, cfg, sweep, opts):
+def _run_thermal_sweep(axis_header, cfg, sweep, gap_method):
     xs, baths = sweep
-    values = [_thermal_ns(p, opts["gap_method"]) for p in baths]
+    values = [_thermal_ns(p, gap_method) for p in baths]
     return [(".csv", [axis_header, "spectral_measure"], [xs, values])], {}, {}
 
 
-def _run_eta_sweep(cfg, sweep, opts):
+def _run_eta_sweep(cfg, sweep):
     etas, p = sweep
     result = waveguide.waveguide_measure_sweep(p, etas)
     summary = {key: _fmt(result[key]) for key in ("markov_bandwidth", "eta_max", "saturation")}
     return [(".csv", ["eta", "spectral_measure"], [result["eta"], result["values"]])], summary, {}
 
 
-def _run_blp_compare(cfg, sweep, opts):
+def _run_blp_compare(cfg, sweep, gap_method):
     deltas, baths = sweep
     t_grid = cfg.grids["grid.time"].array()
     blp, ns = [], []
     for p in baths:
         tg, te = redfield.br_evolve(p, np.stack([qubit_state("g"), qubit_state("e")]), t_grid)
         blp.append(measures.blp_measure(tg, te).value)
-        ns.append(_thermal_ns(p, opts["gap_method"]))
+        ns.append(_thermal_ns(p, gap_method))
     return [(".csv", ["delta[g]", "blp_measure", "spectral_measure"], [deltas, blp, ns])], {}, {}
 
 
-def _run_positivity(cfg, p, opts):
+def _run_positivity(cfg, p, include_sum_frequency):
     t_grid = cfg.grids["grid.time"].array()
     rho0 = qubit_state("y-").reshape(-1)
-    traj = redfield.br_evolve(p, rho0, t_grid, include_sum_frequency=opts["include_sum_frequency"])
+    traj = redfield.br_evolve(p, rho0, t_grid, include_sum_frequency=include_sum_frequency)
     states = fdme.inverse_transform(fdme.squeezed_propagator(p), rho0, t_grid).reshape(-1, 2, 2)
     mm = states @ states  # Tr[rho^2] below; inverse_transform has checked Hermiticity
     pur_fd = (mm[:, 0, 0] + mm[:, 1, 1]).real
@@ -535,7 +521,7 @@ def _run_positivity(cfg, p, opts):
     return [(".csv", header, [t_grid, traj.purities(), pur_fd])], {}, {"initial_state": "sigma_y_minus"}
 
 
-def _run_oracle_compare(cfg, p, opts):
+def _run_oracle_compare(cfg, p):
     grid, spec = _emission(cfg, p)
     full = oracle.full_steady_spectrum(oracle.build_full_model(p, cfg.params["n_fock"]), grid)
     header = ["frequency_minus_qubit[g]", "density_fdqme[1/g]", "density_full[1/g]"]
@@ -547,7 +533,17 @@ class _Scenario:
     keys: tuple  # required [params] keys
     grids: tuple  # required grid sections
     bath: Callable  # [params] -> what the runner takes; raises ValueError on unphysical input
-    run: Callable  # (cfg, bath, opts) -> (tables, comments, sidecar metadata)
+    run: Callable  # (cfg, bath, **options) -> (tables, comments, sidecar metadata)
+    options: tuple = ()  # the _OPTIONS that run reads
+
+
+# The options a runner may read: flag, argparse settings, and the default that run_scenario fills in
+_OPTIONS = {
+    "gap_method": ("--gap", dict(choices=("eigen", "fwhm"), help="Markovian bandwidth definition for measures"),
+                   "eigen"),
+    "include_sum_frequency": ("--include-sum-frequency",
+                              dict(action="store_true", help="keep sum-frequency terms in time-local rates"), False),
+}
 
 
 _THERMAL_KEYS = ("g", "omega_q", "kappa", "nbar", "delta")
@@ -560,14 +556,14 @@ _SCENARIOS = {
     # one record per axis; a [params] key starting "<axis>_" picks it
     "measure-sweep": {
         "kappa": _Scenario(("g", "omega_q", "nbar", "delta", "kappa_min", "kappa_max", "kappa_points"), (),
-                           _kappa_sweep, partial(_run_thermal_sweep, "kappa[g]")),
+                           _kappa_sweep, partial(_run_thermal_sweep, "kappa[g]"), ("gap_method",)),
         "delta": _Scenario(("g", "omega_q", "nbar", "kappa", "delta_min", "delta_max", "delta_points"), (),
-                           _delta_sweep, partial(_run_thermal_sweep, "delta[g]")),
+                           _delta_sweep, partial(_run_thermal_sweep, "delta[g]"), ("gap_method",)),
         "eta": _Scenario(_WAVEGUIDE_KEYS + ("eta_index_max", "eta_index_step"), (), _eta_sweep, _run_eta_sweep),
     },
     "blp-compare": _Scenario(("g", "omega_q", "kappa", "nbar", "delta_min", "delta_max", "delta_points"),
-                             ("grid.time",), _blp_sweep, _run_blp_compare),
-    "positivity": _Scenario(_SQUEEZED_KEYS, ("grid.time",), _squeezed, _run_positivity),
+                             ("grid.time",), _blp_sweep, _run_blp_compare, ("gap_method",)),
+    "positivity": _Scenario(_SQUEEZED_KEYS, ("grid.time",), _squeezed, _run_positivity, ("include_sum_frequency",)),
     "oracle-compare": _Scenario(_THERMAL_KEYS + ("n_fock",), (), _thermal, _run_oracle_compare),
 }
 SCENARIOS = tuple(_SCENARIOS)
@@ -582,24 +578,27 @@ def _record(scenario: str, param_keys) -> _Scenario | None:
     return record
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    out_dir: str | None = None,
-    gap_method: str = "eigen",
-    include_sum_frequency: bool = False,
-) -> list:
-    """Execute a parsed scenario; returns the written file paths."""
+def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None, **options) -> list:
+    """Execute a parsed scenario; returns the written file paths.
+
+    ``options`` are those its record reads, each defaulted if not given and
+    recorded in the sidecar; an option it does not read raises ValueError.
+    """
+    record = _record(cfg.scenario, cfg.params)
+    unread = sorted(set(options) - set(record.options))
+    if unread:
+        raise ValueError(f"scenario {cfg.scenario} does not read option {', '.join(unread)}; "
+                         f"with this config it reads {', '.join(record.options) or 'none'}")
+    opts = {name: options.get(name, _OPTIONS[name][2]) for name in record.options}
     base = Path(cfg.output_path)
     if out_dir is not None:
         base = Path(out_dir) / base.name
-    opts = {"gap_method": gap_method, "include_sum_frequency": include_sum_frequency}
     meta = {f"param.{k}": _fmt(v) for k, v in cfg.params.items()}
     meta["scenario"] = cfg.scenario
     for name, g in cfg.grids.items():
         meta[f"{name}.min"], meta[f"{name}.max"], meta[f"{name}.points"] = _fmt(g.lo), _fmt(g.hi), g.points
     try:
-        record = _record(cfg.scenario, cfg.params)
-        tables, comments, sidecar_meta = record.run(cfg, record.bath(cfg.params), opts)
+        tables, comments, sidecar_meta = record.run(cfg, record.bath(cfg.params), **opts)
         meta.update(comments)
         written = [base.with_suffix(suffix) for suffix, _, _ in tables]
         # made only now, so that a scenario that fails leaves no directory behind
@@ -640,14 +639,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--list-scenarios", action="store_true", help="print the scenario registry and exit")
     sub = parser.add_subparsers(dest="scenario")
-    for name in SCENARIOS:
+    for name, records in _SCENARIOS.items():
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", required=True, help="path to the config file")
         sp.add_argument("--out", default=None, help="directory for output files")
-        sp.add_argument("--gap", choices=("eigen", "fwhm"), default="eigen",
-                        help="Markovian bandwidth definition for measures")
-        sp.add_argument("--include-sum-frequency", action="store_true",
-                        help="keep sum-frequency terms in time-local rates")
+        # the options of its records (for measure-sweep, of every axis); one not given is absent
+        records = records.values() if isinstance(records, dict) else [records]
+        for option, (flag, settings, _) in _OPTIONS.items():
+            if any(option in record.options for record in records):
+                sp.add_argument(flag, dest=option, default=argparse.SUPPRESS, **settings)
     return parser
 
 
@@ -672,12 +672,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        written = run_scenario(
-            cfg,
-            out_dir=args.out,
-            gap_method=args.gap,
-            include_sum_frequency=args.include_sum_frequency,
-        )
+        options = {name: getattr(args, name) for name in _OPTIONS if hasattr(args, name)}
+        written = run_scenario(cfg, out_dir=args.out, **options)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

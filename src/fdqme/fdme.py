@@ -320,8 +320,8 @@ def inverse_transform(fp: FrequencyPropagator, rho0, t_grid) -> np.ndarray:
     if fp.markov:
         raise ValueError("inverse transform of the frozen-kernel propagator is not supported")
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0):
-        raise ValueError("t_grid must be a 1-d array of nonnegative times")
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)) or np.any(t_grid < 0):
+        raise ValueError("t_grid must be a 1-d array of finite nonnegative times")
     rho0_vec = _density_vector(rho0)
     gen = _mode_embedding(fp)
     y0 = np.zeros(gen.shape[0], dtype=complex)

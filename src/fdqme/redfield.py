@@ -66,16 +66,15 @@ class Trajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=complex)
-        if times.ndim != 1 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if times.ndim != 1 or not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
         if states.shape != (times.size, 4):
             raise ValueError(f"states shape {states.shape} does not match times")
         traces = states[:, 0] + states[:, 3]
-        if np.abs(traces - 1.0).max() > TRAJECTORY_TOL:
+        if not np.all(np.abs(traces - 1.0) <= TRAJECTORY_TOL):  # NaN fails too
             raise ValueError("trajectory loses unit trace beyond 1e-8")
-        herm = np.abs(states[:, 1] - states[:, 2].conj()).max()
-        herm = max(herm, np.abs(states[:, 0].imag).max(), np.abs(states[:, 3].imag).max())
-        if herm > TRAJECTORY_TOL:
+        herm = np.abs(np.stack([states[:, 1] - states[:, 2].conj(), states[:, 0].imag, states[:, 3].imag]))
+        if not np.all(herm <= TRAJECTORY_TOL):
             raise ValueError("trajectory loses Hermiticity beyond 1e-8")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
@@ -86,6 +85,15 @@ class Trajectory:
 
     def excited_population(self) -> np.ndarray:
         return np.real(self.states[:, 3])
+
+
+def _time_grid(t_grid) -> np.ndarray:
+    """t_grid as a float array, checked: 1-d, nonempty, finite, nonnegative and increasing."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    ok = t_grid.ndim == 1 and t_grid.size > 0 and np.all(np.isfinite(t_grid) & (t_grid >= 0))
+    if not (ok and np.all(np.diff(t_grid) > 0)):
+        raise ValueError("t_grid must be a 1-d array of increasing nonnegative times, all finite")
+    return t_grid
 
 
 def _ramp(kappa: float, nu, t):
@@ -311,9 +319,7 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     columns (the RMS over 4 k components).  So every trajectory of a stack
     reports the same ``diagnostics``.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
+    t_grid = _time_grid(t_grid)
     rho0 = np.asarray(rho0)
     one = rho0.shape in ((2, 2), (4,))
     rho0 = np.stack([_density_vector(r) for r in (rho0[None] if one else rho0)], axis=-1)  # (4, k)
@@ -356,9 +362,7 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
 
 def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
     """Propagate under the constant Markov-limit generator from t = 0 (checked modal form)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be a 1-d array of increasing nonnegative times")
+    t_grid = _time_grid(t_grid)
     rho0_vec = _density_vector(rho0)
     gen = free_liouvillian(p) + bm_induced_generator(p, include_sum_frequency)
     states = _modal_evolution(gen, rho0_vec, t_grid, 4)

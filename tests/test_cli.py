@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fdqme import cli, fdme
 from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
-from fdqme.cli import ConfigError, _format_rows, _format_tables, _write_csv, main, parse_config, run_scenario
+from fdqme.cli import ConfigError, _format_tables, _write_csvs, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
 
 THERMAL_CONFIG = """
@@ -182,6 +182,18 @@ COMMENT_LINES = "# alpha = 2\n# param.g = 1\n# zeta = last\n"
 def _per_cell(columns):
     """The reference CSV body: format(x, ".17g") cell by cell."""
     return "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in zip(*columns))
+
+
+def _format_rows(columns):
+    """The CSV rows of one table of float columns."""
+    parts = []
+    _format_tables([columns], [parts.append])
+    return b"".join(parts)
+
+
+def _write_csv(path, comments, header, columns):
+    """One table's CSV file."""
+    _write_csvs([path], comments, [(header, columns)])
 
 
 # inputs where an exact conversion to 17 digits can go wrong
@@ -656,34 +668,67 @@ def test_cli_main_calls_parse_independently(tmp_path, capsys, monkeypatch):
     # the parser is built once and shared, so no flag of one call may leak into the next
     calls = []
 
-    def record(cfg, out_dir, gap_method, include_sum_frequency):
-        calls.append((cfg.scenario, out_dir, gap_method, include_sum_frequency))
+    def record(cfg, out_dir=None, **options):
+        calls.append((cfg.scenario, out_dir, options))
         return []
 
     monkeypatch.setattr(cli, "run_scenario", record)
-    thermal = tmp_path / "thermal.cfg"
-    thermal.write_text(THERMAL_CONFIG)
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(_sweep_config("kappa")[1])
+    blp = tmp_path / "blp.cfg"
+    blp.write_text(_sweep_config("blp-compare")[1])
     positivity = tmp_path / "positivity.cfg"
     positivity.write_text(POSITIVITY_CONFIG)
 
-    assert main(["positivity", "--config", str(positivity), "--gap", "fwhm", "--include-sum-frequency",
-                 "--out", str(tmp_path)]) == 0
-    assert main(["thermal-spectrum", "--config", str(thermal)]) == 0
+    assert main(["positivity", "--config", str(positivity), "--include-sum-frequency", "--out", str(tmp_path)]) == 0
+    assert main(["positivity", "--config", str(positivity)]) == 0
+    assert main(["measure-sweep", "--config", str(sweep), "--gap", "fwhm"]) == 0
     with pytest.raises(SystemExit) as exc:
-        main(["thermal-spectrum", "--gap", "fwhm"])
+        main(["measure-sweep", "--gap", "fwhm"])
     assert exc.value.code == 2
     assert "the following arguments are required: --config" in capsys.readouterr().err
-    assert main(["positivity", "--config", str(positivity), "--include-sum-frequency"]) == 0
+    assert main(["measure-sweep", "--config", str(sweep)]) == 0
+    assert main(["blp-compare", "--config", str(blp), "--gap", "fwhm"]) == 0
     assert main([]) == 2
     assert capsys.readouterr().err.startswith("usage: fdqme")
-    assert main(["thermal-spectrum", "--config", str(thermal), "--gap", "fwhm"]) == 0
+    assert main(["blp-compare", "--config", str(blp)]) == 0
     assert calls == [
-        ("positivity", str(tmp_path), "fwhm", True),
-        ("thermal-spectrum", None, "eigen", False),
-        ("positivity", None, "eigen", True),
-        ("thermal-spectrum", None, "fwhm", False),
+        ("positivity", str(tmp_path), {"include_sum_frequency": True}),
+        ("positivity", None, {}),
+        ("measure-sweep", None, {"gap_method": "fwhm"}),
+        ("measure-sweep", None, {}),
+        ("blp-compare", None, {"gap_method": "fwhm"}),
+        ("blp-compare", None, {}),
     ]
     assert cli._parser() is cli._parser()
+
+
+# the flags of each scenario that its records do not read
+UNREAD_FLAGS = [(scenario, flag) for scenario in ("thermal-spectrum", "squeezed-spectrum", "waveguide-spectrum",
+                                                  "oracle-compare") for flag in ("--gap", "--include-sum-frequency")]
+UNREAD_FLAGS += [("positivity", "--gap"), ("measure-sweep", "--include-sum-frequency"),
+                 ("blp-compare", "--include-sum-frequency")]
+
+
+@pytest.mark.parametrize("scenario, flag", UNREAD_FLAGS)
+def test_cli_rejects_a_flag_the_scenario_does_not_read(capsys, scenario, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([scenario, "--config", "unread.cfg", flag] + (["fwhm"] if flag == "--gap" else []))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_option_the_scenario_does_not_read_is_an_error(tmp_path, capsys):
+    # measure-sweep offers --gap for its kappa and delta axes; the eta axis takes
+    # its bandwidth from the FWHM of the eta = 0 line and reads none
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text(_sweep_config("eta")[1])
+    assert main(["measure-sweep", "--config", str(cfg), "--gap", "fwhm", "--out", str(tmp_path / "out")]) == 1
+    assert "does not read option gap_method" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["eta.cfg"]
+    # a library call is checked the same way, whatever the value
+    with pytest.raises(ValueError, match="scenario thermal-spectrum does not read option include_sum_frequency"):
+        run_scenario(parse_config(THERMAL_CONFIG, "thermal-spectrum"), include_sum_frequency=False)
 
 
 @pytest.mark.parametrize("path", ["", ".", "..", "results/.."], ids=["empty", "dot", "dot-dot", "ends-in-dot-dot"])
@@ -714,6 +759,9 @@ SUMMARY_KEYS = {"eta": {"markov_bandwidth", "eta_max", "saturation"}}
 SIDECAR_ONLY_KEYS = {"thermal-spectrum": {"grid_points"}, "squeezed-spectrum": {"grid_points"},
                      "waveguide-spectrum": {"grid_points"}, "positivity": {"initial_state"},
                      "oracle-compare": {"n_fock"}}
+# the options each runner reads, recorded in the sidecar with their (default) values
+SIDECAR_OPTIONS = {"kappa": {"gap_method": "eigen"}, "delta": {"gap_method": "eigen"},
+                   "blp-compare": {"gap_method": "eigen"}, "positivity": {"include_sum_frequency": False}}
 
 
 METADATA_CASES = {
@@ -741,3 +789,4 @@ def test_metadata_split_between_csv_comments_and_sidecar(tmp_path, case):
         assert set(comments) == shared, path.name
     sidecar = json.loads(written[-1].read_text())
     assert set(sidecar["metadata"]) == shared | SIDECAR_ONLY_KEYS.get(case, set())
+    assert sidecar["options"] == SIDECAR_OPTIONS.get(case, {})

@@ -379,6 +379,15 @@ def test_inverse_transform_validates_input():
         inverse_transform(thermal_propagator(THERMAL, markov=True), qubit_state("g").reshape(-1), np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_inverse_transform_rejects_non_finite_times(bad):
+    # before the check, these ended in InversionAccuracyError
+    fp = thermal_propagator(THERMAL)
+    for t_grid in ([0.0, 0.5, bad], [bad]):
+        with pytest.raises(ValueError, match="finite nonnegative times"):
+            inverse_transform(fp, qubit_state("g").reshape(-1), np.array(t_grid))
+
+
 @pytest.mark.parametrize(
     "l0, rho0",
     [(-np.eye(4), "g"), (np.diag([0.0, 1j, 1j, 0.0]), "x+")],

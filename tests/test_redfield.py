@@ -301,10 +301,12 @@ def test_bm_squeezed_transient_purity_violation():
     assert traj.purities().max() > 1.0 + 1e-4
 
 
-@pytest.mark.parametrize("t_grid", [[-5.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]],
-                         ids=["negative", "decreasing", "repeated"])
+@pytest.mark.parametrize("t_grid", [[-5.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0],
+                                    [0.0, np.nan, 1.0], [0.0, 1.0, np.nan], [np.nan], [0.0, 1.0, np.inf], [np.inf]],
+                         ids=["negative", "decreasing", "repeated", "nan-inside", "nan-last", "nan", "inf-last", "inf"])
 def test_bm_evolve_rejects_bad_times_like_br_evolve(t_grid):
-    # before the check, [-5, 0] returned populations -0.234 and 1.234 at t = -5
+    # before the check, [-5, 0] returned populations -0.234 and 1.234 at t = -5; a NaN
+    # time gave NaN states (bm) or an IndexError (br), and br never returned on [0, 1, inf]
     p = ThermalBathParams(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
     e = qubit_state("e").reshape(-1)
     message = "t_grid must be a 1-d array of increasing nonnegative times"
@@ -328,6 +330,20 @@ def test_trajectory_validation():
     bad_herm = np.array([[0.5, 0.1j, 0.1j, 0.5]] * 2, dtype=complex)
     with pytest.raises(ValueError, match="Hermiticity"):
         Trajectory(times=ts, states=bad_herm)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_trajectory_rejects_non_finite_times_and_states(bad):
+    # NaN passes any "> bound" test, so the checks are written as "<= bound"
+    good = np.array([[1.0, 0, 0, 0]] * 3, dtype=complex)
+    for times in ([0.0, 1.0, bad], [0.0, bad, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(times=times, states=good)
+    for index, message in ((0, "trace"), (1, "Hermiticity"), (2, "Hermiticity")):
+        states = good.copy()
+        states[1, index] = bad
+        with pytest.raises(ValueError, match=message):
+            Trajectory(times=[0.0, 1.0, 2.0], states=states)
 
 
 # --------------------------------------------------------------------------
