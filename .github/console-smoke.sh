@@ -180,6 +180,26 @@ case "$(cat "$work/bad-sweep.err")" in "error: invalid config"*) ;; *) exit 1 ;;
 test -z "$(find "$work" -name 'bad-sweep*.csv')"
 echo "::endgroup::"
 
+# A grid section the scenario does not read is a config error, never a grid
+# recorded but unused: the eta axis of measure-sweep computes each point on the
+# waveguide's own grid, so a [grid.time] fails with exit status 1, the section
+# named on stderr, and no --out directory made.
+echo "::group::Unread grid section through the console script"
+cat "$work/eta.cfg" - > "$work/eta-time.cfg" <<'CFG'
+
+[grid.time]
+min = 0.0
+max = 1.0
+points = 11
+CFG
+status=0
+fdqme measure-sweep --config "$work/eta-time.cfg" --out "$work/eta-time" 2> "$work/eta-time.err" || status=$?
+cat "$work/eta-time.err"
+test "$status" -eq 1
+grep -q "\[grid.time\] is not read by scenario measure-sweep" "$work/eta-time.err"
+test ! -e "$work/eta-time"
+echo "::endgroup::"
+
 # nbar = 0 parses, but the thermal spectrum has no positive values: a run-time
 # failure, so exit status 1, the error on stderr, and no --out directory made.
 echo "::group::Failed run through the console script"

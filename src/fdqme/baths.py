@@ -13,7 +13,6 @@ the qubit frequency (omega_q or delta_q); bare transform variables are named
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,6 +36,7 @@ __all__ = [
     "KernelModes",
     "bogoliubov_params",
     "kernel_modes",
+    "free_liouvillian",
     "thermal_kernel_time",
     "thermal_kernel_freq",
     "squeezed_kernel_time",
@@ -121,7 +121,6 @@ class EffectiveRates:
     gamma_eff: float
 
 
-@lru_cache(maxsize=None)
 def bogoliubov_params(p: SqueezedBathParams) -> BogoliubovParams:
     """Transform parameters of the squeezed cavity.
 
@@ -332,6 +331,17 @@ def kernel_modes(p, include_sum_frequency: bool = True) -> KernelModes:
     raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
 
 
+def free_liouvillian(p) -> np.ndarray:
+    """Free qubit Liouvillian diag(0, i w, -i w, 0) for either bath, w = omega_q or delta_q."""
+    if isinstance(p, ThermalBathParams):
+        w = p.omega_q
+    elif isinstance(p, SqueezedBathParams):
+        w = p.delta_q
+    else:
+        raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
+    return commutator_superop(-(w / 2.0) * SIGMA_Z)
+
+
 def thermal_kernel_time(p: ThermalBathParams, t) -> np.ndarray:
     """Thermal memory kernel at time(s) t; heating (1,1), cooling (4,4)."""
     return _thermal_modes(p).time_matrix(t)
@@ -415,16 +425,16 @@ def generic_kernel_time(p, t) -> np.ndarray:
     """
     if isinstance(p, SqueezedBathParams):
         b = bogoliubov_params(p)
-        g1, g2, nbar, mbar, omega_b, omega_q = b.g1, b.g2, b.nbar, b.mbar, b.delta_c_eff, p.delta_q
+        g1, g2, nbar, mbar, omega_b = b.g1, b.g2, b.nbar, b.mbar, b.delta_c_eff
     elif isinstance(p, ThermalBathParams):
-        g1, g2, nbar, mbar, omega_b, omega_q = p.g, 0.0, p.nbar, 0.0 + 0.0j, p.omega_c, p.omega_q
+        g1, g2, nbar, mbar, omega_b = p.g, 0.0, p.nbar, 0.0 + 0.0j, p.omega_c
     else:
         raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
     t = _kernel_times(t)
     flat = t.reshape(-1, 1, 1)
     M = _mode_matrix(nbar, mbar, p.kappa, omega_b)
     G = _coupling_matrix(g1, g2)
-    l_s = commutator_superop(-(omega_q / 2.0) * SIGMA_Z)
+    l_s = free_liouvillian(p)
     west = G @ _correlator_matrix(nbar, mbar) @ expm(M.T * flat) @ G
     e_ls = expm(l_s * flat)
     # sum_ij west[i, j] S_i e_ls S_j over the stacked superoperators S

@@ -123,9 +123,10 @@ def _number(sections, section, key, errors, required=True, integer=False):
     return val
 
 
-def _grid(sections, name, errors, required) -> GridSpec | None:
+def _grid(sections, name, errors) -> GridSpec | None:
+    """A grid section that the scenario reads: [grid.time] is required, [grid.frequency] optional."""
     if name not in sections:
-        if required:
+        if name == "grid.time":
             errors.append(f"missing required section [{name}]")
         return None
     lo = _number(sections, name, "min", errors)
@@ -178,9 +179,12 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
     if step is not None and top is not None and 1 <= step and top < step:
         errors.append(f"[params] eta_index_max must be at least eta_index_step ({step}), got {top}")
 
-    grids = {}
     for name in ("grid.frequency", "grid.time"):
-        g = _grid(sections, name, errors, required=name in record.grids)
+        if name in sections and name not in record.grids:
+            errors.append(f"[{name}] is not read by scenario {scenario}")
+    grids = {}
+    for name in record.grids:
+        g = _grid(sections, name, errors)
         if g is not None:
             grids[name] = g
 
@@ -457,7 +461,7 @@ def _emission(cfg: ScenarioConfig, p):
     grid = _frequency_grid(cfg, p, default_frequency_grid)
     propagator = fdme.thermal_propagator if isinstance(p, ThermalBathParams) else fdme.squeezed_propagator
     fp = propagator(p)
-    rho_ss = fdme.steady_state(fp, qubit_state("mixed"))
+    rho_ss = fdme.steady_state(fp)
     return grid, fdme.emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
 
 
@@ -531,7 +535,7 @@ def _run_oracle_compare(cfg, p):
 @dataclass(frozen=True)
 class _Scenario:
     keys: tuple  # required [params] keys
-    grids: tuple  # required grid sections
+    grids: tuple  # the grid sections run reads; any other is a config error
     bath: Callable  # [params] -> what the runner takes; raises ValueError on unphysical input
     run: Callable  # (cfg, bath, **options) -> (tables, comments, sidecar metadata)
     options: tuple = ()  # the _OPTIONS that run reads
@@ -549,10 +553,11 @@ _OPTIONS = {
 _THERMAL_KEYS = ("g", "omega_q", "kappa", "nbar", "delta")
 _SQUEEZED_KEYS = ("g", "delta_q", "delta_c", "r", "kappa")
 _WAVEGUIDE_KEYS = ("omega0", "gamma", "beta")
+_FREQUENCY, _TIME = ("grid.frequency",), ("grid.time",)
 _SCENARIOS = {
-    "thermal-spectrum": _Scenario(_THERMAL_KEYS, (), _thermal, _run_cavity_spectrum),
-    "squeezed-spectrum": _Scenario(_SQUEEZED_KEYS, (), _squeezed, _run_cavity_spectrum),
-    "waveguide-spectrum": _Scenario(_WAVEGUIDE_KEYS + ("eta",), (), _waveguide, _run_waveguide_spectrum),
+    "thermal-spectrum": _Scenario(_THERMAL_KEYS, _FREQUENCY, _thermal, _run_cavity_spectrum),
+    "squeezed-spectrum": _Scenario(_SQUEEZED_KEYS, _FREQUENCY, _squeezed, _run_cavity_spectrum),
+    "waveguide-spectrum": _Scenario(_WAVEGUIDE_KEYS + ("eta",), _FREQUENCY, _waveguide, _run_waveguide_spectrum),
     # one record per axis; a [params] key starting "<axis>_" picks it
     "measure-sweep": {
         "kappa": _Scenario(("g", "omega_q", "nbar", "delta", "kappa_min", "kappa_max", "kappa_points"), (),
@@ -562,9 +567,9 @@ _SCENARIOS = {
         "eta": _Scenario(_WAVEGUIDE_KEYS + ("eta_index_max", "eta_index_step"), (), _eta_sweep, _run_eta_sweep),
     },
     "blp-compare": _Scenario(("g", "omega_q", "kappa", "nbar", "delta_min", "delta_max", "delta_points"),
-                             ("grid.time",), _blp_sweep, _run_blp_compare, ("gap_method",)),
-    "positivity": _Scenario(_SQUEEZED_KEYS, ("grid.time",), _squeezed, _run_positivity, ("include_sum_frequency",)),
-    "oracle-compare": _Scenario(_THERMAL_KEYS + ("n_fock",), (), _thermal, _run_oracle_compare),
+                             _TIME, _blp_sweep, _run_blp_compare, ("gap_method",)),
+    "positivity": _Scenario(_SQUEEZED_KEYS, _TIME, _squeezed, _run_positivity, ("include_sum_frequency",)),
+    "oracle-compare": _Scenario(_THERMAL_KEYS + ("n_fock",), _FREQUENCY, _thermal, _run_oracle_compare),
 }
 SCENARIOS = tuple(_SCENARIOS)
 

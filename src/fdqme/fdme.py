@@ -22,14 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, kernel_modes
+from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, _mode_table, free_liouvillian, kernel_modes
 from .liouville import (
-    SIGMA_Z,
     _coupled_block,
     _density_vector,
     _modal_evolution,
     _steady_state,
-    commutator_superop,
     devectorize,
     left_multiplier,
     trace_dual,
@@ -118,24 +116,27 @@ def make_spectrum(grid, values, normalize: bool = True, clip_rel: float = NEGATI
 class FrequencyPropagator:
     """Resolvent data for one bath: free Liouvillian plus kernel mode table.
 
-    ``omega_ref`` is the qubit frequency in the propagator's frame (lab frame
-    for the thermal bath, pump frame for the squeezed one), which fixes the
-    detuning convention of ``kernel_freq``.  With ``markov`` set the kernel
-    is frozen at detuning 0, which collapses the propagator to a
-    constant-Liouvillian resolvent.  For the thermal bath its spectrum is
+    The mode table's ``omega_ref`` is the qubit frequency in the propagator's
+    frame (lab frame for the thermal bath, pump frame for the squeezed one),
+    which fixes the detuning convention of ``kernel_freq``.  With ``markov``
+    set the kernel is frozen at detuning 0, which collapses the propagator to
+    a constant-Liouvillian resolvent.  For the thermal bath its spectrum is
     ``markovian_spectrum``; for the squeezed bath the frozen kernel keeps the
     coherence coupling K12/K21, which that single Lorentzian leaves out, and
     the whole difference between the two (4.7e-6 of the peak at r = 115,
-    delta_c = 320) comes from it.  ``modes`` is None for free evolution.
+    delta_c = 320) comes from it.  Free evolution has an empty mode table.
     """
 
     l0: np.ndarray
-    modes: KernelModes | None
-    omega_ref: float
+    modes: KernelModes
     markov: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "l0", np.asarray(self.l0, dtype=complex))
+
+    @property
+    def omega_ref(self) -> float:
+        return self.modes.omega_ref
 
     def kernel_freq(self, delta, block=(0, 1, 2, 3)) -> np.ndarray:
         """Kernel matrix at detuning(s) delta from ``omega_ref``; shape (..., 4, 4).
@@ -145,8 +146,6 @@ class FrequencyPropagator:
         """
         delta = np.asarray(delta, dtype=float)
         size = len(block)
-        if self.modes is None:
-            return np.zeros(delta.shape + (size, size), dtype=complex)
         if self.markov:
             # one 0-d evaluation: a (1,)-shaped omega takes another BLAS path
             frozen = self.modes.freq_matrix(self.omega_ref, block)
@@ -155,10 +154,7 @@ class FrequencyPropagator:
 
     def _pattern(self) -> np.ndarray:
         """Structural nonzeros of the system matrix i omega I - L0 - K at any frequency."""
-        pattern = np.eye(self.l0.shape[0], dtype=bool) | (self.l0 != 0)
-        if self.modes is not None:
-            pattern |= np.any(self.modes.coef != 0, axis=0)
-        return pattern
+        return np.eye(self.l0.shape[0], dtype=bool) | (self.l0 != 0) | np.any(self.modes.coef != 0, axis=0)
 
     def _system_matrix(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -184,19 +180,17 @@ class FrequencyPropagator:
 
 def thermal_propagator(p: ThermalBathParams, markov: bool = False) -> FrequencyPropagator:
     """Propagator of a qubit with a thermal-cavity kernel (lab frame)."""
-    l0 = commutator_superop(-(p.omega_q / 2.0) * SIGMA_Z)
-    return FrequencyPropagator(l0=l0, modes=kernel_modes(p), omega_ref=p.omega_q, markov=markov)
+    return FrequencyPropagator(l0=free_liouvillian(p), modes=kernel_modes(p), markov=markov)
 
 
 def squeezed_propagator(p: SqueezedBathParams, markov: bool = False) -> FrequencyPropagator:
     """Propagator of a qubit with a squeezed-cavity kernel (pump frame), full mode table."""
-    l0 = commutator_superop(-(p.delta_q / 2.0) * SIGMA_Z)
-    return FrequencyPropagator(l0=l0, modes=kernel_modes(p), omega_ref=p.delta_q, markov=markov)
+    return FrequencyPropagator(l0=free_liouvillian(p), modes=kernel_modes(p), markov=markov)
 
 
 def free_propagator(l0, omega_ref: float = 0.0) -> FrequencyPropagator:
-    """Kernel-free propagator (pure free evolution), mostly for validation."""
-    return FrequencyPropagator(l0=l0, modes=None, omega_ref=omega_ref)
+    """Kernel-free propagator (pure free evolution, an empty mode table), mostly for validation."""
+    return FrequencyPropagator(l0=l0, modes=_mode_table(0.0, omega_ref, ()))
 
 
 def propagate(fp: FrequencyPropagator, omega: float) -> np.ndarray:
@@ -219,24 +213,23 @@ def propagate(fp: FrequencyPropagator, omega: float) -> np.ndarray:
     return u
 
 
-def steady_state(fp: FrequencyPropagator, rho0) -> np.ndarray:
+def steady_state(fp: FrequencyPropagator) -> np.ndarray:
     """Steady state as the unit-trace null vector of L0 + K[omega = 0].
 
     By the final value theorem lim i omega U[omega] rho0 is the null vector
     of the generator with the kernel at transform variable 0 (detuning
-    -omega_ref).  A generator without exactly one zero eigenvalue has a
+    -omega_ref), the same for every initial state rho0 when that null vector
+    is unique.  A generator without exactly one zero eigenvalue has a
     degenerate steady-state manifold and raises.  Otherwise the null vector
     comes from ``liouville._steady_state``: the trace-bordered solve on the
     blocks that hold the populations, Hermitized and checked for unit trace.
     Returns the row-stacked vector (gg, ge, eg, ee).
     """
-    rho0_vec = _density_vector(rho0)
     generator = fp.l0 + fp.kernel_freq(-fp.omega_ref)
     lam = np.linalg.eigvals(generator)
     if np.count_nonzero(np.abs(lam) < 1e-12 * np.abs(lam).max()) != 1:
         raise ValueError("steady-state manifold is degenerate; final value is not unique")
-    d = int(round(np.sqrt(rho0_vec.size)))
-    return _steady_state(generator, d).reshape(-1)
+    return _steady_state(generator, int(round(np.sqrt(generator.shape[0])))).reshape(-1)
 
 
 def emission_spectrum(
@@ -293,8 +286,6 @@ def _mode_embedding(fp: FrequencyPropagator) -> np.ndarray:
     complement of the embedded generator reproduces K[omega] exactly, so its
     modal expansion IS the shifted-contour inverse transform.
     """
-    if fp.modes is None:
-        return fp.l0
     modes = fp.modes
     cols, ks = np.nonzero(np.any(modes.coef != 0, axis=1).T)  # ordered by column, then mu
     aux = np.arange(4, 4 + ks.size)

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baths import effective_rates, free_liouvillian
 from .fdme import Spectrum
 from .liouville import devectorize
-from .redfield import Trajectory, bm_induced_generator, free_liouvillian
-from .baths import effective_rates
+from .redfield import Trajectory, bm_induced_generator
 
 __all__ = [
     "MeasureResult",

@@ -47,14 +47,13 @@ class TruncationError(RuntimeError):
 class FullModel:
     """Joint Liouvillian of the qubit and the truncated cavity.
 
-    The operators are ``scipy.sparse`` CSR arrays; ``liouvillian`` stores no
-    zeros, so its stored structure is its nonzero pattern.
+    ``liouvillian`` is a ``scipy.sparse`` CSR array that encodes the
+    Hamiltonian and the dissipators; it stores no zeros, so its stored
+    structure is its nonzero pattern.
     """
 
     n_fock: int
     qubit_frequency: float
-    hamiltonian: sparse.csr_array
-    dissipators: tuple  # (rate, operator) pairs
     liouvillian: sparse.csr_array
 
     @property
@@ -99,9 +98,7 @@ def build_full_model(p, n_fock: int) -> FullModel:
     for rate, op in dissipators:
         lv = lv + rate * lindblad_dissipator(op)
     lv.eliminate_zeros()
-    return FullModel(
-        n_fock=n_fock, qubit_frequency=omega_ref, hamiltonian=h, dissipators=dissipators, liouvillian=lv
-    )
+    return FullModel(n_fock=n_fock, qubit_frequency=omega_ref, liouvillian=lv)
 
 
 def full_steady_state(m: FullModel) -> np.ndarray:

@@ -28,15 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import DOP853
 
-from .baths import ThermalBathParams, effective_rates, kernel_modes
+from .baths import ThermalBathParams, effective_rates, free_liouvillian, kernel_modes
 from .fdme import Spectrum, make_spectrum
-from .liouville import SIGMA_Z, _coupled_blocks, _density_vector, _modal_evolution, commutator_superop
+from .liouville import _coupled_blocks, _density_vector, _modal_evolution
 
 __all__ = [
     "Trajectory",
     "br_induced_generator",
     "bm_induced_generator",
-    "free_liouvillian",
     "br_evolve",
     "bm_evolve",
     "br_correlator",
@@ -125,12 +124,6 @@ def bm_induced_generator(p, include_sum_frequency: bool = False) -> np.ndarray:
     """Markov-limit induced generator (running integral frozen at infinity)."""
     modes, nus = _column_modes(p, include_sum_frequency)
     return np.einsum("kij,kj->ij", modes.coef, 1.0 / (modes.kappa - 1j * nus))
-
-
-def free_liouvillian(p) -> np.ndarray:
-    """Free qubit Liouvillian diag(0, i w, -i w, 0) for either bath."""
-    w = p.omega_q if isinstance(p, ThermalBathParams) else p.delta_q
-    return commutator_superop(-(w / 2.0) * SIGMA_Z)
 
 
 def _dop853_stage_table():

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from fdqme.baths import SqueezedBathParams, ThermalBathParams, bogoliubov_params, kernel_modes
+from fdqme.baths import SqueezedBathParams, ThermalBathParams, bogoliubov_params, free_liouvillian, kernel_modes
 from fdqme.fdme import make_spectrum
 from fdqme.liouville import (
     SIGMA_MINUS,
@@ -18,7 +18,7 @@ from fdqme.liouville import (
     lindblad_dissipator,
     squeeze_dissipator,
 )
-from fdqme.redfield import _ramp, free_liouvillian
+from fdqme.redfield import _ramp
 
 
 def one_sided_transform(time_fn, omega, kappa, points_per_period: int = 80):

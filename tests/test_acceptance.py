@@ -66,7 +66,7 @@ def thermal_ns(p):
 def test_criterion_01_thermal_steady_state():
     start = time.time()
     fp = thermal_propagator(FIG1)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     err = np.abs(ss - np.array([11.0 / 12.0, 0.0, 0.0, 1.0 / 12.0])).max()
     elapsed = time.time() - start
     report(1, err < 1e-9 and elapsed < 1.0,
@@ -78,13 +78,13 @@ def test_criterion_02_closed_form_equivalence():
     span = abs(FIG1.delta) + 40 * FIG1.kappa
     grid = np.linspace(-span, span, 2**14)
     fp = thermal_propagator(FIG1)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
     closed = make_spectrum(grid, thermal_closed_spectrum(FIG1, grid))
     err_fd = np.abs(spec.values - closed.values).max()
 
     fp_m = thermal_propagator(FIG1, markov=True)
-    ss_m = steady_state(fp_m, qubit_state("mixed"))
+    ss_m = steady_state(fp_m)
     spec_m = emission_spectrum(fp_m, SIGMA_MINUS, ss_m, grid)
     markov = make_spectrum(grid, markovian_spectrum(FIG1, grid))
     err_m = np.abs(spec_m.values - markov.values).max()
@@ -107,7 +107,7 @@ def test_criterion_04_tail_exponents():
     w = abs(FIG1.delta) + 40 * FIG1.kappa
     tail = np.geomspace(10 * w, 100 * w, 200)
     fp = thermal_propagator(FIG1)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     fd_vals = emission_spectrum(fp, SIGMA_MINUS, ss, tail, normalize=False).values
     slope_fd = np.polyfit(np.log(tail), np.log(fd_vals), 1)[0]
     slope_m = np.polyfit(np.log(tail), np.log(markovian_spectrum(FIG1, tail)), 1)[0]
@@ -123,7 +123,7 @@ def test_criterion_05_side_peak_location():
     rates = effective_rates(p)
     grid = default_frequency_grid(p)
     fp = thermal_propagator(p)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
 
     def interp(s):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,10 +52,13 @@ def test_parse_round_trip():
 
 
 def test_parse_two_grids_independently():
+    # no scenario reads both grids: thermal-spectrum reads the frequency grid only,
+    # so a time grid next to it is an error, not a grid recorded but never used
     text = THERMAL_CONFIG + "\n[grid.time]\nmin = 0.0\nmax = 1.0\npoints = 11\n"
-    cfg = parse_config(text, "thermal-spectrum")
-    assert cfg.grids["grid.time"].array().size == 11
-    assert cfg.grids["grid.frequency"].array().size == 4096
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, "thermal-spectrum")
+    assert err.value.errors == ["[grid.time] is not read by scenario thermal-spectrum"]
+    assert parse_config(THERMAL_CONFIG, "thermal-spectrum").grids["grid.frequency"].array().size == 4096
 
 
 def test_parse_unknown_scenario():
@@ -83,6 +87,53 @@ format = xml
     assert "unsupported format" in messages
     assert "missing required key" in messages  # kappa/nbar/delta
     assert len(err.value.errors) >= 6
+
+
+# lines 1-8 of a valid thermal-spectrum config
+PARSE_BASE = "[params]\ng = 1.0\nomega_q = 2.0e5\nkappa = 10.0\nnbar = 0.1\ndelta = 50.0\n[output]\npath = t.csv\n"
+
+
+@pytest.mark.parametrize(
+    "scenario, text, message",
+    [
+        ("thermal-spectrum", PARSE_BASE + "[grid.space]\n", "line 9: unknown section [grid.space]"),
+        ("thermal-spectrum", PARSE_BASE + "[params]\n", "line 9: duplicate section [params]"),
+        ("thermal-spectrum", PARSE_BASE.replace("nbar = 0.1", "nbar 0.1"),
+         "line 5: expected 'key = value', got 'nbar 0.1'"),
+        ("thermal-spectrum", "g = 1.0\n" + PARSE_BASE, "line 1: key outside any section"),
+        *[("thermal-spectrum", PARSE_BASE.replace("kappa = 10.0", f"kappa = {value}"),
+           "line 4: value of 'kappa' is not finite") for value in ("inf", "nan")],
+        ("oracle-compare", PARSE_BASE.replace("delta = 50.0\n", "delta = 50.0\nn_fock = 8.5\n"),
+         "line 7: value of 'n_fock' must be an integer"),
+        ("thermal-spectrum", "[output]\npath = t.csv\n", "missing required section [params]"),
+        ("thermal-spectrum", PARSE_BASE.replace("[output]\npath = t.csv\n", ""), "missing required section [output]"),
+        ("thermal-spectrum", PARSE_BASE + "mode = fast\n", "[output] unknown key 'mode'"),
+    ],
+    ids=["unknown-section", "duplicate-section", "no-equals", "key-outside-section", "inf", "nan",
+         "non-integer", "missing-params", "missing-output", "unknown-output-key"],
+)
+def test_parse_reports_each_malformed_line(scenario, text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, scenario)
+    assert message in err.value.errors
+
+
+def test_parse_reports_three_faults_at_once():
+    assert parse_config(PARSE_BASE, "thermal-spectrum").params["omega_q"] == 2.0e5
+    text = PARSE_BASE.replace("omega_q = 2.0e5", "omega_q = inf").replace("[output]", "[grid.space]\n[output]")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "mode = fast\n", "thermal-spectrum")
+    assert err.value.errors == [
+        "line 7: unknown section [grid.space]",
+        "line 3: value of 'omega_q' is not finite",
+        "[output] unknown key 'mode'",
+    ]
+
+
+def test_cli_main_reports_an_unreadable_config(tmp_path, capsys):
+    assert main(["thermal-spectrum", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_rejects_unstable_squeezing():
@@ -790,3 +841,48 @@ def test_metadata_split_between_csv_comments_and_sidecar(tmp_path, case):
     sidecar = json.loads(written[-1].read_text())
     assert set(sidecar["metadata"]) == shared | SIDECAR_ONLY_KEYS.get(case, set())
     assert sidecar["options"] == SIDECAR_OPTIONS.get(case, {})
+
+
+GRID_SECTIONS = {"grid.frequency": "min = -1.0\nmax = 1.0\npoints = 3\n",
+                 "grid.time": "min = 0.0\nmax = 1.0\npoints = 3\n"}
+# the grid sections a case's scenario does not read; the measure-sweep axes read none
+UNREAD_GRIDS = {case: ("grid.time",) for case in ("thermal-spectrum", "squeezed-spectrum", "waveguide-spectrum",
+                                                  "oracle-compare")}
+UNREAD_GRIDS |= {case: ("grid.frequency",) for case in ("blp-compare", "positivity")}
+UNREAD_GRIDS |= {case: ("grid.frequency", "grid.time") for case in ("kappa", "delta", "eta")}
+
+
+@pytest.mark.parametrize("case, section", [(case, name) for case in METADATA_CASES for name in UNREAD_GRIDS[case]])
+def test_grid_section_the_scenario_does_not_read_is_an_error(tmp_path, capsys, case, section):
+    scenario, text = METADATA_CASES[case]
+    text += f"\n[{section}]\n{GRID_SECTIONS[section]}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, scenario)
+    assert err.value.errors == [f"[{section}] is not read by scenario {scenario}"]
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(text)
+    assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"[{section}] is not read by scenario {scenario}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["unread.cfg"]
+
+
+def test_every_unread_grid_section_is_reported():
+    # a kappa sweep computes its measure on the bath's default grid: neither section is used
+    scenario, text = METADATA_CASES["kappa"]
+    text += "".join(f"\n[{section}]\n{body}" for section, body in GRID_SECTIONS.items())
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, scenario)
+    assert err.value.errors == [f"[{section}] is not read by scenario measure-sweep" for section in GRID_SECTIONS]
+
+
+def test_grid_sections_follow_what_the_runner_reads():
+    # a time grid that is read is required; a frequency grid that is read is optional
+    for scenario in ("blp-compare", "positivity"):
+        without = re.sub(r"\[grid\.time\]\n(\w+ = .*\n)*", "", METADATA_CASES[scenario][1])
+        assert "[grid" not in without
+        with pytest.raises(ConfigError) as err:
+            parse_config(without, scenario)
+        assert err.value.errors == ["missing required section [grid.time]"]
+    for case in ("squeezed-spectrum", "waveguide-spectrum"):
+        scenario, text = METADATA_CASES[case]
+        assert "[grid" not in text and parse_config(text, scenario).grids == {}

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from fdqme.baths import (
     thermal_closed_spectrum,
 )
 from fdqme.fdme import (
+    FrequencyPropagator,
     InversionAccuracyError,
     Spectrum,
     emission_spectrum,
@@ -53,6 +54,22 @@ def random_density():
 # --------------------------------------------------------------------------
 # propagator
 # --------------------------------------------------------------------------
+
+
+def test_propagator_takes_its_frame_from_the_bath():
+    assert [f.name for f in fields(FrequencyPropagator)] == ["l0", "modes", "markov"]
+    for fp, w in ((thermal_propagator(THERMAL), THERMAL.omega_q), (squeezed_propagator(SQUEEZED), SQUEEZED.delta_q)):
+        assert fp.omega_ref == fp.modes.omega_ref == w
+        assert np.array_equal(fp.l0, commutator_superop(-(w / 2) * SIGMA_Z))
+
+
+def test_free_propagator_is_an_empty_mode_table():
+    fp = free_propagator(commutator_superop(-(5.0 / 2) * SIGMA_Z), omega_ref=5.0)
+    assert fp.omega_ref == 5.0 and fp.modes.mus.size == 0 and fp.modes.coef.shape == (0, 4, 4)
+    assert np.array_equal(fp.kernel_freq([-1.0, 0.0, 2.5]), np.zeros((3, 4, 4)))
+    assert np.array_equal(fp._pattern(), np.eye(4, dtype=bool))
+    u = propagate(fp, 2.7)
+    assert np.allclose(u, np.diag(1.0 / (1j * 2.7 - np.diag(fp.l0))), atol=1e-14)
 
 
 def test_propagate_scalar_resolvent():
@@ -102,27 +119,20 @@ def test_propagate_reports_singularity():
 
 def test_thermal_steady_state_occupations():
     fp = thermal_propagator(THERMAL)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     expected = np.array([11.0 / 12.0, 0, 0, 1.0 / 12.0])
     assert np.abs(ss - expected).max() < 1e-9
 
 
 def test_zero_temperature_steady_state_is_ground():
     p = ThermalBathParams(g=1.0, omega_q=300.0, omega_c=280.0, kappa=8.0, nbar=0.0)
-    ss = steady_state(thermal_propagator(p), qubit_state("e"))
+    ss = steady_state(thermal_propagator(p))
     assert np.abs(ss - np.array([1, 0, 0, 0])).max() < 1e-9
-
-
-def test_steady_state_unique_across_initial_states():
-    fp = thermal_propagator(THERMAL)
-    results = [steady_state(fp, random_density()) for _ in range(3)]
-    assert np.abs(results[0] - results[1]).max() < 1e-8
-    assert np.abs(results[0] - results[2]).max() < 1e-8
 
 
 def test_squeezed_steady_state_matches_closed_form():
     fp = squeezed_propagator(SQUEEZED)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     assert abs(ss[0].real - squeezed_steady_ground_population(SQUEEZED)) < 1e-9
     assert abs(ss[1]) < 1e-9 and abs(ss[2]) < 1e-9
 
@@ -132,20 +142,14 @@ def test_squeezed_steady_state_needs_kernel_at_zero_frequency(r):
     # the generator needs the kernel at omega = 0: on these baths the kernel at
     # the qubit frequency has a far faster slowest mode; r = 0 gives exactly 1
     p = SqueezedBathParams(g=1.0, delta_q=150.0, delta_c=300.0, r=r, kappa=10.0)
-    ss = steady_state(squeezed_propagator(p), qubit_state("mixed"))
+    ss = steady_state(squeezed_propagator(p))
     assert abs(ss[0].real - squeezed_steady_ground_population(p)) < 1e-9
-
-
-def test_steady_state_rejects_invalid_input():
-    fp = thermal_propagator(THERMAL)
-    with pytest.raises(ValueError, match="trace"):
-        steady_state(fp, np.array([1.0, 0, 0, 1.0]))
 
 
 def test_steady_state_degenerate_manifold_detected():
     fp = free_propagator(commutator_superop(-(5.0 / 2) * SIGMA_Z), omega_ref=5.0)
     with pytest.raises(ValueError):
-        steady_state(fp, qubit_state("x+"))
+        steady_state(fp)
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +159,7 @@ def test_steady_state_degenerate_manifold_detected():
 
 def test_thermal_spectrum_matches_closed_form_pointwise():
     fp = thermal_propagator(THERMAL)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     grid = default_frequency_grid(THERMAL)
     spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
     closed = make_spectrum(grid, thermal_closed_spectrum(THERMAL, grid))
@@ -168,7 +172,7 @@ def test_thermal_spectrum_matches_closed_form_pointwise():
 
 def test_markov_mode_spectrum_is_lorentzian():
     fp = thermal_propagator(THERMAL, markov=True)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     grid = default_frequency_grid(THERMAL)
     spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
     markov = make_spectrum(grid, markovian_spectrum(THERMAL, grid))
@@ -184,14 +188,14 @@ def test_squeezed_markov_gap_is_the_frozen_coherence_coupling():
     coef[:, 2, 1] = 0.0
     fp = replace(fp, modes=replace(fp.modes, coef=coef))
     grid = default_frequency_grid(SQUEEZED)
-    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
     markov = make_spectrum(grid, markovian_spectrum(SQUEEZED, grid))
     assert np.abs(spec.values - markov.values).max() <= 1e-12 * markov.values.max()
 
 
 def test_squeezed_spectrum_matches_closed_form():
     fp = squeezed_propagator(SQUEEZED)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     grid = default_frequency_grid(SQUEEZED)
     spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
     closed = make_spectrum(grid, squeezed_closed_spectrum(SQUEEZED, grid))
@@ -208,7 +212,7 @@ def test_fig8_spectrum_is_finite_at_transform_frequency_zero(grid):
     # is the steady-state generator, singular in its population block
     assert np.any(grid == -FIG8.delta_q)
     fp = squeezed_propagator(FIG8)
-    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
     closed = make_spectrum(grid, squeezed_closed_spectrum(FIG8, grid))
     assert np.all(np.isfinite(spec.values))
     assert np.abs(spec.values - closed.values).max() < 1e-8
@@ -224,7 +228,7 @@ def test_source_block_is_found_from_the_pattern_alone(fp, source_block):
     grid = default_frequency_grid(THERMAL)
     pattern = fp._pattern()
     np.testing.assert_array_equal(pattern, np.any(full_system_matrix_delta(fp, grid) != 0, axis=0))
-    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp, qubit_state("mixed"))
+    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp)
     np.testing.assert_array_equal(_coupled_block(pattern, np.flatnonzero(src)), source_block)
     np.testing.assert_array_equal(_coupled_block(pattern, [0]), [0, 3])
 
@@ -239,7 +243,7 @@ def test_source_block_assembly_equals_the_full_assembly(p, make, markov):
     # only the source block is assembled, with every entry bit-identical
     fp = make(p, markov=markov)
     grid = default_frequency_grid(p)
-    rho_ss = steady_state(fp, qubit_state("mixed"))
+    rho_ss = steady_state(fp)
     spec = emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
     ref = full_assembly_emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
     np.testing.assert_array_equal(spec.values, ref.values)
@@ -268,7 +272,7 @@ def test_emission_spectrum_residual_guard_rejects_non_finite_points():
 def test_resonant_thermal_spectrum_symmetric():
     p = ThermalBathParams(g=1.0, omega_q=500.0, omega_c=500.0, kappa=10.0, nbar=0.1)
     fp = thermal_propagator(p)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     grid = np.linspace(-200.0, 200.0, 8001)
     spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
     assert np.abs(spec.values - spec.values[::-1]).max() < 1e-8
@@ -276,7 +280,7 @@ def test_resonant_thermal_spectrum_symmetric():
 
 def test_emission_spectrum_rejects_bad_grid():
     fp = thermal_propagator(THERMAL)
-    ss = steady_state(fp, qubit_state("mixed"))
+    ss = steady_state(fp)
     with pytest.raises(ValueError, match="grid"):
         emission_spectrum(fp, SIGMA_MINUS, ss, np.array([]))
     with pytest.raises(ValueError, match="grid"):

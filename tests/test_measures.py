@@ -105,7 +105,8 @@ def test_spectral_gap_resonant_thermal():
 
 def test_spectral_gap_is_smallest_decay_eigenvalue():
     # 4x4 eigendecomposition oracle of the Markov-limit generator
-    from fdqme.redfield import bm_induced_generator, free_liouvillian
+    from fdqme.baths import free_liouvillian
+    from fdqme.redfield import bm_induced_generator
 
     gen = free_liouvillian(THERMAL) + bm_induced_generator(THERMAL)
     decay = np.abs(np.real(np.linalg.eigvals(gen)))

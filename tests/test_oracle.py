@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -18,6 +20,7 @@ from fdqme.fdme import make_spectrum, purity
 from fdqme.liouville import annihilation, qubit_state
 from fdqme.measures import fwhm
 from fdqme.oracle import (
+    FullModel,
     TruncationError,
     build_full_model,
     full_steady_spectrum,
@@ -264,3 +267,10 @@ def test_sparse_liouvillian_equals_dense_assembly(bath, n_fock):
     for label in np.unique(dense_labels):  # the same partition into blocks
         members = np.flatnonzero(dense_labels == label)
         np.testing.assert_array_equal(_coupled_block(lv, members[:1]), members)
+
+
+def test_full_model_holds_only_its_liouvillian():
+    # the Hamiltonian and the dissipators are encoded in the Liouvillian alone
+    assert [f.name for f in fields(FullModel)] == ["n_fock", "qubit_frequency", "liouvillian"]
+    m = build_full_model(SQUEEZED, 6)
+    assert (m.n_fock, m.qubit_frequency, m.dim) == (6, SQUEEZED.delta_q, 12)

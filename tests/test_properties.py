@@ -121,14 +121,14 @@ def test_time_matrix_matches_direct_mode_sum(modes, shape, decays):
 @EXAMPLES
 @given(squeezed_baths)
 def test_squeezed_steady_state_matches_closed_form(p):
-    ss = steady_state(squeezed_propagator(p), qubit_state("mixed"))
+    ss = steady_state(squeezed_propagator(p))
     assert abs(ss[0].real - squeezed_steady_ground_population(p)) < 1e-9
 
 
 @EXAMPLES
 @given(thermal_baths)
 def test_thermal_steady_state_obeys_detailed_balance(p):
-    ss = steady_state(thermal_propagator(p), qubit_state("mixed"))
+    ss = steady_state(thermal_propagator(p))
     ground = (p.nbar + 1.0) / (2.0 * p.nbar + 1.0)
     assert np.abs(ss - [ground, 0.0, 0.0, 1.0 - ground]).max() < 1e-9
 
@@ -140,7 +140,7 @@ def test_emission_spectrum_is_a_unit_area_density(p):
     grid = default_frequency_grid(p)
     for markov in (False, True):
         fp = make(p, markov=markov)
-        spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+        spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
         assert spec.values.min() >= 0.0
         assert abs(spec.area - 1.0) <= 1e-12
 
@@ -158,7 +158,7 @@ def test_source_block_spectrum_equals_the_full_assembly(p, markov):
     make = thermal_propagator if isinstance(p, ThermalBathParams) else squeezed_propagator
     fp = make(p, markov=markov)
     grid = default_frequency_grid(p)
-    rho_ss = steady_state(fp, qubit_state("mixed"))
+    rho_ss = steady_state(fp)
     spec = emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
     ref = full_assembly_emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
     np.testing.assert_array_equal(spec.values, ref.values)
@@ -169,7 +169,7 @@ def test_source_block_spectrum_equals_the_full_assembly(p, markov):
 def test_frozen_thermal_spectrum_is_the_markov_lorentzian(p):
     fp = thermal_propagator(p, markov=True)
     grid = default_frequency_grid(p)
-    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
     markov = make_spectrum(grid, markovian_spectrum(p, grid))
     assert np.abs(spec.values - markov.values).max() <= 1e-12 * markov.values.max()
 
@@ -179,7 +179,7 @@ def test_frozen_thermal_spectrum_is_the_markov_lorentzian(p):
 def test_fd_spectrum_matches_oracle_at_weak_coupling(p):
     grid = np.linspace(-(p.delta + 60.0), 80.0, 3001)
     fp = thermal_propagator(p)
-    fd = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp, qubit_state("mixed")), grid)
+    fd = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
     full = full_steady_spectrum(build_full_model(p, n_fock=10), grid)
     assert abs(grid[np.argmax(fd.values)] - grid[np.argmax(full.values)]) < 1.0
 
