@@ -108,6 +108,40 @@ print(f"backflow {blp}, spectral measure {ns}")
 PY
 echo "::endgroup::"
 
+# Both spectrum calls behind the entry point, the FD-QME resolvent and the exact
+# qubit-plus-cavity model, on a 3001-point window like the benchmark's: the two
+# spectra peak at the same detuning, within 1 g.
+echo "::group::oracle-compare through the console script"
+cat > "$work/oracle.cfg" <<'CFG'
+[params]
+g = 1.0
+omega_q = 2000.0
+kappa = 10.0
+nbar = 0.1
+delta = 100.0
+n_fock = 10
+
+[grid.frequency]
+min = -160.0
+max = 80.0
+points = 3001
+
+[output]
+path = oracle.csv
+CFG
+fdqme oracle-compare --config "$work/oracle.cfg" --out "$work/oracle"
+python - "$work/oracle/oracle.csv" <<'PY'
+import sys
+lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
+header, rows = lines[0].split(","), [[float(x) for x in line.split(",")] for line in lines[1:]]
+expected = ["frequency_minus_qubit[g]", "density_fdqme[1/g]", "density_full[1/g]"]
+assert header == expected and len(rows) == 3001, (header, len(rows))
+peak_fd, peak_full = (max(rows, key=lambda row: row[k])[0] for k in (1, 2))
+assert abs(peak_fd - peak_full) < 1.0, (peak_fd, peak_full)
+print(f"peak detuning: FD-QME {peak_fd:.4f} g, exact {peak_full:.4f} g")
+PY
+echo "::endgroup::"
+
 # The delay sweep of the waveguide example: the measure at each resonant
 # separation, with the sweep's summary values in the CSV comments.
 echo "::group::measure-sweep (eta axis) through the console script"

@@ -13,11 +13,9 @@ the qubit frequency (omega_q or delta_q); bare transform variables are named
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from .liouville import (
     SIGMA_MINUS,
@@ -48,7 +46,6 @@ __all__ = [
     "squeezed_closed_spectrum",
     "squeezed_steady_ground_population",
     "default_frequency_grid",
-    "locate_peak",
 ]
 
 
@@ -565,25 +562,3 @@ def default_frequency_grid(p) -> np.ndarray:
         fine.append(np.linspace(f - 6 * p.kappa, f + 6 * p.kappa, 1201))
     grid = np.unique(np.concatenate([base] + fine))
     return grid[(grid >= -span) & (grid <= span)]
-
-
-def locate_peak(fn: Callable, center: float, halfwidth: float, coarse_step: float) -> float:
-    """Local-maximum position of fn on [center - halfwidth, center + halfwidth].
-
-    Coarse grid scan at the given step, preferring interior local maxima (so
-    a tail rising toward the window edge cannot shadow a genuine peak),
-    followed by golden-section refinement between the neighboring samples.
-    """
-    lo, hi = center - halfwidth, center + halfwidth
-    xs = np.arange(lo, hi + coarse_step, coarse_step)
-    vals = np.asarray(fn(xs), dtype=float)
-    interior = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-    k = int(interior[np.argmax(vals[interior])]) if interior.size else int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, len(xs) - 1)]
-    if a == b:
-        return float(xs[k])
-    objective = lambda x: -float(np.asarray(fn(x)).ravel()[0])
-    res = minimize_scalar(objective, bounds=(a, b), method="bounded",
-                          options={"xatol": coarse_step * 1e-8})
-    return float(res.x)

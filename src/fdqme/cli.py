@@ -31,7 +31,7 @@ from .baths import (
     thermal_closed_spectrum,
 )
 from .fdme import make_spectrum
-from .liouville import SIGMA_MINUS, qubit_state
+from .liouville import qubit_state
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "run_scenario", "main"]
 
@@ -460,9 +460,7 @@ def _emission(cfg: ScenarioConfig, p):
     """Frequency grid and FD-QME emission spectrum of a cavity bath at its steady state."""
     grid = _frequency_grid(cfg, p, default_frequency_grid)
     propagator = fdme.thermal_propagator if isinstance(p, ThermalBathParams) else fdme.squeezed_propagator
-    fp = propagator(p)
-    rho_ss = fdme.steady_state(fp)
-    return grid, fdme.emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+    return grid, fdme.emission_spectrum(propagator(p), grid)
 
 
 def _run_cavity_spectrum(cfg, p):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, _mode_table, free_liouvillian, kernel_modes
 from .liouville import (
+    SIGMA_MINUS,
     _coupled_block,
     _density_vector,
     _modal_evolution,
@@ -55,6 +56,14 @@ class InversionAccuracyError(RuntimeError):
     """Raised when the time-domain reconstruction misses its accuracy budget."""
 
 
+def _checked_grid(grid) -> np.ndarray:
+    """A spectrum's frequency grid as a float array: 1-d, finite, strictly increasing, 2 points or more."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be finite, 1-d, strictly increasing and at least 2 points long")
+    return grid
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Emission density on a monotone frequency grid.
@@ -69,10 +78,8 @@ class Spectrum:
     normalized: bool = False
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _checked_grid(self.grid)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing with at least 2 points")
         if values.shape != grid.shape:
             raise ValueError("values and grid shapes differ")
         if not np.all(np.isfinite(values)):
@@ -87,16 +94,17 @@ class Spectrum:
         return float(np.trapezoid(self.values, self.grid))
 
 
-def make_spectrum(grid, values, normalize: bool = True, clip_rel: float = NEGATIVE_CLIP_REL) -> Spectrum:
-    """Clip round-off negativity, optionally normalize to unit area.
+def make_spectrum(grid, values, clip_rel: float = NEGATIVE_CLIP_REL) -> Spectrum:
+    """Clip round-off negativity and normalize to unit area.
 
     Negative values beyond ``clip_rel`` of the peak indicate a sign error in
     the kernel and raise instead of being hidden, as do non-finite values.
+    The raw curve is ``values * norm`` of the result.
     """
     values = np.asarray(values, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grid))):
-        raise ValueError("spectrum values and grid must be finite")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("spectrum values must be finite")
     peak = values.max() if values.size else 0.0
     if peak <= 0:
         raise ValueError("spectrum has no positive values")
@@ -104,12 +112,12 @@ def make_spectrum(grid, values, normalize: bool = True, clip_rel: float = NEGATI
     if worst < -clip_rel * peak:
         raise ValueError(f"spectrum negativity {worst:.3e} exceeds {clip_rel:.1e} of peak {peak:.3e}")
     values = np.clip(values, 0.0, None)
-    area = float(np.trapezoid(values, grid))
-    if normalize:
-        if area <= 0:
-            raise ValueError("cannot normalize zero-area spectrum")
-        return Spectrum(grid=grid, values=values / area, norm=area, normalized=True)
-    return Spectrum(grid=grid, values=values, norm=area, normalized=False)
+    # a non-finite grid would make the trapezoid warn; the grid rule names it below
+    area = float(np.trapezoid(values, grid)) if grid.ndim == 1 and np.all(np.isfinite(grid)) else np.nan
+    if not area > 0:
+        _checked_grid(grid)
+        raise ValueError("cannot normalize zero-area spectrum")
+    return Spectrum(grid=grid, values=values / area, norm=area, normalized=True)
 
 
 @dataclass(frozen=True)
@@ -232,33 +240,23 @@ def steady_state(fp: FrequencyPropagator) -> np.ndarray:
     return _steady_state(generator, int(round(np.sqrt(generator.shape[0])))).reshape(-1)
 
 
-def emission_spectrum(
-    fp: FrequencyPropagator,
-    o,
-    rho_ss,
-    grid,
-    normalize: bool = True,
-) -> Spectrum:
-    """Steady-state emission spectrum, twice the real part of <<o|U|o rho_ss>>.
+def emission_spectrum(fp: FrequencyPropagator, grid) -> Spectrum:
+    """Steady-state emission spectrum, twice the real part of <<sigma_-|U|sigma_- rho_ss>>.
 
-    ``grid`` holds detunings from ``fp.omega_ref``.  One batched solve per
-    point, on the blocks of the system matrix (its structural nonzeros: the
+    ``grid`` holds detunings from ``fp.omega_ref`` and is checked before the
+    solve; ``rho_ss`` is ``steady_state(fp)``.  One batched solve per point,
+    on the blocks of the system matrix (its structural nonzeros: the
     identity, L0 and the mode table) that hold the source; only those
     entries are assembled, and a coherence source never meets the singular
     population block at transform frequency 0.  A singular source block, or
     a residual |M x - src| / |src| above RESIDUAL_TOL, raises a ValueError
     naming the detuning.  Round-off negativity is clipped and the result
-    optionally normalized.  Twice the real part folds in the anti-time-ordered
-    half of the correlator by an identity of stationary states, so ``rho_ss``
-    must be the steady state.
+    normalized.  Twice the real part folds in the anti-time-ordered half of
+    the correlator by an identity of stationary states.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a nonempty strictly increasing 1-d array")
-    o_arr = np.asarray(o, dtype=complex)
-    rho_vec = np.asarray(rho_ss, dtype=complex).reshape(-1)
-    src = left_multiplier(o_arr) @ rho_vec
-    dual = o_arr.reshape(-1).conj()
+    grid = _checked_grid(grid)
+    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp)
+    dual = SIGMA_MINUS.reshape(-1).conj()
     block = _coupled_block(fp._pattern(), np.flatnonzero(src))
     m = fp._system_matrix_delta(grid, block)
     rhs = np.broadcast_to(src[block, None], grid.shape + (block.size, 1))
@@ -274,7 +272,7 @@ def emission_spectrum(
         rel = resid[k] / np.linalg.norm(src)
         raise ValueError(f"emission residual {rel:.3e} at delta={grid[k]} exceeds {RESIDUAL_TOL}")
     raw = 2.0 * np.real(x[..., 0] @ dual[block])
-    return make_spectrum(grid, raw, normalize=normalize)
+    return make_spectrum(grid, raw)
 
 
 def _mode_embedding(fp: FrequencyPropagator) -> np.ndarray:

@@ -27,13 +27,11 @@ from scipy.sparse.csgraph import connected_components
 __all__ = [
     "vectorize",
     "devectorize",
-    "hs_inner",
     "left_multiplier",
     "right_multiplier",
     "commutator_superop",
     "lindblad_dissipator",
     "squeeze_dissipator",
-    "frame_transform",
     "trace_dual",
     "annihilation",
     "SIGMA_Z",
@@ -82,14 +80,6 @@ def devectorize(v) -> np.ndarray:
     return arr.reshape(d, d)
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dag b]."""
-    am, bm = _as_square(a), _as_square(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return complex(np.vdot(am.reshape(-1), bm.reshape(-1)))
-
-
 def left_multiplier(a):
     """Matrix of X -> a X in the row-stacked convention (sparse in, sparse out)."""
     am = _as_square(a)
@@ -136,18 +126,6 @@ def squeeze_dissipator(o):
     eye = np.eye(om.shape[0], dtype=complex)
     o2 = om @ om
     return 2.0 * _kron(om, om.T) - _kron(o2, eye) - _kron(eye, o2.T)
-
-
-def frame_transform(l, l0, t: float) -> np.ndarray:
-    """Conjugate a dense superoperator into the frame generated by l0.
-
-    Returns exp(-l0 t) l exp(l0 t); with l0 the free Liouvillian this is the
-    interaction-picture version of l at time t.
-    """
-    lm, l0m = _as_square(l), _as_square(l0)
-    if lm.shape != l0m.shape:
-        raise ValueError(f"dimension mismatch: {lm.shape} vs {l0m.shape}")
-    return expm(-l0m * t) @ lm @ expm(l0m * t)
 
 
 def trace_dual(dim: int) -> np.ndarray:
@@ -217,7 +195,7 @@ def _density_vector(rho) -> np.ndarray:
     """
     m = devectorize(rho)
     if abs(np.trace(m) - 1.0) > 1e-9:
-        raise ValueError(f"state trace {np.trace(m):.12g} is not 1")
+        raise ValueError(f"state trace {np.trace(m).real:.12g} is not 1")
     if np.abs(m - m.conj().T).max() > 1e-9:
         raise ValueError("state is not Hermitian")
     if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -1e-9:

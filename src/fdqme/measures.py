@@ -121,13 +121,17 @@ def spectral_measure(s: Spectrum, s_m: Spectrum, gap: float) -> MeasureResult:
     )
 
 
-def trace_distance(rho1, rho2) -> float:
-    """Half the trace norm of the difference of two states, each a matrix or a row-stacked vector."""
-    diff = devectorize(rho1) - devectorize(rho2)
-    if np.abs(diff - diff.conj().T).max() > 1e-8:
+def trace_distance(rho1, rho2) -> float | np.ndarray:
+    """Half the trace norm of the difference of two states, each a matrix or a row-stacked
+    vector; of two stacks of matrices (..., d, d), the array of the pairs' distances."""
+    if np.ndim(rho1) < 3:
+        rho1, rho2 = devectorize(rho1), devectorize(rho2)
+    diff = np.asarray(rho1) - np.asarray(rho2)
+    diff_h = np.conj(np.swapaxes(diff, -1, -2))
+    if np.abs(diff - diff_h).max() > 1e-8:
         raise ValueError("state difference is not Hermitian within 1e-8")
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    dists = 0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + diff_h))).sum(axis=-1)
+    return float(dists) if dists.ndim == 0 else dists
 
 
 def blp_measure(traj1: Trajectory, traj2: Trajectory) -> MeasureResult:
@@ -139,12 +143,7 @@ def blp_measure(traj1: Trajectory, traj2: Trajectory) -> MeasureResult:
     """
     if traj1.times.shape != traj2.times.shape or not np.array_equal(traj1.times, traj2.times):
         raise ValueError("trajectories are not on a common time grid")
-    m1 = traj1.states.reshape(-1, 2, 2)
-    m2 = traj2.states.reshape(-1, 2, 2)
-    diff = m1 - m2
-    diff = 0.5 * (diff + np.conj(np.transpose(diff, (0, 2, 1))))
-    dists = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
-    increments = np.diff(dists)
+    increments = np.diff(trace_distance(traj1.states.reshape(-1, 2, 2), traj2.states.reshape(-1, 2, 2)))
     value = float(increments[increments > 0].sum())
     return MeasureResult(
         value=value,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .baths import SqueezedBathParams, ThermalBathParams
-from .fdme import Spectrum, make_spectrum
+from .fdme import Spectrum, _checked_grid, make_spectrum
 from .liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -130,18 +130,17 @@ def reduced_qubit_state(chi: np.ndarray, n_fock: int) -> np.ndarray:
     return np.einsum("ikjk->ij", chi.reshape(2, n_fock, 2, n_fock))
 
 
-def full_steady_spectrum(m: FullModel, grid, chi_ss: np.ndarray | None = None) -> Spectrum:
+def full_steady_spectrum(m: FullModel, grid) -> Spectrum:
     """Steady-state qubit emission spectrum of the joint model.
 
     Same resolvent contraction as the reduced theory but on the full
-    Liouville space.  The resolvent of the source ``(sigma_- x I) chi_ss``
-    stays in the blocks of L that hold the source, so one eigendecomposition
-    of those blocks covers the whole frequency grid.  ``grid`` holds
-    detunings from the qubit frequency.
+    Liouville space, from the source ``(sigma_- x I) full_steady_state(m)``.
+    Its resolvent stays in the blocks of L that hold the source, so one
+    eigendecomposition of those blocks covers the whole frequency grid.
+    ``grid`` holds detunings from the qubit frequency; it is checked first.
     """
-    grid = np.asarray(grid, dtype=float)
-    if chi_ss is None:
-        chi_ss = full_steady_state(m)
+    grid = _checked_grid(grid)
+    chi_ss = full_steady_state(m)
     sm_joint = np.kron(SIGMA_MINUS, np.eye(m.n_fock, dtype=complex))
     src = (sm_joint @ chi_ss).reshape(-1)
     dual = sm_joint.reshape(-1).conj()
@@ -154,4 +153,4 @@ def full_steady_spectrum(m: FullModel, grid, chi_ss: np.ndarray | None = None) -
     dens = 2.0 * np.real(
         (weights[keep] / (1j * omega[:, None] - lam[keep][None, :])).sum(axis=1)
     )
-    return make_spectrum(grid, dens, normalize=True, clip_rel=1e-7)
+    return make_spectrum(grid, dens, clip_rel=1e-7)

@@ -399,7 +399,7 @@ def br_spectrum(p: ThermalBathParams, delta_grid, method: str = "closed-form") -
         wside = ge + p.kappa
         vals = (ge / np.pi) / ((delta_grid - de) ** 2 + ge**2)
         vals = vals + (a_lor * wside + a_fano * x) / (np.pi * (x**2 + wside**2))
-        return make_spectrum(delta_grid, vals, normalize=True, clip_rel=1e-6)
+        return make_spectrum(delta_grid, vals, clip_rel=1e-6)
     if method == "correlator-fft":
         tau_max = 14.0 / ge
         span = max(abs(delta_grid).max(), abs(p.delta) + 10 * p.kappa)
@@ -412,5 +412,5 @@ def br_spectrum(p: ThermalBathParams, delta_grid, method: str = "closed-form") -
         freqs = 2 * np.pi * np.fft.fftfreq(n, d=dtau)  # fft exponent matches e^{-i delta tau}
         order = np.argsort(freqs)
         vals = np.interp(delta_grid, freqs[order], 2.0 * np.real(amp)[order])
-        return make_spectrum(delta_grid, vals, normalize=True, clip_rel=1e-3)
+        return make_spectrum(delta_grid, vals, clip_rel=1e-3)
     raise ValueError(f"unknown method {method!r}")

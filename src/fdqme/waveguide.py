@@ -93,7 +93,7 @@ def waveguide_spectrum(p: WaveguideParams, grid) -> Spectrum:
     if grid[0] > p.omega0 - 40 * p.gamma or grid[-1] < p.omega0 + 40 * p.gamma:
         raise ValueError("grid must extend at least 40 gamma beyond omega0 on both sides")
     dens = np.abs(field_amplitude(p, grid)) ** 2
-    return make_spectrum(grid, dens, normalize=True)
+    return make_spectrum(grid, dens)
 
 
 def waveguide_measure_sweep(p: WaveguideParams, eta_grid) -> dict:

@@ -4,9 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
+from scipy.optimize import minimize_scalar
 
 from fdqme.baths import SqueezedBathParams, ThermalBathParams, bogoliubov_params, free_liouvillian, kernel_modes
-from fdqme.fdme import make_spectrum
+from fdqme.fdme import make_spectrum, steady_state
 from fdqme.liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -95,22 +96,43 @@ def full_system_matrix_delta(fp, delta):
     return 1j * delta[..., None, None] * eye + shift - fp.kernel_freq(delta)
 
 
-def full_assembly_emission_spectrum(fp, o, rho_ss, grid, normalize=True):
+def full_assembly_emission_spectrum(fp, grid):
     """Emission spectrum from the full system matrix over the grid.
 
     The source block comes from the union of its nonzeros over the grid and
-    is sliced out of the (n, 4, 4) assembly; the solve and contraction are
-    those of ``fdme.emission_spectrum``, without its checks.
+    is sliced out of the (n, 4, 4) assembly; the source, solve and
+    contraction are those of ``fdme.emission_spectrum``, without its checks.
     """
     grid = np.asarray(grid, dtype=float)
-    o_arr = np.asarray(o, dtype=complex)
-    src = left_multiplier(o_arr) @ np.asarray(rho_ss, dtype=complex).reshape(-1)
+    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp)
     m = full_system_matrix_delta(fp, grid)
     block = _coupled_block(np.any(m != 0, axis=0), np.flatnonzero(src))
     m = m[:, block[:, None], block]
     x = np.linalg.solve(m, np.broadcast_to(src[block, None], grid.shape + (block.size, 1)))
-    raw = 2.0 * np.real(x[..., 0] @ o_arr.reshape(-1).conj()[block])
-    return make_spectrum(grid, raw, normalize=normalize)
+    raw = 2.0 * np.real(x[..., 0] @ SIGMA_MINUS.reshape(-1).conj()[block])
+    return make_spectrum(grid, raw)
+
+
+def locate_peak(fn, center: float, halfwidth: float, coarse_step: float) -> float:
+    """Local-maximum position of fn on [center - halfwidth, center + halfwidth].
+
+    Coarse grid scan at the given step, preferring interior local maxima (so
+    a tail rising toward the window edge cannot shadow a genuine peak),
+    followed by golden-section refinement between the neighboring samples.
+    """
+    lo, hi = center - halfwidth, center + halfwidth
+    xs = np.arange(lo, hi + coarse_step, coarse_step)
+    vals = np.asarray(fn(xs), dtype=float)
+    interior = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
+    k = int(interior[np.argmax(vals[interior])]) if interior.size else int(np.argmax(vals))
+    a = xs[max(k - 1, 0)]
+    b = xs[min(k + 1, len(xs) - 1)]
+    if a == b:
+        return float(xs[k])
+    objective = lambda x: -float(np.asarray(fn(x)).ravel()[0])
+    res = minimize_scalar(objective, bounds=(a, b), method="bounded",
+                          options={"xatol": coarse_step * 1e-8})
+    return float(res.x)
 
 
 # --------------------------------------------------------------------------

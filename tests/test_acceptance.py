@@ -7,6 +7,7 @@ per criterion with the measured numbers.
 import time
 
 import numpy as np
+from conftest import locate_peak
 
 from fdqme.baths import (
     SQUEEZED_STRUCTURE,
@@ -16,7 +17,6 @@ from fdqme.baths import (
     default_frequency_grid,
     effective_rates,
     generic_kernel_time,
-    locate_peak,
     markovian_spectrum,
     squeezed_closed_spectrum,
     squeezed_kernel_freq,
@@ -34,7 +34,7 @@ from fdqme.fdme import (
     steady_state,
     thermal_propagator,
 )
-from fdqme.liouville import SIGMA_MINUS, qubit_state
+from fdqme.liouville import qubit_state
 from fdqme.measures import blp_measure, fwhm, spectral_gap, spectral_measure
 from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import bm_evolve, br_evolve, br_spectrum
@@ -78,14 +78,12 @@ def test_criterion_02_closed_form_equivalence():
     span = abs(FIG1.delta) + 40 * FIG1.kappa
     grid = np.linspace(-span, span, 2**14)
     fp = thermal_propagator(FIG1)
-    ss = steady_state(fp)
-    spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
+    spec = emission_spectrum(fp, grid)
     closed = make_spectrum(grid, thermal_closed_spectrum(FIG1, grid))
     err_fd = np.abs(spec.values - closed.values).max()
 
     fp_m = thermal_propagator(FIG1, markov=True)
-    ss_m = steady_state(fp_m)
-    spec_m = emission_spectrum(fp_m, SIGMA_MINUS, ss_m, grid)
+    spec_m = emission_spectrum(fp_m, grid)
     markov = make_spectrum(grid, markovian_spectrum(FIG1, grid))
     err_m = np.abs(spec_m.values - markov.values).max()
     elapsed = time.time() - start
@@ -106,9 +104,8 @@ def test_criterion_04_tail_exponents():
     start = time.time()
     w = abs(FIG1.delta) + 40 * FIG1.kappa
     tail = np.geomspace(10 * w, 100 * w, 200)
-    fp = thermal_propagator(FIG1)
-    ss = steady_state(fp)
-    fd_vals = emission_spectrum(fp, SIGMA_MINUS, ss, tail, normalize=False).values
+    spec = emission_spectrum(thermal_propagator(FIG1), tail)
+    fd_vals = spec.values * spec.norm
     slope_fd = np.polyfit(np.log(tail), np.log(fd_vals), 1)[0]
     slope_m = np.polyfit(np.log(tail), np.log(markovian_spectrum(FIG1, tail)), 1)[0]
     elapsed = time.time() - start
@@ -122,9 +119,7 @@ def test_criterion_05_side_peak_location():
     p = FIG1  # delta / kappa = 10 >= 5
     rates = effective_rates(p)
     grid = default_frequency_grid(p)
-    fp = thermal_propagator(p)
-    ss = steady_state(fp)
-    spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
+    spec = emission_spectrum(thermal_propagator(p), grid)
 
     def interp(s):
         return lambda d: np.interp(np.asarray(d, dtype=float), s.grid, s.values)

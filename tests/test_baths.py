@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import one_sided_transform
+from conftest import locate_peak, one_sided_transform
 from scipy.linalg import expm
 
 from fdqme.baths import (
@@ -13,7 +13,6 @@ from fdqme.baths import (
     effective_rates,
     generic_kernel_time,
     kernel_modes,
-    locate_peak,
     markovian_spectrum,
     squeezed_closed_spectrum,
     squeezed_kernel_freq,

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from fdqme.liouville import (
     qubit_state,
     trace_dual,
 )
+from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import bm_evolve
 
 RNG = np.random.default_rng(31415)
@@ -159,22 +161,20 @@ def test_steady_state_degenerate_manifold_detected():
 
 def test_thermal_spectrum_matches_closed_form_pointwise():
     fp = thermal_propagator(THERMAL)
-    ss = steady_state(fp)
     grid = default_frequency_grid(THERMAL)
-    spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
+    spec = emission_spectrum(fp, grid)
     closed = make_spectrum(grid, thermal_closed_spectrum(THERMAL, grid))
     assert np.abs(spec.values - closed.values).max() < 1e-9
     # pre-normalization the two differ by 2 pi times the excited population
-    raw = emission_spectrum(fp, SIGMA_MINUS, ss, grid, normalize=False)
+    raw = spec.values * spec.norm
     factor = 2.0 * np.pi * (0.1 / 1.2)
-    assert np.abs(raw.values - factor * thermal_closed_spectrum(THERMAL, grid)).max() < 1e-9 * factor
+    assert np.abs(raw - factor * thermal_closed_spectrum(THERMAL, grid)).max() < 1e-9 * factor
 
 
 def test_markov_mode_spectrum_is_lorentzian():
     fp = thermal_propagator(THERMAL, markov=True)
-    ss = steady_state(fp)
     grid = default_frequency_grid(THERMAL)
-    spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
+    spec = emission_spectrum(fp, grid)
     markov = make_spectrum(grid, markovian_spectrum(THERMAL, grid))
     assert np.abs(spec.values - markov.values).max() < 1e-9
 
@@ -188,16 +188,15 @@ def test_squeezed_markov_gap_is_the_frozen_coherence_coupling():
     coef[:, 2, 1] = 0.0
     fp = replace(fp, modes=replace(fp.modes, coef=coef))
     grid = default_frequency_grid(SQUEEZED)
-    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
+    spec = emission_spectrum(fp, grid)
     markov = make_spectrum(grid, markovian_spectrum(SQUEEZED, grid))
     assert np.abs(spec.values - markov.values).max() <= 1e-12 * markov.values.max()
 
 
 def test_squeezed_spectrum_matches_closed_form():
     fp = squeezed_propagator(SQUEEZED)
-    ss = steady_state(fp)
     grid = default_frequency_grid(SQUEEZED)
-    spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
+    spec = emission_spectrum(fp, grid)
     closed = make_spectrum(grid, squeezed_closed_spectrum(SQUEEZED, grid))
     assert np.abs(spec.values - closed.values).max() < 1e-8
 
@@ -212,7 +211,7 @@ def test_fig8_spectrum_is_finite_at_transform_frequency_zero(grid):
     # is the steady-state generator, singular in its population block
     assert np.any(grid == -FIG8.delta_q)
     fp = squeezed_propagator(FIG8)
-    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
+    spec = emission_spectrum(fp, grid)
     closed = make_spectrum(grid, squeezed_closed_spectrum(FIG8, grid))
     assert np.all(np.isfinite(spec.values))
     assert np.abs(spec.values - closed.values).max() < 1e-8
@@ -243,48 +242,75 @@ def test_source_block_assembly_equals_the_full_assembly(p, make, markov):
     # only the source block is assembled, with every entry bit-identical
     fp = make(p, markov=markov)
     grid = default_frequency_grid(p)
-    rho_ss = steady_state(fp)
-    spec = emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
-    ref = full_assembly_emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+    spec = emission_spectrum(fp, grid)
+    ref = full_assembly_emission_spectrum(fp, grid)
     np.testing.assert_array_equal(spec.values, ref.values)
     assert spec.norm == ref.norm
 
 
 def test_emission_spectrum_names_a_singular_source_block():
-    # a coherent rho_ss puts source weight on the population block, which is
-    # singular at transform frequency 0 (detuning -omega_q)
-    p = ThermalBathParams(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
-    grid = np.linspace(-200.0, 200.0, 401)
-    assert np.any(grid == -120.0)
-    with pytest.raises(ValueError, match=r"singular .* at delta=-120\.0"):
-        emission_spectrum(thermal_propagator(p), SIGMA_MINUS, qubit_state("x+"), grid)
+    # populations exchanged at rate 1 and undamped coherences +-5i: in the
+    # frame of omega_ref = 5 the coherence block i delta vanishes at delta = 0
+    l0 = np.diag([-1.0, 5j, -5j, -1.0])
+    l0[0, 3] = l0[3, 0] = 1.0
+    grid = np.linspace(-2.0, 2.0, 5)
+    with pytest.raises(ValueError, match=r"singular on the source block at delta=0\.0"):
+        emission_spectrum(free_propagator(l0, omega_ref=5.0), grid)
 
 
 def test_emission_spectrum_residual_guard_rejects_non_finite_points():
-    fp = free_propagator(np.diag([0.0, np.nan, 0.0, 0.0]))
-    with pytest.raises(ValueError, match=r"residual nan at delta=-1\.0"):
-        emission_spectrum(fp, SIGMA_MINUS, qubit_state("mixed"), np.linspace(-1.0, 1.0, 5))
+    # rho_ee = 1e-20 over a coherence decay rate of 1e300: the solution is
+    # subnormal and misses its residual by far more than RESIDUAL_TOL, which
+    # the guard rejects as it would a NaN
+    l0 = np.diag([-1e280, -1e300, -1e300, -1e300]).astype(complex)
+    l0[3, 0], l0[0, 3] = 1e280, 1e300
+    with pytest.raises(ValueError, match=r"emission residual .* at delta=-1\.0 exceeds"):
+        emission_spectrum(free_propagator(l0), np.linspace(-1.0, 1.0, 5))
     # a zero source (no excitation) has an empty source block and no spectrum
     with pytest.raises(ValueError, match="no positive values"):
-        emission_spectrum(thermal_propagator(THERMAL), SIGMA_MINUS, qubit_state("g"), np.linspace(-1.0, 1.0, 5))
+        emission_spectrum(thermal_propagator(replace(THERMAL, nbar=0.0)), np.linspace(-1.0, 1.0, 5))
 
 
 def test_resonant_thermal_spectrum_symmetric():
     p = ThermalBathParams(g=1.0, omega_q=500.0, omega_c=500.0, kappa=10.0, nbar=0.1)
     fp = thermal_propagator(p)
-    ss = steady_state(fp)
     grid = np.linspace(-200.0, 200.0, 8001)
-    spec = emission_spectrum(fp, SIGMA_MINUS, ss, grid)
+    spec = emission_spectrum(fp, grid)
     assert np.abs(spec.values - spec.values[::-1]).max() < 1e-8
 
 
 def test_emission_spectrum_rejects_bad_grid():
     fp = thermal_propagator(THERMAL)
-    ss = steady_state(fp)
     with pytest.raises(ValueError, match="grid"):
-        emission_spectrum(fp, SIGMA_MINUS, ss, np.array([]))
+        emission_spectrum(fp, np.array([]))
     with pytest.raises(ValueError, match="grid"):
-        emission_spectrum(fp, SIGMA_MINUS, ss, np.array([0.0, 0.0, 1.0]))
+        emission_spectrum(fp, np.array([0.0, 0.0, 1.0]))
+
+
+ORACLE_MODEL = build_full_model(THERMAL, n_fock=4)
+GRID_ENTRY_POINTS = {
+    "Spectrum": lambda grid: Spectrum(grid, np.ones(np.shape(grid)), norm=1.0),
+    "make_spectrum": lambda grid: make_spectrum(grid, np.ones(np.shape(grid))),
+    "emission_spectrum": lambda grid: emission_spectrum(thermal_propagator(THERMAL), grid),
+    "full_steady_spectrum": lambda grid: full_steady_spectrum(ORACLE_MODEL, grid),
+}
+BAD_GRIDS = {
+    "decreasing": [1.0, 0.0, -1.0],
+    "one-point": [0.0],
+    "nan": [-1.0, np.nan, 1.0],
+    "inf": [-1.0, 0.0, np.inf],
+    "2-d": [[-1.0, 0.0], [1.0, 2.0]],
+}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+@pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+def test_spectrum_grids_follow_one_rule(entry, grid):
+    # the grid is named before any solve, so no other fault or warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="grid must be finite, 1-d, strictly increasing and at least 2 points"):
+            GRID_ENTRY_POINTS[entry](np.array(BAD_GRIDS[grid]))
 
 
 def test_spectrum_container_invariants():
@@ -303,8 +329,6 @@ def test_spectra_reject_non_finite_values(bad):
     vals = np.array([0.0, 1.0, bad, 1.0, 0.0])
     with pytest.raises(ValueError, match="must be finite"):
         make_spectrum(grid, vals)
-    with pytest.raises(ValueError, match="must be finite"):
-        make_spectrum(grid, vals, normalize=False)
     with pytest.raises(ValueError, match="must be finite"):
         Spectrum(grid, vals, norm=1.0)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fdqme.baths import (
     SqueezedBathParams,
@@ -10,10 +11,18 @@ from fdqme.baths import (
     generic_kernel_time,
     kernel_modes,
 )
-from fdqme.fdme import Spectrum, inverse_transform, make_spectrum, purity, thermal_propagator
-from fdqme.liouville import frame_transform, left_multiplier, qubit_state
-from fdqme.measures import fwhm, spectral_gap, spectral_measure
-from fdqme.oracle import build_full_model
+from fdqme.fdme import (
+    Spectrum,
+    free_propagator,
+    inverse_transform,
+    make_spectrum,
+    propagate,
+    purity,
+    thermal_propagator,
+)
+from fdqme.liouville import _steady_state, left_multiplier, qubit_state
+from fdqme.measures import fwhm, kl_divergence, spectral_gap, spectral_measure
+from fdqme.oracle import FullModel, build_full_model, full_steady_state
 from fdqme.redfield import Trajectory, br_correlator
 from fdqme.waveguide import WaveguideParams, waveguide_measure_sweep
 
@@ -47,10 +56,9 @@ CHECKS = {
     "qubit-state-name": (lambda: qubit_state("z+"), ValueError, "unknown qubit state 'z\\+'"),
     "non-square": (lambda: left_multiplier(np.zeros((2, 3))), ValueError,
                    r"expected a square matrix, got shape \(2, 3\)"),
-    "frame-dimension": (lambda: frame_transform(np.eye(4), np.eye(9), 0.5), ValueError, "dimension mismatch"),
     # an initial state is checked before it is evolved
     "initial-trace": (lambda: inverse_transform(FP, [1.0, 0, 0, 1.0], [0.0]), ValueError,
-                      r"state trace 2\+0j is not 1"),
+                      "state trace 2 is not 1"),
     "initial-hermiticity": (lambda: inverse_transform(FP, [0.5, 0.5, 0, 0.5], [0.0]), ValueError,
                             "state is not Hermitian"),
     "purity-hermiticity": (lambda: purity([0.5, 0.5, 0, 0.5]), ValueError, "state is not Hermitian within 1e-6"),
@@ -74,6 +82,56 @@ CHECKS = {
 @pytest.mark.parametrize("case", CHECKS)
 def test_input_check_names_the_fault(case):
     call, error, message = CHECKS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def _bordered_ill_conditioned():
+    # a qutrit generator whose trace-bordered system has pivots 1, 2^-52, 2^-52:
+    # its solution has entries of order 2^104, whose sum cannot be 1 in double precision
+    e = 2.0**-52
+    gen = np.zeros((9, 9), dtype=complex)
+    gen[4, [0, 4, 8]] = [1.0, 1.0 + e, 2.0]
+    gen[8, [0, 4, 8]] = [1.0, 1.0, 1.0 + e]
+    return gen
+
+
+def _non_positive_joint_generator():
+    # L chi = 0 exactly for chi = diag(2, -1, 0, ...) on the joint populations
+    diagonal = np.arange(8) * 9
+    gen = sparse.lil_array((64, 64), dtype=complex)
+    gen[diagonal[1:], diagonal[1:]] = 1.0
+    gen[diagonal[1], diagonal[0]] = 0.5
+    return sparse.csr_array(gen)
+
+
+# The numerical guards: a finite input on which a computation fails its own check.
+GUARDS = {
+    # trapezoid of a subnormal peak underflows to 0
+    "zero-area": (lambda: make_spectrum(np.array([0.0, 1e-10, 2e-10]), [0.0, 1e-320, 0.0]), ValueError,
+                  "cannot normalize zero-area spectrum"),
+    # a non-normal system matrix (1e8 above the diagonal) defeats one refinement pass
+    "propagator-residual": (lambda: propagate(free_propagator(np.eye(4) + np.diag([1e8] * 3, 1)), 0.0), ValueError,
+                            r"propagator residual .* at omega=0.0 exceeds 1e-10"),
+    "steady-state-trace": (lambda: _steady_state(_bordered_ill_conditioned(), 3), ValueError,
+                           "steady state trace .* deviates from 1"),
+    # a "normalized" signal of area 1/2 against a unit-area reference
+    "kl-negative": (lambda: kl_divergence(Spectrum(GRID, 0.5 * LINE.values, norm=1.0, normalized=True), LINE),
+                    ValueError, r"relative entropy came out -5\.000e-01 < 0"),
+    # g^2 underflows to 0: no induced rate at all
+    "gap-unitary": (lambda: spectral_gap(ThermalBathParams(**{**THERMAL, "g": 1e-200})), ValueError,
+                    "generator is purely unitary; no spectral gap"),
+    # pure decay of every element: no trace-preserving steady state
+    "oracle-residual": (lambda: full_steady_state(FullModel(4, 0.0, -sparse.eye_array(64, dtype=complex, format="csr"))),
+                        RuntimeError, r"steady-state residual 1\.000e\+00 too large"),
+    "oracle-positivity": (lambda: full_steady_state(FullModel(4, 0.0, _non_positive_joint_generator())), RuntimeError,
+                          "joint steady state is not positive semidefinite"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_guard_names_the_fault(case):
+    call, error, message = GUARDS[case]
     with pytest.raises(error, match=message):
         call()
 

@@ -4,13 +4,10 @@ from scipy.linalg import expm
 
 from fdqme.liouville import (
     SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_Z,
     _modal_evolution,
     commutator_superop,
     devectorize,
-    frame_transform,
-    hs_inner,
     left_multiplier,
     lindblad_dissipator,
     qubit_state,
@@ -54,25 +51,6 @@ def test_vectorize_linear():
     lhs = vectorize(2.5 * a - 1j * b)
     rhs = 2.5 * vectorize(a) - 1j * vectorize(b)
     assert np.allclose(lhs, rhs, atol=0, rtol=0)
-
-
-def test_hs_inner_values():
-    assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-    assert hs_inner(SIGMA_MINUS, SIGMA_PLUS) == pytest.approx(0.0)
-    assert hs_inner(SIGMA_MINUS, SIGMA_MINUS) == pytest.approx(1.0)
-
-
-def test_hs_inner_conjugate_symmetry_and_vector_form():
-    a, b = random_matrix(4), random_matrix(4)
-    ab = hs_inner(a, b)
-    assert ab == pytest.approx(np.conj(hs_inner(b, a)), abs=1e-12)
-    # agrees with the dual-vector contraction <<a|b>>
-    assert ab == pytest.approx(np.vdot(vectorize(a), vectorize(b)), abs=1e-12)
-
-
-def test_hs_inner_dim_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        hs_inner(np.eye(2), np.eye(3))
 
 
 def test_commutator_superop_free_qubit():
@@ -147,32 +125,6 @@ def test_lindblad_form_liouvillian_annihilates_trace():
     assert np.abs(np.linalg.eigvals(lv)).min() < 1e-9
 
 
-def test_frame_transform_identities():
-    l0 = commutator_superop(-(0.7 / 2.0) * SIGMA_Z)
-    l = lindblad_dissipator(SIGMA_MINUS)
-    assert np.allclose(frame_transform(l, l0, 0.0), l, atol=1e-14)
-    # anything commuting with l0 is left alone
-    lz = commutator_superop(SIGMA_Z)
-    assert np.allclose(frame_transform(lz, l0, 2.3), lz, atol=1e-12)
-
-
-def test_frame_transform_short_time_expansion():
-    # first order in t: l + t [l, -l0], checked on the exchange coupling of
-    # a qubit to a three-level mode
-    from fdqme.liouville import annihilation
-
-    a = annihilation(3)
-    eye_c = np.eye(3, dtype=complex)
-    h0 = np.kron(-(0.9 / 2) * SIGMA_Z, eye_c) + np.kron(np.eye(2, dtype=complex), 1.4 * a.conj().T @ a)
-    v = 0.3 * (np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, a.conj().T))
-    l0 = commutator_superop(h0)
-    lv = commutator_superop(v)
-    t = 1e-5
-    moved = frame_transform(lv, l0, t)
-    first_order = lv + t * (lv @ l0 - l0 @ lv)
-    assert np.abs(moved - first_order).max() < 10 * t**2 * np.abs(l0).max() ** 2 * np.abs(lv).max()
-
-
 def test_superoperator_composition_is_matrix_product():
     # (A . B)(C . C) = AC . CB on random operators
     a, b, c, x = (random_matrix(3) for _ in range(4))
@@ -191,14 +143,6 @@ def test_left_right_multipliers():
     a, x = random_matrix(3), random_matrix(3)
     assert np.allclose(devectorize(left_multiplier(a) @ vectorize(x)), a @ x)
     assert np.allclose(devectorize(right_multiplier(a) @ vectorize(x)), x @ a)
-
-
-def test_frame_transform_matches_expm_conjugation():
-    l0 = commutator_superop(random_hermitian(2))
-    l = lindblad_dissipator(random_matrix(2))
-    t = 0.37
-    expected = expm(-l0 * t) @ l @ expm(l0 * t)
-    assert np.allclose(frame_transform(l, l0, t), expected, atol=1e-12)
 
 
 def test_modal_evolution_falls_back_to_expm_on_a_defective_generator():

@@ -78,7 +78,7 @@ def test_kl_requires_common_grid_and_normalization():
     other = lorentzian_spectrum(np.linspace(-9, 11, 101), 0.0, 1.0)
     with pytest.raises(ValueError, match="common grid"):
         kl_divergence(s, other)
-    raw = make_spectrum(grid, (1 / np.pi) / (grid**2 + 1), normalize=False)
+    raw = Spectrum(grid, (1 / np.pi) / (grid**2 + 1), norm=1.0)
     with pytest.raises(ValueError, match="normalized"):
         kl_divergence(raw, s)
 
@@ -187,6 +187,17 @@ def test_trace_distance_reference_values():
     assert trace_distance(qubit_state("g"), qubit_state("e")) == pytest.approx(1.0)
     rho = np.diag([0.75, 0.25]).astype(complex)
     assert trace_distance(rho, qubit_state("mixed")) == pytest.approx(0.25)
+
+
+def test_blp_is_the_backflow_of_trace_distance_on_the_stacks():
+    kappa = 20.0
+    p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 8.5 * kappa, kappa=kappa, nbar=0.1)
+    tg, te = br_evolve(p, np.stack([qubit_state("g"), qubit_state("e")]), np.linspace(0.0, 0.6, 61))
+    dists = trace_distance(tg.states.reshape(-1, 2, 2), te.states.reshape(-1, 2, 2))
+    # the stacked call gives each state pair's distance, bit for bit
+    assert all(d == trace_distance(a, b) for d, a, b in zip(dists, tg.states, te.states))
+    increments = np.diff(dists)
+    assert blp_measure(tg, te).value == float(increments[increments > 0].sum()) > 0.0
 
 
 def test_trace_distance_rejects_nonhermitian_difference():

@@ -5,14 +5,13 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from conftest import dense_full_liouvillian
+from conftest import dense_full_liouvillian, locate_peak
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
     bogoliubov_params,
     default_frequency_grid,
     effective_rates,
-    locate_peak,
     squeezed_closed_spectrum,
     thermal_closed_spectrum,
 )
@@ -243,7 +242,7 @@ def test_block_spectrum_matches_direct_full_space_solve(bath):
     m = build_full_model(bath, n_fock=8)
     chi = full_steady_state(m)
     grid = np.array([-300.0, -150.0, -100.0, -50.0, -10.0, 0.0, 10.0, 50.0, 150.0])
-    spec = full_steady_spectrum(m, grid, chi)
+    spec = full_steady_spectrum(m, grid)
     sm_joint = np.kron(SIGMA_MINUS, np.eye(8))
     src = (sm_joint @ chi).reshape(-1)
     dual = sm_joint.reshape(-1).conj()
@@ -252,7 +251,7 @@ def test_block_spectrum_matches_direct_full_space_solve(bath):
         2.0 * np.real(dual @ np.linalg.solve(1j * (w + m.qubit_frequency) * eye - m.liouvillian.toarray(), src))
         for w in grid
     ]
-    ref = make_spectrum(grid, direct, normalize=True, clip_rel=1e-7)
+    ref = make_spectrum(grid, direct, clip_rel=1e-7)
     assert np.abs(spec.values - ref.values).max() < 1e-9 * ref.values.max()
 
 

@@ -25,7 +25,7 @@ from fdqme.baths import (
     squeezed_steady_ground_population,
 )
 from fdqme.fdme import emission_spectrum, make_spectrum, squeezed_propagator, steady_state, thermal_propagator
-from fdqme.liouville import SIGMA_MINUS, _coupled_blocks, qubit_state, trace_dual
+from fdqme.liouville import _coupled_blocks, qubit_state, trace_dual
 from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import br_evolve
 
@@ -140,7 +140,7 @@ def test_emission_spectrum_is_a_unit_area_density(p):
     grid = default_frequency_grid(p)
     for markov in (False, True):
         fp = make(p, markov=markov)
-        spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
+        spec = emission_spectrum(fp, grid)
         assert spec.values.min() >= 0.0
         assert abs(spec.area - 1.0) <= 1e-12
 
@@ -158,9 +158,8 @@ def test_source_block_spectrum_equals_the_full_assembly(p, markov):
     make = thermal_propagator if isinstance(p, ThermalBathParams) else squeezed_propagator
     fp = make(p, markov=markov)
     grid = default_frequency_grid(p)
-    rho_ss = steady_state(fp)
-    spec = emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
-    ref = full_assembly_emission_spectrum(fp, SIGMA_MINUS, rho_ss, grid)
+    spec = emission_spectrum(fp, grid)
+    ref = full_assembly_emission_spectrum(fp, grid)
     np.testing.assert_array_equal(spec.values, ref.values)
 
 
@@ -169,7 +168,7 @@ def test_source_block_spectrum_equals_the_full_assembly(p, markov):
 def test_frozen_thermal_spectrum_is_the_markov_lorentzian(p):
     fp = thermal_propagator(p, markov=True)
     grid = default_frequency_grid(p)
-    spec = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
+    spec = emission_spectrum(fp, grid)
     markov = make_spectrum(grid, markovian_spectrum(p, grid))
     assert np.abs(spec.values - markov.values).max() <= 1e-12 * markov.values.max()
 
@@ -179,7 +178,7 @@ def test_frozen_thermal_spectrum_is_the_markov_lorentzian(p):
 def test_fd_spectrum_matches_oracle_at_weak_coupling(p):
     grid = np.linspace(-(p.delta + 60.0), 80.0, 3001)
     fp = thermal_propagator(p)
-    fd = emission_spectrum(fp, SIGMA_MINUS, steady_state(fp), grid)
+    fd = emission_spectrum(fp, grid)
     full = full_steady_spectrum(build_full_model(p, n_fock=10), grid)
     assert abs(grid[np.argmax(fd.values)] - grid[np.argmax(full.values)]) < 1.0
 

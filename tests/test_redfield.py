@@ -4,6 +4,7 @@ from conftest import (
     br_rates_squeezed,
     br_rates_thermal,
     br_reference,
+    locate_peak,
     rates_generator_squeezed,
     rates_generator_thermal,
 )
@@ -383,7 +384,6 @@ def test_br_spectrum_side_peak_separation_is_bare_detuning():
     # resolvable regime: shifts large compared to the search resolution
     p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 10.0, kappa=0.5, nbar=1.0)
     rates = effective_rates(p)
-    from fdqme.baths import locate_peak
 
     def density(d):
         d = np.atleast_1d(np.asarray(d, dtype=float))
