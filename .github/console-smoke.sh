@@ -41,6 +41,21 @@ for path in sys.argv[1:]:
 PY
 echo "::endgroup::"
 
+# A console run imports only the scipy it uses: the thermal spectrum needs no scipy
+# submodule (the oracle and generic_kernel_time import theirs when called).  The
+# installed package is imported, with PYTHONPATH unset, at the numpy and scipy of the job.
+echo "::group::No scipy submodule loaded by a thermal spectrum"
+env -u PYTHONPATH python - "$work/smoke.cfg" "$work/smoke-imports" <<'PY'
+import sys
+import fdqme
+from fdqme.cli import main
+assert main(["thermal-spectrum", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy."))
+assert not loaded, loaded
+print(f"{fdqme.__file__}: thermal-spectrum loaded no scipy submodule")
+PY
+echo "::endgroup::"
+
 # The Born-Redfield integrator and the exact inverse transform behind the entry point,
 # at the parameters of the paper's squeezed example (r = sqrt(120^2 - 34^2)).
 echo "::group::Positivity through the console script"

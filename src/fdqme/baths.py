@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .liouville import (
     SIGMA_MINUS,
@@ -418,8 +417,11 @@ def generic_kernel_time(p, t) -> np.ndarray:
     4x4 adjoint-action matrix of the cavity superoperators and contracts with
     the steady-state correlator matrix, so it cross-checks every coefficient
     of the mode tables.  All times share one stacked ``expm`` per matrix and
-    one contraction; shape (..., 4, 4) for finite t >= 0.
+    one contraction; shape (..., 4, 4) for finite t >= 0.  It is the one
+    function here that needs ``scipy.linalg``, and imports it when called.
     """
+    from scipy.linalg import expm
+
     if isinstance(p, SqueezedBathParams):
         b = bogoliubov_params(p)
         g1, g2, nbar, mbar, omega_b = b.g1, b.g2, b.nbar, b.mbar, b.delta_c_eff

@@ -8,7 +8,9 @@ Liouvillian of ``-(w/2) sigma_z`` the diagonal matrix (0, iw, -iw, 0).
 
 The superoperator builders return plain arrays: a dense operator gives a
 dense ndarray and a ``scipy.sparse`` operator a sparse CSR array, from the
-same Kronecker formula.
+same Kronecker formula.  Only the sparse branches import ``scipy.sparse``,
+and only the defective fallback of the modal evolution ``scipy.linalg``, so
+dense work loads neither.
 
 States and Hilbert-space operators are plain arrays: a state may be given as
 a d x d matrix or as its row-stacked length-d^2 vector.  The private helpers
@@ -19,10 +21,9 @@ eigen-modal evolution.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "vectorize",
@@ -49,8 +50,20 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
+def _is_sparse(arr) -> bool:
+    """True for a ``scipy.sparse`` array or matrix.
+
+    No sparse array can exist before ``scipy.sparse`` is imported, so while
+    it is not in ``sys.modules`` the answer is False without importing it.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(arr)
+
+
 def _as_square(entries):
-    if sparse.issparse(entries):
+    if _is_sparse(entries):
+        from scipy import sparse
+
         arr = sparse.csr_array(entries, dtype=complex)
     else:
         arr = np.asarray(entries, dtype=complex)
@@ -61,7 +74,9 @@ def _as_square(entries):
 
 def _kron(a, b):
     """Kronecker product; a sparse CSR array when either factor is sparse."""
-    if sparse.issparse(a) or sparse.issparse(b):
+    if _is_sparse(a) or _is_sparse(b):
+        from scipy import sparse
+
         return sparse.kron(a, b, format="csr")
     return np.kron(a, b)
 
@@ -168,7 +183,9 @@ def _coupled_blocks(gen, support) -> list[np.ndarray]:
     indices costs a fraction of a ``connected_components`` call.
     """
     pattern = gen != 0
-    if sparse.issparse(pattern):
+    if _is_sparse(pattern):
+        from scipy.sparse.csgraph import connected_components
+
         # a boolean pattern, since connected_components casts complex data with a warning
         labels = connected_components(pattern, directed=True, connection="weak")[1]
     else:
@@ -191,9 +208,12 @@ def _coupled_block(gen, support) -> np.ndarray:
 def _density_vector(rho) -> np.ndarray:
     """Row-stacked vector of a density matrix given as a matrix or a vector.
 
-    Checked for unit trace, Hermiticity and positive semidefiniteness to 1e-9.
+    Checked to be finite, then for unit trace, Hermiticity and positive
+    semidefiniteness to 1e-9 (comparisons that NaN would pass).
     """
     m = devectorize(rho)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("state is not finite")
     if abs(np.trace(m) - 1.0) > 1e-9:
         raise ValueError(f"state trace {np.trace(m).real:.12g} is not 1")
     if np.abs(m - m.conj().T).max() > 1e-9:
@@ -208,12 +228,12 @@ def _steady_state(gen, dim: int) -> np.ndarray:
 
     Solved exactly on the blocks of ``gen`` that hold the diagonal, with the
     redundant (0, 0) equation replaced by the trace row; Hermitized, and
-    checked for unit trace to 1e-9.
+    checked to be finite and of unit trace to 1e-9.
     """
     diagonal = np.arange(dim) * (dim + 1)
     block = _coupled_block(gen, diagonal)
     sub = gen[block, :][:, block]
-    sub = sub.toarray() if sparse.issparse(sub) else sub
+    sub = sub.toarray() if _is_sparse(sub) else sub
     # block[0] == 0 is the (0, 0) population, so the trace row replaces its equation
     sub[0, :] = np.isin(block, diagonal)
     rhs = np.zeros(block.size, dtype=complex)
@@ -222,6 +242,8 @@ def _steady_state(gen, dim: int) -> np.ndarray:
     chi[block] = np.linalg.solve(sub, rhs)
     chi = chi.reshape(dim, dim)
     chi = 0.5 * (chi + chi.conj().T)
+    if not np.all(np.isfinite(chi)):
+        raise ValueError("steady state is not finite")
     tr = np.trace(chi).real
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"steady state trace {tr:.12g} deviates from 1")
@@ -244,4 +266,6 @@ def _modal_evolution(gen, y0, t_grid, n_out: int) -> np.ndarray:
             return (np.exp(np.outer(t_grid, lam)) * coef) @ vmat[:n_out, :].T
     except np.linalg.LinAlgError:
         pass
+    from scipy.linalg import expm
+
     return np.array([(expm(gen * t) @ y0)[:n_out] for t in t_grid])

@@ -11,9 +11,9 @@ positivity, in contrast to the time-local reduced equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .baths import SqueezedBathParams, ThermalBathParams
 from .fdme import Spectrum, _checked_grid, make_spectrum
@@ -28,6 +28,9 @@ from .liouville import (
     commutator_superop,
     lindblad_dissipator,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "FullModel",
@@ -67,8 +70,10 @@ def build_full_model(p, n_fock: int) -> FullModel:
     Thermal: lab frame with heating and cooling on the cavity.  Squeezed:
     frame rotating at half the pump, two-photon drive on the cavity and a
     single loss channel.  Every operator is sparse, and L is built only by
-    the ``liouville`` builders.
+    the ``liouville`` builders; the first call imports ``scipy.sparse``.
     """
+    from scipy import sparse
+
     if n_fock < 4:
         raise ValueError("n_fock must be at least 4")
     a = sparse.csr_array(annihilation(n_fock))

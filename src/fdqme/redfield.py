@@ -26,7 +26,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .baths import ThermalBathParams, effective_rates, free_liouvillian, kernel_modes
 from .fdme import Spectrum, make_spectrum
@@ -126,23 +125,87 @@ def bm_induced_generator(p, include_sum_frequency: bool = False) -> np.ndarray:
     return np.einsum("kij,kj->ij", modes.coef, 1.0 / (modes.kappa - 1j * nus))
 
 
-def _dop853_stage_table():
-    """Stage times and lower-triangular stage coefficients of DOP853.
+# The DOP853 tableau (Hairer, Norsett & Wanner, II.5) with scipy.integrate.DOP853's
+# coefficients, which the tests check bit for bit.  _STAGE_C holds the stage times, and
+# row s of _STAGE_ROWS the weights of stage s on stages 0..s-1: rows 0-11 are the main
+# stages, row 12 is the stage at t + h whose weights are B (it evaluates the new state),
+# and rows 13-15 are the extra stages of the 7th-order dense output.  _ERROR holds the
+# 5th- and 3rd-order error weights (E5, E3), and _DENSE the weights D of the four
+# highest dense-output coefficients.
+_N_STAGES = 12
+_STAGE_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+    1.0, 0.1, 0.2, 0.7777777777777778
+])
+_STAGE_ROWS = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+)
+_ERROR = np.array([
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294, 0.0],
+    [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+     0.02265179219836082, 0.0],
+])
+_DENSE = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
 
-    Rows 0-11 are the main stages, row 12 is the stage at t + h whose
-    coefficients are the weights B (it evaluates the new state), and rows
-    13-15 are the extra stages of the 7th-order dense output.
-    """
-    n = DOP853.n_stages
+
+def _dop853_stage_table() -> np.ndarray:
+    """Lower-triangular 16 x 16 stage coefficients of DOP853, from _STAGE_ROWS."""
     coef = np.zeros((16, 16))
-    coef[:n, :n] = DOP853.A
-    coef[n, :n] = DOP853.B
-    coef[n + 1:] = DOP853.A_EXTRA
-    return np.concatenate([DOP853.C, [1.0], DOP853.C_EXTRA]), coef
+    for s, row in enumerate(_STAGE_ROWS):
+        coef[s, :s] = row
+    return coef
 
 
-_STAGE_C, _STAGE_A = _dop853_stage_table()
-_ERROR = np.stack([DOP853.E5, DOP853.E3])
+_STAGE_A = _dop853_stage_table()
 # speculative windows of equal steps: doubled after a fully accepted window,
 # halved after a rejection
 _WINDOW_MIN, _WINDOW_MAX = 4, 256
@@ -210,7 +273,7 @@ def _window(generator, y, edges, h_nominal):
     for s in range(1, 16):
         step = (_STAGE_A[s, :s] @ mats[:s].reshape(s, -1)).reshape(shape)
         step.reshape(n_blocks, m * m, n)[:, :: m + 1] += 1.0  # the identity on each block
-        if s == DOP853.n_stages:  # the stage at t + h: its step matrix maps y to y_new
+        if s == _N_STAGES:  # the stage at t + h: its step matrix maps y to y_new
             prop = step
         mats[s] = _block_product(a_t[s], step)
     steps = np.moveaxis(prop, -1, 0)  # (n, n_blocks, m, m)
@@ -226,10 +289,10 @@ def _window(generator, y, edges, h_nominal):
     err = np.where(e5 + e3 == 0, 0.0, e5 / np.sqrt((e5 + 0.01 * e3) * (4 * k)))
     err[~(np.isfinite(err) & np.isfinite(ys[..., 1:]).all(axis=(0, 1, 2)))] = np.inf
     dy = ys[..., 1:] - ys[..., :-1]
-    hf0, hf1 = hk[0], hk[DOP853.n_stages]
+    hf0, hf1 = hk[0], hk[_N_STAGES]
     dense = np.concatenate(
         [dy[None], (hf0 - dy)[None], (2 * dy - (hf1 + hf0))[None],
-         (DOP853.D @ hk.reshape(16, -1)).reshape((4,) + dy.shape)],
+         (_DENSE @ hk.reshape(16, -1)).reshape((4,) + dy.shape)],
     )
     return ys, err, dense
 

@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdqme
 from fdqme import cli, fdme
 from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
 from fdqme.cli import ConfigError, _format_tables, _write_csvs, main, parse_config, run_scenario
@@ -886,3 +891,32 @@ def test_grid_sections_follow_what_the_runner_reads():
     for case in ("squeezed-spectrum", "waveguide-spectrum"):
         scenario, text = METADATA_CASES[case]
         assert "[grid" not in text and parse_config(text, scenario).grids == {}
+
+
+SCIPY_SUBMODULES = ("scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.integrate")
+# run in a fresh interpreter, since this one has scipy loaded; prints the submodules loaded after each scenario
+LOADED_AFTER_EACH = f"""
+import json, sys
+from fdqme.cli import main
+loaded = []
+for scenario, config, out in json.loads(sys.argv[1]):
+    assert main([scenario, "--config", config, "--out", out]) == 0, scenario
+    loaded.append([name for name in {SCIPY_SUBMODULES!r} if name in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_scenarios_load_scipy_submodules_only_where_they_use_them(tmp_path):
+    # every scenario but oracle-compare, then oracle-compare, whose sparse joint model needs scipy.sparse
+    cases = [case for case in METADATA_CASES if case != "oracle-compare"] + ["oracle-compare"]
+    runs = []
+    for case in cases:
+        scenario, text = METADATA_CASES[case]
+        (tmp_path / f"{case}.cfg").write_text(text)
+        runs.append([scenario, str(tmp_path / f"{case}.cfg"), str(tmp_path / case)])
+    env = {**os.environ, "PYTHONPATH": str(Path(fdqme.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_EACH, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = dict(zip(cases, json.loads(done.stdout.splitlines()[-1])))
+    assert {case: names for case, names in loaded.items() if names and case != "oracle-compare"} == {}
+    assert "scipy.sparse" in loaded["oracle-compare"]

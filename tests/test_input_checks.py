@@ -20,10 +20,10 @@ from fdqme.fdme import (
     purity,
     thermal_propagator,
 )
-from fdqme.liouville import _steady_state, left_multiplier, qubit_state
+from fdqme.liouville import SIGMA_MINUS, _steady_state, left_multiplier, lindblad_dissipator, qubit_state
 from fdqme.measures import fwhm, kl_divergence, spectral_gap, spectral_measure
 from fdqme.oracle import FullModel, build_full_model, full_steady_state
-from fdqme.redfield import Trajectory, br_correlator
+from fdqme.redfield import Trajectory, br_correlator, br_evolve
 from fdqme.waveguide import WaveguideParams, waveguide_measure_sweep
 
 THERMAL = dict(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
@@ -34,6 +34,14 @@ GRID = np.linspace(-1.0, 1.0, 5)
 LINE = make_spectrum(GRID, [0.1, 0.5, 1.0, 0.5, 0.1])
 # half maximum is never crossed on the right
 EDGE = make_spectrum(GRID, [0.1, 0.5, 1.0, 0.9, 0.8])
+
+
+def _nan_decay_generator():
+    # qubit decay with a NaN on the diagonal of the block the steady state is solved on
+    gen = lindblad_dissipator(SIGMA_MINUS)
+    gen[3, 3] = np.nan
+    return gen
+
 
 CHECKS = {
     "thermal-g": (lambda: ThermalBathParams(**{**THERMAL, "g": 0.0}), ValueError, "g and kappa must be positive"),
@@ -61,6 +69,14 @@ CHECKS = {
                       "state trace 2 is not 1"),
     "initial-hermiticity": (lambda: inverse_transform(FP, [0.5, 0.5, 0, 0.5], [0.0]), ValueError,
                             "state is not Hermitian"),
+    # NaN passes every comparison of the trace, Hermiticity and positivity checks
+    "initial-nan": (lambda: inverse_transform(FP, [np.nan, 0, 0, 1], [0.0, 1.0]), ValueError,
+                    "state is not finite"),
+    "initial-nan-br": (lambda: br_evolve(ThermalBathParams(**THERMAL), [np.nan, 0, 0, 1], [0.0, 1.0]), ValueError,
+                       "state is not finite"),
+    "initial-inf-in-stack": (lambda: br_evolve(ThermalBathParams(**THERMAL), [[1, 0, 0, 0], [0, 0, 0, np.inf]],
+                                               [0.0, 1.0]), ValueError, "state is not finite"),
+    "steady-state-nan": (lambda: _steady_state(_nan_decay_generator(), 2), ValueError, "steady state is not finite"),
     "purity-hermiticity": (lambda: purity([0.5, 0.5, 0, 0.5]), ValueError, "state is not Hermitian within 1e-6"),
     "gap-method": (lambda: spectral_gap(ThermalBathParams(**THERMAL), method="median"), ValueError,
                    "unknown method 'median'"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from conftest import (
     br_rates_squeezed,
     br_rates_thermal,
@@ -123,6 +124,20 @@ def test_markov_generator_is_long_time_limit():
 # --------------------------------------------------------------------------
 # trajectories
 # --------------------------------------------------------------------------
+
+
+def test_dop853_tableau_equals_scipy_bit_for_bit():
+    n = redfield._N_STAGES
+    a, c = redfield._STAGE_A, redfield._STAGE_C
+    literal = {"A": a[:n, :n], "B": a[n, :n], "C": c[:n], "A_EXTRA": a[n + 1:], "C_EXTRA": c[n + 1:],
+               "E5": redfield._ERROR[0], "E3": redfield._ERROR[1], "D": redfield._DENSE}
+    assert n == DOP853.n_stages
+    for name, ours in literal.items():
+        ref = getattr(DOP853, name)
+        assert ours.dtype == ref.dtype == np.float64 and ours.shape == ref.shape, name
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), name
+    # the stage at t + h, and explicit stages: nothing on or above the diagonal
+    assert c[n] == 1.0 and a.shape == (16, 16) and not np.triu(a).any()
 
 
 def test_br_thermal_reaches_detailed_balance():
