@@ -157,6 +157,41 @@ print(f"peak detuning: FD-QME {peak_fd:.4f} g, exact {peak_full:.4f} g")
 PY
 echo "::endgroup::"
 
+# The linewidth axis of measure-sweep (acceptance criterion 6): each row is the
+# library's bath_measure of its bath, to the last digit, and the measure falls
+# as 1/kappa (log-log slope -1 +/- 0.1).
+echo "::group::measure-sweep (kappa axis) through the console script"
+cat > "$work/kappa.cfg" <<'CFG'
+[params]
+g = 1.0
+omega_q = 2.0e5
+nbar = 0.1
+delta = 5.0
+kappa_min = 20.0
+kappa_max = 200.0
+kappa_points = 10
+
+[output]
+path = kappa.csv
+CFG
+fdqme measure-sweep --config "$work/kappa.cfg" --out "$work/kappa"
+python - "$work/kappa/kappa.csv" <<'PY'
+import sys
+import numpy as np
+from fdqme import ThermalBathParams, bath_measure
+lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
+header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+assert header == ["kappa[g]", "spectral_measure"] and len(rows) == 10, (header, len(rows))
+for kappa, ns in rows:
+    p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 5.0, kappa=float(kappa), nbar=0.1)
+    assert ns == format(bath_measure(p).value, ".17g"), (kappa, ns)
+kappas, ns = np.array(rows, dtype=float).T
+slope = np.polyfit(np.log(kappas), np.log(ns), 1)[0]
+assert abs(slope + 1.0) < 0.1, slope
+print(f"spectral measure along kappa: log-log slope {slope:.4f}, every row equal to bath_measure")
+PY
+echo "::endgroup::"
+
 # The delay sweep of the waveguide example: the measure at each resonant
 # separation, with the sweep's summary values in the CSV comments.
 echo "::group::measure-sweep (eta axis) through the console script"

@@ -12,7 +12,7 @@ the qubit frequency (omega_q or delta_q); bare transform variables are named
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +48,13 @@ __all__ = [
 ]
 
 
+def _require_finite(params):
+    """Raise a ValueError naming the first field of a parameter dataclass that is not finite."""
+    for f in fields(params):
+        if not np.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(params, f.name)}")
+
+
 @dataclass(frozen=True)
 class ThermalBathParams:
     """Qubit coupled to a lossy cavity held in a thermal state.
@@ -63,6 +70,7 @@ class ThermalBathParams:
     nbar: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.g <= 0 or self.kappa <= 0:
             raise ValueError("g and kappa must be positive")
         if self.nbar < 0:
@@ -89,6 +97,7 @@ class SqueezedBathParams:
     kappa: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.g <= 0 or self.kappa <= 0:
             raise ValueError("g and kappa must be positive")
         if not 0 <= self.r < abs(self.delta_c):
@@ -463,7 +472,7 @@ def effective_rates(p) -> EffectiveRates:
     return EffectiveRates(delta_eff=k0.imag, gamma_eff=-k0.real)
 
 
-def markovian_spectrum(p_or_rates, delta) -> np.ndarray:
+def markovian_spectrum(p, delta) -> np.ndarray:
     """Unit-area Lorentzian emission line of the Markov-limit master equation.
 
     Its width and shift come from the coherence entry K22[0] alone.  For the
@@ -472,7 +481,7 @@ def markovian_spectrum(p_or_rates, delta) -> np.ndarray:
     ``squeezed_propagator(p, markov=True)`` differs from it by 4.7e-6 of the
     peak at r = 115, delta_c = 320, and by 4e-16 with that coupling zeroed.
     """
-    rates = p_or_rates if isinstance(p_or_rates, EffectiveRates) else effective_rates(p_or_rates)
+    rates = effective_rates(p)
     if rates.gamma_eff <= 0:
         raise ValueError(f"gamma_eff must be positive, got {rates.gamma_eff}")
     delta = np.asarray(delta, dtype=float)
@@ -494,27 +503,18 @@ def thermal_closed_spectrum(p: ThermalBathParams, delta, freeze_kernel_at: float
     return (width / np.pi) / ((delta - center) ** 2 + width**2)
 
 
-def squeezed_closed_spectrum(
-    p: SqueezedBathParams, delta, include_cross_terms: bool = True
-) -> np.ndarray:
+def squeezed_closed_spectrum(p: SqueezedBathParams, delta) -> np.ndarray:
     """Steady-state emission density of the squeezed bath, unit area.
 
-    Includes the coherence-coupling correction built from the product of the
-    (3,2) kernel transform and the transform of its conjugated time function
-    (which is not |K32|^2).  With ``include_cross_terms=False`` the nested
-    Lorentzian with the squeezed K22 alone is returned.
+    The nested Lorentzian with the squeezed K22, corrected for the coherence
+    coupling by the product of the (3,2) kernel transform and the transform
+    of its conjugated time function (which is not |K32|^2).
     """
     delta = np.asarray(delta, dtype=float)
-    modes = kernel_modes(p)
-    dq = p.delta_q
-    mat = modes.freq_matrix(delta + dq)
-    a = 1j * delta - mat[..., 1, 1]
-    if include_cross_terms:
-        b = 1j * (delta + 2 * dq) - mat[..., 2, 2]
-        cross = mat[..., 2, 1] * mat[..., 1, 2]
-        a = a - cross / b
-    dens = 2.0 * np.real(1.0 / a) / (2.0 * np.pi)
-    return dens
+    mat = kernel_modes(p).freq_matrix(delta + p.delta_q)
+    b = 1j * (delta + 2 * p.delta_q) - mat[..., 2, 2]
+    a = 1j * delta - mat[..., 1, 1] - mat[..., 2, 1] * mat[..., 1, 2] / b
+    return 2.0 * np.real(1.0 / a) / (2.0 * np.pi)
 
 
 def squeezed_steady_ground_population(p: SqueezedBathParams) -> float:

@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fdme, measures, oracle, redfield, waveguide
-from .baths import (
-    SqueezedBathParams,
-    ThermalBathParams,
-    default_frequency_grid,
-    markovian_spectrum,
-    thermal_closed_spectrum,
-)
+from .baths import SqueezedBathParams, ThermalBathParams, default_frequency_grid, markovian_spectrum
 from .fdme import make_spectrum
 from .liouville import qubit_state
 
@@ -480,17 +474,9 @@ def _run_waveguide_spectrum(cfg, p):
     return tables, {}, {"grid_points": grid.size}
 
 
-def _thermal_ns(p: ThermalBathParams, gap_method: str) -> float:
-    grid = default_frequency_grid(p)
-    s = make_spectrum(grid, thermal_closed_spectrum(p, grid))
-    s_m = make_spectrum(grid, markovian_spectrum(p, grid))
-    gap = measures.spectral_gap(p, method=gap_method)
-    return measures.spectral_measure(s, s_m, gap).value
-
-
 def _run_thermal_sweep(axis_header, cfg, sweep, gap_method):
     xs, baths = sweep
-    values = [_thermal_ns(p, gap_method) for p in baths]
+    values = [measures.bath_measure(p, gap_method).value for p in baths]
     return [(".csv", [axis_header, "spectral_measure"], [xs, values])], {}, {}
 
 
@@ -508,7 +494,7 @@ def _run_blp_compare(cfg, sweep, gap_method):
     for p in baths:
         tg, te = redfield.br_evolve(p, np.stack([qubit_state("g"), qubit_state("e")]), t_grid)
         blp.append(measures.blp_measure(tg, te).value)
-        ns.append(_thermal_ns(p, gap_method))
+        ns.append(measures.bath_measure(p, gap_method).value)
     return [(".csv", ["delta[g]", "blp_measure", "spectral_measure"], [deltas, blp, ns])], {}, {}
 
 

@@ -141,6 +141,9 @@ class FrequencyPropagator:
 
     def __post_init__(self):
         object.__setattr__(self, "l0", np.asarray(self.l0, dtype=complex))
+        for name, value in (("l0", self.l0), ("omega_ref", self.omega_ref)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"propagator {name} must be finite")
 
     @property
     def omega_ref(self) -> float:

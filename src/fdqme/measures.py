@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baths import effective_rates, free_liouvillian
-from .fdme import Spectrum
+from .baths import ThermalBathParams, default_frequency_grid, effective_rates, free_liouvillian, markovian_spectrum
+from .baths import squeezed_closed_spectrum, thermal_closed_spectrum
+from .fdme import Spectrum, make_spectrum
 from .liouville import devectorize
 from .redfield import Trajectory, bm_induced_generator
 
@@ -24,6 +25,7 @@ __all__ = [
     "kl_divergence",
     "spectral_gap",
     "spectral_measure",
+    "bath_measure",
     "fwhm",
     "trace_distance",
     "blp_measure",
@@ -119,6 +121,16 @@ def spectral_measure(s: Spectrum, s_m: Spectrum, gap: float) -> MeasureResult:
         metadata={"gap": gap, "grid_points": int(s.grid.size),
                   "grid_span": (float(s.grid[0]), float(s.grid[-1]))},
     )
+
+
+def bath_measure(p, gap_method: str = "eigen") -> MeasureResult:
+    """Spectral measure of a thermal or squeezed cavity bath: its closed-form line against the Markov-limit
+    Lorentzian, both normalized on ``default_frequency_grid(p)``, per ``spectral_gap(p, gap_method)``."""
+    closed = thermal_closed_spectrum if isinstance(p, ThermalBathParams) else squeezed_closed_spectrum
+    grid = default_frequency_grid(p)
+    s = make_spectrum(grid, closed(p, grid))
+    s_m = make_spectrum(grid, markovian_spectrum(p, grid))
+    return spectral_measure(s, s_m, spectral_gap(p, method=gap_method))
 
 
 def trace_distance(rho1, rho2) -> float | np.ndarray:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .baths import _require_finite
 from .fdme import Spectrum, make_spectrum
-from .measures import MeasureResult, fwhm, spectral_measure
+from .measures import fwhm, spectral_measure
 
 __all__ = [
     "WaveguideParams",
@@ -40,6 +41,7 @@ class WaveguideParams:
     eta: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if not 0.0 <= self.beta <= 1.0:
@@ -103,9 +105,10 @@ def waveguide_measure_sweep(p: WaveguideParams, eta_grid) -> dict:
     point's own grid, with the bandwidth fixed once from its full width at
     half maximum.  The reference is computed once on its own default grid,
     which every sweep point shares until eta is large enough to need a
-    longer grid; only there is it evaluated again.  Returns the per-eta
-    results plus the interior maximum position and the large-eta saturation
-    estimate (mean of the top quartile of the sweep range).
+    longer grid; only there is it evaluated again.  Returns the sweep's
+    ``eta`` and measure ``values``, the interior maximum position ``eta_max``,
+    the large-eta ``saturation`` estimate (mean of the top quartile of the
+    sweep range) and the ``markov_bandwidth``.
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
     if eta_grid.ndim != 1 or eta_grid.size < 2 or np.any(np.diff(eta_grid) <= 0):
@@ -113,21 +116,17 @@ def waveguide_measure_sweep(p: WaveguideParams, eta_grid) -> dict:
     reference = replace(p, eta=0.0)
     s_ref = waveguide_spectrum(reference, default_waveguide_grid(reference))
     gap = fwhm(s_ref)
-    results = []
-    for eta in eta_grid:
+    values = np.empty(eta_grid.size)
+    for k, eta in enumerate(eta_grid):
         point = replace(p, eta=float(eta))
         grid = default_waveguide_grid(point)
         s = waveguide_spectrum(point, grid)
         s_m = s_ref if np.array_equal(grid, s_ref.grid) else waveguide_spectrum(reference, grid)
-        res = spectral_measure(s, s_m, gap)
-        res = MeasureResult(res.value, res.method, {**res.metadata, "eta": float(eta)})
-        results.append(res)
-    values = np.array([r.value for r in results])
+        values[k] = spectral_measure(s, s_m, gap).value
     eta_max = float(eta_grid[int(np.argmax(values))])
     quart = eta_grid >= eta_grid[0] + 0.75 * (eta_grid[-1] - eta_grid[0])
     saturation = float(values[quart].mean())
     return {
-        "results": results,
         "eta": eta_grid,
         "values": values,
         "eta_max": eta_max,

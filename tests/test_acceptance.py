@@ -35,7 +35,7 @@ from fdqme.fdme import (
     thermal_propagator,
 )
 from fdqme.liouville import qubit_state
-from fdqme.measures import blp_measure, fwhm, spectral_gap, spectral_measure
+from fdqme.measures import bath_measure, blp_measure, fwhm, spectral_gap, spectral_measure
 from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import bm_evolve, br_evolve, br_spectrum
 from fdqme.waveguide import (
@@ -54,13 +54,6 @@ def report(num, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {num:02d} {status} - {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def thermal_ns(p):
-    grid = default_frequency_grid(p)
-    s = make_spectrum(grid, thermal_closed_spectrum(p, grid))
-    s_m = make_spectrum(grid, markovian_spectrum(p, grid))
-    return spectral_measure(s, s_m, spectral_gap(p)).value
 
 
 def test_criterion_01_thermal_steady_state():
@@ -152,11 +145,11 @@ def test_criterion_05_side_peak_location():
 def test_criterion_06_measure_scaling():
     start = time.time()
     kappas = np.geomspace(20.0, 200.0, 10)
-    ns_k = [thermal_ns(ThermalBathParams(1.0, 2.0e5, 2.0e5 - 5.0, float(k), 0.1)) for k in kappas]
+    ns_k = [bath_measure(ThermalBathParams(1.0, 2.0e5, 2.0e5 - 5.0, float(k), 0.1)).value for k in kappas]
     slope = np.polyfit(np.log(kappas), np.log(ns_k), 1)[0]
 
     deltas = np.geomspace(30.0, 300.0, 10)
-    ns_d = np.array([thermal_ns(ThermalBathParams(1.0, 2.0e5, 2.0e5 - float(d), 10.0, 0.1)) for d in deltas])
+    ns_d = np.array([bath_measure(ThermalBathParams(1.0, 2.0e5, 2.0e5 - float(d), 10.0, 0.1)).value for d in deltas])
     x = np.log(deltas)
     coeffs = np.polyfit(x, ns_d, 1)
     resid = ns_d - np.polyval(coeffs, x)
@@ -177,18 +170,12 @@ def test_criterion_07_squeezed_reduction_and_resonance():
     kappa, dq, dc = 10.0, 200.0, 320.0
     dtil_grid = kappa * np.arange(-4.0, 4.5, 1.0)
 
-    def ns_squeezed(p):
-        g = default_frequency_grid(p)
-        s = make_spectrum(g, squeezed_closed_spectrum(p, g))
-        s_m = make_spectrum(g, markovian_spectrum(p, g))
-        return spectral_measure(s, s_m, spectral_gap(p)).value
-
     ns_r = []
     ns_bare = []
     for dtil in dtil_grid:
         r = float(np.sqrt(dc**2 - (dq - dtil) ** 2))
-        ns_r.append(ns_squeezed(SqueezedBathParams(1.0, dq, dc, r, kappa)))
-        ns_bare.append(ns_squeezed(SqueezedBathParams(1.0, dq, dq - dtil, 0.0, kappa)))
+        ns_r.append(bath_measure(SqueezedBathParams(1.0, dq, dc, r, kappa)).value)
+        ns_bare.append(bath_measure(SqueezedBathParams(1.0, dq, dq - dtil, 0.0, kappa)).value)
     k_r = int(np.argmin(ns_r))
     k_b = int(np.argmin(ns_bare))
     k_zero = int(np.argmin(np.abs(dtil_grid)))
@@ -224,7 +211,7 @@ def test_criterion_09_blp_behavior():
         t1 = br_evolve(p, qubit_state("g").reshape(-1), ts)
         t2 = br_evolve(p, qubit_state("e").reshape(-1), ts)
         blp_vals.append(blp_measure(t1, t2).value)
-        ns_vals.append(thermal_ns(p))
+        ns_vals.append(bath_measure(p).value)
     blp_vals = np.array(blp_vals)
     small = blp_vals[ratios <= 1.0].max()
     peak_ratio = ratios[int(np.argmax(blp_vals))]

@@ -113,9 +113,11 @@ PARSE_BASE = "[params]\ng = 1.0\nomega_q = 2.0e5\nkappa = 10.0\nnbar = 0.1\ndelt
         ("thermal-spectrum", "[output]\npath = t.csv\n", "missing required section [params]"),
         ("thermal-spectrum", PARSE_BASE.replace("[output]\npath = t.csv\n", ""), "missing required section [output]"),
         ("thermal-spectrum", PARSE_BASE + "mode = fast\n", "[output] unknown key 'mode'"),
+        ("thermal-spectrum", PARSE_BASE + "[grid.frequency]\nmin = -1.0\nmax = 1.0\n",
+         "[grid.frequency] missing required key 'points'"),
     ],
     ids=["unknown-section", "duplicate-section", "no-equals", "key-outside-section", "inf", "nan",
-         "non-integer", "missing-params", "missing-output", "unknown-output-key"],
+         "non-integer", "missing-params", "missing-output", "unknown-output-key", "grid-missing-key"],
 )
 def test_parse_reports_each_malformed_line(scenario, text, message):
     with pytest.raises(ConfigError) as err:

@@ -13,6 +13,7 @@ from fdqme.baths import (
 )
 from fdqme.fdme import (
     Spectrum,
+    emission_spectrum,
     free_propagator,
     inverse_transform,
     make_spectrum,
@@ -21,7 +22,7 @@ from fdqme.fdme import (
     thermal_propagator,
 )
 from fdqme.liouville import SIGMA_MINUS, _steady_state, left_multiplier, lindblad_dissipator, qubit_state
-from fdqme.measures import fwhm, kl_divergence, spectral_gap, spectral_measure
+from fdqme.measures import bath_measure, fwhm, kl_divergence, spectral_gap, spectral_measure
 from fdqme.oracle import FullModel, build_full_model, full_steady_state
 from fdqme.redfield import Trajectory, br_correlator, br_evolve
 from fdqme.waveguide import WaveguideParams, waveguide_measure_sweep
@@ -92,6 +93,27 @@ CHECKS = {
                       "eta_grid must be strictly increasing with at least 2 points"),
     "eta-grid-order": (lambda: waveguide_measure_sweep(WAVEGUIDE, [0.0, 0.5, 0.5]), ValueError,
                        "eta_grid must be strictly increasing with at least 2 points"),
+    # NaN passes the ordering check of the grid; the waveguide at that delay names it
+    "eta-grid-nan": (lambda: waveguide_measure_sweep(WAVEGUIDE, [0.0, np.nan]), ValueError,
+                     "^eta must be finite, got nan$"),
+    "bath-measure-type": (lambda: bath_measure(WAVEGUIDE), TypeError, "unsupported bath parameters: WaveguideParams"),
+    # a non-finite Liouvillian or frame is refused when the propagator is made, before any solve
+    "propagator-l0-nan": (lambda: inverse_transform(free_propagator(np.diag([0.0, np.nan, 0.0, 0.0])),
+                                                    [1.0, 0, 0, 0], [0.0, 1.0]), ValueError,
+                          "propagator l0 must be finite"),
+    "propagator-l0-inf": (lambda: emission_spectrum(free_propagator(np.diag([0.0, np.inf, -np.inf, 0.0])), GRID),
+                          ValueError, "propagator l0 must be finite"),
+    "propagator-omega-ref-nan": (lambda: free_propagator(np.zeros((4, 4)), omega_ref=np.nan), ValueError,
+                                 "propagator omega_ref must be finite"),
+}
+# NaN and inf pass every comparison of the parameter checks: each field of each
+# parameter class is checked for finiteness first, and named
+_VALID = {ThermalBathParams: THERMAL, SqueezedBathParams: SQUEEZED,
+          WaveguideParams: dict(omega0=200.0, gamma=1.0, beta=0.9, eta=0.0)}
+CHECKS |= {
+    f"{cls.__name__}-{key}-{value}": (lambda cls=cls, kw={**valid, key: value}: cls(**kw), ValueError,
+                                      f"^{key} must be finite, got {value}$")
+    for cls, valid in _VALID.items() for key in valid for value in (np.nan, np.inf)
 }
 
 
