@@ -90,7 +90,8 @@ echo "::endgroup::"
 
 # One Born-Redfield integration of the ground and excited states per detuning:
 # no backflow at the smallest detuning, backflow at the largest, and a
-# spectral measure that grows with the detuning (acceptance criterion 9).
+# spectral measure that grows with the detuning (acceptance criterion 9), each
+# row the library's bath_measure of its bath, to the last digit.
 echo "::group::blp-compare through the console script"
 cat > "$work/blp.cfg" <<'CFG'
 [params]
@@ -113,13 +114,18 @@ CFG
 fdqme blp-compare --config "$work/blp.cfg" --out "$work/blp"
 python - "$work/blp/blp.csv" <<'PY'
 import sys
+from fdqme import ThermalBathParams, bath_measure
 lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
-header, rows = lines[0].split(","), [[float(x) for x in line.split(",")] for line in lines[1:]]
-assert header == ["delta[g]", "blp_measure", "spectral_measure"] and len(rows) == 4, (header, len(rows))
+header, cells = lines[0].split(","), [line.split(",") for line in lines[1:]]
+assert header == ["delta[g]", "blp_measure", "spectral_measure"] and len(cells) == 4, (header, len(cells))
+for delta, _, ns in cells:
+    p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - float(delta), kappa=20.0, nbar=0.1)
+    assert ns == format(bath_measure(p).value, ".17g"), (delta, ns)
+rows = [[float(x) for x in row] for row in cells]
 blp, ns = [row[1] for row in rows], [row[2] for row in rows]
 assert blp[0] < 1e-8 and blp[-1] > 0.0, blp
 assert all(a < b for a, b in zip(ns, ns[1:])), ns
-print(f"backflow {blp}, spectral measure {ns}")
+print(f"backflow {blp}, spectral measure {ns}, every measure equal to bath_measure")
 PY
 echo "::endgroup::"
 

@@ -455,9 +455,8 @@ def generic_kernel_time(p, t) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _k22_delta(p, delta):
-    """Coherence-sector kernel entry as a function of detuning."""
-    modes = kernel_modes(p)
+def _k22_delta(modes: KernelModes, delta):
+    """Coherence-sector entry of a mode table's kernel as a function of detuning."""
     live = modes.coef[:, 1, 1] != 0
     omega = np.asarray(delta, dtype=float) + modes.omega_ref
     # one row per contributing mode; a sum over rows is cheaper than a matmul
@@ -466,10 +465,15 @@ def _k22_delta(p, delta):
     return (c / (modes.kappa - 1j * np.subtract.outer(modes.mus[live], omega))).sum(axis=0)
 
 
+def _rates(modes: KernelModes) -> EffectiveRates:
+    """``effective_rates`` of a mode table."""
+    k0 = complex(_k22_delta(modes, 0.0))
+    return EffectiveRates(delta_eff=k0.imag, gamma_eff=-k0.real)
+
+
 def effective_rates(p) -> EffectiveRates:
     """Markov-limit rates: delta_eff = Im K22[0], gamma_eff = -Re K22[0]."""
-    k0 = complex(_k22_delta(p, 0.0))
-    return EffectiveRates(delta_eff=k0.imag, gamma_eff=-k0.real)
+    return _rates(kernel_modes(p))
 
 
 def markovian_spectrum(p, delta) -> np.ndarray:
@@ -488,19 +492,31 @@ def markovian_spectrum(p, delta) -> np.ndarray:
     return (rates.gamma_eff / np.pi) / ((delta - rates.delta_eff) ** 2 + rates.gamma_eff**2)
 
 
-def thermal_closed_spectrum(p: ThermalBathParams, delta, freeze_kernel_at: float | None = None) -> np.ndarray:
-    """Steady-state emission density of the thermal bath, unit area.
-
-    The line is a nested Lorentzian: width -Re K22[delta] and center
-    Im K22[delta] are themselves frequency dependent.  Passing
-    ``freeze_kernel_at`` evaluates the kernel at that fixed detuning, which
-    reproduces the Markov-limit Lorentzian exactly when frozen at 0.
-    """
-    delta = np.asarray(delta, dtype=float)
-    k22 = _k22_delta(p, freeze_kernel_at) if freeze_kernel_at is not None else _k22_delta(p, delta)
+def _thermal_line(modes: KernelModes, delta: np.ndarray) -> np.ndarray:
+    """``thermal_closed_spectrum`` of a mode table."""
+    k22 = _k22_delta(modes, delta)
     width = -np.real(k22)
     center = np.imag(k22)
     return (width / np.pi) / ((delta - center) ** 2 + width**2)
+
+
+def _squeezed_line(modes: KernelModes, delta: np.ndarray) -> np.ndarray:
+    """``squeezed_closed_spectrum`` of a mode table."""
+    dq = modes.omega_ref
+    # the coherence block (entries 1 and 2), bit-identical to those of the full matrix
+    mat = modes.freq_matrix(delta + dq, block=(1, 2))
+    b = 1j * (delta + 2 * dq) - mat[..., 1, 1]
+    a = 1j * delta - mat[..., 0, 0] - mat[..., 1, 0] * mat[..., 0, 1] / b
+    return 2.0 * np.real(1.0 / a) / (2.0 * np.pi)
+
+
+def thermal_closed_spectrum(p: ThermalBathParams, delta) -> np.ndarray:
+    """Steady-state emission density of the thermal bath, unit area.
+
+    The line is a nested Lorentzian: width -Re K22[delta] and center
+    Im K22[delta] are themselves frequency dependent.
+    """
+    return _thermal_line(kernel_modes(p), np.asarray(delta, dtype=float))
 
 
 def squeezed_closed_spectrum(p: SqueezedBathParams, delta) -> np.ndarray:
@@ -510,11 +526,7 @@ def squeezed_closed_spectrum(p: SqueezedBathParams, delta) -> np.ndarray:
     coupling by the product of the (3,2) kernel transform and the transform
     of its conjugated time function (which is not |K32|^2).
     """
-    delta = np.asarray(delta, dtype=float)
-    mat = kernel_modes(p).freq_matrix(delta + p.delta_q)
-    b = 1j * (delta + 2 * p.delta_q) - mat[..., 2, 2]
-    a = 1j * delta - mat[..., 1, 1] - mat[..., 2, 1] * mat[..., 1, 2] / b
-    return 2.0 * np.real(1.0 / a) / (2.0 * np.pi)
+    return _squeezed_line(kernel_modes(p), np.asarray(delta, dtype=float))
 
 
 def squeezed_steady_ground_population(p: SqueezedBathParams) -> float:

@@ -141,6 +141,8 @@ class FrequencyPropagator:
 
     def __post_init__(self):
         object.__setattr__(self, "l0", np.asarray(self.l0, dtype=complex))
+        if self.l0.shape != (4, 4):
+            raise ValueError(f"propagator l0 must be 4x4 like its mode table, got shape {self.l0.shape}")
         for name, value in (("l0", self.l0), ("omega_ref", self.omega_ref)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"propagator {name} must be finite")

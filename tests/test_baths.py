@@ -23,6 +23,7 @@ from fdqme.baths import (
     thermal_kernel_time,
 )
 from fdqme.baths import _correlator_matrix, _coupling_matrix, _mode_matrix
+from fdqme.fdme import emission_spectrum, make_spectrum, thermal_propagator
 from fdqme.liouville import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, commutator_superop, left_multiplier, right_multiplier
 
 RNG = np.random.default_rng(1729)
@@ -307,9 +308,9 @@ def test_markovian_spectrum_rejects_nonpositive_width():
 
 def test_frozen_kernel_reproduces_markovian_exactly():
     grid = np.linspace(-500, 500, 2001)
-    frozen = thermal_closed_spectrum(THERMAL, grid, freeze_kernel_at=0.0)
-    markov = markovian_spectrum(THERMAL, grid)
-    assert np.abs(frozen - markov).max() < 1e-12
+    frozen = emission_spectrum(thermal_propagator(THERMAL, markov=True), grid)
+    markov = make_spectrum(grid, markovian_spectrum(THERMAL, grid))
+    assert np.abs(frozen.values - markov.values).max() < 1e-12
 
 
 def test_thermal_spectrum_quartic_tail():

@@ -874,7 +874,7 @@ def test_grid_section_the_scenario_does_not_read_is_an_error(tmp_path, capsys, c
 
 
 def test_every_unread_grid_section_is_reported():
-    # a kappa sweep computes its measure on the bath's default grid: neither section is used
+    # a kappa sweep integrates each measure over the whole line: neither section is used
     scenario, text = METADATA_CASES["kappa"]
     text += "".join(f"\n[{section}]\n{body}" for section, body in GRID_SECTIONS.items())
     with pytest.raises(ConfigError) as err:

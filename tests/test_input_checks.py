@@ -19,6 +19,7 @@ from fdqme.fdme import (
     make_spectrum,
     propagate,
     purity,
+    steady_state,
     thermal_propagator,
 )
 from fdqme.liouville import SIGMA_MINUS, _steady_state, left_multiplier, lindblad_dissipator, qubit_state
@@ -105,6 +106,16 @@ CHECKS = {
                           ValueError, "propagator l0 must be finite"),
     "propagator-omega-ref-nan": (lambda: free_propagator(np.zeros((4, 4)), omega_ref=np.nan), ValueError,
                                  "propagator omega_ref must be finite"),
+    # the mode table is 4x4, so an l0 of another shape is refused by name, not by a broadcast failure
+    "propagator-l0-shape": (lambda: free_propagator(np.zeros((3, 3))), ValueError,
+                            r"propagator l0 must be 4x4 like its mode table, got shape \(3, 3\)"),
+    "steady-state-l0-shape": (lambda: steady_state(free_propagator(np.zeros((3, 3)))), ValueError,
+                              r"propagator l0 must be 4x4 like its mode table, got shape \(3, 3\)"),
+    "propagate-l0-shape": (lambda: propagate(free_propagator(np.zeros((2, 2))), 0.0), ValueError,
+                           r"propagator l0 must be 4x4 like its mode table, got shape \(2, 2\)"),
+    "inverse-transform-l0-shape": (lambda: inverse_transform(free_propagator(np.zeros((9, 9))), [1.0, 0, 0, 0],
+                                                             [0.0]), ValueError,
+                                   r"propagator l0 must be 4x4 like its mode table, got shape \(9, 9\)"),
 }
 # NaN and inf pass every comparison of the parameter checks: each field of each
 # parameter class is checked for finiteness first, and named

@@ -1,10 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import fdqme
+from fdqme import measures
 from fdqme.baths import (
+    SqueezedBathParams,
     ThermalBathParams,
+    _squeezed_line,
+    _thermal_line,
+    bogoliubov_params,
     default_frequency_grid,
     effective_rates,
+    kernel_modes,
     markovian_spectrum,
     thermal_closed_spectrum,
 )
@@ -20,6 +33,7 @@ from fdqme.measures import (
     spectral_measure,
     trace_distance,
 )
+from fdqme.measures import PANEL_NODES, _gauss_legendre, _mapped_divergence
 from fdqme.redfield import bm_evolve, br_evolve
 
 THERMAL = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 50.0, kappa=10.0, nbar=0.1)
@@ -170,6 +184,103 @@ def test_thermal_measure_monotonic_in_kappa_and_detuning():
         p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - delta, kappa=10.0, nbar=0.1)
         vals.append(bath_measure(p).value)
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def _quad_divergence(p, features):
+    """Relative entropy (bits) of a bath's line from its Markov Lorentzian by adaptive quadrature in delta.
+
+    Over the whole axis: [-span, span] is split at the line core, at geometric
+    steps from it and around each feature, and quad maps the two tails.  The
+    integrand is v log(v/q) - v + q, with v the normalized line, which is
+    nonnegative and integrates to the divergence.
+    """
+    modes = kernel_modes(p)
+    line = _thermal_line if isinstance(p, ThermalBathParams) else _squeezed_line
+    rates = effective_rates(p)
+    d0, gamma = rates.delta_eff, rates.gamma_eff
+    span = max(abs(f) for f in features) + 1000.0 * p.kappa
+    points = {d0} | {d0 + s * gamma * 8.0**k for s in (-1, 1) for k in range(30) if gamma * 8.0**k < span}
+    points |= {f + m * p.kappa for f in features for m in (-6, -1, 0, 1, 6)}
+    edges = [-span, *sorted(x for x in points if abs(x) < span), span]
+
+    def integral(fn):
+        inner = sum(quad(fn, a, b, epsabs=1e-15, epsrel=1e-10, limit=100)[0] for a, b in zip(edges, edges[1:]))
+        return inner + sum(quad(fn, a, b, epsabs=0.0, epsrel=1e-10)[0] for a, b in ((-np.inf, -span), (span, np.inf)))
+
+    def density(d):
+        return float(line(modes, np.asarray(d, dtype=float)))
+
+    z = integral(density)
+
+    def integrand(d):
+        v, q = density(d) / z, float(markovian_spectrum(p, d))
+        return (v * np.log(v / q) - v + q) / np.log(2.0) if v > 0.0 else q / np.log(2.0)
+
+    return integral(integrand), z
+
+
+@pytest.mark.parametrize("p", [
+    ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 100.0, kappa=10.0, nbar=0.1),
+    ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 1.0, kappa=30.0, nbar=0.0),
+    SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0),
+], ids=["thermal-detuned", "thermal-broad", "squeezed"])
+def test_bath_measure_matches_adaptive_quadrature_over_the_whole_line(p):
+    # oracle: scipy's adaptive quadrature in delta itself, with neither the tan map nor the panels
+    if isinstance(p, ThermalBathParams):
+        features = [-p.delta]
+    else:
+        b = bogoliubov_params(p)
+        features = [-b.delta_diff, -b.sigma_sum, -2.0 * p.delta_q]
+    kl, z = _quad_divergence(p, features)
+    res = bath_measure(p)
+    assert res.value * res.metadata["gap"] == pytest.approx(kl, rel=1e-9)
+    assert abs(res.metadata["z_minus_1"]) < 1e-12 and abs(z - 1.0) < 1e-12
+    assert res.metadata["quadrature_rel_diff"] < 1e-6
+    assert res.metadata["gap"] == spectral_gap(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 64, 128])
+def test_gauss_legendre_nodes_and_weights_match_numpy(n):
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = _gauss_legendre(n)
+    ref_nodes, ref_weights = leggauss(n)
+    assert np.abs(nodes - ref_nodes).max() < 1e-14
+    assert np.abs(weights - ref_weights).max() < 1e-14
+    assert _gauss_legendre(n) is _gauss_legendre(n)
+    assert not (nodes.flags.writeable or weights.flags.writeable)
+
+
+def test_unconverged_quadrature_raises():
+    # 4 and 8 nodes per panel differ by about 1e-2 on this line
+    with pytest.raises(ValueError, match="mapped quadrature did not converge: 4 and 8 nodes per panel"):
+        _mapped_divergence(THERMAL, 4)
+    _, metadata = _mapped_divergence(THERMAL, PANEL_NODES)
+    assert metadata["quadrature_rel_diff"] < 1e-6 and metadata["n_nodes"] % (2 * PANEL_NODES) == 0
+
+
+def test_bath_measure_rejects_a_vanishing_linewidth():
+    # g**2 underflows to 0: no induced rate, so no Lorentzian to map
+    with pytest.raises(ValueError, match="gamma_eff must be positive"):
+        _mapped_divergence(ThermalBathParams(g=1e-200, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2), PANEL_NODES)
+
+
+def test_bath_measure_rejects_a_negative_line(monkeypatch):
+    # a closed form that dips below zero (or is not finite) cannot be a density
+    monkeypatch.setattr(measures, "_thermal_line", lambda modes, delta: np.where(delta > 0.0, -1e-3, np.nan))
+    with pytest.raises(ValueError, match="closed-form line is negative or not finite at a quadrature node"):
+        bath_measure(THERMAL)
+
+
+def test_bath_measure_does_not_import_numpy_polynomial():
+    code = ("import sys\n"
+            "from fdqme import SqueezedBathParams, ThermalBathParams, bath_measure\n"
+            "bath_measure(ThermalBathParams(1.0, 2.0e5, 2.0e5 - 50.0, 10.0, 0.1))\n"
+            "bath_measure(SqueezedBathParams(1.0, 200.0, 320.0, 115.0, 10.0))\n"
+            "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(fdqme.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------

@@ -5,10 +5,13 @@ deterministic.  Thermal baths come from the lab-frame spectrum range
 (omega_q = 2e5), the moderate-carrier kernel range and the oracle-comparison
 range; squeezed baths span weak to strong squeezing of a stable drive.  The
 Born-Redfield trajectories are drawn from the BLP-comparison and positivity
-ranges and checked against a tight-tolerance scipy integration.
+ranges and checked against a tight-tolerance scipy integration.  The spectral
+measure is drawn from the measure-sweep and BLP-comparison ranges, and from
+squeezed baths up to r/delta_c = 0.97.
 """
 
 import numpy as np
+import pytest
 from conftest import br_reference, full_assembly_emission_spectrum
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from fdqme.baths import (
 )
 from fdqme.fdme import emission_spectrum, make_spectrum, squeezed_propagator, steady_state, thermal_propagator
 from fdqme.liouville import _coupled_blocks, qubit_state, trace_dual
+from fdqme.measures import PANEL_NODES, _mapped_divergence, bath_measure
 from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import br_evolve
 
@@ -70,6 +74,35 @@ br_cases = st.one_of(
                         st.floats(0.93, 0.97), st.floats(8.0, 12.0)),
               st.just("y-"), st.just(2.0)),
 )
+# spectral-measure ranges: the measure-sweep and blp-compare thermal baths, and squeezed baths
+# up to r/delta_c = 0.97, with criterion 7's line (delta_q 200, delta_c 320, |r| set by the
+# detuning dtil of delta_q from the diagonalized cavity)
+measure_thermal = st.builds(_thermal, st.just(2.0e5), st.floats(2.0, 300.0), st.floats(10.0, 300.0),
+                            st.floats(0.0, 0.3))
+measure_squeezed = st.one_of(
+    st.builds(_squeezed, st.floats(50.0, 300.0), st.floats(100.0, 400.0), st.floats(0.0, 0.97),
+              st.floats(5.0, 30.0)),
+    st.builds(lambda dtil: SqueezedBathParams(1.0, 200.0, 320.0, float(np.sqrt(320.0**2 - (200.0 - dtil) ** 2)), 10.0),
+              st.floats(-40.0, 40.0)),
+)
+
+
+@EXAMPLES
+@given(st.one_of(measure_thermal, measure_squeezed))
+def test_bath_measure_is_stable_when_the_panel_nodes_double(p):
+    res = bath_measure(p)
+    kl, _ = _mapped_divergence(p, 2 * PANEL_NODES)
+    assert abs(kl / res.metadata["gap"] - res.value) <= 1e-6 * res.value
+    assert abs(res.metadata["z_minus_1"]) < 1e-6
+
+
+@EXAMPLES
+@given(measure_thermal, st.floats(0.1, 10.0))
+def test_bath_measure_scales_inversely_with_the_rates(p, lam):
+    # g, kappa and delta scaled by lam stretch the line by lam: the relative entropy is unchanged
+    # and the bandwidth scales by lam, to quadrature precision
+    scaled = ThermalBathParams(lam * p.g, p.omega_q, p.omega_q - lam * p.delta, lam * p.kappa, p.nbar)
+    assert lam * bath_measure(scaled).value == pytest.approx(bath_measure(p).value, rel=1e-9)
 
 
 @EXAMPLES
