@@ -88,9 +88,10 @@ print(f"largest purity: Born-Redfield {br:.6f}, FD-QME {fd:.6f}")
 PY
 echo "::endgroup::"
 
-# One Born-Redfield integration of the ground and excited states per detuning:
-# no backflow at the smallest detuning, backflow at the largest, and a
-# spectral measure that grows with the detuning (acceptance criterion 9), each
+# The ground/excited trace distance in closed form (Abel's identity) per detuning:
+# each backflow within 1e-9 of blp_measure of the library's integrated ground and
+# excited runs, no backflow at the smallest detuning, backflow at the largest, and
+# a spectral measure that grows with the detuning (acceptance criterion 9), each
 # row the library's bath_measure of its bath, to the last digit.
 echo "::group::blp-compare through the console script"
 cat > "$work/blp.cfg" <<'CFG'
@@ -114,18 +115,22 @@ CFG
 fdqme blp-compare --config "$work/blp.cfg" --out "$work/blp"
 python - "$work/blp/blp.csv" <<'PY'
 import sys
-from fdqme import ThermalBathParams, bath_measure
+import numpy as np
+from fdqme import ThermalBathParams, bath_measure, blp_measure, br_evolve, qubit_state
 lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
 header, cells = lines[0].split(","), [line.split(",") for line in lines[1:]]
 assert header == ["delta[g]", "blp_measure", "spectral_measure"] and len(cells) == 4, (header, len(cells))
-for delta, _, ns in cells:
+for delta, blp, ns in cells:
     p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - float(delta), kappa=20.0, nbar=0.1)
     assert ns == format(bath_measure(p).value, ".17g"), (delta, ns)
+    tg, te = (br_evolve(p, qubit_state(state), np.linspace(0.0, 0.6, 61)) for state in ("g", "e"))
+    assert abs(float(blp) - blp_measure(tg, te).value) < 1e-9, (delta, blp)
 rows = [[float(x) for x in row] for row in cells]
 blp, ns = [row[1] for row in rows], [row[2] for row in rows]
 assert blp[0] < 1e-8 and blp[-1] > 0.0, blp
 assert all(a < b for a, b in zip(ns, ns[1:])), ns
-print(f"backflow {blp}, spectral measure {ns}, every measure equal to bath_measure")
+print(f"backflow {blp}, spectral measure {ns}, every backflow within 1e-9 of the integrated runs' and every "
+      "measure equal to bath_measure")
 PY
 echo "::endgroup::"
 
@@ -199,7 +204,8 @@ PY
 echo "::endgroup::"
 
 # The delay sweep of the waveguide example: the measure at each resonant
-# separation, with the sweep's summary values in the CSV comments.
+# separation, with the sweep's summary values in the CSV comments, exactly 0 at
+# eta = 0 and the closed-form bandwidth gamma (1 + beta).
 echo "::group::measure-sweep (eta axis) through the console script"
 cat > "$work/eta.cfg" <<'CFG'
 [params]
@@ -216,13 +222,14 @@ fdqme measure-sweep --config "$work/eta.cfg" --out "$work/eta"
 python - "$work/eta/eta.csv" <<'PY'
 import sys
 lines = open(sys.argv[1]).read().splitlines()
-comments = {line[2:].split(" = ")[0] for line in lines if line.startswith("#")}
+comments = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
 body = [line for line in lines if not line.startswith("#")]
 header, rows = body[0].split(","), [[float(x) for x in line.split(",")] for line in body[1:]]
 assert header == ["eta", "spectral_measure"] and len(rows) == 5, (header, len(rows))
-assert {"markov_bandwidth", "eta_max", "saturation"} <= comments, comments
+assert {"markov_bandwidth", "eta_max", "saturation"} <= comments.keys(), comments
 # eta = 0 is the Markovian reference itself; any delay adds memory
-assert rows[0][1] < 1e-12 < rows[-1][1], rows
+assert rows[0][1] == 0.0 and rows[-1][1] > 1e-12, rows
+assert comments["markov_bandwidth"] == format(1.9, ".17g"), comments["markov_bandwidth"]
 print(f"spectral measure along eta: {[row[1] for row in rows]}")
 PY
 echo "::endgroup::"

@@ -490,11 +490,8 @@ def _run_eta_sweep(cfg, sweep):
 def _run_blp_compare(cfg, sweep, gap_method):
     deltas, baths = sweep
     t_grid = cfg.grids["grid.time"].array()
-    blp, ns = [], []
-    for p in baths:
-        tg, te = redfield.br_evolve(p, np.stack([qubit_state("g"), qubit_state("e")]), t_grid)
-        blp.append(measures.blp_measure(tg, te).value)
-        ns.append(measures.bath_measure(p, gap_method).value)
+    blp = [measures.backflow(redfield.br_ge_distance(p, t_grid)) for p in baths]
+    ns = [measures.bath_measure(p, gap_method).value for p in baths]
     return [(".csv", ["delta[g]", "blp_measure", "spectral_measure"], [deltas, blp, ns])], {}, {}
 
 

@@ -11,8 +11,12 @@ when positivity violations trip the BLP diagnostic.
 the whole detuning axis by Gauss-Legendre panels in theta, where delta =
 delta_eff + gamma_eff tan(theta) makes the Markov Lorentzian the constant 1/pi.
 The relative difference of its 32- and 64-node rules is its error estimate,
-and one above QUADRATURE_RTOL raises a ``ValueError``.  ``kl_divergence`` and
-``spectral_measure`` serve spectra on a grid, such as the waveguide's.
+and one above QUADRATURE_RTOL raises a ``ValueError``.  The waveguide's
+delay sweep sums its line the same way (``waveguide.waveguide_measure_sweep``),
+and ``kl_divergence`` and ``spectral_measure`` serve spectra on a grid.
+``backflow`` sums the positive increments of a trace distance, whether
+``blp_measure`` forms it from two trajectories or ``redfield.br_ge_distance``
+in closed form.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ __all__ = [
     "spectral_gap",
     "spectral_measure",
     "bath_measure",
-    "fwhm",
     "trace_distance",
+    "backflow",
     "blp_measure",
 ]
 
@@ -104,22 +108,6 @@ def spectral_gap(p, method: str = "eigen") -> float:
     if nonzero.size == 0:
         raise ValueError("generator has no nonzero decay rate")
     return float(nonzero.min())
-
-
-def fwhm(s: Spectrum) -> float:
-    """Full width at half maximum by linear interpolation of the crossings."""
-    v = s.values
-    k = int(np.argmax(v))
-    half = v[k] / 2.0
-    left = np.nonzero(v[:k] < half)[0]
-    right = np.nonzero(v[k:] < half)[0]
-    if left.size == 0 or right.size == 0:
-        raise ValueError("half-maximum crossings fall outside the grid")
-    i = left[-1]
-    x_lo = np.interp(half, [v[i], v[i + 1]], [s.grid[i], s.grid[i + 1]])
-    j = k + right[0]
-    x_hi = np.interp(half, [v[j], v[j - 1]], [s.grid[j], s.grid[j - 1]])
-    return float(x_hi - x_lo)
 
 
 def spectral_measure(s: Spectrum, s_m: Spectrum, gap: float) -> MeasureResult:
@@ -204,10 +192,8 @@ def _ratio_steps(start: float, stop: float) -> np.ndarray:
 def _mapped_divergence(p, n: int) -> tuple[float, dict]:
     """Relative entropy (bits) of p's normalized closed-form line from its Markov Lorentzian q.
 
-    With r = line / q, Z = (1/pi) int r dtheta is the line's area and the
-    divergence A/Z - log2 Z, A = (1/pi) int r log2 r dtheta, is summed as
-    (1/pi) int (s ln s - s + 1) dtheta / ln 2 with s = r/Z: the same value,
-    with a nonnegative integrand.  Each panel of ``_panel_cuts`` takes n and
+    In theta q is 1/pi, so r = line / q is summed by ``_divergence_bits``
+    against weights dtheta / pi.  Each panel of ``_panel_cuts`` takes n and
     2n Gauss-Legendre nodes; the 2n value is returned with its metadata, and
     a relative difference above QUADRATURE_RTOL raises.
     """
@@ -224,19 +210,34 @@ def _mapped_divergence(p, n: int) -> tuple[float, dict]:
     ratio = line(modes, rates.delta_eff + rates.gamma_eff * tan) * (np.pi * rates.gamma_eff) * (1.0 + tan * tan)
     if not np.all(ratio >= 0.0):
         raise ValueError("closed-form line is negative or not finite at a quadrature node")
-    results = []
-    for r, (_, w) in zip(np.split(ratio, [mid.size * n]), rules):
-        weights = (half[:, None] * w).ravel() / np.pi
-        z = float(weights @ r)
-        s = r / z
-        s_log_s = s * np.log(np.where(s > 0.0, s, 1.0))
-        results.append((float(weights @ (s_log_s - s + 1.0) / np.log(2.0)), z))
-    (kl_n, _), (kl, z) = results
+    (kl_n, _), (kl, z) = (_divergence_bits((half[:, None] * w).ravel() / np.pi, r)
+                          for r, (_, w) in zip(np.split(ratio, [mid.size * n]), rules))
+    rel_diff = _rule_difference(kl_n, kl, n)
+    return kl, {"n_nodes": int(mid.size * 2 * n), "z_minus_1": z - 1.0, "quadrature_rel_diff": rel_diff}
+
+
+def _divergence_bits(weights, r) -> tuple[float, float]:
+    """Relative entropy (bits) of a line from its reference under one quadrature rule, and the line's area z.
+
+    ``r`` is the line over the reference at the nodes and ``weights`` the
+    rule's weights against the unit-area reference.  The divergence
+    A/z - log2 z, A = sum weights r log2 r, is summed as sum weights
+    (s ln s - s + 1) / ln 2 with s = r/z: the same value, with a nonnegative
+    integrand.
+    """
+    z = float(weights @ r)
+    s = r / z
+    s_log_s = s * np.log(np.where(s > 0.0, s, 1.0))
+    return float(weights @ (s_log_s - s + 1.0) / np.log(2.0)), z
+
+
+def _rule_difference(kl_n: float, kl: float, n: int) -> float:
+    """Relative difference of the n- and 2n-node divergences; above QUADRATURE_RTOL it raises."""
     rel_diff = abs(kl - kl_n) / kl if kl > 0 else abs(kl - kl_n)
     if not rel_diff <= QUADRATURE_RTOL:
         raise ValueError(f"mapped quadrature did not converge: {n} and {2 * n} nodes per panel differ by "
                          f"{rel_diff:.2e} (relative) > {QUADRATURE_RTOL:.0e}")
-    return kl, {"n_nodes": int(mid.size * 2 * n), "z_minus_1": z - 1.0, "quadrature_rel_diff": rel_diff}
+    return rel_diff
 
 
 def bath_measure(p, gap_method: str = "eigen") -> MeasureResult:
@@ -270,19 +271,24 @@ def trace_distance(rho1, rho2) -> float | np.ndarray:
     return float(dists) if dists.ndim == 0 else dists
 
 
+def backflow(distances) -> float:
+    """Sum of the positive increments of a trace distance sampled on a time grid."""
+    increments = np.diff(distances)
+    return float(increments[increments > 0].sum())
+
+
 def blp_measure(traj1: Trajectory, traj2: Trajectory) -> MeasureResult:
     """Trace-distance backflow accumulated along a pair of trajectories.
 
-    Discrete form: the sum of positive increments of the trace distance on
-    the common time grid, an abridged version that skips the maximization
-    over initial-state pairs.
+    Discrete form: the ``backflow`` of the trace distance on the common
+    time grid, an abridged version that skips the maximization over
+    initial-state pairs.
     """
     if traj1.times.shape != traj2.times.shape or not np.array_equal(traj1.times, traj2.times):
         raise ValueError("trajectories are not on a common time grid")
-    increments = np.diff(trace_distance(traj1.states.reshape(-1, 2, 2), traj2.states.reshape(-1, 2, 2)))
-    value = float(increments[increments > 0].sum())
+    distances = trace_distance(traj1.states.reshape(-1, 2, 2), traj2.states.reshape(-1, 2, 2))
     return MeasureResult(
-        value=value,
+        value=backflow(distances),
         method="blp",
         metadata={"time_points": int(traj1.times.size),
                   "t_span": (float(traj1.times[0]), float(traj1.times[-1]))},

@@ -15,9 +15,12 @@ that depends on (t, h) only.  br_evolve keeps only the exact blocks of A that
 hold the initial state (the other components stay exactly 0), builds those
 matrices for a window of equal steps as elementwise products of blocks
 stored stage-major, and propagates y with one block mat-vec per step.
-Given a stack of initial states, br_evolve integrates them under one
-generator as the columns of one system, so those matrices are built once
-for all of them.
+
+The runs from the ground and the excited state stay on the population
+block, whose generator has zero column sums, so their trace distance is the
+determinant of that block's propagator.  br_ge_distance evaluates it by
+Abel's identity, D(t) = exp(int_0^t tr A_pop(s) ds), in closed form: no
+integration at all.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "br_induced_generator",
     "bm_induced_generator",
     "br_evolve",
+    "br_ge_distance",
     "bm_evolve",
     "br_correlator",
     "br_spectrum",
@@ -212,12 +216,12 @@ _WINDOW_MIN, _WINDOW_MAX = 4, 256
 
 
 def _rms(v) -> float:
-    """Root mean square over the 4 k components of k states; those outside the held blocks are 0."""
-    return float(np.linalg.norm(v)) / np.sqrt(4 * v.shape[-1])
+    """Root mean square over the 4 components of the state; those outside the held blocks are 0."""
+    return float(np.linalg.norm(v)) / 2.0
 
 
 def _block_product(a, b) -> np.ndarray:
-    """Blockwise products a_w @ b_w, stage-major: a (..., m, m, n) and b (..., m, k, n)."""
+    """Blockwise products a_w @ b_w, stage-major: a (..., m, m, n) and b (..., m, k, n), k = m or 1."""
     out = a[..., :1, :] * b[..., None, 0, :, :]
     for j in range(1, a.shape[-2]):
         out += a[..., j : j + 1, :] * b[..., None, j, :, :]
@@ -227,7 +231,7 @@ def _block_product(a, b) -> np.ndarray:
 def _first_step(generator, y0, t_end) -> float:
     """Starting step for an order-7 error estimate (Hairer, Norsett & Wanner, II.4)."""
 
-    def rhs(t, y):  # A(t) y on the held blocks, for every column of y
+    def rhs(t, y):  # A(t) y on the held blocks
         a = generator(np.array([t]), np.zeros(1)).reshape(y.shape[:-1] + y.shape[-2:-1] + (1,))
         return _block_product(a, y[..., None])[..., 0]
 
@@ -243,23 +247,23 @@ def _first_step(generator, y0, t_end) -> float:
 def _window(generator, y, edges, h_nominal):
     """DOP853 on consecutive steps edges[w] -> edges[w+1] of y' = A(t) y.
 
-    The held state y is (n_blocks, m, k): the blocks of A that hold the
-    initial states, stacked when they have one size and else merged into
-    one, outside which every component stays exactly 0, for each of k
-    states.  For a linear equation every stage is a matrix M_s with
-    k_s = M_s y, the same for every column.  The stage matrices of all steps
-    are stored stage-major, (16, n_blocks, m, m, n), so a stage combination
-    is one GEMV and a stage product m elementwise multiply-adds over all
-    blocks and steps; only the propagation y_{w+1} = P_w y_w is sequential.
+    The held state y is (n_blocks, m, 1), a column on each of the blocks of
+    A that hold the initial state, stacked when they have one size and else
+    merged into one, outside which every component stays exactly 0.  For a
+    linear equation every stage is a matrix M_s with k_s = M_s y.  The stage
+    matrices of all steps are stored stage-major, (16, n_blocks, m, m, n),
+    so a stage combination is one GEMV and a stage product m elementwise
+    multiply-adds over all blocks and steps; only the propagation
+    y_{w+1} = P_w y_w is sequential.
     ``generator`` gives A at the stage times of steps h_nominal long; a last
     step clipped to the end time gets its own.
-    Returns the states at the edges (n_blocks, m, k, n + 1), the error norm
-    of each step over all columns (inf where not finite; its divisor counts
-    all 4 k components, as for the full states) and the dense-output
-    coefficients (7, n_blocks, m, k, n).
+    Returns the states at the edges (n_blocks, m, 1, n + 1), the error norm
+    of each step (inf where not finite; its divisor counts all 4 components,
+    as for the full state) and the dense-output coefficients
+    (7, n_blocks, m, 1, n).
     """
     n = edges.size - 1
-    n_blocks, m, k = y.shape
+    n_blocks, m, _ = y.shape
     shape = (n_blocks, m, m, n)
     h = np.diff(edges)
     a_t = generator(edges[:-1], h_nominal * _STAGE_C)  # (16, n_blocks * m * m, n)
@@ -277,7 +281,7 @@ def _window(generator, y, edges, h_nominal):
             prop = step
         mats[s] = _block_product(a_t[s], step)
     steps = np.moveaxis(prop, -1, 0)  # (n, n_blocks, m, m)
-    ys = np.empty((n_blocks, m, k, n + 1), dtype=complex)
+    ys = np.empty((n_blocks, m, 1, n + 1), dtype=complex)
     ys[..., 0] = y
     for w in range(n):
         ys[..., w + 1] = steps[w] @ ys[..., w]
@@ -286,7 +290,7 @@ def _window(generator, y, edges, h_nominal):
     scaled = (_ERROR @ hk[:13].reshape(13, -1)).reshape((2,) + scale.shape) / scale
     e5, e3 = (np.abs(scaled) ** 2).sum(axis=(1, 2, 3))
     # with h k in place of k the h of DOP853's err = h e5 / sqrt(...) cancels
-    err = np.where(e5 + e3 == 0, 0.0, e5 / np.sqrt((e5 + 0.01 * e3) * (4 * k)))
+    err = np.where(e5 + e3 == 0, 0.0, e5 / np.sqrt((e5 + 0.01 * e3) * 4))
     err[~(np.isfinite(err) & np.isfinite(ys[..., 1:]).all(axis=(0, 1, 2)))] = np.inf
     dy = ys[..., 1:] - ys[..., :-1]
     hf0, hf1 = hk[0], hk[_N_STAGES]
@@ -306,16 +310,15 @@ def _dense_weights(x):
 def _integrate_linear(generator, y0, t_out):
     """States of y' = A(t) y, y(0) = y0, at the sorted nonnegative times t_out.
 
-    y0 is the held state (n_blocks, m, k) of k initial states, and
-    ``generator(starts, offsets)`` is A on the held blocks at every
-    starts[w] + offsets[s], as (n_offsets, n_blocks * m * m, n_starts).
-    The step control reads all k columns.  Adaptive DOP853 with DOP853's
+    y0 is the held state (n_blocks, m, 1), and ``generator(starts, offsets)``
+    is A on the held blocks at every starts[w] + offsets[s], as
+    (n_offsets, n_blocks * m * m, n_starts).  Adaptive DOP853 with DOP853's
     step control (safety 0.9, factor in [0.2, 10], exponent -1/8, no growth
     right after a rejection) applied to windows of equal steps; a step is
     accepted when it and every step before it in its window pass the error
     test.  A non-finite error estimate is a rejection, so a diverging
     generator ends in the step-size underflow error.  Returns the states
-    (n_out, n_blocks, m, k) and the counts of accepted steps, rejected steps
+    (n_out, n_blocks, m, 1) and the counts of accepted steps, rejected steps
     and windows.
     """
     states = np.empty((t_out.size,) + y0.shape, dtype=complex)
@@ -356,34 +359,33 @@ def _integrate_linear(generator, y0, t_out):
     return states, counts
 
 
-def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory | tuple[Trajectory, ...]:
-    """Integrate the time-local equation with running rates.
+def _running_generator(p, include_sum_frequency):
+    """Mode table, column frequencies, residues E and G_inf of A(t) = G_inf - sum E e^{lambda t}.
 
-    The state is prepared at t = 0, where the running rates start, and is
-    reported at the (nonnegative, increasing) times of t_grid.  The equation
-    is linear, y' = A(t) y with A(t) = G_inf - sum_k B_k e^{lambda_k t}, so
-    DOP853 (tolerances ODE_RTOL and ODE_ATOL) runs on step matrices of the
-    exact blocks of A that hold rho0; the other components stay exactly 0.
-    Raises RuntimeError on step-size underflow.  The trajectory's
-    ``diagnostics`` count accepted steps, rejected steps and windows.
-
-    rho0 is one state, a 2x2 matrix or its row-stacked 4-vector, or a stack
-    of k states, (k, 2, 2) or (k, 4), which gives a tuple of k trajectories.
-    The states of a stack are the columns of one linear system: the step
-    matrices are built once for all of them, on the blocks of A that hold
-    any of them, and the step control reads DOP853's error norm over all
-    columns (the RMS over 4 k components).  So every trajectory of a stack
-    reports the same ``diagnostics``.
+    L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
+    E = coef / (kappa - i nu) and lambda = -kappa + i nu, so the generator is
+    the free Liouvillian plus the residues' sum, less the decaying terms.
     """
-    t_grid = _time_grid(t_grid)
-    rho0 = np.asarray(rho0)
-    one = rho0.shape in ((2, 2), (4,))
-    rho0 = np.stack([_density_vector(r) for r in (rho0[None] if one else rho0)], axis=-1)  # (4, k)
-    # L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
-    # E = coef / (kappa - i nu), so the generator is G_inf - sum E e^{lambda t}
     modes, nus = _column_modes(p, include_sum_frequency)
     residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
-    g_inf = free_liouvillian(p) + residues.sum(axis=0)
+    return modes, nus, residues, free_liouvillian(p) + residues.sum(axis=0)
+
+
+def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
+    """Integrate the time-local equation with running rates.
+
+    The state rho0, a 2x2 matrix or its row-stacked 4-vector, is prepared at
+    t = 0, where the running rates start, and is reported at the
+    (nonnegative, increasing) times of t_grid.  The equation is linear,
+    y' = A(t) y with A(t) = G_inf - sum_k B_k e^{lambda_k t}, so DOP853
+    (tolerances ODE_RTOL and ODE_ATOL) runs on step matrices of the exact
+    blocks of A that hold rho0; the other components stay exactly 0.
+    Raises RuntimeError on step-size underflow.  The trajectory's
+    ``diagnostics`` count accepted steps, rejected steps and windows.
+    """
+    t_grid = _time_grid(t_grid)
+    rho0 = _density_vector(rho0)[:, None]  # (4, 1): the integrator's one column
+    modes, nus, residues, g_inf = _running_generator(p, include_sum_frequency)
     pattern = (g_inf != 0) | np.any(residues != 0, axis=0)
     blocks = _coupled_blocks(pattern, np.flatnonzero(np.any(rho0 != 0, axis=1)))
     # held blocks of one size are stacked; blocks of different sizes run as their union
@@ -409,11 +411,35 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
 
     states = np.zeros((t_grid.size,) + rho0.shape, dtype=complex)
     states[:, held], counts = _integrate_linear(generator, rho0[held], t_grid)
-    trajs = tuple(
-        Trajectory(times=t_grid, states=np.ascontiguousarray(states[..., j]), diagnostics=dict(counts))
-        for j in range(rho0.shape[-1])
-    )
-    return trajs[0] if one else trajs
+    return Trajectory(times=t_grid, states=np.ascontiguousarray(states[..., 0]), diagnostics=counts)
+
+
+def br_ge_distance(p, t_grid) -> np.ndarray:
+    """Trace distance of br_evolve's runs from the ground and the excited state, at t_grid.
+
+    Both runs stay on the population block {0, 3}: every term of the thermal
+    and squeezed kernels changes the coherence order (ket excitations less
+    bra excitations) by 0 or +-2, a qubit has no order +-2, so populations
+    (order 0) feed only populations.  Trace preservation gives that block's
+    generator A_pop zero column sums, so the two runs differ by
+    (D, -D) with D the determinant of the block's propagator, and Abel's
+    identity gives D(t) = exp(int_0^t tr A_pop(s) ds).  With A(t) = G_inf -
+    sum_k B_k e^{lambda_k t} the integral is tr G_inf,pop t - sum_k
+    tr B_k,pop (e^{lambda_k t} - 1) / lambda_k, where the population columns
+    rotate at the mode frequencies mu_k.  Raises ValueError if the integral's
+    imaginary part exceeds TRAJECTORY_TOL or D is not finite.
+    """
+    t_grid = _time_grid(t_grid)
+    modes, _, residues, g_inf = _running_generator(p, False)
+    lam = -modes.kappa + 1j * modes.mus
+    traces = residues[:, 0, 0] + residues[:, 3, 3]
+    integral = (g_inf[0, 0] + g_inf[3, 3]) * t_grid - (np.expm1(np.multiply.outer(t_grid, lam)) / lam) @ traces
+    if not np.all(np.abs(integral.imag) <= TRAJECTORY_TOL):  # NaN fails too
+        raise ValueError(f"population block trace integrates to a complex value (imaginary part up to "
+                         f"{np.abs(integral.imag).max():.3e})")
+    if not np.all(integral.real < np.log(np.finfo(float).max)):
+        raise ValueError("population block determinant is not finite")
+    return np.exp(integral.real)
 
 
 def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:

@@ -113,6 +113,22 @@ def full_assembly_emission_spectrum(fp, grid):
     return make_spectrum(grid, raw)
 
 
+def fwhm(s) -> float:
+    """Full width at half maximum of a spectrum by linear interpolation of the crossings."""
+    v = s.values
+    k = int(np.argmax(v))
+    half = v[k] / 2.0
+    left = np.nonzero(v[:k] < half)[0]
+    right = np.nonzero(v[k:] < half)[0]
+    if left.size == 0 or right.size == 0:
+        raise ValueError("half-maximum crossings fall outside the grid")
+    i = left[-1]
+    x_lo = np.interp(half, [v[i], v[i + 1]], [s.grid[i], s.grid[i + 1]])
+    j = k + right[0]
+    x_hi = np.interp(half, [v[j], v[j - 1]], [s.grid[j], s.grid[j - 1]])
+    return float(x_hi - x_lo)
+
+
 def locate_peak(fn, center: float, halfwidth: float, coarse_step: float) -> float:
     """Local-maximum position of fn on [center - halfwidth, center + halfwidth].
 

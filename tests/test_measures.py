@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import fwhm
 import fdqme
 from fdqme import measures
 from fdqme.baths import (
@@ -25,9 +26,9 @@ from fdqme.fdme import Spectrum, make_spectrum
 from fdqme.liouville import qubit_state
 from fdqme.measures import (
     MeasureResult,
+    backflow,
     bath_measure,
     blp_measure,
-    fwhm,
     kl_divergence,
     spectral_gap,
     spectral_measure,
@@ -295,15 +296,16 @@ def test_trace_distance_reference_values():
     assert trace_distance(rho, qubit_state("mixed")) == pytest.approx(0.25)
 
 
-def test_blp_is_the_backflow_of_trace_distance_on_the_stacks():
+def test_blp_is_the_backflow_of_trace_distance():
     kappa = 20.0
     p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 8.5 * kappa, kappa=kappa, nbar=0.1)
-    tg, te = br_evolve(p, np.stack([qubit_state("g"), qubit_state("e")]), np.linspace(0.0, 0.6, 61))
+    tg, te = (br_evolve(p, qubit_state(state), np.linspace(0.0, 0.6, 61)) for state in ("g", "e"))
     dists = trace_distance(tg.states.reshape(-1, 2, 2), te.states.reshape(-1, 2, 2))
     # the stacked call gives each state pair's distance, bit for bit
     assert all(d == trace_distance(a, b) for d, a, b in zip(dists, tg.states, te.states))
     increments = np.diff(dists)
-    assert blp_measure(tg, te).value == float(increments[increments > 0].sum()) > 0.0
+    assert blp_measure(tg, te).value == backflow(dists) == float(increments[increments > 0].sum()) > 0.0
+    assert backflow([1.0, 0.5, 0.75, 0.25, 0.5]) == 0.5
 
 
 def test_trace_distance_rejects_nonhermitian_difference():

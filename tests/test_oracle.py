@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from conftest import dense_full_liouvillian, locate_peak
+from conftest import dense_full_liouvillian, fwhm, locate_peak
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
@@ -17,7 +17,6 @@ from fdqme.baths import (
 )
 from fdqme.fdme import make_spectrum, purity
 from fdqme.liouville import annihilation, qubit_state
-from fdqme.measures import fwhm
 from fdqme.oracle import (
     FullModel,
     TruncationError,

@@ -18,12 +18,14 @@ from fdqme.baths import (
     thermal_kernel_time,
 )
 from fdqme.liouville import qubit_state
+from fdqme.measures import trace_distance
 from fdqme.redfield import (
     Trajectory,
     bm_evolve,
     bm_induced_generator,
     br_correlator,
     br_evolve,
+    br_ge_distance,
     br_induced_generator,
     br_spectrum,
 )
@@ -207,35 +209,56 @@ def test_br_evolve_matches_tight_reference(p, state, ts):
     ids=["thermal-300", "thermal-2e5", "fig8"],
 )
 def test_br_evolve_stack_integrates_ground_and_excited_together(p, ts):
-    rho0s = np.stack([qubit_state("g").reshape(-1), qubit_state("e").reshape(-1)])
-    trajs = br_evolve(p, rho0s, ts)
-    assert len(trajs) == 2
-    for rho0, traj in zip(rho0s, trajs):
-        assert np.abs(traj.states - br_reference(p, rho0, ts)).max() < 1e-8
+    # the ground and excited runs are now two br_evolve calls, taken together by br_ge_distance
+    tg, te = (br_evolve(p, qubit_state(state), ts) for state in ("g", "e"))
+    for state, traj in (("g", tg), ("e", te)):
+        assert np.abs(traj.states - br_reference(p, qubit_state(state).reshape(-1), ts)).max() < 1e-8
         # the populations are an exact block: nothing leaks into the coherences
         assert np.all(traj.states[:, [1, 2]] == 0.0)
-    # one step sequence serves both columns
-    assert dict(trajs[0].diagnostics) == dict(trajs[1].diagnostics)
-    assert trajs[0].diagnostics["accepted_steps"] > trajs[0].diagnostics["windows"] > 0
+    distance = br_ge_distance(p, ts)
+    assert distance[0] == 1.0
+    # Abel's identity against the integrated runs: 4.9e-13 at most over 60 draws of the blp-compare ranges
+    assert np.abs(distance - trace_distance(tg.states.reshape(-1, 2, 2), te.states.reshape(-1, 2, 2))).max() < 1e-9
 
 
-def test_br_evolve_stack_with_states_of_different_support():
-    # x+ holds every block, e only the populations: they run as one 4x4 group
+def test_br_evolve_takes_one_state():
     ts = np.linspace(0.0, 0.5, 51)
-    rho0s = np.stack([qubit_state("x+"), qubit_state("e")])
-    trajs = br_evolve(THERMAL_300, rho0s, ts)
-    for rho0, traj in zip(rho0s, trajs):
-        assert np.abs(traj.states - br_reference(THERMAL_300, rho0.reshape(-1), ts)).max() < 1e-8
-    assert dict(trajs[0].diagnostics) == dict(trajs[1].diagnostics)
+    traj = br_evolve(FIG8, qubit_state("y-"), ts)
+    assert traj.states.shape == (51, 4)
+    with pytest.raises(ValueError, match="vector length 8 is not a perfect square"):
+        br_evolve(FIG8, np.stack([qubit_state("g").reshape(-1), qubit_state("e").reshape(-1)]), ts)
 
 
-def test_br_evolve_stack_of_one_state_is_the_single_state_run():
-    ts = np.linspace(0.0, 0.5, 51)
-    rho0 = qubit_state("y-")
-    single = br_evolve(FIG8, rho0, ts)
-    (stacked,) = br_evolve(FIG8, rho0[None], ts)
-    assert np.array_equal(stacked.states, single.states)
-    assert dict(stacked.diagnostics) == dict(single.diagnostics)
+@pytest.mark.parametrize(
+    "p",
+    [THERMAL_300, THERMAL, ThermalBathParams(g=2.0, omega_q=150.0, omega_c=260.0, kappa=5.0, nbar=0.5), FIG8,
+     SqueezedBathParams(g=1.0, delta_q=150.0, delta_c=300.0, r=270.0, kappa=5.0)],
+    ids=["thermal-300", "thermal-2e5", "thermal-blue", "fig8", "squeezed-strong"],
+)
+def test_the_population_block_of_every_bath_is_closed(p):
+    # br_ge_distance rests on this: no term of either kernel feeds a coherence from a population
+    for include_sum_frequency in (False, True):
+        _, _, residues, g_inf = redfield._running_generator(p, include_sum_frequency)
+        assert np.all(g_inf[1:3][:, [0, 3]] == 0.0)
+        assert np.all(residues[:, 1:3][:, :, [0, 3]] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "free, message",
+    [(np.diag([1.0j, 0.0, 0.0, 0.0]), "population block trace integrates to a complex value"),
+     (np.full((4, 4), np.nan), "population block trace integrates to a complex value"),
+     (np.diag([2.0e3, 0.0, 0.0, 0.0]), "population block determinant is not finite")],
+    ids=["complex", "not-finite", "overflowing"],
+)
+def test_br_ge_distance_raises_on_a_complex_or_infinite_determinant(monkeypatch, free, message):
+    monkeypatch.setattr(redfield, "free_liouvillian", lambda p: free.astype(complex))
+    with pytest.raises(ValueError, match=message):
+        br_ge_distance(THERMAL_300, np.linspace(0.0, 1.0, 11))
+
+
+def test_br_ge_distance_checks_its_times():
+    with pytest.raises(ValueError, match="t_grid must be a 1-d array of increasing nonnegative times"):
+        br_ge_distance(THERMAL, [0.0, 0.5, 0.5])
 
 
 def test_br_evolve_does_not_depend_on_the_output_grid():

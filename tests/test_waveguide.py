@@ -3,9 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdqme.measures import fwhm, spectral_measure
+from conftest import fwhm
+from fdqme import waveguide
+from fdqme.measures import _gauss_legendre
 from fdqme.waveguide import (
+    MEASURE_BAND,
     WaveguideParams,
+    _band_divergence,
+    _graded_rule,
+    _line_ratio,
     default_waveguide_grid,
     field_amplitude,
     resonant_eta_grid,
@@ -124,18 +130,96 @@ def test_measure_sweep_reports_one_result_per_eta_with_its_eta():
     assert np.array_equal(sweep["eta"], etas)
 
 
-def test_measure_sweep_reuses_the_reference_only_where_the_grids_agree():
-    # eta above about 26 needs more than the default 20001 points, so this
-    # sweep runs on the shared reference grid and on two longer grids
-    etas = np.array([0.0, 3.0, 12.5, 27.0, 33.0])
-    sizes = [default_waveguide_grid(replace(P0, eta=e)).size for e in etas]
-    assert sizes[:3] == [20001] * 3 and min(sizes[3:]) > 20001
-    sweep = waveguide_measure_sweep(P0, etas)
-    reference = replace(P0, eta=0.0)
-    gap = fwhm(waveguide_spectrum(reference, default_waveguide_grid(reference)))
-    assert sweep["markov_bandwidth"] == gap
-    for eta, value in zip(etas, sweep["values"]):
-        point = replace(P0, eta=float(eta))
-        grid = default_waveguide_grid(point)
-        fresh = spectral_measure(waveguide_spectrum(point, grid), waveguide_spectrum(reference, grid), gap)
-        assert value == fresh.value
+def _dense_uniform_measure(p: WaveguideParams) -> float:
+    """The sweep's measure by 32-node Gauss-Legendre on uniform omega panels, as p log2(p / q).
+
+    The panels are pi gamma / eta divided evenly: at most 0.2 gamma wide across the band and at
+    most 2e-4 gamma within 0.6 gamma of omega0, where beta = 1 lines carry spikes a few 1e-5
+    gamma wide.  Every zero of the vertex factor is a panel edge.
+    """
+    band, x, w = MEASURE_BAND * p.gamma, *_gauss_legendre(32)
+    half_period = np.pi * p.gamma / p.eta
+
+    def edges(lo, hi, width):
+        step = half_period / np.ceil(half_period / width)
+        return np.arange(np.ceil(lo / step), np.floor(hi / step) + 1) * step
+
+    cuts = np.concatenate([[p.omega0 - band, p.omega0 + band],
+                           edges(p.omega0 - band, p.omega0 + band, 0.2 * p.gamma),
+                           edges(p.omega0 - 0.6 * p.gamma, p.omega0 + 0.6 * p.gamma, 2e-4 * p.gamma)])
+    cuts = np.unique(cuts[np.abs(cuts - p.omega0) <= band])
+    mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
+    omega, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+    line = np.abs(field_amplitude(p, omega)) ** 2
+    reference = np.abs(field_amplitude(replace(p, eta=0.0), omega)) ** 2
+    line, reference = line / (weights @ line), reference / (weights @ reference)
+    live = line > 0
+    kl = weights[live] @ (line[live] * np.log2(line[live] / reference[live]))
+    return float(kl) / (p.gamma * (1 + p.beta))
+
+
+def test_measure_sweep_agrees_with_dense_uniform_panels():
+    # the adaptive panels in theta against an independent sum in omega; beta = 1 at eta 20 has
+    # a spike 1.8e-5 gamma wide near omega0, which 12 rounds of bisection reach; worst 6.6e-9
+    worst = 0.0
+    for beta in (0.5, 0.95, 1.0):
+        for eta in (0.5, 5.0, 20.0, 30.2):
+            p = WaveguideParams(omega0=500.0, gamma=1.0, beta=beta)
+            value = waveguide_measure_sweep(p, [0.0, eta])["values"][1]
+            worst = max(worst, abs(value / _dense_uniform_measure(replace(p, eta=eta)) - 1.0))
+    assert worst < 1e-6
+
+
+def test_measure_sweep_reads_zero_at_zero_delay_and_the_lorentzian_width():
+    sweep = waveguide_measure_sweep(replace(P0, beta=0.9), resonant_eta_grid(P0, n_max=8, step=2))
+    assert sweep["values"][0] == 0.0
+    assert np.all(sweep["values"][1:] > 0.0)
+    # the full width at half maximum of the eta = 0 line, gamma (1 + beta), in closed form
+    assert sweep["markov_bandwidth"] == 1.9
+
+
+def test_measure_sweep_builds_no_grid_spectrum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a grid spectrum")
+
+    for name in ("default_waveguide_grid", "waveguide_spectrum", "make_spectrum"):
+        monkeypatch.setattr(waveguide, name, refuse)
+    assert waveguide_measure_sweep(P0, resonant_eta_grid(P0, n_max=200, step=100))["values"][-1] > 0.0
+
+
+def test_line_ratio_is_the_ratio_of_the_amplitudes():
+    rng = np.random.default_rng(3)
+    for beta, eta in ((0.5, 0.7), (0.95, 8.3), (1.0, 30.2)):
+        p = WaveguideParams(omega0=500.0, gamma=1.0, beta=beta, eta=eta)
+        h = 0.5 * p.gamma * (1.0 + p.beta)
+        theta = rng.uniform(-1.5, 1.5, 200)
+        omega = p.omega0 + h * np.tan(theta)
+        expected = np.abs(field_amplitude(p, omega)) ** 2 / np.abs(field_amplitude(replace(p, eta=0.0), omega)) ** 2
+        assert np.abs(_line_ratio(p, theta, h) - expected).max() <= 1e-12 * expected.max()
+
+
+def test_graded_rule_sums_a_zero_of_the_line_at_a_panel_end():
+    # x^k with k <= 9 exactly (x(t)^k dx/dt has degree 3k + 2 <= 31), and d^2 ln d at the end of
+    # the panel, as the divergence goes at a zero of the line: 7.2e-11 off, 1.3e-7 for the plain rule
+    x, w = _graded_rule(16)
+    for k in range(10):
+        assert abs(w @ x**k - (1 + (-1) ** k) / (k + 1)) <= 1e-14
+    exact = 8.0 / 3.0 * np.log(2.0) - 8.0 / 9.0  # int_0^2 u^2 ln u du
+    assert abs(w @ ((1 + x) ** 2 * np.log1p(x)) - exact) <= 1e-9
+
+
+def test_unconverged_band_quadrature_raises():
+    # 4 and 8 nodes per panel with no bisection miss the beta = 1 spike near omega0
+    p = WaveguideParams(omega0=500.0, gamma=1.0, beta=1.0, eta=20.0)
+    with pytest.raises(ValueError, match="mapped quadrature did not converge: 4 and 8 nodes per panel"):
+        _band_divergence(p, 4, 0)
+
+
+def test_measure_sweep_at_zero_beta_is_the_small_beta_limit():
+    # the vertex factor gamma beta / (2 pi) cancels in the line ratio, so beta = 0 gives the
+    # shape's limit, where the grid spectrum at beta = 0 has no positive values
+    etas = resonant_eta_grid(P0, n_max=8, step=2)
+    zero = waveguide_measure_sweep(replace(P0, beta=0.0), etas)["values"]
+    small = waveguide_measure_sweep(replace(P0, beta=1e-9), etas)["values"]
+    assert np.all(zero[1:] > 0.0)
+    assert np.abs(zero - small).max() <= 1e-8 * zero.max()
