@@ -57,7 +57,8 @@ PY
 echo "::endgroup::"
 
 # The Born-Redfield integrator and the exact inverse transform behind the entry point,
-# at the parameters of the paper's squeezed example (r = sqrt(120^2 - 34^2)).
+# at the parameters of the paper's squeezed example (r = sqrt(120^2 - 34^2)); each
+# purity_br row is the purity of the library's br_evolve run from y-, to the last digit.
 echo "::group::Positivity through the console script"
 cat > "$work/positivity.cfg" <<'CFG'
 [params]
@@ -78,13 +79,20 @@ CFG
 fdqme positivity --config "$work/positivity.cfg" --out "$work/positivity"
 python - "$work/positivity/positivity.csv" <<'PY'
 import sys
+import numpy as np
+from fdqme import SqueezedBathParams, br_evolve, qubit_state
 lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
-header, rows = lines[0].split(","), [[float(x) for x in line.split(",")] for line in lines[1:]]
-assert header == ["time[1/g]", "purity_br", "purity_fdqme"] and len(rows) == 41, (header, len(rows))
+header, cells = lines[0].split(","), [line.split(",") for line in lines[1:]]
+assert header == ["time[1/g]", "purity_br", "purity_fdqme"] and len(cells) == 41, (header, len(cells))
+p = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=120.0, r=115.08257904652642, kappa=10.0)
+purities = br_evolve(p, qubit_state("y-"), np.linspace(0.0, 2.0, 41)).purities()
+for row, purity in zip(cells, purities):
+    assert row[1] == format(purity, ".17g"), (row, purity)
+rows = [[float(x) for x in row] for row in cells]
 br, fd = max(row[1] for row in rows), max(row[2] for row in rows)
 # Born-Redfield breaks positivity here (purity above 1); the FD-QME state stays physical
 assert br > 1.0 + 1e-4 >= fd, (br, fd)
-print(f"largest purity: Born-Redfield {br:.6f}, FD-QME {fd:.6f}")
+print(f"largest purity: Born-Redfield {br:.6f}, FD-QME {fd:.6f}; every purity_br row equal to br_evolve's")
 PY
 echo "::endgroup::"
 

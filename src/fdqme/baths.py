@@ -43,7 +43,6 @@ __all__ = [
     "markovian_spectrum",
     "thermal_closed_spectrum",
     "squeezed_closed_spectrum",
-    "squeezed_steady_ground_population",
     "default_frequency_grid",
 ]
 
@@ -529,20 +528,8 @@ def squeezed_closed_spectrum(p: SqueezedBathParams, delta) -> np.ndarray:
     return _squeezed_line(kernel_modes(p), np.asarray(delta, dtype=float))
 
 
-def squeezed_steady_ground_population(p: SqueezedBathParams) -> float:
-    """Ground-state occupation of the squeezed-bath steady state, closed form."""
-    b = bogoliubov_params(p)
-    g1, g2, nb = b.g1, b.g2, b.nbar
-    k, dd, ss = p.kappa, b.delta_diff, b.sigma_sum
-    mr, mi = b.mbar.real, b.mbar.imag
-    cross = mr * k * (2 * k**2 + dd**2 + ss**2) + (ss - dd) * mi * (k**2 - ss * dd)
-    num = k * ((nb + 1) * g1**2 * (k**2 + ss**2) + nb * g2**2 * (k**2 + dd**2)) + g1 * g2 * cross
-    den = (2 * nb + 1) * k * (g1**2 * (k**2 + ss**2) + g2**2 * (k**2 + dd**2)) + 2 * g1 * g2 * cross
-    return float(num / den)
-
-
 # --------------------------------------------------------------------------
-# grids and peak location
+# grids
 # --------------------------------------------------------------------------
 
 

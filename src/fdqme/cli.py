@@ -606,7 +606,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None, **options) -> 
                 "spectrum_negative_clip_rel": fdme.NEGATIVE_CLIP_REL,
                 "propagator_residual": fdme.RESIDUAL_TOL,
                 "trajectory_trace_hermiticity": redfield.TRAJECTORY_TOL,
-                "kl_tail_cutoff_rel": measures.TAIL_CUTOFF_REL,
+                "measure_quadrature_rtol": measures.QUADRATURE_RTOL,
                 "ode_rtol": redfield.ODE_RTOL,
                 "ode_atol": redfield.ODE_ATOL,
             },

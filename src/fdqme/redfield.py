@@ -41,7 +41,6 @@ __all__ = [
     "br_evolve",
     "br_ge_distance",
     "bm_evolve",
-    "br_correlator",
     "br_spectrum",
 ]
 
@@ -54,11 +53,12 @@ ODE_RTOL, ODE_ATOL = 1e-10, 1e-12
 class Trajectory:
     """Density-matrix history on a time grid, stored vectorized.
 
-    Unit trace and Hermiticity are enforced at every step; positivity is
-    deliberately not (its violation is a measured output of the time-local
-    equations).  ``diagnostics`` holds the integrator's counts (from
-    br_evolve: accepted steps, rejected steps and windows); no output file
-    records them.
+    Building one checks unit trace and Hermiticity at the output times only
+    (beyond TRAJECTORY_TOL it raises ValueError); the integrator checks
+    neither per step.  Positivity is deliberately not checked (its violation
+    is a measured output of the time-local equations).  ``diagnostics``
+    holds the integrator's counts (from br_evolve: accepted steps, rejected
+    steps and windows); no output file records them.
     """
 
     times: np.ndarray
@@ -98,13 +98,6 @@ def _time_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
-def _ramp(kappa: float, nu, t):
-    """int_0^t exp((-kappa + i nu) s) ds, vectorized over both arguments."""
-    nu = np.asarray(nu, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return (1.0 - np.exp((-kappa + 1j * nu) * t)) / (kappa - 1j * nu)
-
-
 def _column_modes(p, include_sum_frequency):
     """Mode table plus the frequency of each (mode, column) pair under e^{-Ls s}."""
     modes = kernel_modes(p, include_sum_frequency)
@@ -113,14 +106,26 @@ def _column_modes(p, include_sum_frequency):
     return modes, nus
 
 
+def _running_generator(p, include_sum_frequency):
+    """Rates lambda, residues E and G_inf of A(t) = G_inf - sum E e^{lambda t}, per (mode, column).
+
+    L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
+    E = coef / (kappa - i nu) and lambda = -kappa + i nu, so the generator is
+    the free Liouvillian plus the residues' sum, less the decaying terms.
+    """
+    modes, nus = _column_modes(p, include_sum_frequency)
+    residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
+    return -modes.kappa + 1j * nus, residues, free_liouvillian(p) + residues.sum(axis=0)
+
+
 def br_induced_generator(p, t: float, include_sum_frequency: bool = False) -> np.ndarray:
-    """Induced generator as the running kernel integral, mode by mode.
+    """Induced generator L2(t) = -sum over (mode, column) of E expm1(lambda t), from _running_generator.
 
     Equals the closed-form rate decomposition, which the tests keep as an
     independent reference construction.
     """
-    modes, nus = _column_modes(p, include_sum_frequency)
-    return np.einsum("kij,kj->ij", modes.coef, _ramp(modes.kappa, nus, float(t)))
+    lams, residues, _ = _running_generator(p, include_sum_frequency)
+    return -np.einsum("kij,kj->ij", residues, np.expm1(lams * float(t)))
 
 
 def bm_induced_generator(p, include_sum_frequency: bool = False) -> np.ndarray:
@@ -221,7 +226,7 @@ def _rms(v) -> float:
 
 
 def _block_product(a, b) -> np.ndarray:
-    """Blockwise products a_w @ b_w, stage-major: a (..., m, m, n) and b (..., m, k, n), k = m or 1."""
+    """Blockwise products a_w @ b_w, stage-major: a (..., m, m, n) and b (..., m, k, n)."""
     out = a[..., :1, :] * b[..., None, 0, :, :]
     for j in range(1, a.shape[-2]):
         out += a[..., j : j + 1, :] * b[..., None, j, :, :]
@@ -232,8 +237,8 @@ def _first_step(generator, y0, t_end) -> float:
     """Starting step for an order-7 error estimate (Hairer, Norsett & Wanner, II.4)."""
 
     def rhs(t, y):  # A(t) y on the held blocks
-        a = generator(np.array([t]), np.zeros(1)).reshape(y.shape[:-1] + y.shape[-2:-1] + (1,))
-        return _block_product(a, y[..., None])[..., 0]
+        a = generator(np.array([t]), np.zeros(1)).reshape(y.shape + y.shape[-1:] + (1,))
+        return _block_product(a, y[..., None, None])[..., 0, 0]
 
     scale = ODE_ATOL + np.abs(y0) * ODE_RTOL
     f0 = rhs(0.0, y0)
@@ -247,23 +252,22 @@ def _first_step(generator, y0, t_end) -> float:
 def _window(generator, y, edges, h_nominal):
     """DOP853 on consecutive steps edges[w] -> edges[w+1] of y' = A(t) y.
 
-    The held state y is (n_blocks, m, 1), a column on each of the blocks of
-    A that hold the initial state, stacked when they have one size and else
-    merged into one, outside which every component stays exactly 0.  For a
-    linear equation every stage is a matrix M_s with k_s = M_s y.  The stage
-    matrices of all steps are stored stage-major, (16, n_blocks, m, m, n),
-    so a stage combination is one GEMV and a stage product m elementwise
+    The held state y is (n_blocks, m): the components on each of the blocks
+    of A that hold the initial state, stacked when they have one size and
+    else merged into one, outside which every component stays exactly 0.
+    For a linear equation every stage is a matrix M_s with k_s = M_s y.  The
+    stage matrices of all steps are stored stage-major, (16, n_blocks, m, m,
+    n), so a stage combination is one GEMV and a stage product m elementwise
     multiply-adds over all blocks and steps; only the propagation
     y_{w+1} = P_w y_w is sequential.
     ``generator`` gives A at the stage times of steps h_nominal long; a last
     step clipped to the end time gets its own.
-    Returns the states at the edges (n_blocks, m, 1, n + 1), the error norm
-    of each step (inf where not finite; its divisor counts all 4 components,
-    as for the full state) and the dense-output coefficients
-    (7, n_blocks, m, 1, n).
+    Returns the states at the edges (n_blocks, m, n + 1), the error norm of
+    each step (inf where not finite; its divisor counts all 4 components, as
+    for the full state) and the dense-output coefficients (7, n_blocks, m, n).
     """
     n = edges.size - 1
-    n_blocks, m, _ = y.shape
+    n_blocks, m = y.shape
     shape = (n_blocks, m, m, n)
     h = np.diff(edges)
     a_t = generator(edges[:-1], h_nominal * _STAGE_C)  # (16, n_blocks * m * m, n)
@@ -281,17 +285,17 @@ def _window(generator, y, edges, h_nominal):
             prop = step
         mats[s] = _block_product(a_t[s], step)
     steps = np.moveaxis(prop, -1, 0)  # (n, n_blocks, m, m)
-    ys = np.empty((n_blocks, m, 1, n + 1), dtype=complex)
+    ys = np.empty((n_blocks, m, n + 1), dtype=complex)
     ys[..., 0] = y
     for w in range(n):
-        ys[..., w + 1] = steps[w] @ ys[..., w]
-    hk = _block_product(mats, ys[..., :-1])  # stage vectors times h
+        ys[..., w + 1] = (steps[w] @ ys[..., w, None])[..., 0]
+    hk = _block_product(mats, ys[..., None, :-1])[..., 0, :]  # stage vectors times h
     scale = ODE_ATOL + np.maximum(np.abs(ys[..., :-1]), np.abs(ys[..., 1:])) * ODE_RTOL
     scaled = (_ERROR @ hk[:13].reshape(13, -1)).reshape((2,) + scale.shape) / scale
-    e5, e3 = (np.abs(scaled) ** 2).sum(axis=(1, 2, 3))
+    e5, e3 = (np.abs(scaled) ** 2).sum(axis=(1, 2))
     # with h k in place of k the h of DOP853's err = h e5 / sqrt(...) cancels
     err = np.where(e5 + e3 == 0, 0.0, e5 / np.sqrt((e5 + 0.01 * e3) * 4))
-    err[~(np.isfinite(err) & np.isfinite(ys[..., 1:]).all(axis=(0, 1, 2)))] = np.inf
+    err[~(np.isfinite(err) & np.isfinite(ys[..., 1:]).all(axis=(0, 1)))] = np.inf
     dy = ys[..., 1:] - ys[..., :-1]
     hf0, hf1 = hk[0], hk[_N_STAGES]
     dense = np.concatenate(
@@ -310,7 +314,7 @@ def _dense_weights(x):
 def _integrate_linear(generator, y0, t_out):
     """States of y' = A(t) y, y(0) = y0, at the sorted nonnegative times t_out.
 
-    y0 is the held state (n_blocks, m, 1), and ``generator(starts, offsets)``
+    y0 is the held state (n_blocks, m), and ``generator(starts, offsets)``
     is A on the held blocks at every starts[w] + offsets[s], as
     (n_offsets, n_blocks * m * m, n_starts).  Adaptive DOP853 with DOP853's
     step control (safety 0.9, factor in [0.2, 10], exponent -1/8, no growth
@@ -318,7 +322,7 @@ def _integrate_linear(generator, y0, t_out):
     accepted when it and every step before it in its window pass the error
     test.  A non-finite error estimate is a rejection, so a diverging
     generator ends in the step-size underflow error.  Returns the states
-    (n_out, n_blocks, m, 1) and the counts of accepted steps, rejected steps
+    (n_out, n_blocks, m) and the counts of accepted steps, rejected steps
     and windows.
     """
     states = np.empty((t_out.size,) + y0.shape, dtype=complex)
@@ -344,7 +348,7 @@ def _integrate_linear(generator, y0, t_out):
             if hi > lo:
                 w = np.searchsorted(edges[1:], t_out[lo:hi])
                 x = (t_out[lo:hi] - edges[w]) / (edges[w + 1] - edges[w])
-                interpolated = np.einsum("oj,jbico->obic", _dense_weights(x), dense[..., w])
+                interpolated = np.einsum("oj,jbio->obi", _dense_weights(x), dense[..., w])
                 states[lo:hi] = np.moveaxis(ys[..., w], -1, 0) + interpolated
             if n_ok == n:
                 worst = err.max()
@@ -357,18 +361,6 @@ def _integrate_linear(generator, y0, t_out):
                 n_window, capped = max(n_window // 2, _WINDOW_MIN), True
             t, y = edges[n_ok], ys[..., n_ok]
     return states, counts
-
-
-def _running_generator(p, include_sum_frequency):
-    """Mode table, column frequencies, residues E and G_inf of A(t) = G_inf - sum E e^{lambda t}.
-
-    L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
-    E = coef / (kappa - i nu) and lambda = -kappa + i nu, so the generator is
-    the free Liouvillian plus the residues' sum, less the decaying terms.
-    """
-    modes, nus = _column_modes(p, include_sum_frequency)
-    residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
-    return modes, nus, residues, free_liouvillian(p) + residues.sum(axis=0)
 
 
 def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
@@ -384,10 +376,10 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     ``diagnostics`` count accepted steps, rejected steps and windows.
     """
     t_grid = _time_grid(t_grid)
-    rho0 = _density_vector(rho0)[:, None]  # (4, 1): the integrator's one column
-    modes, nus, residues, g_inf = _running_generator(p, include_sum_frequency)
+    rho0 = _density_vector(rho0)
+    lams, residues, g_inf = _running_generator(p, include_sum_frequency)
     pattern = (g_inf != 0) | np.any(residues != 0, axis=0)
-    blocks = _coupled_blocks(pattern, np.flatnonzero(np.any(rho0 != 0, axis=1)))
+    blocks = _coupled_blocks(pattern, np.flatnonzero(rho0))
     # held blocks of one size are stacked; blocks of different sizes run as their union
     if len({block.size for block in blocks}) == 1:
         held = np.array(blocks)  # (n_blocks, m)
@@ -399,7 +391,7 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     basis[np.arange(mode.size), :, col] = residues[mode, :, col]
     basis = basis[:, rows, cols].reshape(mode.size, -1)
     keep = np.any(basis != 0, axis=1)  # the pairs that act on the held blocks
-    lam = -modes.kappa + 1j * nus[mode[keep], col[keep]]
+    lam = lams[mode[keep], col[keep]]
     basis_t = basis[keep].T
     g_held = g_inf[rows, cols].reshape(-1, 1)
 
@@ -409,9 +401,9 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
         terms = coef.reshape(offsets.size * g_held.size, lam.size) @ np.exp(np.multiply.outer(lam, starts))
         return g_held - terms.reshape(offsets.size, g_held.size, starts.size)
 
-    states = np.zeros((t_grid.size,) + rho0.shape, dtype=complex)
+    states = np.zeros((t_grid.size, 4), dtype=complex)
     states[:, held], counts = _integrate_linear(generator, rho0[held], t_grid)
-    return Trajectory(times=t_grid, states=np.ascontiguousarray(states[..., 0]), diagnostics=counts)
+    return Trajectory(times=t_grid, states=states, diagnostics=counts)
 
 
 def br_ge_distance(p, t_grid) -> np.ndarray:
@@ -430,8 +422,8 @@ def br_ge_distance(p, t_grid) -> np.ndarray:
     imaginary part exceeds TRAJECTORY_TOL or D is not finite.
     """
     t_grid = _time_grid(t_grid)
-    modes, _, residues, g_inf = _running_generator(p, False)
-    lam = -modes.kappa + 1j * modes.mus
+    lams, residues, g_inf = _running_generator(p, False)
+    lam = lams[:, 0]  # the population columns rotate at the mode frequencies
     traces = residues[:, 0, 0] + residues[:, 3, 3]
     integral = (g_inf[0, 0] + g_inf[3, 3]) * t_grid - (np.expm1(np.multiply.outer(t_grid, lam)) / lam) @ traces
     if not np.all(np.abs(integral.imag) <= TRAJECTORY_TOL):  # NaN fails too
@@ -451,55 +443,29 @@ def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     return Trajectory(times=t_grid, states=states)
 
 
-def br_correlator(p: ThermalBathParams, tau) -> np.ndarray:
-    """Normalized steady-state two-time correlator of the time-local solution.
+def _br_line(p: ThermalBathParams, delta) -> np.ndarray:
+    """Emission line of the time-local solution at detunings delta, unnormalized.
 
-    The exponent carries the free phase, the constant Markov-limit damping
-    and shift, and a transient that decays at the cavity rate; its value at
-    tau = 0 is exactly 1.
+    The first-order-in-g^2 expansion: a central Lorentzian at the
+    Markov-limit shift plus a side Lorentzian and a Fano term displaced by
+    exactly the bare detuning.
     """
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("correlator is defined for tau >= 0")
-    pole = p.kappa + 1j * p.delta
-    amp = (2 * p.nbar + 1) * p.g**2
-    return np.exp(
-        1j * p.omega_q * tau - amp * tau / pole + amp * (1.0 - np.exp(-pole * tau)) / pole**2
-    )
-
-
-def br_spectrum(p: ThermalBathParams, delta_grid, method: str = "closed-form") -> Spectrum:
-    """Emission spectrum of the time-local solution.
-
-    'closed-form' evaluates the first-order-in-g^2 expansion: a central
-    Lorentzian at the Markov-limit shift plus a side Lorentzian and a Fano
-    term displaced by exactly the bare detuning.  'correlator-fft' transforms
-    the correlator numerically instead.  The first-order form can undershoot
-    zero by parts in 1e-7 of the peak far in the wings, which is clipped.
-    """
-    delta_grid = np.asarray(delta_grid, dtype=float)
     rates = effective_rates(p)
     de, ge = rates.delta_eff, rates.gamma_eff
-    if method == "closed-form":
-        denom = p.delta**2 + p.kappa**2
-        a_lor = (de * p.delta - ge * p.kappa) / denom
-        a_fano = (ge * p.delta + de * p.kappa) / denom
-        x = delta_grid - de + p.delta
-        wside = ge + p.kappa
-        vals = (ge / np.pi) / ((delta_grid - de) ** 2 + ge**2)
-        vals = vals + (a_lor * wside + a_fano * x) / (np.pi * (x**2 + wside**2))
-        return make_spectrum(delta_grid, vals, clip_rel=1e-6)
-    if method == "correlator-fft":
-        tau_max = 14.0 / ge
-        span = max(abs(delta_grid).max(), abs(p.delta) + 10 * p.kappa)
-        dtau = np.pi / (8.0 * span)
-        n = int(2 ** np.ceil(np.log2(tau_max / dtau)))
-        tau = np.arange(n) * dtau
-        envelope = br_correlator(p, tau) * np.exp(-1j * p.omega_q * tau)
-        envelope[0] *= 0.5  # trapezoid end correction at tau = 0
-        amp = np.fft.fft(envelope) * dtau
-        freqs = 2 * np.pi * np.fft.fftfreq(n, d=dtau)  # fft exponent matches e^{-i delta tau}
-        order = np.argsort(freqs)
-        vals = np.interp(delta_grid, freqs[order], 2.0 * np.real(amp)[order])
-        return make_spectrum(delta_grid, vals, clip_rel=1e-3)
-    raise ValueError(f"unknown method {method!r}")
+    denom = p.delta**2 + p.kappa**2
+    a_lor = (de * p.delta - ge * p.kappa) / denom
+    a_fano = (ge * p.delta + de * p.kappa) / denom
+    x = delta - de + p.delta
+    wside = ge + p.kappa
+    vals = (ge / np.pi) / ((delta - de) ** 2 + ge**2)
+    return vals + (a_lor * wside + a_fano * x) / (np.pi * (x**2 + wside**2))
+
+
+def br_spectrum(p: ThermalBathParams, delta_grid) -> Spectrum:
+    """Emission spectrum of the time-local solution: _br_line normalized on delta_grid.
+
+    The first-order form can undershoot zero by parts in 1e-7 of the peak far
+    in the wings, which is clipped.
+    """
+    delta_grid = np.asarray(delta_grid, dtype=float)
+    return make_spectrum(delta_grid, _br_line(p, delta_grid), clip_rel=1e-6)

@@ -6,7 +6,14 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.optimize import minimize_scalar
 
-from fdqme.baths import SqueezedBathParams, ThermalBathParams, bogoliubov_params, free_liouvillian, kernel_modes
+from fdqme.baths import (
+    SqueezedBathParams,
+    ThermalBathParams,
+    bogoliubov_params,
+    effective_rates,
+    free_liouvillian,
+    kernel_modes,
+)
 from fdqme.fdme import make_spectrum, steady_state
 from fdqme.liouville import (
     SIGMA_MINUS,
@@ -19,7 +26,6 @@ from fdqme.liouville import (
     lindblad_dissipator,
     squeeze_dissipator,
 )
-from fdqme.redfield import _ramp
 
 
 def one_sided_transform(time_fn, omega, kappa, points_per_period: int = 80):
@@ -151,10 +157,66 @@ def locate_peak(fn, center: float, halfwidth: float, coarse_step: float) -> floa
     return float(res.x)
 
 
+def squeezed_steady_ground_population(p: SqueezedBathParams) -> float:
+    """Ground-state occupation of the squeezed-bath steady state, closed form."""
+    b = bogoliubov_params(p)
+    g1, g2, nb = b.g1, b.g2, b.nbar
+    k, dd, ss = p.kappa, b.delta_diff, b.sigma_sum
+    mr, mi = b.mbar.real, b.mbar.imag
+    cross = mr * k * (2 * k**2 + dd**2 + ss**2) + (ss - dd) * mi * (k**2 - ss * dd)
+    num = k * ((nb + 1) * g1**2 * (k**2 + ss**2) + nb * g2**2 * (k**2 + dd**2)) + g1 * g2 * cross
+    den = (2 * nb + 1) * k * (g1**2 * (k**2 + ss**2) + g2**2 * (k**2 + dd**2)) + 2 * g1 * g2 * cross
+    return float(num / den)
+
+
+# --------------------------------------------------------------------------
+# the time-local correlator and its spectrum by FFT: a second route to the
+# closed-form line of redfield.br_spectrum
+# --------------------------------------------------------------------------
+
+
+def br_correlator(p: ThermalBathParams, tau) -> np.ndarray:
+    """Normalized steady-state two-time correlator of the time-local solution.
+
+    The exponent carries the free phase, the constant Markov-limit damping
+    and shift, and a transient that decays at the cavity rate; its value at
+    tau = 0 is exactly 1.
+    """
+    tau = np.asarray(tau, dtype=float)
+    pole = p.kappa + 1j * p.delta
+    amp = (2 * p.nbar + 1) * p.g**2
+    return np.exp(1j * p.omega_q * tau - amp * tau / pole + amp * (1.0 - np.exp(-pole * tau)) / pole**2)
+
+
+def br_fft_spectrum(p: ThermalBathParams, delta_grid):
+    """Emission spectrum of the time-local solution by FFT of br_correlator, normalized."""
+    delta_grid = np.asarray(delta_grid, dtype=float)
+    tau_max = 14.0 / effective_rates(p).gamma_eff
+    span = max(abs(delta_grid).max(), abs(p.delta) + 10 * p.kappa)
+    dtau = np.pi / (8.0 * span)
+    n = int(2 ** np.ceil(np.log2(tau_max / dtau)))
+    tau = np.arange(n) * dtau
+    envelope = br_correlator(p, tau) * np.exp(-1j * p.omega_q * tau)
+    envelope[0] *= 0.5  # trapezoid end correction at tau = 0
+    amp = np.fft.fft(envelope) * dtau
+    freqs = 2 * np.pi * np.fft.fftfreq(n, d=dtau)  # fft exponent matches e^{-i delta tau}
+    order = np.argsort(freqs)
+    vals = np.interp(delta_grid, freqs[order], 2.0 * np.real(amp)[order])
+    return make_spectrum(delta_grid, vals, clip_rel=1e-3)
+
+
 # --------------------------------------------------------------------------
 # closed-form rate decomposition of the time-local generator: a reference
 # construction that br_induced_generator is checked against
 # --------------------------------------------------------------------------
+
+
+def ramp(kappa: float, nu, t):
+    """int_0^t exp((-kappa + i nu) s) ds, vectorized over both arguments."""
+    nu = np.asarray(nu, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return (1.0 - np.exp((-kappa + 1j * nu) * t)) / (kappa - 1j * nu)
+
 
 _D_MINUS = lindblad_dissipator(SIGMA_MINUS)
 _D_PLUS = lindblad_dissipator(SIGMA_PLUS)
@@ -198,7 +260,7 @@ def br_rates_thermal(p: ThermalBathParams, t) -> ThermalRates:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("rates are defined for t >= 0")
-    e = p.g**2 * _ramp(p.kappa, -p.delta, t)
+    e = p.g**2 * ramp(p.kappa, -p.delta, t)
     return ThermalRates(delta_eff=-np.imag(e), gamma_eff=np.real(e))
 
 
@@ -216,12 +278,12 @@ def br_rates_squeezed(
         raise ValueError("rates are defined for t >= 0")
     b = bogoliubov_params(p)
     mbc = np.conj(b.mbar)
-    e_diff = _ramp(p.kappa, -b.delta_diff, t)
+    e_diff = ramp(p.kappa, -b.delta_diff, t)
     z_mp = ((b.nbar + 1) * b.g1**2 + mbc * b.g1 * b.g2) * e_diff
     z_pm = (b.nbar * b.g1**2 + mbc * b.g1 * b.g2) * e_diff
     gamma_pp = (mbc * b.g2**2 + 0.5 * (2 * b.nbar + 1) * b.g1 * b.g2) * e_diff
     if include_sum_frequency:
-        e_sum = _ramp(p.kappa, -b.sigma_sum, t)
+        e_sum = ramp(p.kappa, -b.sigma_sum, t)
         z_mp = z_mp + (b.g1 * b.g2 * b.mbar + b.g2**2 * b.nbar) * e_sum
         z_pm = z_pm + (b.g1 * b.g2 * b.mbar + b.g2**2 * (b.nbar + 1)) * e_sum
         gamma_pp = gamma_pp + (b.g1**2 * b.mbar + 0.5 * (2 * b.nbar + 1) * b.g1 * b.g2) * e_sum

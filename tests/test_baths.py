@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import locate_peak, one_sided_transform
+from conftest import locate_peak, one_sided_transform, squeezed_steady_ground_population
 from scipy.linalg import expm
 
 from fdqme.baths import (
@@ -17,7 +17,6 @@ from fdqme.baths import (
     squeezed_closed_spectrum,
     squeezed_kernel_freq,
     squeezed_kernel_time,
-    squeezed_steady_ground_population,
     thermal_closed_spectrum,
     thermal_kernel_freq,
     thermal_kernel_time,

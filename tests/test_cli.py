@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdqme
-from fdqme import cli, fdme
+from fdqme import cli, fdme, measures
 from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
 from fdqme.cli import ConfigError, _format_tables, _write_csvs, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
@@ -467,6 +467,9 @@ path = sweep.csv
     assert np.all(np.diff(data[:, 1]) < 0)  # decreasing with linewidth
     slope = np.polyfit(np.log(data[:, 0]), np.log(data[:, 1]), 1)[0]
     assert abs(slope + 1.0) < 0.1
+    # the sidecar records the error gate that every measure of the sweep passed
+    sidecar = json.loads((tmp_path / "sweep.meta.json").read_text())
+    assert sidecar["tolerances"]["measure_quadrature_rtol"] == measures.QUADRATURE_RTOL
 
 
 def test_measure_sweep_requires_exactly_one_group():

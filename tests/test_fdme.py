@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import full_assembly_emission_spectrum, full_system_matrix_delta
+from conftest import full_assembly_emission_spectrum, full_system_matrix_delta, squeezed_steady_ground_population
 
 from fdqme.baths import (
     SqueezedBathParams,
@@ -11,7 +11,6 @@ from fdqme.baths import (
     default_frequency_grid,
     markovian_spectrum,
     squeezed_closed_spectrum,
-    squeezed_steady_ground_population,
     thermal_closed_spectrum,
 )
 from fdqme.fdme import (

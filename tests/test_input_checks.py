@@ -26,7 +26,7 @@ from fdqme.fdme import (
 from fdqme.liouville import SIGMA_MINUS, _steady_state, left_multiplier, lindblad_dissipator, qubit_state
 from fdqme.measures import bath_measure, kl_divergence, spectral_gap, spectral_measure
 from fdqme.oracle import FullModel, build_full_model, full_steady_state
-from fdqme.redfield import Trajectory, br_correlator, br_evolve
+from fdqme.redfield import Trajectory, br_evolve
 from fdqme.waveguide import WaveguideParams, waveguide_measure_sweep
 
 THERMAL = dict(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
@@ -85,8 +85,6 @@ CHECKS = {
     "measure-gap": (lambda: spectral_measure(LINE, LINE, 0.0), ValueError, "bandwidth must be positive"),
     "trajectory-shape": (lambda: Trajectory(np.array([0.0, 1.0]), np.tile(qubit_state("g").reshape(-1), (3, 1))),
                          ValueError, r"states shape \(3, 4\) does not match times"),
-    "correlator-tau": (lambda: br_correlator(ThermalBathParams(**THERMAL), [0.0, -0.5]), ValueError,
-                       "correlator is defined for tau >= 0"),
     "waveguide-gamma": (lambda: WaveguideParams(omega0=200.0, gamma=0.0, beta=0.9), ValueError,
                         "gamma must be positive"),
     "eta-grid-size": (lambda: waveguide_measure_sweep(WAVEGUIDE, [0.5]), ValueError,
@@ -190,5 +188,4 @@ def test_valid_inputs_of_the_checks_pass():
     assert kernel_modes(ThermalBathParams(**THERMAL)).omega_ref == 120.0
     assert fwhm(LINE) == pytest.approx(1.0)
     assert spectral_measure(LINE, LINE, 1.0).value == pytest.approx(0.0, abs=1e-15)
-    assert br_correlator(ThermalBathParams(**THERMAL), 0.0) == 1.0
     assert inverse_transform(FP, [0.5, 0.0, 0.0, 0.5], [0.0]) == pytest.approx(np.array([[0.5, 0.0, 0.0, 0.5]]))

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from conftest import dense_full_liouvillian, fwhm, locate_peak
+from conftest import dense_full_liouvillian, fwhm, locate_peak, squeezed_steady_ground_population
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
@@ -143,8 +143,6 @@ def test_perturbative_linewidth_and_center():
 
 def test_squeezed_steady_population_against_full_model():
     p = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0)
-    from fdqme.baths import squeezed_steady_ground_population
-
     closed = squeezed_steady_ground_population(p)
     chi = full_steady_state(build_full_model(p, n_fock=16))
     red = reduced_qubit_state(chi, 16)

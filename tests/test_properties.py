@@ -13,7 +13,7 @@ ranges, and from squeezed baths up to r/delta_c = 0.97.
 
 import numpy as np
 import pytest
-from conftest import br_reference, full_assembly_emission_spectrum
+from conftest import br_reference, full_assembly_emission_spectrum, squeezed_steady_ground_population
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -26,7 +26,6 @@ from fdqme.baths import (
     generic_kernel_time,
     kernel_modes,
     markovian_spectrum,
-    squeezed_steady_ground_population,
 )
 from fdqme.fdme import emission_spectrum, make_spectrum, squeezed_propagator, steady_state, thermal_propagator
 from fdqme.liouville import _coupled_blocks, qubit_state, trace_dual

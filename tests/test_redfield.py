@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853
 from conftest import (
+    br_correlator,
+    br_fft_spectrum,
     br_rates_squeezed,
     br_rates_thermal,
     br_reference,
@@ -23,7 +25,6 @@ from fdqme.redfield import (
     Trajectory,
     bm_evolve,
     bm_induced_generator,
-    br_correlator,
     br_evolve,
     br_ge_distance,
     br_induced_generator,
@@ -208,8 +209,7 @@ def test_br_evolve_matches_tight_reference(p, state, ts):
     ],
     ids=["thermal-300", "thermal-2e5", "fig8"],
 )
-def test_br_evolve_stack_integrates_ground_and_excited_together(p, ts):
-    # the ground and excited runs are now two br_evolve calls, taken together by br_ge_distance
+def test_br_ge_distance_matches_the_ground_and_excited_runs(p, ts):
     tg, te = (br_evolve(p, qubit_state(state), ts) for state in ("g", "e"))
     for state, traj in (("g", tg), ("e", te)):
         assert np.abs(traj.states - br_reference(p, qubit_state(state).reshape(-1), ts)).max() < 1e-8
@@ -238,7 +238,7 @@ def test_br_evolve_takes_one_state():
 def test_the_population_block_of_every_bath_is_closed(p):
     # br_ge_distance rests on this: no term of either kernel feeds a coherence from a population
     for include_sum_frequency in (False, True):
-        _, _, residues, g_inf = redfield._running_generator(p, include_sum_frequency)
+        _, residues, g_inf = redfield._running_generator(p, include_sum_frequency)
         assert np.all(g_inf[1:3][:, [0, 3]] == 0.0)
         assert np.all(residues[:, 1:3][:, :, [0, 3]] == 0.0)
 
@@ -423,15 +423,8 @@ def test_br_spectrum_side_peak_separation_is_bare_detuning():
     p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 10.0, kappa=0.5, nbar=1.0)
     rates = effective_rates(p)
 
-    def density(d):
-        d = np.atleast_1d(np.asarray(d, dtype=float))
-        denom = p.delta**2 + p.kappa**2
-        a_lor = (rates.delta_eff * p.delta - rates.gamma_eff * p.kappa) / denom
-        a_fano = (rates.gamma_eff * p.delta + rates.delta_eff * p.kappa) / denom
-        x = d - rates.delta_eff + p.delta
-        w = rates.gamma_eff + p.kappa
-        vals = (rates.gamma_eff / np.pi) / ((d - rates.delta_eff) ** 2 + rates.gamma_eff**2)
-        return vals + (a_lor * w + a_fano * x) / (np.pi * (x**2 + w**2))
+    def density(d):  # br_spectrum's line, before it is normalized on a grid
+        return redfield._br_line(p, d)
 
     central = locate_peak(density, rates.delta_eff, 5 * rates.gamma_eff, rates.gamma_eff / 50)
     side = locate_peak(density, -p.delta, 5 * p.kappa, p.kappa / 50)
@@ -444,11 +437,6 @@ def test_br_spectrum_side_peak_separation_is_bare_detuning():
 def test_br_spectrum_fft_route_agrees_with_closed_form():
     p = ThermalBathParams(g=1.0, omega_q=1.0e3, omega_c=1.0e3 - 50.0, kappa=10.0, nbar=0.1)
     grid = np.linspace(-120.0, 60.0, 2001)
-    s_closed = br_spectrum(p, grid, method="closed-form")
-    s_fft = br_spectrum(p, grid, method="correlator-fft")
+    s_closed = br_spectrum(p, grid)
+    s_fft = br_fft_spectrum(p, grid)
     assert np.abs(s_closed.values - s_fft.values).max() / s_closed.values.max() < 5e-3
-
-
-def test_br_spectrum_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        br_spectrum(THERMAL, np.linspace(-1, 1, 11), method="magic")
