@@ -242,23 +242,20 @@ print(f"spectral measure along eta: {[row[1] for row in rows]}")
 PY
 echo "::endgroup::"
 
-# An option the scenario does not read is an error, never a recorded no-op: --gap
-# on the eta axis of measure-sweep (the bandwidth there is the FWHM of the eta = 0
-# line) fails with exit status 1, the option named on stderr, and nothing written;
-# thermal-spectrum offers no --gap at all, so argparse exits with status 2.
-echo "::group::Options a scenario does not read through the console script"
-status=0
-fdqme measure-sweep --config "$work/eta.cfg" --gap fwhm --out "$work/eta-gap" 2> "$work/eta-gap.err" || status=$?
-cat "$work/eta-gap.err"
-test "$status" -eq 1
-grep -q "does not read option gap_method" "$work/eta-gap.err"
-test ! -e "$work/eta-gap"
-status=0
-fdqme thermal-spectrum --config "$work/smoke.cfg" --gap fwhm --out "$work/smoke-gap" 2> "$work/smoke-gap.err" || status=$?
-cat "$work/smoke-gap.err"
-test "$status" -eq 2
-grep -q "unrecognized arguments: --gap fwhm" "$work/smoke-gap.err"
-test ! -e "$work/smoke-gap"
+# Scenarios take no options beyond --config and --out: argparse exits with
+# status 2 on any other flag, and nothing is written.
+echo "::group::Rejected options through the console script"
+reject_flags() {  # scenario, config name, flags...
+  local scenario=$1 name=$2 status=0
+  shift 2
+  fdqme "$scenario" --config "$work/$name.cfg" "$@" --out "$work/$name-flags" 2> "$work/$name-flags.err" || status=$?
+  cat "$work/$name-flags.err"
+  test "$status" -eq 2
+  grep -q "unrecognized arguments: $*" "$work/$name-flags.err"
+  test ! -e "$work/$name-flags"
+}
+reject_flags measure-sweep eta --gap fwhm
+reject_flags positivity positivity --include-sum-frequency
 echo "::endgroup::"
 
 # A log-spaced sweep through zero is a config error: exit status 1, the error

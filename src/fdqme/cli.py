@@ -193,11 +193,8 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
         out_path = out_entry[1]
         if Path(out_path).name in ("", ".", ".."):
             errors.append(f"[output] path must end in a file name, got {out_path!r}")
-    fmt_entry = sections["output"].get("format")
-    if fmt_entry is not None and fmt_entry[1] != "csv":
-        errors.append(f"[output] unsupported format {fmt_entry[1]!r}")
     for key in sections["output"]:
-        if key not in ("path", "format"):
+        if key != "path":
             errors.append(f"[output] unknown key {key!r}")
 
     # physical constraints, checked only once the values themselves parsed: the
@@ -439,10 +436,9 @@ def _eta_sweep(params: dict):
     return waveguide.resonant_eta_grid(p, params["eta_index_max"], params["eta_index_step"]), p
 
 
-# A runner takes the config, what the bath builder returned and, as keyword
-# arguments, the options its record names.  It returns the CSV tables as
-# (suffix, header, columns), the metadata for the CSV comments and the
-# sidecar, and the metadata for the sidecar alone.
+# A runner takes the config and what the bath builder returned.  It returns
+# the CSV tables as (suffix, header, columns), the metadata for the CSV
+# comments and the sidecar, and the metadata for the sidecar alone.
 
 
 def _frequency_grid(cfg: ScenarioConfig, p, default) -> np.ndarray:
@@ -474,9 +470,9 @@ def _run_waveguide_spectrum(cfg, p):
     return tables, {}, {"grid_points": grid.size}
 
 
-def _run_thermal_sweep(axis_header, cfg, sweep, gap_method):
+def _run_thermal_sweep(axis_header, cfg, sweep):
     xs, baths = sweep
-    values = [measures.bath_measure(p, gap_method).value for p in baths]
+    values = [measures.bath_measure(p).value for p in baths]
     return [(".csv", [axis_header, "spectral_measure"], [xs, values])], {}, {}
 
 
@@ -487,18 +483,18 @@ def _run_eta_sweep(cfg, sweep):
     return [(".csv", ["eta", "spectral_measure"], [result["eta"], result["values"]])], summary, {}
 
 
-def _run_blp_compare(cfg, sweep, gap_method):
+def _run_blp_compare(cfg, sweep):
     deltas, baths = sweep
     t_grid = cfg.grids["grid.time"].array()
     blp = [measures.backflow(redfield.br_ge_distance(p, t_grid)) for p in baths]
-    ns = [measures.bath_measure(p, gap_method).value for p in baths]
+    ns = [measures.bath_measure(p).value for p in baths]
     return [(".csv", ["delta[g]", "blp_measure", "spectral_measure"], [deltas, blp, ns])], {}, {}
 
 
-def _run_positivity(cfg, p, include_sum_frequency):
+def _run_positivity(cfg, p):
     t_grid = cfg.grids["grid.time"].array()
     rho0 = qubit_state("y-").reshape(-1)
-    traj = redfield.br_evolve(p, rho0, t_grid, include_sum_frequency=include_sum_frequency)
+    traj = redfield.br_evolve(p, rho0, t_grid)
     states = fdme.inverse_transform(fdme.squeezed_propagator(p), rho0, t_grid).reshape(-1, 2, 2)
     mm = states @ states  # Tr[rho^2] below; inverse_transform has checked Hermiticity
     pur_fd = (mm[:, 0, 0] + mm[:, 1, 1]).real
@@ -518,17 +514,7 @@ class _Scenario:
     keys: tuple  # required [params] keys
     grids: tuple  # the grid sections run reads; any other is a config error
     bath: Callable  # [params] -> what the runner takes; raises ValueError on unphysical input
-    run: Callable  # (cfg, bath, **options) -> (tables, comments, sidecar metadata)
-    options: tuple = ()  # the _OPTIONS that run reads
-
-
-# The options a runner may read: flag, argparse settings, and the default that run_scenario fills in
-_OPTIONS = {
-    "gap_method": ("--gap", dict(choices=("eigen", "fwhm"), help="Markovian bandwidth definition for measures"),
-                   "eigen"),
-    "include_sum_frequency": ("--include-sum-frequency",
-                              dict(action="store_true", help="keep sum-frequency terms in time-local rates"), False),
-}
+    run: Callable  # (cfg, bath) -> (tables, comments, sidecar metadata)
 
 
 _THERMAL_KEYS = ("g", "omega_q", "kappa", "nbar", "delta")
@@ -542,14 +528,14 @@ _SCENARIOS = {
     # one record per axis; a [params] key starting "<axis>_" picks it
     "measure-sweep": {
         "kappa": _Scenario(("g", "omega_q", "nbar", "delta", "kappa_min", "kappa_max", "kappa_points"), (),
-                           _kappa_sweep, partial(_run_thermal_sweep, "kappa[g]"), ("gap_method",)),
+                           _kappa_sweep, partial(_run_thermal_sweep, "kappa[g]")),
         "delta": _Scenario(("g", "omega_q", "nbar", "kappa", "delta_min", "delta_max", "delta_points"), (),
-                           _delta_sweep, partial(_run_thermal_sweep, "delta[g]"), ("gap_method",)),
+                           _delta_sweep, partial(_run_thermal_sweep, "delta[g]")),
         "eta": _Scenario(_WAVEGUIDE_KEYS + ("eta_index_max", "eta_index_step"), (), _eta_sweep, _run_eta_sweep),
     },
     "blp-compare": _Scenario(("g", "omega_q", "kappa", "nbar", "delta_min", "delta_max", "delta_points"),
-                             _TIME, _blp_sweep, _run_blp_compare, ("gap_method",)),
-    "positivity": _Scenario(_SQUEEZED_KEYS, _TIME, _squeezed, _run_positivity, ("include_sum_frequency",)),
+                             _TIME, _blp_sweep, _run_blp_compare),
+    "positivity": _Scenario(_SQUEEZED_KEYS, _TIME, _squeezed, _run_positivity),
     "oracle-compare": _Scenario(_THERMAL_KEYS + ("n_fock",), _FREQUENCY, _thermal, _run_oracle_compare),
 }
 SCENARIOS = tuple(_SCENARIOS)
@@ -564,18 +550,9 @@ def _record(scenario: str, param_keys) -> _Scenario | None:
     return record
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None, **options) -> list:
-    """Execute a parsed scenario; returns the written file paths.
-
-    ``options`` are those its record reads, each defaulted if not given and
-    recorded in the sidecar; an option it does not read raises ValueError.
-    """
+def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
+    """Execute a parsed scenario; returns the written file paths."""
     record = _record(cfg.scenario, cfg.params)
-    unread = sorted(set(options) - set(record.options))
-    if unread:
-        raise ValueError(f"scenario {cfg.scenario} does not read option {', '.join(unread)}; "
-                         f"with this config it reads {', '.join(record.options) or 'none'}")
-    opts = {name: options.get(name, _OPTIONS[name][2]) for name in record.options}
     base = Path(cfg.output_path)
     if out_dir is not None:
         base = Path(out_dir) / base.name
@@ -584,7 +561,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None, **options) -> 
     for name, g in cfg.grids.items():
         meta[f"{name}.min"], meta[f"{name}.max"], meta[f"{name}.points"] = _fmt(g.lo), _fmt(g.hi), g.points
     try:
-        tables, comments, sidecar_meta = record.run(cfg, record.bath(cfg.params), **opts)
+        tables, comments, sidecar_meta = record.run(cfg, record.bath(cfg.params))
         meta.update(comments)
         written = [base.with_suffix(suffix) for suffix, _, _ in tables]
         # made only now, so that a scenario that fails leaves no directory behind
@@ -600,7 +577,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None, **options) -> 
             "scenario": cfg.scenario,
             "params": cfg.params,
             "grids": {k: [g.lo, g.hi, g.points] for k, g in cfg.grids.items()},
-            "options": opts,
             "outputs": [p.name for p in written],
             "tolerances": {
                 "spectrum_negative_clip_rel": fdme.NEGATIVE_CLIP_REL,
@@ -625,15 +601,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--list-scenarios", action="store_true", help="print the scenario registry and exit")
     sub = parser.add_subparsers(dest="scenario")
-    for name, records in _SCENARIOS.items():
+    for name in _SCENARIOS:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", required=True, help="path to the config file")
         sp.add_argument("--out", default=None, help="directory for output files")
-        # the options of its records (for measure-sweep, of every axis); one not given is absent
-        records = records.values() if isinstance(records, dict) else [records]
-        for option, (flag, settings, _) in _OPTIONS.items():
-            if any(option in record.options for record in records):
-                sp.add_argument(flag, dest=option, default=argparse.SUPPRESS, **settings)
     return parser
 
 
@@ -658,8 +629,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        options = {name: getattr(args, name) for name in _OPTIONS if hasattr(args, name)}
-        written = run_scenario(cfg, out_dir=args.out, **options)
+        written = run_scenario(cfg, out_dir=args.out)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .baths import ThermalBathParams, _rates, _squeezed_line, _thermal_line, bogoliubov_params, effective_rates
+from .baths import ThermalBathParams, _rates, _squeezed_line, _thermal_line, bogoliubov_params
 from .baths import free_liouvillian, kernel_modes
 from .fdme import Spectrum
 from .liouville import devectorize
@@ -59,8 +59,8 @@ class MeasureResult:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("measure values are nonnegative")
+        if not 0 <= self.value < np.inf:
+            raise ValueError(f"measure values are nonnegative and finite, got {self.value}")
 
 
 def kl_divergence(s: Spectrum, s_ref: Spectrum) -> float:
@@ -87,18 +87,13 @@ def kl_divergence(s: Spectrum, s_ref: Spectrum) -> float:
     return max(val, 0.0)
 
 
-def spectral_gap(p, method: str = "eigen") -> float:
+def spectral_gap(p) -> float:
     """Markovian bandwidth of the reduced system.
 
-    'eigen' returns the smallest nonzero decay rate (|Re|) among the
-    eigenvalues of the Markov-limit generator; for the thermal qubit this is
-    the coherence decay rate gamma_eff.  'fwhm' returns the full width
-    2 gamma_eff of the Markov-limit emission line instead.
+    The smallest nonzero decay rate (|Re|) among the eigenvalues of the
+    Markov-limit generator; for the thermal qubit this is the coherence
+    decay rate gamma_eff.
     """
-    if method == "fwhm":
-        return 2.0 * effective_rates(p).gamma_eff
-    if method != "eigen":
-        raise ValueError(f"unknown method {method!r}")
     gen = free_liouvillian(p) + bm_induced_generator(p)
     decay = np.abs(np.real(np.linalg.eigvals(gen)))
     scale = decay.max()
@@ -112,8 +107,8 @@ def spectral_gap(p, method: str = "eigen") -> float:
 
 def spectral_measure(s: Spectrum, s_m: Spectrum, gap: float) -> MeasureResult:
     """Relative entropy per unit Markovian bandwidth; zero iff the spectra match."""
-    if gap <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < gap < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {gap}")
     value = kl_divergence(s, s_m) / gap
     return MeasureResult(
         value=value,
@@ -240,11 +235,11 @@ def _rule_difference(kl_n: float, kl: float, n: int) -> float:
     return rel_diff
 
 
-def bath_measure(p, gap_method: str = "eigen") -> MeasureResult:
+def bath_measure(p) -> MeasureResult:
     """Spectral measure of a thermal or squeezed cavity bath over the whole detuning axis.
 
     The relative entropy (bits) of its normalized closed-form line from its
-    Markov-limit Lorentzian, per ``spectral_gap(p, gap_method)``.  With
+    Markov-limit Lorentzian, per ``spectral_gap(p)``.  With
     delta = delta_eff + gamma_eff tan(theta) the Lorentzian is 1/pi on
     (-pi/2, pi/2), and Gauss-Legendre panels in theta carry the integral
     with 32 and 64 nodes each.  The 64-node value is reported; ``metadata``
@@ -253,7 +248,7 @@ def bath_measure(p, gap_method: str = "eigen") -> MeasureResult:
     is the error estimate.  A difference above QUADRATURE_RTOL (1e-6) raises
     a ``ValueError``.
     """
-    gap = spectral_gap(p, method=gap_method)
+    gap = spectral_gap(p)
     kl, metadata = _mapped_divergence(p, PANEL_NODES)
     return MeasureResult(value=kl / gap, method="spectral", metadata={"gap": gap, **metadata})
 
@@ -265,7 +260,7 @@ def trace_distance(rho1, rho2) -> float | np.ndarray:
         rho1, rho2 = devectorize(rho1), devectorize(rho2)
     diff = np.asarray(rho1) - np.asarray(rho2)
     diff_h = np.conj(np.swapaxes(diff, -1, -2))
-    if np.abs(diff - diff_h).max() > 1e-8:
+    if not np.abs(diff - diff_h).max() <= 1e-8:
         raise ValueError("state difference is not Hermitian within 1e-8")
     dists = 0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + diff_h))).sum(axis=-1)
     return float(dists) if dists.ndim == 0 else dists
@@ -273,6 +268,8 @@ def trace_distance(rho1, rho2) -> float | np.ndarray:
 
 def backflow(distances) -> float:
     """Sum of the positive increments of a trace distance sampled on a time grid."""
+    if not np.all(np.isfinite(distances)):
+        raise ValueError("trace distances must be finite")
     increments = np.diff(distances)
     return float(increments[increments > 0].sum())
 

@@ -71,6 +71,10 @@ def resonant_eta_grid(p: WaveguideParams, n_max: int, step: int = 1) -> np.ndarr
     """
     if p.omega0 <= 0:
         raise ValueError(f"omega0 must be positive for resonant delays, got {p.omega0}")
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     n = np.arange(0, n_max + 1, step)
     return 2.0 * np.pi * n * p.gamma / p.omega0
 

@@ -31,7 +31,6 @@ points = 4096
 
 [output]
 path = thermal.csv
-format = csv
 """
 
 
@@ -80,7 +79,6 @@ omega_q = abc
 unknown_key = 3.0
 
 [output]
-format = xml
 """
     with pytest.raises(ConfigError) as err:
         parse_config(text, "thermal-spectrum")
@@ -89,7 +87,6 @@ format = xml
     assert "not a number" in messages
     assert "unknown key 'unknown_key'" in messages
     assert "missing required key 'path'" in messages
-    assert "unsupported format" in messages
     assert "missing required key" in messages  # kappa/nbar/delta
     assert len(err.value.errors) >= 6
 
@@ -729,8 +726,8 @@ def test_cli_main_calls_parse_independently(tmp_path, capsys, monkeypatch):
     # the parser is built once and shared, so no flag of one call may leak into the next
     calls = []
 
-    def record(cfg, out_dir=None, **options):
-        calls.append((cfg.scenario, out_dir, options))
+    def record(cfg, out_dir=None):
+        calls.append((cfg.scenario, out_dir))
         return []
 
     monkeypatch.setattr(cli, "run_scenario", record)
@@ -741,34 +738,31 @@ def test_cli_main_calls_parse_independently(tmp_path, capsys, monkeypatch):
     positivity = tmp_path / "positivity.cfg"
     positivity.write_text(POSITIVITY_CONFIG)
 
-    assert main(["positivity", "--config", str(positivity), "--include-sum-frequency", "--out", str(tmp_path)]) == 0
+    assert main(["positivity", "--config", str(positivity), "--out", str(tmp_path)]) == 0
     assert main(["positivity", "--config", str(positivity)]) == 0
-    assert main(["measure-sweep", "--config", str(sweep), "--gap", "fwhm"]) == 0
+    assert main(["measure-sweep", "--config", str(sweep), "--out", str(tmp_path / "sweep")]) == 0
     with pytest.raises(SystemExit) as exc:
-        main(["measure-sweep", "--gap", "fwhm"])
+        main(["measure-sweep", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "the following arguments are required: --config" in capsys.readouterr().err
     assert main(["measure-sweep", "--config", str(sweep)]) == 0
-    assert main(["blp-compare", "--config", str(blp), "--gap", "fwhm"]) == 0
+    assert main(["blp-compare", "--config", str(blp), "--out", str(tmp_path / "blp")]) == 0
     assert main([]) == 2
     assert capsys.readouterr().err.startswith("usage: fdqme")
     assert main(["blp-compare", "--config", str(blp)]) == 0
     assert calls == [
-        ("positivity", str(tmp_path), {"include_sum_frequency": True}),
-        ("positivity", None, {}),
-        ("measure-sweep", None, {"gap_method": "fwhm"}),
-        ("measure-sweep", None, {}),
-        ("blp-compare", None, {"gap_method": "fwhm"}),
-        ("blp-compare", None, {}),
+        ("positivity", str(tmp_path)),
+        ("positivity", None),
+        ("measure-sweep", str(tmp_path / "sweep")),
+        ("measure-sweep", None),
+        ("blp-compare", str(tmp_path / "blp")),
+        ("blp-compare", None),
     ]
     assert cli._parser() is cli._parser()
 
 
-# the flags of each scenario that its records do not read
-UNREAD_FLAGS = [(scenario, flag) for scenario in ("thermal-spectrum", "squeezed-spectrum", "waveguide-spectrum",
-                                                  "oracle-compare") for flag in ("--gap", "--include-sum-frequency")]
-UNREAD_FLAGS += [("positivity", "--gap"), ("measure-sweep", "--include-sum-frequency"),
-                 ("blp-compare", "--include-sum-frequency")]
+# scenarios take no options beyond --config and --out
+UNREAD_FLAGS = [(scenario, flag) for scenario in cli.SCENARIOS for flag in ("--gap", "--include-sum-frequency")]
 
 
 @pytest.mark.parametrize("scenario, flag", UNREAD_FLAGS)
@@ -777,19 +771,6 @@ def test_cli_rejects_a_flag_the_scenario_does_not_read(capsys, scenario, flag):
         main([scenario, "--config", "unread.cfg", flag] + (["fwhm"] if flag == "--gap" else []))
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-
-def test_option_the_scenario_does_not_read_is_an_error(tmp_path, capsys):
-    # measure-sweep offers --gap for its kappa and delta axes; the eta axis takes
-    # its bandwidth from the FWHM of the eta = 0 line and reads none
-    cfg = tmp_path / "eta.cfg"
-    cfg.write_text(_sweep_config("eta")[1])
-    assert main(["measure-sweep", "--config", str(cfg), "--gap", "fwhm", "--out", str(tmp_path / "out")]) == 1
-    assert "does not read option gap_method" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["eta.cfg"]
-    # a library call is checked the same way, whatever the value
-    with pytest.raises(ValueError, match="scenario thermal-spectrum does not read option include_sum_frequency"):
-        run_scenario(parse_config(THERMAL_CONFIG, "thermal-spectrum"), include_sum_frequency=False)
 
 
 @pytest.mark.parametrize("path", ["", ".", "..", "results/.."], ids=["empty", "dot", "dot-dot", "ends-in-dot-dot"])
@@ -820,9 +801,6 @@ SUMMARY_KEYS = {"eta": {"markov_bandwidth", "eta_max", "saturation"}}
 SIDECAR_ONLY_KEYS = {"thermal-spectrum": {"grid_points"}, "squeezed-spectrum": {"grid_points"},
                      "waveguide-spectrum": {"grid_points"}, "positivity": {"initial_state"},
                      "oracle-compare": {"n_fock"}}
-# the options each runner reads, recorded in the sidecar with their (default) values
-SIDECAR_OPTIONS = {"kappa": {"gap_method": "eigen"}, "delta": {"gap_method": "eigen"},
-                   "blp-compare": {"gap_method": "eigen"}, "positivity": {"include_sum_frequency": False}}
 
 
 METADATA_CASES = {
@@ -850,7 +828,7 @@ def test_metadata_split_between_csv_comments_and_sidecar(tmp_path, case):
         assert set(comments) == shared, path.name
     sidecar = json.loads(written[-1].read_text())
     assert set(sidecar["metadata"]) == shared | SIDECAR_ONLY_KEYS.get(case, set())
-    assert sidecar["options"] == SIDECAR_OPTIONS.get(case, {})
+    assert "options" not in sidecar
 
 
 GRID_SECTIONS = {"grid.frequency": "min = -1.0\nmax = 1.0\npoints = 3\n",

@@ -24,10 +24,18 @@ from fdqme.fdme import (
     thermal_propagator,
 )
 from fdqme.liouville import SIGMA_MINUS, _steady_state, left_multiplier, lindblad_dissipator, qubit_state
-from fdqme.measures import bath_measure, kl_divergence, spectral_gap, spectral_measure
+from fdqme.measures import (
+    MeasureResult,
+    backflow,
+    bath_measure,
+    kl_divergence,
+    spectral_gap,
+    spectral_measure,
+    trace_distance,
+)
 from fdqme.oracle import FullModel, build_full_model, full_steady_state
 from fdqme.redfield import Trajectory, br_evolve
-from fdqme.waveguide import WaveguideParams, waveguide_measure_sweep
+from fdqme.waveguide import WaveguideParams, resonant_eta_grid, waveguide_measure_sweep
 
 THERMAL = dict(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
 SQUEEZED = dict(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0)
@@ -79,10 +87,21 @@ CHECKS = {
                        "state is not finite"),
     "steady-state-nan": (lambda: _steady_state(_nan_decay_generator(), 2), ValueError, "steady state is not finite"),
     "purity-hermiticity": (lambda: purity([0.5, 0.5, 0, 0.5]), ValueError, "state is not Hermitian within 1e-6"),
-    "gap-method": (lambda: spectral_gap(ThermalBathParams(**THERMAL), method="median"), ValueError,
-                   "unknown method 'median'"),
     "fwhm-off-grid": (lambda: fwhm(EDGE), ValueError, "half-maximum crossings fall outside the grid"),
     "measure-gap": (lambda: spectral_measure(LINE, LINE, 0.0), ValueError, "bandwidth must be positive"),
+    # NaN and inf pass a bare sign test, so the bandwidth and the value are checked for finiteness too
+    "measure-gap-nan": (lambda: spectral_measure(LINE, LINE, np.nan), ValueError,
+                        "bandwidth must be positive and finite, got nan"),
+    "measure-gap-inf": (lambda: spectral_measure(LINE, LINE, np.inf), ValueError,
+                        "bandwidth must be positive and finite, got inf"),
+    "measure-value-nan": (lambda: MeasureResult(np.nan, "spectral"), ValueError,
+                          "measure values are nonnegative and finite, got nan"),
+    "measure-value-inf": (lambda: MeasureResult(np.inf, "spectral"), ValueError,
+                          "measure values are nonnegative and finite, got inf"),
+    # NaN passes "> 1e-8", so the Hermiticity test of a state difference is written "not <= 1e-8"
+    "trace-distance-nan": (lambda: trace_distance(qubit_state("g"), np.full((2, 2), np.nan)), ValueError,
+                           "state difference is not Hermitian within 1e-8"),
+    "backflow-nan": (lambda: backflow([0.1, np.nan, 0.3]), ValueError, "trace distances must be finite"),
     "trajectory-shape": (lambda: Trajectory(np.array([0.0, 1.0]), np.tile(qubit_state("g").reshape(-1), (3, 1))),
                          ValueError, r"states shape \(3, 4\) does not match times"),
     "waveguide-gamma": (lambda: WaveguideParams(omega0=200.0, gamma=0.0, beta=0.9), ValueError,
@@ -94,6 +113,13 @@ CHECKS = {
     # NaN passes the ordering check of the grid; the waveguide at that delay names it
     "eta-grid-nan": (lambda: waveguide_measure_sweep(WAVEGUIDE, [0.0, np.nan]), ValueError,
                      "^eta must be finite, got nan$"),
+    # a zero step would divide by zero, and a negative step or n_max would give an empty grid
+    "resonant-eta-step-zero": (lambda: resonant_eta_grid(WAVEGUIDE, 4, 0), ValueError,
+                               "^step must be at least 1, got 0$"),
+    "resonant-eta-step-negative": (lambda: resonant_eta_grid(WAVEGUIDE, 4, -1), ValueError,
+                                   "^step must be at least 1, got -1$"),
+    "resonant-eta-n-max": (lambda: resonant_eta_grid(WAVEGUIDE, -4), ValueError,
+                           "^n_max must be nonnegative, got -4$"),
     "bath-measure-type": (lambda: bath_measure(WAVEGUIDE), TypeError, "unsupported bath parameters: WaveguideParams"),
     # a non-finite Liouvillian or frame is refused when the propagator is made, before any solve
     "propagator-l0-nan": (lambda: inverse_transform(free_propagator(np.diag([0.0, np.nan, 0.0, 0.0])),
@@ -188,4 +214,7 @@ def test_valid_inputs_of_the_checks_pass():
     assert kernel_modes(ThermalBathParams(**THERMAL)).omega_ref == 120.0
     assert fwhm(LINE) == pytest.approx(1.0)
     assert spectral_measure(LINE, LINE, 1.0).value == pytest.approx(0.0, abs=1e-15)
+    assert backflow([0.1, 0.0, 0.3]) == pytest.approx(0.3)
+    assert trace_distance(qubit_state("g"), qubit_state("e")) == pytest.approx(1.0)
+    assert resonant_eta_grid(WAVEGUIDE, 0).tolist() == [0.0]
     assert inverse_transform(FP, [0.5, 0.0, 0.0, 0.5], [0.0]) == pytest.approx(np.array([[0.5, 0.0, 0.0, 0.5]]))

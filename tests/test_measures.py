@@ -130,12 +130,6 @@ def test_spectral_gap_is_smallest_decay_eigenvalue():
     assert spectral_gap(THERMAL) == pytest.approx(decay.min(), rel=1e-10)
 
 
-def test_spectral_gap_fwhm_variant():
-    assert spectral_gap(THERMAL, method="fwhm") == pytest.approx(
-        2 * effective_rates(THERMAL).gamma_eff, rel=1e-12
-    )
-
-
 def test_fwhm_of_lorentzian():
     grid = np.linspace(-50, 50, 200001)
     s = lorentzian_spectrum(grid, 0.7, 2.0)
