@@ -58,7 +58,9 @@ echo "::endgroup::"
 
 # The Born-Redfield integrator and the exact inverse transform behind the entry point,
 # at the parameters of the paper's squeezed example (r = sqrt(120^2 - 34^2)); each
-# purity_br row is the purity of the library's br_evolve run from y-, to the last digit.
+# purity_br row is the purity of the library's br_evolve run from y-, to the last digit,
+# and within 1e-10 of the tests' independent reference, tests/conftest.py's br_reference
+# (2.6e-11 at most; 5.0e-10 before br_evolve moved to the frame of the free phases).
 echo "::group::Positivity through the console script"
 cat > "$work/positivity.cfg" <<'CFG'
 [params]
@@ -77,22 +79,29 @@ points = 41
 path = positivity.csv
 CFG
 fdqme positivity --config "$work/positivity.cfg" --out "$work/positivity"
-python - "$work/positivity/positivity.csv" <<'PY'
+python - "$work/positivity/positivity.csv" "$(dirname "$0")/../tests" <<'PY'
 import sys
 import numpy as np
 from fdqme import SqueezedBathParams, br_evolve, qubit_state
+sys.path.insert(0, sys.argv[2])
+from conftest import br_reference  # scipy's DOP853 at rtol 1e-13, atol 1e-15, in the lab frame
 lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
 header, cells = lines[0].split(","), [line.split(",") for line in lines[1:]]
 assert header == ["time[1/g]", "purity_br", "purity_fdqme"] and len(cells) == 41, (header, len(cells))
 p = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=120.0, r=115.08257904652642, kappa=10.0)
-purities = br_evolve(p, qubit_state("y-"), np.linspace(0.0, 2.0, 41)).purities()
+ts = np.linspace(0.0, 2.0, 41)
+purities = br_evolve(p, qubit_state("y-"), ts).purities()
 for row, purity in zip(cells, purities):
     assert row[1] == format(purity, ".17g"), (row, purity)
 rows = [[float(x) for x in row] for row in cells]
+mats = br_reference(p, qubit_state("y-").reshape(-1), ts).reshape(-1, 2, 2)
+error = np.abs(np.array(rows)[:, 1] - np.einsum("nij,nji->n", mats, mats).real).max()
+assert error <= 1e-10, error
 br, fd = max(row[1] for row in rows), max(row[2] for row in rows)
 # Born-Redfield breaks positivity here (purity above 1); the FD-QME state stays physical
 assert br > 1.0 + 1e-4 >= fd, (br, fd)
-print(f"largest purity: Born-Redfield {br:.6f}, FD-QME {fd:.6f}; every purity_br row equal to br_evolve's")
+print(f"largest purity: Born-Redfield {br:.6f}, FD-QME {fd:.6f}; every purity_br row equal to br_evolve's, "
+      f"{error:.2e} from the scipy reference at most")
 PY
 echo "::endgroup::"
 

@@ -12,9 +12,12 @@ Both trajectories start from the state prepared at t = 0, where the running
 integral starts.  The Born-Redfield equation is linear, y' = A(t) y, so every
 DOP853 stage, step, error estimate and dense-output coefficient is a matrix
 that depends on (t, h) only.  br_evolve keeps only the exact blocks of A that
-hold the initial state (the other components stay exactly 0), builds those
-matrices for a window of equal steps as elementwise products of blocks
-stored stage-major, and propagates y with one block mat-vec per step.
+hold the initial state (the other components stay exactly 0) and integrates
+in the interaction picture of the free phases, y~ = e^{-D t} y with D the
+imaginary diagonal of the free Liouvillian, so the steps follow the bath and
+not the free rotation.  It builds the step matrices for a window of equal
+steps as elementwise products of blocks stored stage-major, and propagates y
+by their prefix products.
 
 The runs from the ground and the excited state stay on the population
 block, whose generator has zero column sums, so their trace distance is the
@@ -217,7 +220,7 @@ def _dop853_stage_table() -> np.ndarray:
 _STAGE_A = _dop853_stage_table()
 # speculative windows of equal steps: doubled after a fully accepted window,
 # halved after a rejection
-_WINDOW_MIN, _WINDOW_MAX = 4, 256
+_WINDOW_MIN, _WINDOW_MAX = 32, 256
 
 
 def _rms(v) -> float:
@@ -258,8 +261,9 @@ def _window(generator, y, edges, h_nominal):
     For a linear equation every stage is a matrix M_s with k_s = M_s y.  The
     stage matrices of all steps are stored stage-major, (16, n_blocks, m, m,
     n), so a stage combination is one GEMV and a stage product m elementwise
-    multiply-adds over all blocks and steps; only the propagation
-    y_{w+1} = P_w y_w is sequential.
+    multiply-adds over all blocks and steps.  The propagation
+    y_{w+1} = P_w y_w takes the prefix products of the step matrices P_w in
+    log2 n such rounds, not n sequential mat-vecs.
     ``generator`` gives A at the stage times of steps h_nominal long; a last
     step clipped to the end time gets its own.
     Returns the states at the edges (n_blocks, m, n + 1), the error norm of
@@ -284,11 +288,14 @@ def _window(generator, y, edges, h_nominal):
         if s == _N_STAGES:  # the stage at t + h: its step matrix maps y to y_new
             prop = step
         mats[s] = _block_product(a_t[s], step)
-    steps = np.moveaxis(prop, -1, 0)  # (n, n_blocks, m, m)
+    # prefix products P_w ... P_0 by a Hillis-Steele scan, so y_{w+1} = P_w ... P_0 y
+    k = 1
+    while k < n:
+        prop[..., k:] = _block_product(prop[..., k:], prop[..., :-k])
+        k *= 2
     ys = np.empty((n_blocks, m, n + 1), dtype=complex)
     ys[..., 0] = y
-    for w in range(n):
-        ys[..., w + 1] = (steps[w] @ ys[..., w, None])[..., 0]
+    ys[..., 1:] = _block_product(prop, y[..., None, None])[..., 0, :]
     hk = _block_product(mats, ys[..., None, :-1])[..., 0, :]  # stage vectors times h
     scale = ODE_ATOL + np.maximum(np.abs(ys[..., :-1]), np.abs(ys[..., 1:])) * ODE_RTOL
     scaled = (_ERROR @ hk[:13].reshape(13, -1)).reshape((2,) + scale.shape) / scale
@@ -372,6 +379,12 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     y' = A(t) y with A(t) = G_inf - sum_k B_k e^{lambda_k t}, so DOP853
     (tolerances ODE_RTOL and ODE_ATOL) runs on step matrices of the exact
     blocks of A that hold rho0; the other components stay exactly 0.
+    It integrates y~ = e^{-D t} y, D = i Im diag(free Liouvillian), whose
+    generator e^{-D t} (A - D) e^{D t} is again a sum of exponentials: entry
+    (i, j) of every term turns at d_j - d_i more.  D is the free rotation
+    alone, so a real (non-Hermitian) free part stays in the generator, and
+    |y~_i| = |y_i| keeps the step control's tolerances as they are; the
+    states are turned back by e^{D t} at t_grid.
     Raises RuntimeError on step-size underflow.  The trajectory's
     ``diagnostics`` count accepted steps, rejected steps and windows.
     """
@@ -393,16 +406,29 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     keep = np.any(basis != 0, axis=1)  # the pairs that act on the held blocks
     lam = lams[mode[keep], col[keep]]
     basis_t = basis[keep].T
-    g_held = g_inf[rows, cols].reshape(-1, 1)
+    # the free phases d: y~ = e^{-D t} y obeys y~' = e^{-D t} (A - D) e^{D t} y~, whose entry
+    # (i, j) turns at s = d_j - d_i; G_inf - D is a term of rate s, and every other rate shifts by s
+    free_phases = 1j * free_liouvillian(p).diagonal().imag
+    phases = free_phases[held]
+    shift = (phases[:, None, :] - phases[:, :, None]).reshape(-1)
+    g_held = (g_inf - np.diag(free_phases))[rows, cols].reshape(-1)
 
     def generator(starts, offsets):
-        # e^{lambda (t + c)} = e^{lambda c} e^{lambda t}: the offset factors scale the basis
-        coef = basis_t * np.exp(np.multiply.outer(offsets, lam))[:, None, :]  # (offsets, block entries, pairs)
-        terms = coef.reshape(offsets.size * g_held.size, lam.size) @ np.exp(np.multiply.outer(lam, starts))
-        return g_held - terms.reshape(offsets.size, g_held.size, starts.size)
+        # a term of rate r = lambda + s at t + c is e^{r c} e^{lambda t} e^{s t}: the offset
+        # factors scale the basis, and each entry's e^{s t} scales the sum
+        turn = np.exp(np.multiply.outer(offsets, shift))  # (offsets, block entries)
+        coef = basis_t * np.exp(np.multiply.outer(offsets, lam))[:, None, :] * turn[..., None]
+        terms = coef.reshape(offsets.size * shift.size, lam.size) @ np.exp(np.multiply.outer(lam, starts))
+        terms = terms.reshape(offsets.size, shift.size, starts.size)
+        # in place: where the heap is trimmed after each window, a fresh array this size costs more in
+        # page faults than in arithmetic
+        np.subtract((g_held * turn)[..., None], terms, out=terms)
+        terms *= np.exp(np.multiply.outer(shift, starts))
+        return terms
 
     states = np.zeros((t_grid.size, 4), dtype=complex)
-    states[:, held], counts = _integrate_linear(generator, rho0[held], t_grid)
+    held_states, counts = _integrate_linear(generator, rho0[held], t_grid)
+    states[:, held] = held_states * np.exp(np.multiply.outer(t_grid, phases))
     return Trajectory(times=t_grid, states=states, diagnostics=counts)
 
 

@@ -68,9 +68,13 @@ def resonant_eta_grid(p: WaveguideParams, n_max: int, step: int = 1) -> np.ndarr
     """Retardation values with an integer number of wavelengths between the qubits.
 
     Returns eta_n = 2 pi n gamma / omega0 for n = 0, step, 2 step, ..., n_max.
+    n_max and step must be integers in value: a fractional count of wavelengths is no resonance.
     """
     if p.omega0 <= 0:
         raise ValueError(f"omega0 must be positive for resonant delays, got {p.omega0}")
+    for name, value in (("n_max", n_max), ("step", step)):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value}")
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step}")
     if n_max < 0:

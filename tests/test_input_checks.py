@@ -120,6 +120,13 @@ CHECKS = {
                                    "^step must be at least 1, got -1$"),
     "resonant-eta-n-max": (lambda: resonant_eta_grid(WAVEGUIDE, -4), ValueError,
                            "^n_max must be nonnegative, got -4$"),
+    # before the integer check, step 1.5 gave 0, 1.5 and 3 wavelengths: delays that are not resonant
+    "resonant-eta-step-fractional": (lambda: resonant_eta_grid(WAVEGUIDE, 3, 1.5), ValueError,
+                                     "^step must be an integer, got 1.5$"),
+    "resonant-eta-n-max-fractional": (lambda: resonant_eta_grid(WAVEGUIDE, 2.5), ValueError,
+                                      "^n_max must be an integer, got 2.5$"),
+    "resonant-eta-step-nan": (lambda: resonant_eta_grid(WAVEGUIDE, 4, np.nan), ValueError,
+                              "^step must be an integer, got nan$"),
     "bath-measure-type": (lambda: bath_measure(WAVEGUIDE), TypeError, "unsupported bath parameters: WaveguideParams"),
     # a non-finite Liouvillian or frame is refused when the propagator is made, before any solve
     "propagator-l0-nan": (lambda: inverse_transform(free_propagator(np.diag([0.0, np.nan, 0.0, 0.0])),
@@ -217,4 +224,5 @@ def test_valid_inputs_of_the_checks_pass():
     assert backflow([0.1, 0.0, 0.3]) == pytest.approx(0.3)
     assert trace_distance(qubit_state("g"), qubit_state("e")) == pytest.approx(1.0)
     assert resonant_eta_grid(WAVEGUIDE, 0).tolist() == [0.0]
+    assert resonant_eta_grid(WAVEGUIDE, 3, 1).tolist() == pytest.approx([2.0 * np.pi * n / 200.0 for n in range(4)])
     assert inverse_transform(FP, [0.5, 0.0, 0.0, 0.5], [0.0]) == pytest.approx(np.array([[0.5, 0.0, 0.0, 0.5]]))
