@@ -220,9 +220,10 @@ print(f"spectral measure along kappa: log-log slope {slope:.4f}, every row equal
 PY
 echo "::endgroup::"
 
-# The delay sweep of the waveguide example: the measure at each resonant
-# separation, with the sweep's summary values in the CSV comments, exactly 0 at
-# eta = 0 and the closed-form bandwidth gamma (1 + beta).
+# The delay sweep of the waveguide example: each row is the library's
+# waveguide_measure_sweep value at its resonant separation, to the last digit,
+# with the sweep's summary values in the CSV comments, exactly 0 at eta = 0 and
+# the closed-form bandwidth gamma (1 + beta).
 echo "::group::measure-sweep (eta axis) through the console script"
 cat > "$work/eta.cfg" <<'CFG'
 [params]
@@ -238,16 +239,22 @@ CFG
 fdqme measure-sweep --config "$work/eta.cfg" --out "$work/eta"
 python - "$work/eta/eta.csv" <<'PY'
 import sys
+from fdqme import WaveguideParams, resonant_eta_grid, waveguide_measure_sweep
 lines = open(sys.argv[1]).read().splitlines()
 comments = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
 body = [line for line in lines if not line.startswith("#")]
-header, rows = body[0].split(","), [[float(x) for x in line.split(",")] for line in body[1:]]
-assert header == ["eta", "spectral_measure"] and len(rows) == 5, (header, len(rows))
+header, cells = body[0].split(","), [line.split(",") for line in body[1:]]
+assert header == ["eta", "spectral_measure"] and len(cells) == 5, (header, len(cells))
+p = WaveguideParams(200.0, 1.0, 0.9)
+sweep = waveguide_measure_sweep(p, resonant_eta_grid(p, 8, 2))
+for (eta, ns), eta_lib, ns_lib in zip(cells, sweep["eta"], sweep["values"]):
+    assert (eta, ns) == (format(eta_lib, ".17g"), format(ns_lib, ".17g")), (eta, ns)
+rows = [[float(x) for x in row] for row in cells]
 assert {"markov_bandwidth", "eta_max", "saturation"} <= comments.keys(), comments
 # eta = 0 is the Markovian reference itself; any delay adds memory
 assert rows[0][1] == 0.0 and rows[-1][1] > 1e-12, rows
 assert comments["markov_bandwidth"] == format(1.9, ".17g"), comments["markov_bandwidth"]
-print(f"spectral measure along eta: {[row[1] for row in rows]}")
+print(f"spectral measure along eta: {[row[1] for row in rows]}, every row equal to waveguide_measure_sweep")
 PY
 echo "::endgroup::"
 

@@ -7,13 +7,13 @@ positive even where the trace-distance (BLP-style) measure reads exactly
 zero, and it reads zero for any map whose spectrum is exactly Markovian even
 when positivity violations trip the BLP diagnostic.
 
-``bath_measure`` integrates a thermal or squeezed bath's closed-form line over
-the whole detuning axis by Gauss-Legendre panels in theta, where delta =
-delta_eff + gamma_eff tan(theta) makes the Markov Lorentzian the constant 1/pi.
-The relative difference of its 32- and 64-node rules is its error estimate,
-and one above QUADRATURE_RTOL raises a ``ValueError``.  The waveguide's
-delay sweep sums its line the same way (``waveguide.waveguide_measure_sweep``),
-and ``kl_divergence`` and ``spectral_measure`` serve spectra on a grid.
+Every measure is summed by one quadrature core on panels in theta, where
+the line's reference is flat: ``rule_ratios`` evaluates the line over the
+reference at the nodes of an n- and a 2n-node rule, and ``panel_divergence``
+sums both rules and raises a ``ValueError`` if they differ by more than
+QUADRATURE_RTOL.  ``bath_measure`` maps a bath's closed-form line by
+delta = delta_eff + gamma_eff tan(theta), where its Markov Lorentzian is 1/pi;
+the waveguide's delay sweep brings its own map and adaptive panels.
 ``backflow`` sums the positive increments of a trace distance, whether
 ``blp_measure`` forms it from two trajectories or ``redfield.br_ge_distance``
 in closed form.
@@ -28,24 +28,20 @@ import numpy as np
 
 from .baths import ThermalBathParams, _rates, _squeezed_line, _thermal_line, bogoliubov_params
 from .baths import free_liouvillian, kernel_modes
-from .fdme import Spectrum
 from .liouville import devectorize
-from .redfield import Trajectory, bm_induced_generator
+from .redfield import Trajectory, _markov_generator
 
 __all__ = [
     "MeasureResult",
-    "kl_divergence",
     "spectral_gap",
-    "spectral_measure",
     "bath_measure",
     "trace_distance",
     "backflow",
     "blp_measure",
 ]
 
-TAIL_CUTOFF_REL = 1e-12
 # Gauss-Legendre nodes per panel of bath_measure's coarse rule (the reported rule has twice as
-# many), and the largest relative difference between the two rules that it accepts
+# many), and the largest relative difference between the two rules that a measure accepts
 PANEL_NODES = 32
 QUADRATURE_RTOL = 1e-6
 
@@ -63,39 +59,24 @@ class MeasureResult:
             raise ValueError(f"measure values are nonnegative and finite, got {self.value}")
 
 
-def kl_divergence(s: Spectrum, s_ref: Spectrum) -> float:
-    """Relative entropy (base 2) between unit-area spectra on a common grid.
-
-    Points where the signal density p is below 1e-12 of its peak are
-    dropped, whatever the reference there, since p log(p / q) -> 0 as
-    p -> 0; a vanishing reference under appreciable signal is an error.
-    """
-    if not (s.normalized and s_ref.normalized):
-        raise ValueError("both spectra must be normalized to unit area")
-    if s.grid.shape != s_ref.grid.shape or not np.array_equal(s.grid, s_ref.grid):
-        raise ValueError("spectra are not on a common grid")
-    p = s.values
-    q = s_ref.values
-    live = p > TAIL_CUTOFF_REL * p.max()
-    if np.any(live & (q <= 0.0)):
-        raise ValueError("reference spectrum vanishes where the signal does not")
-    integrand = np.zeros_like(p)
-    integrand[live] = p[live] * np.log2(p[live] / q[live])
-    val = float(np.trapezoid(integrand, s.grid))
-    if val < -1e-9:
-        raise ValueError(f"relative entropy came out {val:.3e} < 0; spectra are inconsistent")
-    return max(val, 0.0)
-
-
 def spectral_gap(p) -> float:
     """Markovian bandwidth of the reduced system.
 
     The smallest nonzero decay rate (|Re|) among the eigenvalues of the
-    Markov-limit generator; for the thermal qubit this is the coherence
-    decay rate gamma_eff.
+    Markov-limit generator ``free_liouvillian(p) + bm_induced_generator(p)``;
+    for the thermal qubit this is the coherence decay rate gamma_eff.  For
+    the squeezed bath that generator leaves out the sum-frequency modes,
+    while the measure's line and its Markov Lorentzian keep them.  At
+    delta_q = 200, delta_c = 320, kappa = 10 the gap of the full mode table,
+    which equals gamma_eff to 5e-12, exceeds this one by 0.56% at r = 115,
+    0.06% at r = 250 and 39% at r = 300 (4.668e-3 against 3.356e-3).
     """
-    gen = free_liouvillian(p) + bm_induced_generator(p)
-    decay = np.abs(np.real(np.linalg.eigvals(gen)))
+    return _gap(p, kernel_modes(p, include_sum_frequency=False))
+
+
+def _gap(p, modes) -> float:
+    """``spectral_gap`` with the Markov-limit generator of a mode table."""
+    decay = np.abs(np.real(np.linalg.eigvals(free_liouvillian(p) + _markov_generator(modes))))
     scale = decay.max()
     if scale <= 0:
         raise ValueError("generator is purely unitary; no spectral gap")
@@ -105,20 +86,7 @@ def spectral_gap(p) -> float:
     return float(nonzero.min())
 
 
-def spectral_measure(s: Spectrum, s_m: Spectrum, gap: float) -> MeasureResult:
-    """Relative entropy per unit Markovian bandwidth; zero iff the spectra match."""
-    if not 0 < gap < np.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {gap}")
-    value = kl_divergence(s, s_m) / gap
-    return MeasureResult(
-        value=value,
-        method="spectral",
-        metadata={"gap": gap, "grid_points": int(s.grid.size),
-                  "grid_span": (float(s.grid[0]), float(s.grid[-1]))},
-    )
-
-
-# Newton steps of _gauss_legendre: four reach machine precision for n up to 256
+# Newton steps of gauss_legendre: four reach machine precision for n up to 256
 _NEWTON_STEPS = 6
 
 
@@ -131,7 +99,7 @@ def _legendre(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (increasing) and weights of the n-point Gauss-Legendre rule on [-1, 1], cached per n, read-only.
 
     Newton's method on the Legendre recurrence from the asymptotic guesses
@@ -148,6 +116,54 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.setflags(write=False)
     weights.setflags(write=False)
     return x, weights
+
+
+def rule_ratios(lo, hi, rules, ratio) -> list[np.ndarray]:
+    """``ratio`` at the nodes mid + half x of both rules on the panels [lo, hi], one (panels, nodes) array per rule.
+
+    ``rules`` holds the n- and 2n-node (x, w) on [-1, 1]; one call of ``ratio`` takes both rules' nodes.
+    """
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    theta = np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x, _ in rules])
+    return [r.reshape(mid.size, -1) for r in np.split(ratio(theta), [mid.size * rules[0][0].size])]
+
+
+def panel_divergence(lo, hi, rules, ratios, weigh) -> tuple[float, dict]:
+    """Relative entropy (bits) of a line from a flat reference on the panels [lo, hi], by the n- and 2n-node rules.
+
+    ``ratios`` is the line over the reference at each rule's nodes
+    (``rule_ratios``), and ``weigh(half, w)`` turns a rule's weights w into
+    weights against the unit-area reference on panels of half width
+    ``half``.  Returns the 2n-node value with ``n_nodes``, ``z_minus_1``
+    (the line's area less 1) and ``quadrature_rel_diff``, the relative
+    difference of the two rules.  A negative or non-finite ratio, or a
+    difference above QUADRATURE_RTOL, raises a ``ValueError``.
+    """
+    if not all(np.all(r >= 0.0) for r in ratios):
+        raise ValueError("closed-form line is negative or not finite at a quadrature node")
+    half = 0.5 * (hi - lo)
+    (kl_n, _), (kl, z) = (_divergence_bits(weigh(half, w).ravel(), r.ravel()) for r, (_, w) in zip(ratios, rules))
+    rel_diff = abs(kl - kl_n) / kl if kl > 0 else abs(kl - kl_n)
+    if not rel_diff <= QUADRATURE_RTOL:
+        n = rules[0][0].size
+        raise ValueError(f"mapped quadrature did not converge: {n} and {2 * n} nodes per panel differ by "
+                         f"{rel_diff:.2e} (relative) > {QUADRATURE_RTOL:.0e}")
+    return kl, {"n_nodes": int(ratios[1].size), "z_minus_1": z - 1.0, "quadrature_rel_diff": rel_diff}
+
+
+def _divergence_bits(weights, r) -> tuple[float, float]:
+    """Relative entropy (bits) of a line from its reference under one quadrature rule, and the line's area z.
+
+    ``r`` is the line over the reference at the nodes and ``weights`` the
+    rule's weights against the unit-area reference.  The divergence
+    A/z - log2 z, A = sum weights r log2 r, is summed as sum weights
+    (s ln s - s + 1) / ln 2 with s = r/z: the same value, with a nonnegative
+    integrand.
+    """
+    z = float(weights @ r)
+    s = r / z
+    s_log_s = s * np.log(np.where(s > 0.0, s, 1.0))
+    return float(weights @ (s_log_s - s + 1.0) / np.log(2.0)), z
 
 
 def _panel_cuts(p, modes, rates) -> np.ndarray:
@@ -184,55 +200,26 @@ def _ratio_steps(start: float, stop: float) -> np.ndarray:
     return start * 8.0 ** np.arange(max(steps, 0) + 1)
 
 
-def _mapped_divergence(p, n: int) -> tuple[float, dict]:
-    """Relative entropy (bits) of p's normalized closed-form line from its Markov Lorentzian q.
+def _mapped_divergence(p, modes, n: int) -> tuple[float, dict]:
+    """Relative entropy (bits) of p's normalized closed-form line from its Markov Lorentzian q, both from ``modes``.
 
-    In theta q is 1/pi, so r = line / q is summed by ``_divergence_bits``
-    against weights dtheta / pi.  Each panel of ``_panel_cuts`` takes n and
-    2n Gauss-Legendre nodes; the 2n value is returned with its metadata, and
-    a relative difference above QUADRATURE_RTOL raises.
+    In theta q is 1/pi, so ``panel_divergence`` sums r = line / q against
+    weights dtheta / pi, on the panels of ``_panel_cuts`` with n and 2n
+    Gauss-Legendre nodes each.
     """
-    modes = kernel_modes(p)
     rates = _rates(modes)
     if rates.gamma_eff <= 0:
         raise ValueError(f"gamma_eff must be positive, got {rates.gamma_eff}")
     line = _thermal_line if isinstance(p, ThermalBathParams) else _squeezed_line
+
+    def ratio(theta):  # r = p / q, with q = 1 / (pi gamma_eff (1 + tan^2)) the Markov Lorentzian at the node
+        tan = np.tan(theta)
+        return line(modes, rates.delta_eff + rates.gamma_eff * tan) * (np.pi * rates.gamma_eff) * (1.0 + tan * tan)
+
     cuts = _panel_cuts(p, modes, rates)
-    mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
-    rules = [_gauss_legendre(m) for m in (n, 2 * n)]
-    tan = np.tan(np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x, _ in rules]))
-    # r = p / q, with q = 1 / (pi gamma_eff (1 + tan^2)) the Markov Lorentzian at the node
-    ratio = line(modes, rates.delta_eff + rates.gamma_eff * tan) * (np.pi * rates.gamma_eff) * (1.0 + tan * tan)
-    if not np.all(ratio >= 0.0):
-        raise ValueError("closed-form line is negative or not finite at a quadrature node")
-    (kl_n, _), (kl, z) = (_divergence_bits((half[:, None] * w).ravel() / np.pi, r)
-                          for r, (_, w) in zip(np.split(ratio, [mid.size * n]), rules))
-    rel_diff = _rule_difference(kl_n, kl, n)
-    return kl, {"n_nodes": int(mid.size * 2 * n), "z_minus_1": z - 1.0, "quadrature_rel_diff": rel_diff}
-
-
-def _divergence_bits(weights, r) -> tuple[float, float]:
-    """Relative entropy (bits) of a line from its reference under one quadrature rule, and the line's area z.
-
-    ``r`` is the line over the reference at the nodes and ``weights`` the
-    rule's weights against the unit-area reference.  The divergence
-    A/z - log2 z, A = sum weights r log2 r, is summed as sum weights
-    (s ln s - s + 1) / ln 2 with s = r/z: the same value, with a nonnegative
-    integrand.
-    """
-    z = float(weights @ r)
-    s = r / z
-    s_log_s = s * np.log(np.where(s > 0.0, s, 1.0))
-    return float(weights @ (s_log_s - s + 1.0) / np.log(2.0)), z
-
-
-def _rule_difference(kl_n: float, kl: float, n: int) -> float:
-    """Relative difference of the n- and 2n-node divergences; above QUADRATURE_RTOL it raises."""
-    rel_diff = abs(kl - kl_n) / kl if kl > 0 else abs(kl - kl_n)
-    if not rel_diff <= QUADRATURE_RTOL:
-        raise ValueError(f"mapped quadrature did not converge: {n} and {2 * n} nodes per panel differ by "
-                         f"{rel_diff:.2e} (relative) > {QUADRATURE_RTOL:.0e}")
-    return rel_diff
+    lo, hi = cuts[:-1], cuts[1:]
+    rules = [gauss_legendre(m) for m in (n, 2 * n)]
+    return panel_divergence(lo, hi, rules, rule_ratios(lo, hi, rules, ratio), lambda half, w: half[:, None] * w / np.pi)
 
 
 def bath_measure(p) -> MeasureResult:
@@ -246,10 +233,14 @@ def bath_measure(p) -> MeasureResult:
     holds ``gap``, ``n_nodes``, ``z_minus_1`` (the line's area less 1) and
     ``quadrature_rel_diff``, the relative difference of the two rules, which
     is the error estimate.  A difference above QUADRATURE_RTOL (1e-6) raises
-    a ``ValueError``.
+    a ``ValueError``.  The thermal line and its gap share one mode table.  The
+    squeezed gap keeps the table without sum-frequency modes and the line the
+    full one: the gap is 0.56% below the full table's at r = 115 and 39% below
+    at r = 300 (``spectral_gap`` gives the bath).
     """
-    gap = spectral_gap(p)
-    kl, metadata = _mapped_divergence(p, PANEL_NODES)
+    modes = kernel_modes(p)
+    gap = _gap(p, modes if isinstance(p, ThermalBathParams) else kernel_modes(p, include_sum_frequency=False))
+    kl, metadata = _mapped_divergence(p, modes, PANEL_NODES)
     return MeasureResult(value=kl / gap, method="spectral", metadata={"gap": gap, **metadata})
 
 

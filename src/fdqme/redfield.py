@@ -101,12 +101,10 @@ def _time_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
-def _column_modes(p, include_sum_frequency):
-    """Mode table plus the frequency of each (mode, column) pair under e^{-Ls s}."""
-    modes = kernel_modes(p, include_sum_frequency)
+def _column_nus(modes):
+    """Frequency of each (mode, column) pair of a mode table under e^{-Ls s}."""
     # columns rotate with the free phases (0, -w, +w, 0) under e^{-Ls s}
-    nus = modes.mus[:, None] + np.array([0.0, -modes.omega_ref, modes.omega_ref, 0.0])
-    return modes, nus
+    return modes.mus[:, None] + np.array([0.0, -modes.omega_ref, modes.omega_ref, 0.0])
 
 
 def _running_generator(p, include_sum_frequency):
@@ -116,7 +114,8 @@ def _running_generator(p, include_sum_frequency):
     E = coef / (kappa - i nu) and lambda = -kappa + i nu, so the generator is
     the free Liouvillian plus the residues' sum, less the decaying terms.
     """
-    modes, nus = _column_modes(p, include_sum_frequency)
+    modes = kernel_modes(p, include_sum_frequency)
+    nus = _column_nus(modes)
     residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
     return -modes.kappa + 1j * nus, residues, free_liouvillian(p) + residues.sum(axis=0)
 
@@ -133,8 +132,12 @@ def br_induced_generator(p, t: float, include_sum_frequency: bool = False) -> np
 
 def bm_induced_generator(p, include_sum_frequency: bool = False) -> np.ndarray:
     """Markov-limit induced generator (running integral frozen at infinity)."""
-    modes, nus = _column_modes(p, include_sum_frequency)
-    return np.einsum("kij,kj->ij", modes.coef, 1.0 / (modes.kappa - 1j * nus))
+    return _markov_generator(kernel_modes(p, include_sum_frequency))
+
+
+def _markov_generator(modes) -> np.ndarray:
+    """``bm_induced_generator`` of a mode table."""
+    return np.einsum("kij,kj->ij", modes.coef, 1.0 / (modes.kappa - 1j * _column_nus(modes)))
 
 
 # The DOP853 tableau (Hairer, Norsett & Wanner, II.5) with scipy.integrate.DOP853's

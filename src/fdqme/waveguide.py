@@ -6,9 +6,9 @@ imprints repeating Fano interference features spaced by 2 pi gamma / eta on
 the emission line.  The spectrum follows from the closed-form emitted-field
 amplitude, conditioned on detecting the photon in the right-moving mode.
 The delay sweep's measure needs no grid: it sums the line against its
-eta = 0 reference by adaptive Gauss-Legendre panels in theta, where
-omega = omega0 + h tan(theta) makes the reference flat, cut at the zeros
-of the line.
+eta = 0 reference through the quadrature core of ``measures``, on adaptive
+Gauss-Legendre panels in theta, where omega = omega0 + h tan(theta) makes
+the reference flat, cut at the zeros of the line.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .baths import _require_finite
 from .fdme import Spectrum, make_spectrum
-from .measures import _divergence_bits, _gauss_legendre, _rule_difference
+from .measures import gauss_legendre, panel_divergence, rule_ratios
 
 __all__ = [
     "WaveguideParams",
@@ -143,29 +143,30 @@ def _graded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     of the line, becomes one that goes as t^5 ln t, which the rule sums to
     high order.
     """
-    t, w = _gauss_legendre(n)
+    t, w = gauss_legendre(n)
     return 0.5 * t * (3.0 - t * t), 1.5 * w * (1.0 - t * t)
 
 
-def _band_divergence(p: WaveguideParams, n: int, rounds: int) -> float:
+def _band_divergence(p: WaveguideParams, n: int, rounds: int) -> tuple[float, dict]:
     """Relative entropy (bits) of p's line from its eta = 0 reference, both normalized on the band.
 
     The band is |omega - omega0| <= MEASURE_BAND gamma.  With omega =
     omega0 + h tan(theta) and h = gamma (1 + beta) / 2, the half width of
     the reference Lorentzian, the reference is flat in theta, so
-    ``_divergence_bits`` sums the line ratio against weights
+    ``measures.panel_divergence`` sums the line ratio against weights
     dtheta / (2 theta_band).  Panels are cut at the band's ends, at the core
     omega0 +/- {1, 4, 30} h and at every odd multiple of pi gamma / eta, the
     zeros of the vertex factor cos(eta omega / 2 gamma), so each period of
     the comb is one panel with a zero of the line at each end.  Each panel
     takes the n- and 2n-node ``_graded_rule``; for up to ``rounds`` rounds,
     every panel whose two rules' integrals of the ratio differ by more than
-    _SPLIT_RTOL of the total is halved.  The 2n value is returned, and a
-    relative difference of the two rules' divergences above
-    QUADRATURE_RTOL raises.  At eta = 0 the line is its reference: 0.0.
+    _SPLIT_RTOL of the total is halved.  The 2n value is returned with
+    ``panel_divergence``'s metadata, and a relative difference of the two
+    rules' divergences above QUADRATURE_RTOL raises.  At eta = 0 the line
+    is its reference: 0.0, from no nodes.
     """
     if p.eta == 0.0:
-        return 0.0
+        return 0.0, {"n_nodes": 0, "z_minus_1": 0.0, "quadrature_rel_diff": 0.0}
     h = 0.5 * p.gamma * (1.0 + p.beta)
     band = MEASURE_BAND * p.gamma
     period = 2.0 * np.pi * p.gamma / p.eta
@@ -176,8 +177,7 @@ def _band_divergence(p: WaveguideParams, n: int, rounds: int) -> float:
     rules = [_graded_rule(m) for m in (n, 2 * n)]
 
     def ratios(lo, hi):  # the line ratio at each rule's nodes, (panels, nodes) per rule
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return [_line_ratio(p, mid[:, None] + half[:, None] * x, h) for x, _ in rules]
+        return rule_ratios(lo, hi, rules, lambda theta: _line_ratio(p, theta, h))
 
     lo, hi = edges[:-1], edges[1:]
     values = ratios(lo, hi)
@@ -191,10 +191,7 @@ def _band_divergence(p: WaveguideParams, n: int, rounds: int) -> float:
         values = [np.concatenate([r[~split], r_new]) for r, r_new in zip(values, ratios(new_lo, new_hi))]
         lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
     span = 2.0 * edges[-1]
-    (kl_n, _), (kl, _) = (_divergence_bits(((0.5 * (hi - lo) / span)[:, None] * w).ravel(), r.ravel())
-                          for r, (_, w) in zip(values, rules))
-    _rule_difference(kl_n, kl, n)
-    return kl
+    return panel_divergence(lo, hi, rules, values, lambda half, w: (half / span)[:, None] * w)
 
 
 def waveguide_measure_sweep(p: WaveguideParams, eta_grid) -> dict:
@@ -210,14 +207,16 @@ def waveguide_measure_sweep(p: WaveguideParams, eta_grid) -> dict:
     the two rules differ by more than QUADRATURE_RTOL.  Returns the sweep's
     ``eta`` and measure ``values``, the interior maximum position
     ``eta_max``, the large-eta ``saturation`` estimate (mean of the top
-    quartile of the sweep range) and the ``markov_bandwidth``.
+    quartile of the sweep range) and the ``markov_bandwidth``, plus the
+    quadrature's per-eta ``n_nodes`` and ``quadrature_rel_diff`` (0 and 0.0
+    at eta = 0, which needs no quadrature).
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
     if eta_grid.ndim != 1 or eta_grid.size < 2 or np.any(np.diff(eta_grid) <= 0):
         raise ValueError("eta_grid must be strictly increasing with at least 2 points")
     gap = p.gamma * (1.0 + p.beta)
-    values = np.array([_band_divergence(replace(p, eta=float(eta)), _BAND_NODES, _SPLIT_ROUNDS) / gap
-                       for eta in eta_grid])
+    sums = [_band_divergence(replace(p, eta=float(eta)), _BAND_NODES, _SPLIT_ROUNDS) for eta in eta_grid]
+    values = np.array([kl / gap for kl, _ in sums])
     eta_max = float(eta_grid[int(np.argmax(values))])
     quart = eta_grid >= eta_grid[0] + 0.75 * (eta_grid[-1] - eta_grid[0])
     saturation = float(values[quart].mean())
@@ -227,4 +226,6 @@ def waveguide_measure_sweep(p: WaveguideParams, eta_grid) -> dict:
         "eta_max": eta_max,
         "saturation": saturation,
         "markov_bandwidth": gap,
+        "n_nodes": np.array([metadata["n_nodes"] for _, metadata in sums]),
+        "quadrature_rel_diff": np.array([metadata["quadrature_rel_diff"] for _, metadata in sums]),
     }

@@ -14,7 +14,7 @@ from fdqme.baths import (
     free_liouvillian,
     kernel_modes,
 )
-from fdqme.fdme import make_spectrum, steady_state
+from fdqme.fdme import Spectrum, make_spectrum, steady_state
 from fdqme.liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -26,6 +26,7 @@ from fdqme.liouville import (
     lindblad_dissipator,
     squeeze_dissipator,
 )
+from fdqme.measures import MeasureResult
 
 
 def one_sided_transform(time_fn, omega, kappa, points_per_period: int = 80):
@@ -117,6 +118,48 @@ def full_assembly_emission_spectrum(fp, grid):
     x = np.linalg.solve(m, np.broadcast_to(src[block, None], grid.shape + (block.size, 1)))
     raw = 2.0 * np.real(x[..., 0] @ SIGMA_MINUS.reshape(-1).conj()[block])
     return make_spectrum(grid, raw)
+
+
+# the grid measure drops points where the signal density is below this fraction of its peak
+TAIL_CUTOFF_REL = 1e-12
+
+
+def kl_divergence(s: Spectrum, s_ref: Spectrum) -> float:
+    """Relative entropy (base 2) between unit-area spectra on a common grid, by the trapezoid.
+
+    The independent grid reference of the library's quadrature measure.
+    Points where the signal density p is below 1e-12 of its peak are
+    dropped, whatever the reference there, since p log(p / q) -> 0 as
+    p -> 0; a vanishing reference under appreciable signal is an error.
+    """
+    if not (s.normalized and s_ref.normalized):
+        raise ValueError("both spectra must be normalized to unit area")
+    if s.grid.shape != s_ref.grid.shape or not np.array_equal(s.grid, s_ref.grid):
+        raise ValueError("spectra are not on a common grid")
+    p = s.values
+    q = s_ref.values
+    live = p > TAIL_CUTOFF_REL * p.max()
+    if np.any(live & (q <= 0.0)):
+        raise ValueError("reference spectrum vanishes where the signal does not")
+    integrand = np.zeros_like(p)
+    integrand[live] = p[live] * np.log2(p[live] / q[live])
+    val = float(np.trapezoid(integrand, s.grid))
+    if val < -1e-9:
+        raise ValueError(f"relative entropy came out {val:.3e} < 0; spectra are inconsistent")
+    return max(val, 0.0)
+
+
+def spectral_measure(s: Spectrum, s_m: Spectrum, gap: float) -> MeasureResult:
+    """Grid relative entropy per unit Markovian bandwidth; zero iff the spectra match."""
+    if not 0 < gap < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {gap}")
+    value = kl_divergence(s, s_m) / gap
+    return MeasureResult(
+        value=value,
+        method="spectral",
+        metadata={"gap": gap, "grid_points": int(s.grid.size),
+                  "grid_span": (float(s.grid[0]), float(s.grid[-1]))},
+    )
 
 
 def fwhm(s) -> float:

@@ -7,7 +7,7 @@ per criterion with the measured numbers.
 import time
 
 import numpy as np
-from conftest import fwhm, locate_peak
+from conftest import fwhm, locate_peak, spectral_measure
 
 from fdqme.baths import (
     SQUEEZED_STRUCTURE,
@@ -35,7 +35,7 @@ from fdqme.fdme import (
     thermal_propagator,
 )
 from fdqme.liouville import qubit_state
-from fdqme.measures import bath_measure, blp_measure, spectral_gap, spectral_measure
+from fdqme.measures import bath_measure, blp_measure, spectral_gap
 from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import bm_evolve, br_evolve, br_spectrum
 from fdqme.waveguide import (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import fwhm
+from conftest import fwhm, kl_divergence, spectral_measure
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
@@ -28,9 +28,7 @@ from fdqme.measures import (
     MeasureResult,
     backflow,
     bath_measure,
-    kl_divergence,
     spectral_gap,
-    spectral_measure,
     trace_distance,
 )
 from fdqme.oracle import FullModel, build_full_model, full_steady_state

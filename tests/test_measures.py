@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import fwhm
+from conftest import fwhm, kl_divergence, spectral_measure
 import fdqme
-from fdqme import measures
+from fdqme import baths, measures
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
@@ -29,12 +29,10 @@ from fdqme.measures import (
     backflow,
     bath_measure,
     blp_measure,
-    kl_divergence,
     spectral_gap,
-    spectral_measure,
     trace_distance,
 )
-from fdqme.measures import PANEL_NODES, _gauss_legendre, _mapped_divergence
+from fdqme.measures import PANEL_NODES, _mapped_divergence, gauss_legendre
 from fdqme.redfield import bm_evolve, br_evolve
 
 THERMAL = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 50.0, kappa=10.0, nbar=0.1)
@@ -238,26 +236,50 @@ def test_bath_measure_matches_adaptive_quadrature_over_the_whole_line(p):
 def test_gauss_legendre_nodes_and_weights_match_numpy(n):
     from numpy.polynomial.legendre import leggauss
 
-    nodes, weights = _gauss_legendre(n)
+    nodes, weights = gauss_legendre(n)
     ref_nodes, ref_weights = leggauss(n)
     assert np.abs(nodes - ref_nodes).max() < 1e-14
     assert np.abs(weights - ref_weights).max() < 1e-14
-    assert _gauss_legendre(n) is _gauss_legendre(n)
+    assert gauss_legendre(n) is gauss_legendre(n)
     assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 def test_unconverged_quadrature_raises():
     # 4 and 8 nodes per panel differ by about 1e-2 on this line
     with pytest.raises(ValueError, match="mapped quadrature did not converge: 4 and 8 nodes per panel"):
-        _mapped_divergence(THERMAL, 4)
-    _, metadata = _mapped_divergence(THERMAL, PANEL_NODES)
+        _mapped_divergence(THERMAL, kernel_modes(THERMAL), 4)
+    _, metadata = _mapped_divergence(THERMAL, kernel_modes(THERMAL), PANEL_NODES)
     assert metadata["quadrature_rel_diff"] < 1e-6 and metadata["n_nodes"] % (2 * PANEL_NODES) == 0
+
+
+def test_bath_measure_builds_each_mode_table_once(monkeypatch):
+    # the thermal line and its gap share one table; the squeezed line takes the full table and
+    # its gap the one without sum-frequency modes, bm_induced_generator's default
+    calls = []
+
+    def counted(name):
+        build = getattr(baths, name)
+
+        def wrapper(p, *args):
+            calls.append((name, *args))
+            return build(p, *args)
+
+        return wrapper
+
+    for name in ("_thermal_modes", "_squeezed_modes"):
+        monkeypatch.setattr(baths, name, counted(name))
+    bath_measure(THERMAL)
+    assert calls == [("_thermal_modes",)]
+    calls.clear()
+    bath_measure(SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0))
+    assert sorted(calls) == [("_squeezed_modes", False), ("_squeezed_modes", True)]
 
 
 def test_bath_measure_rejects_a_vanishing_linewidth():
     # g**2 underflows to 0: no induced rate, so no Lorentzian to map
     with pytest.raises(ValueError, match="gamma_eff must be positive"):
-        _mapped_divergence(ThermalBathParams(g=1e-200, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2), PANEL_NODES)
+        p = ThermalBathParams(g=1e-200, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
+        _mapped_divergence(p, kernel_modes(p), PANEL_NODES)
 
 
 def test_bath_measure_rejects_a_negative_line(monkeypatch):

@@ -104,7 +104,7 @@ def test_br_ge_distance_is_the_trace_distance_of_the_integrated_runs(p, t_max):
 @given(st.one_of(measure_thermal, measure_squeezed))
 def test_bath_measure_is_stable_when_the_panel_nodes_double(p):
     res = bath_measure(p)
-    kl, _ = _mapped_divergence(p, 2 * PANEL_NODES)
+    kl, _ = _mapped_divergence(p, kernel_modes(p), 2 * PANEL_NODES)
     assert abs(kl / res.metadata["gap"] - res.value) <= 1e-6 * res.value
     assert abs(res.metadata["z_minus_1"]) < 1e-6
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import fwhm
 from fdqme import waveguide
-from fdqme.measures import _gauss_legendre
+from fdqme.measures import QUADRATURE_RTOL, gauss_legendre
 from fdqme.waveguide import (
     MEASURE_BAND,
     WaveguideParams,
@@ -130,6 +130,17 @@ def test_measure_sweep_reports_one_result_per_eta_with_its_eta():
     assert np.array_equal(sweep["eta"], etas)
 
 
+def test_measure_sweep_reports_its_quadrature_per_eta():
+    etas = resonant_eta_grid(P0, n_max=200, step=25)
+    sweep = waveguide_measure_sweep(P0, etas)
+    n_nodes, rel_diff = sweep["n_nodes"], sweep["quadrature_rel_diff"]
+    assert n_nodes.shape == rel_diff.shape == etas.shape
+    # eta = 0 is its own reference and needs no nodes; every other delay takes 32 per panel
+    assert n_nodes[0] == 0 and rel_diff[0] == 0.0
+    assert np.all(n_nodes[1:] > 0) and np.all(n_nodes % 32 == 0)
+    assert np.all(rel_diff <= QUADRATURE_RTOL)
+
+
 def _dense_uniform_measure(p: WaveguideParams) -> float:
     """The sweep's measure by 32-node Gauss-Legendre on uniform omega panels, as p log2(p / q).
 
@@ -137,7 +148,7 @@ def _dense_uniform_measure(p: WaveguideParams) -> float:
     most 2e-4 gamma within 0.6 gamma of omega0, where beta = 1 lines carry spikes a few 1e-5
     gamma wide.  Every zero of the vertex factor is a panel edge.
     """
-    band, x, w = MEASURE_BAND * p.gamma, *_gauss_legendre(32)
+    band, x, w = MEASURE_BAND * p.gamma, *gauss_legendre(32)
     half_period = np.pi * p.gamma / p.eta
 
     def edges(lo, hi, width):
