@@ -41,6 +41,42 @@ for path in sys.argv[1:]:
 PY
 echo "::endgroup::"
 
+# The squeezed bath's 2x2 coherence source block behind the entry point, on its
+# default grid (the thermal spectrum above solves a 1x1 block): every cell as
+# format(x, ".17g") writes it, and the line within 1e-9 of the peak of the
+# normalised squeezed_closed_spectrum.
+echo "::group::squeezed-spectrum through the console script"
+cat > "$work/squeezed.cfg" <<'CFG'
+[params]
+g = 1.0
+delta_q = 200.0
+delta_c = 320.0
+r = 115.0
+kappa = 10.0
+
+[output]
+path = squeezed.csv
+CFG
+fdqme squeezed-spectrum --config "$work/squeezed.cfg" --out "$work/squeezed"
+python - "$work/squeezed/squeezed.csv" <<'PY'
+import sys
+import numpy as np
+from fdqme import SqueezedBathParams, squeezed_closed_spectrum
+from fdqme.fdme import make_spectrum
+lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
+header, cells = lines[0].split(","), [line.split(",") for line in lines[1:]]
+assert header == ["frequency_minus_qubit[g]", "density[1/g]"] and len(cells) > 10000, (header, len(cells))
+for row in cells:
+    assert row == [format(float(c), ".17g") for c in row], row
+grid, density = np.array(cells, dtype=float).T
+p = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0)
+closed = make_spectrum(grid, squeezed_closed_spectrum(p, grid)).values
+error = np.abs(density - closed).max() / closed.max()
+assert error <= 1e-9, error
+print(f"{sys.argv[1]}: {len(cells)} rows in %.17g, {error:.2e} of the peak from the closed form")
+PY
+echo "::endgroup::"
+
 # A console run imports only the scipy it uses: the thermal spectrum needs no scipy
 # submodule (the oracle and generic_kernel_time import theirs when called).  The
 # installed package is imported, with PYTHONPATH unset, at the numpy and scipy of the job.

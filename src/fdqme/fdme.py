@@ -245,38 +245,79 @@ def steady_state(fp: FrequencyPropagator) -> np.ndarray:
     return _steady_state(generator, int(round(np.sqrt(generator.shape[0])))).reshape(-1)
 
 
+def _stacked_solve(m, b) -> tuple[np.ndarray, np.ndarray]:
+    """Solve m x = b for a stack of small systems that share one right-hand side.
+
+    ``m`` holds the k x k systems entry-major, with shape (k, k, n), so each
+    entry is one contiguous run over the stack; ``b`` has shape (k,).
+    Gaussian elimination with partial pivoting by LAPACK's rule (the entry
+    of largest |Re| + |Im| on or below the diagonal, the first of a tie),
+    vectorized over the stack and looping over the k columns.  A zero pivot
+    (an exactly singular system) is flagged and stands in as 1, so nothing
+    divides by zero.  Returns x with shape (k, n) and the boolean mask of
+    singular systems.
+    """
+    k, n = m.shape[0], m.shape[-1]
+    aug = np.empty((k, k + 1, n), dtype=complex)
+    aug[:, :k] = m
+    aug[:, k] = b[:, None]
+    singular = np.zeros(n, dtype=bool)
+    for j in range(k):
+        if j + 1 < k:  # the last column has one candidate row
+            p = np.full(n, j)
+            best = np.abs(aug[j, j].real) + np.abs(aug[j, j].imag)
+            for i in range(j + 1, k):
+                mag = np.abs(aug[i, j].real) + np.abs(aug[i, j].imag)
+                wins = mag > best  # strict, so the first of a tie keeps it
+                p[wins] = i
+                best = np.where(wins, mag, best)
+            s = np.flatnonzero(p != j)
+            pivot_rows = aug[p[s], j:, s]
+            aug[p[s], j:, s] = aug[j, j:, s]
+            aug[j, j:, s] = pivot_rows
+        piv = aug[j, j]
+        zero = piv == 0
+        singular |= zero
+        piv[zero] = 1.0
+        aug[j + 1:, j + 1:] -= (aug[j + 1:, j] / piv)[:, None] * aug[j, j + 1:]
+    x = aug[:, k]
+    for j in reversed(range(k)):
+        x[j] /= aug[j, j]
+        x[:j] -= aug[:j, j] * x[j]
+    return x, singular
+
+
 def emission_spectrum(fp: FrequencyPropagator, grid) -> Spectrum:
     """Steady-state emission spectrum, twice the real part of <<sigma_-|U|sigma_- rho_ss>>.
 
     ``grid`` holds detunings from ``fp.omega_ref`` and is checked before the
-    solve; ``rho_ss`` is ``steady_state(fp)``.  One batched solve per point,
-    on the blocks of the system matrix (its structural nonzeros: the
-    identity, L0 and the mode table) that hold the source; only those
-    entries are assembled, and a coherence source never meets the singular
-    population block at transform frequency 0.  A singular source block, or
-    a residual |M x - src| / |src| above RESIDUAL_TOL, raises a ValueError
-    naming the detuning.  Round-off negativity is clipped and the result
-    normalized.  Twice the real part folds in the anti-time-ordered half of
-    the correlator by an identity of stationary states.
+    solve; ``rho_ss`` is ``steady_state(fp)``.  One stacked elimination over
+    the grid (``_stacked_solve``), on the blocks of the system matrix (its
+    structural nonzeros: the identity, L0 and the mode table) that hold the
+    source; only those entries are assembled, and a coherence source never
+    meets the singular population block at transform frequency 0.  A
+    singular source block, or a residual |M x - src| / |src| above
+    RESIDUAL_TOL, raises a ValueError naming the first such detuning.
+    Round-off negativity is clipped and the result normalized.  Twice the
+    real part folds in the anti-time-ordered half of the correlator by an
+    identity of stationary states.
     """
     grid = _checked_grid(grid)
     src = left_multiplier(SIGMA_MINUS) @ steady_state(fp)
     dual = SIGMA_MINUS.reshape(-1).conj()
     block = _coupled_block(fp._pattern(), np.flatnonzero(src))
-    m = fp._system_matrix_delta(grid, block)
-    rhs = np.broadcast_to(src[block, None], grid.shape + (block.size, 1))
-    try:
-        x = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        k = np.argmin(np.abs(np.linalg.det(m)))
-        raise ValueError(f"emission resolvent is singular on the source block at delta={grid[k]}") from exc
-    resid = np.linalg.norm(m @ x - rhs, axis=(1, 2))
+    m = np.moveaxis(fp._system_matrix_delta(grid, block), 0, -1).copy()  # entry-major, as _stacked_solve takes it
+    x, singular = _stacked_solve(m, src[block])
+    if singular.any():
+        raise ValueError(f"emission resolvent is singular on the source block at delta={grid[np.argmax(singular)]}")
+    r = np.einsum("ijn,jn->in", m, x) - src[block, None]
+    resid = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=0))
     bad = np.flatnonzero(~(resid <= RESIDUAL_TOL * np.linalg.norm(src)))  # NaN fails too
     if bad.size:
         k = bad[0]
         rel = resid[k] / np.linalg.norm(src)
         raise ValueError(f"emission residual {rel:.3e} at delta={grid[k]} exceeds {RESIDUAL_TOL}")
-    raw = 2.0 * np.real(x[..., 0] @ dual[block])
+    raw = 2.0 * np.real(dual[block] @ x)
     return make_spectrum(grid, raw)
 
 

@@ -14,7 +14,7 @@ from fdqme.baths import (
     free_liouvillian,
     kernel_modes,
 )
-from fdqme.fdme import Spectrum, make_spectrum, steady_state
+from fdqme.fdme import Spectrum, _stacked_solve, make_spectrum, steady_state
 from fdqme.liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -114,7 +114,23 @@ def full_assembly_emission_spectrum(fp, grid):
     src = left_multiplier(SIGMA_MINUS) @ steady_state(fp)
     m = full_system_matrix_delta(fp, grid)
     block = _coupled_block(np.any(m != 0, axis=0), np.flatnonzero(src))
-    m = m[:, block[:, None], block]
+    m = np.moveaxis(m[:, block[:, None], block], 0, -1)
+    x = _stacked_solve(m, src[block])[0]
+    raw = 2.0 * np.real(SIGMA_MINUS.reshape(-1).conj()[block] @ x)
+    return make_spectrum(grid, raw)
+
+
+def lapack_emission_spectrum(fp, grid):
+    """Emission spectrum by one LAPACK ``np.linalg.solve`` per point on the source block.
+
+    The reference of ``fdme._stacked_solve``: the source block, its entries
+    and the contraction are those of ``fdme.emission_spectrum``, without its
+    checks; only the solve differs.
+    """
+    grid = np.asarray(grid, dtype=float)
+    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp)
+    block = _coupled_block(fp._pattern(), np.flatnonzero(src))
+    m = fp._system_matrix_delta(grid, block)
     x = np.linalg.solve(m, np.broadcast_to(src[block, None], grid.shape + (block.size, 1)))
     raw = 2.0 * np.real(x[..., 0] @ SIGMA_MINUS.reshape(-1).conj()[block])
     return make_spectrum(grid, raw)

@@ -17,6 +17,7 @@ from fdqme.fdme import (
     FrequencyPropagator,
     InversionAccuracyError,
     Spectrum,
+    _stacked_solve,
     emission_spectrum,
     free_propagator,
     inverse_transform,
@@ -255,6 +256,34 @@ def test_emission_spectrum_names_a_singular_source_block():
     grid = np.linspace(-2.0, 2.0, 5)
     with pytest.raises(ValueError, match=r"singular on the source block at delta=0\.0"):
         emission_spectrum(free_propagator(l0, omega_ref=5.0), grid)
+
+
+@pytest.mark.filterwarnings("error")
+def test_emission_spectrum_names_a_singular_two_by_two_source_block():
+    # coherences coupled at rate 1: the source block i delta I - L0[1:3, 1:3] is
+    # [[1 + i (delta - 0.5), 1], [1, 1 + i (delta - 0.5)]], exactly singular at delta = 0.5 alone
+    l0 = np.diag([-1.0, -1.0 + 0.5j, -1.0 + 0.5j, -1.0])
+    l0[0, 3] = l0[3, 0] = 1.0
+    l0[1, 2] = l0[2, 1] = -1.0
+    fp = free_propagator(l0)
+    src = left_multiplier(SIGMA_MINUS) @ steady_state(fp)
+    np.testing.assert_array_equal(_coupled_block(fp._pattern(), np.flatnonzero(src)), [1, 2])
+    with pytest.raises(ValueError, match=r"singular on the source block at delta=0\.5$"):
+        emission_spectrum(fp, np.linspace(-1.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stacked_solve_matches_lapack(k):
+    # random complex stacks; a tiny (0, 0) entry in every other system forces a row swap
+    rng = np.random.default_rng(100 + k)
+    m = rng.normal(size=(400, k, k)) + 1j * rng.normal(size=(400, k, k))
+    m[::2, 0, 0] *= 1e-13
+    b = rng.normal(size=k) + 1j * rng.normal(size=k)
+    x, singular = _stacked_solve(np.moveaxis(m, 0, -1), b)
+    ref = np.linalg.solve(m, np.broadcast_to(b[:, None], (400, k, 1)))[..., 0]
+    err = np.linalg.norm(x.T - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert not singular.any()
+    assert np.all(err <= 8 * np.finfo(float).eps * np.linalg.cond(m))
 
 
 def test_emission_spectrum_residual_guard_rejects_non_finite_points():

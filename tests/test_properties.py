@@ -13,7 +13,12 @@ ranges, and from squeezed baths up to r/delta_c = 0.97.
 
 import numpy as np
 import pytest
-from conftest import br_reference, full_assembly_emission_spectrum, squeezed_steady_ground_population
+from conftest import (
+    br_reference,
+    full_assembly_emission_spectrum,
+    lapack_emission_spectrum,
+    squeezed_steady_ground_population,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -207,6 +212,18 @@ def test_source_block_spectrum_equals_the_full_assembly(p, markov):
     spec = emission_spectrum(fp, grid)
     ref = full_assembly_emission_spectrum(fp, grid)
     np.testing.assert_array_equal(spec.values, ref.values)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(spectra_emitting, st.booleans())
+def test_stacked_elimination_spectrum_matches_the_lapack_route(p, markov):
+    # the stacked elimination against one LAPACK solve per point, on the same source block
+    make = thermal_propagator if isinstance(p, ThermalBathParams) else squeezed_propagator
+    fp = make(p, markov=markov)
+    grid = default_frequency_grid(p)
+    spec = emission_spectrum(fp, grid)
+    ref = lapack_emission_spectrum(fp, grid)
+    assert np.abs(spec.values - ref.values).max() <= 1e-14 * ref.values.max()
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
