@@ -92,6 +92,34 @@ print(f"{fdqme.__file__}: thermal-spectrum loaded no scipy submodule")
 PY
 echo "::endgroup::"
 
+# The time-domain kernels of the installed package, which no scenario calls, at the
+# benchmark's scale (100,001 samples up to 40/kappa) with the numpy of the job, whose
+# tan may take another loop (the numpy 2.0 floor): one moderate thermal and one
+# squeezed bath, within 1e-9 of generic_kernel_time at t <= 0.3 and within 1e-13 of
+# the largest entry of the direct mode sum.
+echo "::group::Kernels through the installed package"
+env -u PYTHONPATH python - <<'PY'
+import numpy as np
+import fdqme
+from fdqme import (SqueezedBathParams, ThermalBathParams, generic_kernel_time, kernel_modes, squeezed_kernel_time,
+                   thermal_kernel_time)
+for p, kernel in ((ThermalBathParams(g=1.0, omega_q=200.0, omega_c=150.0, kappa=10.0, nbar=0.2), thermal_kernel_time),
+                  (SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0), squeezed_kernel_time)):
+    t = np.linspace(0.0, 40.0 / p.kappa, 100_001)
+    k = kernel(p, t)
+    early = t <= 0.3
+    generic = np.abs(k[early] - generic_kernel_time(p, t[early])).max()
+    assert generic <= 1e-9, generic
+    modes = kernel_modes(p)
+    direct = np.einsum("nk,kij->nij", np.exp(np.multiply.outer(t, 1j * modes.mus - modes.kappa)), modes.coef)
+    error = np.abs(k - direct).max() / np.abs(direct).max()
+    assert error <= 1e-13, error
+    print(f"{type(p).__name__}: {generic:.2e} from generic_kernel_time at {early.sum()} times, "
+          f"{error:.2e} of the largest entry from the direct mode sum at {t.size} times")
+print(f"{fdqme.__file__}, numpy {np.__version__}")
+PY
+echo "::endgroup::"
+
 # The Born-Redfield integrator and the exact inverse transform behind the entry point,
 # at the parameters of the paper's squeezed example (r = sqrt(120^2 - 34^2)); each
 # purity_br row is the purity of the library's br_evolve run from y-, to the last digit,

@@ -39,9 +39,11 @@ SQUEEZED = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kapp
 def test_thermal_kernel_time_at_zero():
     k = thermal_kernel_time(THERMAL, 0.0)
     g2, nb = THERMAL.g**2, THERMAL.nbar
-    assert k[0, 0] == pytest.approx(-2 * nb * g2)
-    assert k[3, 3] == pytest.approx(-2 * (nb + 1) * g2)
-    assert k[1, 1] == pytest.approx(-(2 * nb + 1) * g2)
+    # at t = 0 each weighted row is exactly [1 | 0], and no thermal entry sums more than two modes
+    assert np.array_equal(k, kernel_modes(THERMAL).coef.sum(axis=0))
+    assert k[0, 0] == -2 * nb * g2
+    assert k[3, 3] == -2 * (nb + 1) * g2
+    assert k[1, 1] == -(2 * nb + 1) * g2
 
 
 def test_thermal_kernel_zero_temperature_heating_vanishes():
@@ -175,6 +177,8 @@ def test_squeezed_kernel_value_at_zero_time():
     )
     assert k0[2, 1] == pytest.approx(expected_k32, abs=1e-12)
     assert k0[1, 2] == pytest.approx(np.conj(expected_k32), abs=1e-12)
+    # a squeezed entry sums up to eight modes, in another order than coef.sum
+    assert np.abs(k0 - kernel_modes(SQUEEZED).coef.sum(axis=0)).max() <= 2 * np.finfo(float).eps * np.abs(k0).max()
 
 
 def test_squeezed_kernel_structure():

@@ -11,6 +11,7 @@ from fdqme.baths import (
     free_liouvillian,
     generic_kernel_time,
     kernel_modes,
+    thermal_kernel_time,
 )
 from fdqme.fdme import (
     Spectrum,
@@ -65,6 +66,13 @@ CHECKS = {
                               "unsupported bath parameters: WaveguideParams"),
     "generic-kernel-type": (lambda: generic_kernel_time(WAVEGUIDE, [0.0]), TypeError,
                             "unsupported bath parameters: WaveguideParams"),
+    # the true kernel is 0 there; the phase mu t overflows, which gave an all-NaN kernel
+    "kernel-phase-overflow": (lambda: thermal_kernel_time(ThermalBathParams(1.0, 2e5, 2e5 - 50.0, 10.0, 0.1), [1e307]),
+                              ValueError, r"^kernel phase mu t overflows at t=1e\+307$"),
+    # at kappa t = 100 the contraction gave |K| of 6.4e30 where the kernel is about 1e-44
+    "generic-kernel-kappa-t": (lambda: generic_kernel_time(ThermalBathParams(1.0, 2e5, 2e5 - 50.0, 10.0, 0.1),
+                                                           [0.0, 10.0]), ValueError,
+                               r"^generic_kernel_time is trusted for kappa t <= 10.0 only, got kappa t = 100 at t=10.0$"),
     "full-model-type": (lambda: build_full_model(WAVEGUIDE, 8), TypeError,
                         "unsupported bath parameters: WaveguideParams"),
     "spectrum-shape": (lambda: Spectrum(GRID, np.ones(4), norm=1.0), ValueError, "values and grid shapes differ"),
@@ -195,6 +203,9 @@ GUARDS = {
     # a "normalized" signal of area 1/2 against a unit-area reference
     "kl-negative": (lambda: kl_divergence(Spectrum(GRID, 0.5 * LINE.values, norm=1.0, normalized=True), LINE),
                     ValueError, r"relative entropy came out -5\.000e-01 < 0"),
+    # g^2 overflows: the coupling products of the contraction are not finite
+    "generic-kernel-non-finite": (lambda: generic_kernel_time(ThermalBathParams(**{**THERMAL, "g": 1e200}), [0.0]),
+                                  ValueError, "^generic_kernel_time is not finite$"),
     # g^2 underflows to 0: no induced rate at all
     "gap-unitary": (lambda: spectral_gap(ThermalBathParams(**{**THERMAL, "g": 1e-200})), ValueError,
                     "generator is purely unitary; no spectral gap"),
@@ -217,6 +228,8 @@ def test_valid_inputs_of_the_checks_pass():
     # the same calls on valid input, so each case above fails for its one fault only
     assert ThermalBathParams(**THERMAL).delta == 20.0 and SqueezedBathParams(**SQUEEZED).r == 115.0
     assert kernel_modes(ThermalBathParams(**THERMAL)).omega_ref == 120.0
+    assert np.all(thermal_kernel_time(ThermalBathParams(1.0, 2e5, 2e5 - 50.0, 10.0, 0.1), [1e300]) == 0.0)
+    assert np.all(np.isfinite(generic_kernel_time(ThermalBathParams(1.0, 2e5, 2e5 - 50.0, 10.0, 0.1), [0.0, 1.0])))
     assert fwhm(LINE) == pytest.approx(1.0)
     assert spectral_measure(LINE, LINE, 1.0).value == pytest.approx(0.0, abs=1e-15)
     assert backflow([0.1, 0.0, 0.3]) == pytest.approx(0.3)

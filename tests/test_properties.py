@@ -11,6 +11,8 @@ The spectral measure is drawn from the measure-sweep and BLP-comparison
 ranges, and from squeezed baths up to r/delta_c = 0.97.
 """
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from conftest import (
@@ -167,6 +169,29 @@ def test_time_matrix_matches_direct_mode_sum(modes, shape, decays):
         assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
     zero = ~np.any(modes.coef != 0, axis=0)
     assert np.all(got[..., zero] == 0.0)
+
+
+# the doubles nearest (2k + 1) pi / 2, from 60 digits of pi; |tan| is 1.6e16 at k = 0 and 1.6e18 at k = 14,
+# the largest for k below 1e5
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+NEAR_POLES = np.array([float((2 * k + 1) * _PI / 2) for k in (0, 1, 14, 7239, 14663)])
+
+
+def test_time_matrix_at_the_poles_of_the_half_tangent():
+    # mu = +-2, +-4 and 8 have the exact half phases t, 2t and 4t: the doubles nearest odd multiples
+    # of pi / 2, where u = tan(mu t / 2) is about 1e16-1e18, and nearest multiples of pi; mu = +-1
+    # have sin(mu t) = +-1, and mu = 0 has phase 0.  Entries (1, 0) and (2, 0) are structurally zero.
+    rng = np.random.default_rng(31)
+    coef = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
+    coef[:, [1, 2], 0] = 0.0
+    mus = np.array([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+    modes = KernelModes(kappa=1e-9, omega_ref=0.0, mus=mus, coef=coef)
+    assert np.abs(np.tan(NEAR_POLES[[0, 2]])).min() > 1e16 and np.abs(np.tan(NEAR_POLES[2])) > 1e18
+    t = np.concatenate([[0.0], NEAR_POLES])
+    got = modes.time_matrix(t)
+    direct = np.einsum("...k,kij->...ij", np.exp(np.multiply.outer(t, 1j * modes.mus - modes.kappa)), modes.coef)
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+    assert np.all(got[:, [1, 2], 0] == 0.0)
 
 
 @EXAMPLES
