@@ -284,6 +284,42 @@ print(f"spectral measure along kappa: log-log slope {slope:.4f}, every row equal
 PY
 echo "::endgroup::"
 
+# The detuning axis of measure-sweep (acceptance criterion 6): each row is the
+# library's bath_measure of its bath, to the last digit, and the measure grows
+# linearly in log delta (R^2 of the fit above 0.99).
+echo "::group::measure-sweep (delta axis) through the console script"
+cat > "$work/delta.cfg" <<'CFG'
+[params]
+g = 1.0
+omega_q = 2.0e5
+nbar = 0.1
+kappa = 10.0
+delta_min = 30.0
+delta_max = 300.0
+delta_points = 10
+
+[output]
+path = delta.csv
+CFG
+fdqme measure-sweep --config "$work/delta.cfg" --out "$work/delta"
+python - "$work/delta/delta.csv" <<'PY'
+import sys
+import numpy as np
+from fdqme import ThermalBathParams, bath_measure
+lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
+header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+assert header == ["delta[g]", "spectral_measure"] and len(rows) == 10, (header, len(rows))
+for delta, ns in rows:
+    p = ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - float(delta), kappa=10.0, nbar=0.1)
+    assert ns == format(bath_measure(p).value, ".17g"), (delta, ns)
+deltas, ns = np.array(rows, dtype=float).T
+resid = ns - np.polyval(np.polyfit(np.log(deltas), ns, 1), np.log(deltas))
+r2 = 1.0 - resid @ resid / ((ns - ns.mean()) ** 2).sum()
+assert r2 > 0.99, r2
+print(f"spectral measure along delta: log-fit R^2 {r2:.4f}, every row equal to bath_measure")
+PY
+echo "::endgroup::"
+
 # The delay sweep of the waveguide example: each row is the library's
 # waveguide_measure_sweep value at its resonant separation, to the last digit,
 # with the sweep's summary values in the CSV comments, exactly 0 at eta = 0 and

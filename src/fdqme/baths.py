@@ -231,7 +231,10 @@ class KernelModes:
             np.tan(sin, out=sin)
             np.square(sin, out=cos)
             np.add(cos, 1.0, out=w)
-            np.divide(np.exp(-self.kappa * ts), w, out=w)
+            # kappa t may overflow where mu t does not: the decay is then exactly 0
+            with np.errstate(over="ignore"):
+                decay = np.exp(-self.kappa * ts)
+            np.divide(decay, w, out=w)
             np.subtract(1.0, cos, out=cos)
             cos *= w
             sin *= w

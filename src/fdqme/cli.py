@@ -16,7 +16,7 @@ import json
 import sys
 from collections.abc import Callable
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -56,6 +56,9 @@ class ScenarioConfig:
     params: dict
     grids: dict
     output_path: str
+    # what the scenario's bath builder returned for params: parse_config builds it to
+    # check the config, and run_scenario runs it without building it again
+    bath: object = field(compare=False, repr=False)
 
 
 def _parse_sections(text: str, errors: list) -> dict:
@@ -198,15 +201,15 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
             errors.append(f"[output] unknown key {key!r}")
 
     # physical constraints, checked only once the values themselves parsed: the
-    # builder that run_scenario calls, on every point of a sweep
+    # builder, on every point of a sweep, whose result run_scenario runs
     if not errors:
         try:
-            record.bath(params)
+            bath = record.bath(params)
         except (ValueError, TypeError) as exc:
             errors.append(str(exc))
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(scenario=scenario, params=params, grids=grids, output_path=out_path)
+    return ScenarioConfig(scenario=scenario, params=params, grids=grids, output_path=out_path, bath=bath)
 
 
 # --------------------------------------------------------------------------
@@ -258,9 +261,19 @@ _EXPONENT = _slots([f"e{k:+03d}" for k in range(-300, 301)] + [""], 5)
 _SLOT = np.arange(18, dtype=np.uint8)[:, None]
 
 
+# Cells up to which _slot_block formats each cell by "%.17g" itself.  On blocks of
+# 17-digit values (2-vCPU Xeon VM, numpy 2.4) its vectorized passes took 87 us at
+# 8 cells and 131 us at 128, the per-cell "%.17g" 8 us and 123 us: they cross at
+# 128-140 cells.  Sweep tables (10-50 cells) fall below; spectra and the oracle
+# and positivity tables (over 1,000 cells) above.
+_SMALL_BLOCK = 128
+
+
 def _slot_block(x: np.ndarray) -> np.ndarray:
     """(29, x.size) uint8: column i holds "%.17g" % x[i], NUL-padded, one row per character slot."""
     n = x.size
+    if n <= _SMALL_BLOCK:
+        return _slots(["%.17g" % v for v in x.tolist()], 29)
     a = np.abs(x)
     # the reference formats 0, inf, nan and the values whose scaling could over-
     # or underflow; near ties of an inexact power of ten join them below
@@ -561,7 +574,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
     for name, g in cfg.grids.items():
         meta[f"{name}.min"], meta[f"{name}.max"], meta[f"{name}.points"] = _fmt(g.lo), _fmt(g.hi), g.points
     try:
-        tables, comments, sidecar_meta = record.run(cfg, record.bath(cfg.params))
+        tables, comments, sidecar_meta = record.run(cfg, cfg.bath)
         meta.update(comments)
         written = [base.with_suffix(suffix) for suffix, _, _ in tables]
         # made only now, so that a scenario that fails leaves no directory behind

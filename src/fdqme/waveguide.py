@@ -14,6 +14,7 @@ the reference flat, cut at the zeros of the line.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -135,16 +136,20 @@ def _line_ratio(p: WaveguideParams, theta, h: float) -> np.ndarray:
     return np.cos(p.eta * omega / (2.0 * p.gamma)) ** 2 * (x * x + h * h) / np.abs(_denominator(p, omega)) ** 2
 
 
+@cache
 def _graded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on [-1, 1] after x = (3t - t^3) / 2, which fixes both ends.
 
     dx/dt = 3 (1 - t^2) / 2 vanishes at the ends, so an integrand that goes
     as d^2 ln d at distance d from an end, as the divergence does at a zero
     of the line, becomes one that goes as t^5 ln t, which the rule sums to
-    high order.
+    high order.  Cached per n and read-only, like ``gauss_legendre``.
     """
     t, w = gauss_legendre(n)
-    return 0.5 * t * (3.0 - t * t), 1.5 * w * (1.0 - t * t)
+    x, weights = 0.5 * t * (3.0 - t * t), 1.5 * w * (1.0 - t * t)
+    x.setflags(write=False)
+    weights.setflags(write=False)
+    return x, weights
 
 
 def _band_divergence(p: WaveguideParams, n: int, rounds: int) -> tuple[float, dict]:

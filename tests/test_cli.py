@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -325,15 +326,18 @@ EDGE_VALUES = np.concatenate([
     ],
     ids=["values", "one-row", "three-columns", "zero-rows", "ties", "carry", "notation-switch", "edges"],
 )
-def test_write_csv_golden_bytes(tmp_path, header, columns, body):
+def test_write_csv_golden_bytes(tmp_path, monkeypatch, header, columns, body):
     path = tmp_path / "golden.csv"
-    _write_csv(path, COMMENTS, header, columns)
-    raw = path.read_bytes()
-    assert raw == (COMMENT_LINES + ",".join(header) + "\n" + body).encode()
-    assert b"\r" not in raw and raw.endswith(b"\n") and not raw.endswith(b"\n\n")
-    # columns given as lists of floats: the same bytes
-    _write_csv(path, COMMENTS, header, [c.tolist() for c in columns])
-    assert path.read_bytes() == raw
+    # these tables are small blocks, formatted cell by cell; then by the vectorized passes
+    for small_block in (cli._SMALL_BLOCK, 0):
+        monkeypatch.setattr(cli, "_SMALL_BLOCK", small_block)
+        _write_csv(path, COMMENTS, header, columns)
+        raw = path.read_bytes()
+        assert raw == (COMMENT_LINES + ",".join(header) + "\n" + body).encode()
+        assert b"\r" not in raw and raw.endswith(b"\n") and not raw.endswith(b"\n\n")
+        # columns given as lists of floats: the same bytes
+        _write_csv(path, COMMENTS, header, [c.tolist() for c in columns])
+        assert path.read_bytes() == raw
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
@@ -360,6 +364,27 @@ def float_tables(draw):
 @given(float_tables())
 def test_csv_rows_match_per_cell_format_for_any_floats(columns):
     assert _format_rows(columns) == _per_cell(columns).encode()
+    # at most 90 cells, a small block: the vectorized passes on the same rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SMALL_BLOCK", 0)
+        assert _format_rows(columns) == _per_cell(columns).encode()
+
+
+# values where "%.17g" is easy to get wrong: zeros, non-finite values, subnormals,
+# exact ties of the 17-digit rounding and their neighbours one ulp away
+_TIES = np.ldexp([131073.0, 131075.0, 27.0, 3.0, 4000000000000001.0], [-17, -17, -23, -24, -2])
+_HARD_CELLS = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-14, 1e98],
+                              _TIES, -_TIES, np.nextafter(_TIES, 0.0), np.nextafter(_TIES, np.inf)])
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["small-block", "small-block-plus-1"])
+def test_slot_block_matches_per_cell_format_at_the_small_block_limit(extra):
+    rng = np.random.default_rng(cli._SMALL_BLOCK + extra)
+    n = cli._SMALL_BLOCK + extra
+    bits = rng.integers(0, 2**64, size=n - _HARD_CELLS.size, dtype=np.uint64).view(np.float64)
+    x = rng.permutation(np.concatenate([_HARD_CELLS, bits]))
+    cells = [bytes(column).replace(b"\0", b"").decode() for column in cli._slot_block(x).T]
+    assert cells == ["%.17g" % v for v in x.tolist()]
 
 
 def _bit_columns(rng, nrows, ncols):
@@ -829,6 +854,20 @@ def test_metadata_split_between_csv_comments_and_sidecar(tmp_path, case):
     sidecar = json.loads(written[-1].read_text())
     assert set(sidecar["metadata"]) == shared | SIDECAR_ONLY_KEYS.get(case, set())
     assert "options" not in sidecar
+
+
+@pytest.mark.parametrize("case", ["thermal-spectrum", "kappa", "eta"])
+def test_main_builds_the_bath_once(tmp_path, monkeypatch, case):
+    scenario, text = METADATA_CASES[case]
+    table, key = cli._SCENARIOS, scenario
+    if isinstance(table[key], dict):  # measure-sweep: the record of the case's axis
+        table, key = table[key], case
+    record, builds = table[key], []
+    monkeypatch.setitem(table, key, replace(record, bath=lambda params: (builds.append(params), record.bath(params))[1]))
+    config = tmp_path / "case.cfg"
+    config.write_text(text)
+    assert main([scenario, "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(builds) == 1
 
 
 GRID_SECTIONS = {"grid.frequency": "min = -1.0\nmax = 1.0\npoints = 3\n",

@@ -237,3 +237,9 @@ def test_valid_inputs_of_the_checks_pass():
     assert resonant_eta_grid(WAVEGUIDE, 0).tolist() == [0.0]
     assert resonant_eta_grid(WAVEGUIDE, 3, 1).tolist() == pytest.approx([2.0 * np.pi * n / 200.0 for n in range(4)])
     assert inverse_transform(FP, [0.5, 0.0, 0.0, 0.5], [0.0]) == pytest.approx(np.array([[0.5, 0.0, 0.0, 0.5]]))
+
+
+def test_kernel_decay_overflow_at_a_finite_phase_gives_zero():
+    # kappa t = 3e308 overflows while mu t = 1.5e308 does not: the kernel is 0, with no warning
+    kernel = thermal_kernel_time(ThermalBathParams(1.0, 100.0, 100.0, 200.0, 0.1), [1.5e306])
+    assert kernel.shape == (1, 4, 4) and np.all(kernel == 0.0)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from fdqme.baths import _SIGMA_SUPEROPS, SqueezedBathParams, ThermalBathParams, free_liouvillian
 from fdqme.liouville import (
     SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_Z,
     _modal_evolution,
     commutator_superop,
@@ -156,3 +158,53 @@ def test_modal_evolution_falls_back_to_expm_on_a_defective_generator():
     y0 = RNG.normal(size=4).astype(complex)
     for t, state in zip(ts, _modal_evolution(gen, y0, ts, 3)):
         np.testing.assert_allclose(state, (expm(gen * t) @ y0)[:3], rtol=1e-10, atol=1e-12)
+
+
+def _bits(m):
+    """The int64 words of a complex array, so that signed zeros count."""
+    return np.ascontiguousarray(m).view(np.int64)
+
+
+def _with_zeros(m):
+    """m with some entries set to +0 and some to -0, in both parts."""
+    m = m.copy()
+    m.real[RNG.random(m.shape) < 0.25] = 0.0
+    m.imag[RNG.random(m.shape) < 0.25] = -0.0
+    m[RNG.random(m.shape) < 0.1] = -0.0
+    return m
+
+
+def _kron_superops(o, h):
+    """Each dense builder by np.kron: left and right multipliers, dissipators of o, commutator of h."""
+    eye = np.eye(o.shape[0], dtype=complex)
+    od = o.conj().T
+    return [
+        np.kron(o, eye),
+        np.kron(eye, o.T),
+        2.0 * np.kron(o, od.T) - np.kron(od @ o, eye) - np.kron(eye, (od @ o).T),
+        2.0 * np.kron(o, o.T) - np.kron(o @ o, eye) - np.kron(eye, (o @ o).T),
+        -1j * (np.kron(h, eye) - np.kron(eye, h.T)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_dense_builders_equal_the_kron_construction_bit_for_bit(n):
+    for _ in range(20):
+        o = _with_zeros(random_matrix(n) * 10.0 ** RNG.integers(-8, 9))
+        h = _with_zeros(random_hermitian(n))
+        h = np.triu(h) + np.triu(h, 1).conj().T  # Hermitian again, zeros mirrored
+        built = [left_multiplier(o), right_multiplier(o), lindblad_dissipator(o), squeeze_dissipator(o),
+                 commutator_superop(h)]
+        for got, want in zip(built, _kron_superops(o, h)):
+            assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+
+
+def test_free_liouvillian_and_sigma_superops_equal_the_kron_construction_bit_for_bit():
+    eye = np.eye(2, dtype=complex)
+    for w in [0.0, -0.0, 1e-300, 3.7, -120.0, 2e5, 1e300, *RNG.normal(size=20) * 1e3]:
+        h = -(w / 2.0) * SIGMA_Z
+        want = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for p in (ThermalBathParams(1.0, w, w - 5.0, 10.0, 0.1), SqueezedBathParams(1.0, w, 320.0, 115.0, 10.0)):
+            assert np.array_equal(_bits(free_liouvillian(p)), _bits(want))
+    want = [np.kron(SIGMA_PLUS, eye), np.kron(SIGMA_MINUS, eye), np.kron(eye, SIGMA_MINUS.T), np.kron(eye, SIGMA_PLUS.T)]
+    assert np.array_equal(_bits(_SIGMA_SUPEROPS), _bits(np.stack(want)))
