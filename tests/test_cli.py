@@ -863,7 +863,12 @@ def test_main_builds_the_bath_once(tmp_path, monkeypatch, case):
     if isinstance(table[key], dict):  # measure-sweep: the record of the case's axis
         table, key = table[key], case
     record, builds = table[key], []
-    monkeypatch.setitem(table, key, replace(record, bath=lambda params: (builds.append(params), record.bath(params))[1]))
+
+    def build(params):
+        builds.append(params)
+        return record.bath(params)
+
+    monkeypatch.setitem(table, key, replace(record, bath=build))
     config = tmp_path / "case.cfg"
     config.write_text(text)
     assert main([scenario, "--config", str(config), "--out", str(tmp_path)]) == 0

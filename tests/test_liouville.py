@@ -206,5 +206,6 @@ def test_free_liouvillian_and_sigma_superops_equal_the_kron_construction_bit_for
         want = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
         for p in (ThermalBathParams(1.0, w, w - 5.0, 10.0, 0.1), SqueezedBathParams(1.0, w, 320.0, 115.0, 10.0)):
             assert np.array_equal(_bits(free_liouvillian(p)), _bits(want))
-    want = [np.kron(SIGMA_PLUS, eye), np.kron(SIGMA_MINUS, eye), np.kron(eye, SIGMA_MINUS.T), np.kron(eye, SIGMA_PLUS.T)]
-    assert np.array_equal(_bits(_SIGMA_SUPEROPS), _bits(np.stack(want)))
+    want = np.stack([np.kron(SIGMA_PLUS, eye), np.kron(SIGMA_MINUS, eye),
+                     np.kron(eye, SIGMA_MINUS.T), np.kron(eye, SIGMA_PLUS.T)])
+    assert np.array_equal(_bits(_SIGMA_SUPEROPS), _bits(want))
