@@ -77,21 +77,6 @@ print(f"{sys.argv[1]}: {len(cells)} rows in %.17g, {error:.2e} of the peak from 
 PY
 echo "::endgroup::"
 
-# A console run imports only the scipy it uses: the thermal spectrum needs no scipy
-# submodule (the oracle and generic_kernel_time import theirs when called).  The
-# installed package is imported, with PYTHONPATH unset, at the numpy and scipy of the job.
-echo "::group::No scipy submodule loaded by a thermal spectrum"
-env -u PYTHONPATH python - "$work/smoke.cfg" "$work/smoke-imports" <<'PY'
-import sys
-import fdqme
-from fdqme.cli import main
-assert main(["thermal-spectrum", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-loaded = sorted(name for name in sys.modules if name.startswith("scipy."))
-assert not loaded, loaded
-print(f"{fdqme.__file__}: thermal-spectrum loaded no scipy submodule")
-PY
-echo "::endgroup::"
-
 # The time-domain kernels of the installed package, which no scenario calls, at the
 # benchmark's scale (100,001 samples up to 40/kappa) with the numpy of the job, whose
 # tan may take another loop (the numpy 2.0 floor): one moderate thermal and one
@@ -246,6 +231,26 @@ assert header == expected and len(rows) == 3001, (header, len(rows))
 peak_fd, peak_full = (max(rows, key=lambda row: row[k])[0] for k in (1, 2))
 assert abs(peak_fd - peak_full) < 1.0, (peak_fd, peak_full)
 print(f"peak detuning: FD-QME {peak_fd:.4f} g, exact {peak_full:.4f} g")
+PY
+echo "::endgroup::"
+
+# A console run imports only the scipy it uses, and no scenario uses any: a thermal
+# spectrum, the Born-Redfield positivity run and the exact qubit-plus-cavity model
+# (whose joint Liouvillian is held as numpy index triples) leave no scipy.* module
+# loaded (only generic_kernel_time and the expm fallback of the modal evolution
+# import scipy.linalg, when called).  The installed package is imported, with
+# PYTHONPATH unset, at the numpy and scipy of the job, the floor job included.
+echo "::group::No scipy submodule loaded by thermal-spectrum, positivity or oracle-compare"
+env -u PYTHONPATH python - "$work" <<'PY'
+import sys
+import fdqme
+from fdqme.cli import main
+work = sys.argv[1]
+for scenario, cfg in (("thermal-spectrum", "smoke"), ("positivity", "positivity"), ("oracle-compare", "oracle")):
+    assert main([scenario, "--config", f"{work}/{cfg}.cfg", "--out", f"{work}/{cfg}-imports"]) == 0, scenario
+    loaded = sorted(name for name in sys.modules if name.startswith("scipy."))
+    assert not loaded, (scenario, loaded)
+    print(f"{fdqme.__file__}: {scenario} loaded no scipy submodule")
 PY
 echo "::endgroup::"
 

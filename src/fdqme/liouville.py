@@ -6,11 +6,12 @@ order is row-stacked: (O_11, ..., O_1N, O_21, ..., O_NN).  For a qubit in the
 basis (g, e) this is (gg, ge, eg, ee), which makes the free-evolution
 Liouvillian of ``-(w/2) sigma_z`` the diagonal matrix (0, iw, -iw, 0).
 
-The superoperator builders return plain arrays: a dense operator gives a
-dense ndarray and a ``scipy.sparse`` operator a sparse CSR array, from the
-same Kronecker formula.  Only the sparse branches import ``scipy.sparse``,
-and only the defective fallback of the modal evolution ``scipy.linalg``, so
-dense work loads neither.
+The superoperator builders take and return dense arrays.  A large
+superoperator, such as the oracle's joint qubit-cavity Liouvillian, is held
+as ``IndexTriples``: its nonzeros by row, column and value, assembled from
+the nonzeros of dense Hilbert-space factors by index arithmetic.  Nothing
+here imports scipy but the defective fallback of the modal evolution, which
+loads ``scipy.linalg``.
 
 States and Hilbert-space operators are plain arrays: a state may be given as
 a d x d matrix or as its row-stacked length-d^2 vector.  The private helpers
@@ -21,7 +22,7 @@ eigen-modal evolution.
 
 from __future__ import annotations
 
-import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,41 +51,85 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
-def _is_sparse(arr) -> bool:
-    """True for a ``scipy.sparse`` array or matrix.
+class IndexTriples(NamedTuple):
+    """An n x n matrix by its nonzeros: ``values[k]`` sits at ``(rows[k], cols[k])``.
 
-    No sparse array can exist before ``scipy.sparse`` is imported, so while
-    it is not in ``sys.modules`` the answer is False without importing it.
+    The entries are sorted row-major, with no duplicates and no zeros, so the
+    triples are also the matrix's nonzero pattern.
     """
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(arr)
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
 
-def _as_square(entries):
-    if _is_sparse(entries):
-        from scipy import sparse
-
-        arr = sparse.csr_array(entries, dtype=complex)
-    else:
-        arr = np.asarray(entries, dtype=complex)
+def _as_square(entries) -> np.ndarray:
+    arr = np.asarray(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
-def _kron(a, b):
-    """Kronecker product of two matrices; a sparse CSR array when either factor is sparse.
+def _hermitian(h) -> np.ndarray:
+    """``h`` as a square complex array, checked to be Hermitian to HERMITICITY_TOL."""
+    hm = _as_square(h)
+    dev = abs(hm - hm.conj().T).max()
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"commutator generator is not Hermitian (deviation {dev:.3e})")
+    return hm
 
-    The dense product is the one broadcast multiply that ``np.kron`` makes,
-    without its n-d wrapper, which costs several times the product itself on
-    the 2x2 and 4x4 factors here.
+
+def _kron(a, b) -> np.ndarray:
+    """Kronecker product of two matrices.
+
+    The one broadcast multiply that ``np.kron`` makes, without its n-d
+    wrapper, which costs several times the product itself on the 2x2 and 4x4
+    factors here.
     """
-    if _is_sparse(a) or _is_sparse(b):
-        from scipy import sparse
-
-        return sparse.kron(a, b, format="csr")
     a, b = np.asarray(a), np.asarray(b)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _kron_terms(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The terms kron(a, b), one per (a, b) of ``pairs``, on the union of their nonzeros.
+
+    The factors are dense square matrices, the left ones of one size and the
+    right ones of one size, and only their nonzeros are multiplied.  Returns
+    the flat index ``row * n + col`` of each entry of the union, in no
+    particular order, and a (len(pairs), entries) array of each term's values
+    there, +0 where the term has no entry.  A left index pair (i, k) and a
+    right pair (j, l) give the entry ((i, j), (k, l)).  The pairs of each side
+    are grouped by the set of terms whose factor holds them, so a group of
+    one side and a group of the other share one set of terms (a bit per
+    pair, so at most 63 pairs), and each term is one outer product per such
+    block.
+    """
+    left = np.array([a.ravel() for a, _ in pairs])
+    right = np.array([b.ravel() for _, b in pairs])
+    n_left, n_right = pairs[0][0].shape[0], pairs[0][1].shape[0]
+    n = n_left * n_right
+    bits = 1 << np.arange(len(pairs), dtype=np.int64)
+
+    def grouped(factors, size, row_step, col_step):
+        # (set of terms, flat pairs, their part of the flat index) for each set that holds a pair
+        terms = bits @ (factors != 0)
+        held = np.flatnonzero(terms)
+        members = [held[terms[held] == s] for s in np.unique(terms[held]).tolist()]
+        return [(int(terms[m[0]]), m, m // size * row_step + m % size * col_step) for m in members]
+
+    left_groups, right_groups = grouped(left, n_left, n_right * n, n_right), grouped(right, n_right, n, 1)
+    blocks = [(sl & sr, ml, mr, kl[:, None] + kr)
+              for sl, ml, kl in left_groups for sr, mr, kr in right_groups if sl & sr]
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [block_keys.ravel() for *_, block_keys in blocks])
+    values = np.zeros((len(pairs), keys.size), dtype=complex)
+    end = 0
+    for terms, ml, mr, block_keys in blocks:
+        start, end = end, end + block_keys.size
+        for t in range(len(pairs)):
+            if terms >> t & 1:
+                np.multiply.outer(left[t, ml], right[t, mr], out=values[t, start:end].reshape(block_keys.shape))
+    return keys, values
 
 
 def vectorize(op) -> np.ndarray:
@@ -102,35 +147,26 @@ def devectorize(v) -> np.ndarray:
 
 
 def left_multiplier(a):
-    """Matrix of X -> a X in the row-stacked convention (sparse in, sparse out)."""
+    """Matrix of X -> a X in the row-stacked convention."""
     am = _as_square(a)
     return _kron(am, np.eye(am.shape[0], dtype=complex))
 
 
 def right_multiplier(b):
-    """Matrix of X -> X b in the row-stacked convention (sparse in, sparse out)."""
+    """Matrix of X -> X b in the row-stacked convention."""
     bm = _as_square(b)
     return _kron(np.eye(bm.shape[0], dtype=complex), bm.T)
 
 
 def commutator_superop(h):
-    """Matrix of -i[h, .] for a Hermitian h; purely imaginary spectrum.
-
-    A sparse ``h`` gives a sparse CSR array, a dense one an ndarray.
-    """
-    hm = _as_square(h)
-    dev = abs(hm - hm.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"commutator generator is not Hermitian (deviation {dev:.3e})")
+    """Matrix of -i[h, .] for a Hermitian h; purely imaginary spectrum."""
+    hm = _hermitian(h)
     eye = np.eye(hm.shape[0], dtype=complex)
     return -1j * (_kron(hm, eye) - _kron(eye, hm.T))
 
 
 def lindblad_dissipator(o):
-    """Matrix of the dissipator X -> 2 o X o^dag - o^dag o X - X o^dag o.
-
-    A sparse ``o`` gives a sparse CSR array, a dense one an ndarray.
-    """
+    """Matrix of the dissipator X -> 2 o X o^dag - o^dag o X - X o^dag o."""
     om = _as_square(o)
     od = om.conj().T
     eye = np.eye(om.shape[0], dtype=complex)
@@ -141,8 +177,7 @@ def squeeze_dissipator(o):
     """Matrix of the two-photon-type term X -> 2 o X o - o^2 X - X o^2.
 
     Unlike the Lindblad form this couples opposite coherences; its action is
-    traceless for any input, so it never breaks trace preservation.  A
-    sparse ``o`` gives a sparse CSR array, a dense one an ndarray.
+    traceless for any input, so it never breaks trace preservation.
     """
     om = _as_square(o)
     eye = np.eye(om.shape[0], dtype=complex)
@@ -179,29 +214,38 @@ def qubit_state(name: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _components(n: int, rows, cols) -> np.ndarray:
+    """Label of each of ``n`` indices: the first index of its weakly connected component.
+
+    The graph has a link from ``rows[k]`` to ``cols[k]`` for each k.  Each round
+    hooks the larger label of the two ends of every link onto the smaller,
+    then jumps every index to the root of its chain; labels only decrease,
+    so a round that leaves no link between two labels is the last.
+    """
+    labels = np.arange(n)
+    while True:
+        ends = labels[rows], labels[cols]
+        if (ends[0] == ends[1]).all():
+            return labels
+        np.minimum.at(labels, np.maximum(*ends), np.minimum(*ends))
+        jumped = labels[labels]
+        while (jumped != labels).any():
+            labels, jumped = jumped, jumped[jumped]
+
+
 def _coupled_blocks(gen, support) -> list[np.ndarray]:
     """The exact blocks of ``gen`` that touch ``support``, in order of their first index.
 
     The blocks are the weakly connected components of the nonzero pattern of
-    the dense or sparse matrix ``gen``, each as sorted indices.  A solve,
-    resolvent or evolution whose source lies in ``support`` never leaves
-    them; round-off in the pattern could only merge blocks, never drop one.
-    A dense pattern is closed by repeated boolean squaring, which on a few
-    indices costs a fraction of a ``connected_components`` call.
+    ``gen``, a dense array (whose links are its ``np.nonzero``) or
+    ``IndexTriples``, each as sorted indices.  A solve, resolvent or
+    evolution whose source lies in ``support`` never leaves them; round-off
+    in the pattern could only merge blocks, never drop one.
     """
-    pattern = gen != 0
-    if _is_sparse(pattern):
-        from scipy.sparse.csgraph import connected_components
-
-        # a boolean pattern, since connected_components casts complex data with a warning
-        labels = connected_components(pattern, directed=True, connection="weak")[1]
+    if isinstance(gen, IndexTriples):
+        labels = _components(gen.n, gen.rows, gen.cols)
     else:
-        n = pattern.shape[0]
-        reach = pattern | pattern.T
-        reach.flat[:: n + 1] = True
-        for _ in range((n - 1).bit_length()):  # paths of up to 2**k >= n - 1 links
-            reach = reach @ reach
-        labels = reach.argmax(axis=1)  # the first index of each block
+        labels = _components(gen.shape[0], *np.nonzero(gen))
     blocks = [np.flatnonzero(labels == lab) for lab in set(labels[support].tolist())]
     return sorted(blocks, key=lambda block: block[0])
 
@@ -210,6 +254,19 @@ def _coupled_block(gen, support) -> np.ndarray:
     """Sorted indices of the union of the exact blocks of ``gen`` that touch ``support``."""
     blocks = _coupled_blocks(gen, support)
     return np.sort(np.concatenate(blocks)) if blocks else np.empty(0, dtype=np.intp)
+
+
+def _dense_block(gen, block) -> np.ndarray:
+    """The rows and columns ``block`` of ``gen`` (dense or ``IndexTriples``) as a new dense array."""
+    if not isinstance(gen, IndexTriples):
+        return gen[np.ix_(block, block)]
+    position = np.full(gen.n, -1)
+    position[block] = np.arange(len(block))
+    rows, cols = position[gen.rows], position[gen.cols]
+    inside = (rows >= 0) & (cols >= 0)
+    sub = np.zeros((len(block), len(block)), dtype=complex)
+    sub[rows[inside], cols[inside]] = gen.values[inside]
+    return sub
 
 
 def _density_vector(rho) -> np.ndarray:
@@ -239,8 +296,7 @@ def _steady_state(gen, dim: int) -> np.ndarray:
     """
     diagonal = np.arange(dim) * (dim + 1)
     block = _coupled_block(gen, diagonal)
-    sub = gen[block, :][:, block]
-    sub = sub.toarray() if _is_sparse(sub) else sub
+    sub = _dense_block(gen, block)
     # block[0] == 0 is the (0, 0) population, so the trace row replaces its equation
     sub[0, :] = np.isin(block, diagonal)
     rhs = np.zeros(block.size, dtype=complex)

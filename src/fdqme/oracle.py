@@ -6,12 +6,15 @@ exactly at modest truncation.  The reduced-qubit steady state and emission
 spectrum from this model are the ground truth the reduced descriptions are
 benchmarked against; in particular the joint state can never lose
 positivity, in contrast to the time-local reduced equations.
+
+The joint Liouvillian is held by its nonzeros (``liouville.IndexTriples``),
+and only its invariant blocks that hold a solve are made dense; the module
+loads no scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,16 +24,15 @@ from .liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    IndexTriples,
     _coupled_block,
+    _dense_block,
+    _hermitian,
     _kron,
+    _kron_terms,
     _steady_state,
     annihilation,
-    commutator_superop,
-    lindblad_dissipator,
 )
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "FullModel",
@@ -50,18 +52,29 @@ class TruncationError(RuntimeError):
 class FullModel:
     """Joint Liouvillian of the qubit and the truncated cavity.
 
-    ``liouvillian`` is a ``scipy.sparse`` CSR array that encodes the
-    Hamiltonian and the dissipators; it stores no zeros, so its stored
-    structure is its nonzero pattern.
+    ``liouvillian`` encodes the Hamiltonian and the dissipators as
+    ``IndexTriples``: its nonzeros, sorted row-major, with no duplicates and
+    no stored zeros, so its triples are its nonzero pattern.
     """
 
     n_fock: int
     qubit_frequency: float
-    liouvillian: sparse.csr_array
+    liouvillian: IndexTriples
 
     @property
     def dim(self) -> int:
         return 2 * self.n_fock
+
+
+def _dropped(x: np.ndarray) -> np.ndarray:
+    """Set every zero entry of ``x`` to +0, in place, and return ``x``.
+
+    A sparse sum drops the entries it cancels, and a later sum reads an
+    absent entry as +0, whatever the sign of the zeros it cancelled to (or
+    that ``-1j`` gave it).
+    """
+    x[x == 0] = 0
+    return x
 
 
 def build_full_model(p, n_fock: int) -> FullModel:
@@ -69,41 +82,60 @@ def build_full_model(p, n_fock: int) -> FullModel:
 
     Thermal: lab frame with heating and cooling on the cavity.  Squeezed:
     frame rotating at half the pump, two-photon drive on the cavity and a
-    single loss channel.  Every operator is sparse, and L is built only by
-    the ``liouville`` builders; the first call imports ``scipy.sparse``.
+    single loss channel.  The Hilbert-space operators are dense, and L is
+    -i[H, .] plus ``rate * (2 o . o^dag - o^dag o . - . o^dag o)`` per
+    channel, in the row-stacked convention of ``liouville``.  Only the
+    nonzeros of the Kronecker factors are multiplied, and the terms are
+    summed pairwise in the order ``-1j * (K1 - K2)``, then
+    ``+ rate * ((2 K3 - K4) - K5)`` per channel, with the entries a sum
+    cancels dropped, so each entry is that of a sparse assembly of the same
+    sums, to the bit.
     """
-    from scipy import sparse
-
     if n_fock < 4:
         raise ValueError("n_fock must be at least 4")
-    a = sparse.csr_array(annihilation(n_fock))
-    eye_c = sparse.csr_array(np.eye(n_fock, dtype=complex))
+    a = annihilation(n_fock)
+    ad = a.conj().T
+    eye_c = np.eye(n_fock, dtype=complex)
     eye_q = np.eye(2, dtype=complex)
     a_joint = _kron(eye_q, a)
-    coupling = lambda g: g * (_kron(SIGMA_PLUS, a) + _kron(SIGMA_MINUS, a.conj().T))
+    coupling = lambda g: g * (_kron(SIGMA_PLUS, a) + _kron(SIGMA_MINUS, ad))
     if isinstance(p, ThermalBathParams):
-        h = (
-            _kron(-(p.omega_q / 2.0) * SIGMA_Z, eye_c)
-            + _kron(eye_q, p.omega_c * (a.conj().T @ a))
-            + coupling(p.g)
-        )
-        dissipators = (
-            (p.kappa * (p.nbar + 1.0), a_joint),
-            (p.kappa * p.nbar, a_joint.conj().T),
-        )
+        h = _kron(-(p.omega_q / 2.0) * SIGMA_Z, eye_c) + _kron(eye_q, p.omega_c * (ad @ a)) + coupling(p.g)
+        dissipators = ((p.kappa * (p.nbar + 1.0), a_joint), (p.kappa * p.nbar, a_joint.conj().T))
         omega_ref = p.omega_q
     elif isinstance(p, SqueezedBathParams):
-        h_cav = p.delta_c * (a.conj().T @ a) + 0.5 * p.r * (a @ a + a.conj().T @ a.conj().T)
+        h_cav = p.delta_c * (ad @ a) + 0.5 * p.r * (a @ a + ad @ ad)
         h = _kron(-(p.delta_q / 2.0) * SIGMA_Z, eye_c) + _kron(eye_q, h_cav) + coupling(p.g)
         dissipators = ((p.kappa, a_joint),)
         omega_ref = p.delta_q
     else:
         raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
-    lv = commutator_superop(h)
-    for rate, op in dissipators:
-        lv = lv + rate * lindblad_dissipator(op)
-    lv.eliminate_zeros()
-    return FullModel(n_fock=n_fock, qubit_frequency=omega_ref, liouvillian=lv)
+    h = _hermitian(h)
+    eye = np.eye(2 * n_fock, dtype=complex)
+    pairs = [(h, eye), (eye, h.T)]
+    for _, o in dissipators:
+        od = o.conj().T
+        odo = od @ o
+        pairs += [(o, od.T), (odo, eye), (eye, odo.T)]
+    keys, terms = _kron_terms(pairs)
+    lv = terms[0]
+    lv -= terms[1]
+    lv *= -1j
+    _dropped(lv)
+    for k, (rate, _) in enumerate(dissipators):
+        channel, kron_left, kron_right = terms[2 + 3 * k:5 + 3 * k]
+        channel *= 2.0
+        channel -= kron_left
+        _dropped(channel)
+        channel -= kron_right
+        _dropped(channel)
+        channel *= rate
+        lv += channel
+        _dropped(lv)
+    kept = np.flatnonzero(lv)
+    kept = kept[np.argsort(keys[kept])]
+    rows, cols = np.divmod(keys[kept], eye.size)
+    return FullModel(n_fock=n_fock, qubit_frequency=omega_ref, liouvillian=IndexTriples(eye.size, rows, cols, lv[kept]))
 
 
 def full_steady_state(m: FullModel) -> np.ndarray:
@@ -115,10 +147,13 @@ def full_steady_state(m: FullModel) -> np.ndarray:
     and that the top two Fock levels hold < 1e-6 (else the truncation is
     too small).
     """
-    chi = _steady_state(m.liouvillian, m.dim)
-    resid = np.linalg.norm(m.liouvillian @ chi.reshape(-1))
+    lv = m.liouvillian
+    chi = _steady_state(lv, m.dim)
+    terms = lv.values * chi.reshape(-1)[lv.cols]
+    resid = np.hypot(np.linalg.norm(np.bincount(lv.rows, terms.real, lv.n)),
+                     np.linalg.norm(np.bincount(lv.rows, terms.imag, lv.n)))
     # Frobenius norm of L from its stored values
-    if resid > 1e-9 * max(1.0, np.linalg.norm(m.liouvillian.data)):
+    if resid > 1e-9 * max(1.0, np.linalg.norm(lv.values)):
         raise RuntimeError(f"steady-state residual {resid:.3e} too large")
     if np.linalg.eigvalsh(chi).min() < -1e-10:
         raise RuntimeError("joint steady state is not positive semidefinite")
@@ -150,7 +185,7 @@ def full_steady_spectrum(m: FullModel, grid) -> Spectrum:
     src = (sm_joint @ chi_ss).reshape(-1)
     dual = sm_joint.reshape(-1).conj()
     block = _coupled_block(m.liouvillian, np.flatnonzero(src))
-    lam, vmat = np.linalg.eig(m.liouvillian[block, :][:, block].toarray())
+    lam, vmat = np.linalg.eig(_dense_block(m.liouvillian, block))
     weights = (dual[block] @ vmat) * np.linalg.solve(vmat, src[block])
     # drop numerically-zero weights (a steady-state mode in the block) to avoid 0/0 at the pole
     keep = np.abs(weights) > 1e-14 * np.abs(weights).max()

@@ -1,5 +1,6 @@
 """Shared numeric oracles for the test suite."""
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from fdqme.liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    IndexTriples,
     _coupled_block,
     annihilation,
     commutator_superop,
@@ -93,6 +95,78 @@ def dense_full_liouvillian(p, n_fock):
         od = o.conj().T
         lv = lv + rate * (2.0 * np.kron(o, od.T) - np.kron(od @ o, eye) - np.kron(eye, (od @ o).T))
     return lv
+
+
+def sparse_full_liouvillian(p, n_fock):
+    """Joint qubit-cavity Liouvillian from ``scipy.sparse`` Kronecker products and sums.
+
+    The sums of ``oracle.build_full_model`` in the same order, with sparse
+    Hilbert-space operators: -1j * (kron(H, I) - kron(I, H^T)), then
+    rate * ((2 kron(o, conj o) - kron(o^dag o, I)) - kron(I, (o^dag o)^T))
+    per channel, as a CSR array with sorted indices and no stored zeros: the
+    reference that the index-triple assembly must equal bit for bit.
+    """
+    from scipy import sparse
+
+    kron = lambda x, y: sparse.kron(x, y, format="csr")
+    a = sparse.csr_array(annihilation(n_fock))
+    eye_c = sparse.csr_array(np.eye(n_fock, dtype=complex))
+    eye_q = np.eye(2, dtype=complex)
+    a_joint = kron(eye_q, a)
+    coupling = p.g * (kron(SIGMA_PLUS, a) + kron(SIGMA_MINUS, a.conj().T))
+    if isinstance(p, ThermalBathParams):
+        h = kron(-(p.omega_q / 2.0) * SIGMA_Z, eye_c) + kron(eye_q, p.omega_c * (a.conj().T @ a)) + coupling
+        channels = ((p.kappa * (p.nbar + 1.0), a_joint), (p.kappa * p.nbar, a_joint.conj().T))
+    else:
+        h_cav = p.delta_c * (a.conj().T @ a) + 0.5 * p.r * (a @ a + a.conj().T @ a.conj().T)
+        h = kron(-(p.delta_q / 2.0) * SIGMA_Z, eye_c) + kron(eye_q, h_cav) + coupling
+        channels = ((p.kappa, a_joint),)
+    h = sparse.csr_array(h, dtype=complex)
+    eye = np.eye(2 * n_fock, dtype=complex)
+    lv = -1j * (kron(h, eye) - kron(eye, h.T))
+    for rate, o in channels:
+        o = sparse.csr_array(o, dtype=complex)
+        od = o.conj().T
+        lv = lv + rate * (2.0 * kron(o, od.T) - kron(od @ o, eye) - kron(eye, (od @ o).T))
+    lv.eliminate_zeros()
+    lv.sort_indices()
+    return lv
+
+
+def index_triples(m) -> IndexTriples:
+    """The nonzeros of a dense square matrix as row-major ``IndexTriples``."""
+    rows, cols = np.nonzero(m)
+    return IndexTriples(m.shape[0], rows, cols, np.asarray(m, dtype=complex)[rows, cols])
+
+
+def dense_matrix(t: IndexTriples) -> np.ndarray:
+    """The dense matrix of ``IndexTriples``."""
+    m = np.zeros((t.n, t.n), dtype=complex)
+    m[t.rows, t.cols] = t.values
+    return m
+
+
+def bfs_blocks(pattern, support) -> list[list[int]]:
+    """The weakly connected components of a dense pattern that touch ``support``, by breadth-first search.
+
+    A plain reference for ``liouville._coupled_blocks``: each component as
+    sorted indices, the components in order of their first index.
+    """
+    linked = np.asarray(pattern) != 0
+    linked = linked | linked.T
+    blocks, seen = [], set()
+    for start in sorted(set(support)):
+        if start in seen:
+            continue
+        block, queue = {start}, deque([start])
+        while queue:
+            for j in np.flatnonzero(linked[queue.popleft()]).tolist():
+                if j not in block:
+                    block.add(j)
+                    queue.append(j)
+        seen |= block
+        blocks.append(sorted(block))
+    return sorted(blocks)
 
 
 def full_system_matrix_delta(fp, delta):

@@ -379,6 +379,28 @@ def test_default_grid_monotone_and_spans_features():
     assert grid[-1] > THERMAL.delta + 5 * THERMAL.kappa
 
 
+@pytest.mark.parametrize("p", [
+    THERMAL,
+    # far detuned, so the base spacing, 2 span / (2**14 - 1), is coarser than kappa / 100
+    ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 1000.0, kappa=10.0, nbar=0.1),
+    ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 + 1000.0, kappa=10.0, nbar=0.1),
+    SQUEEZED,
+], ids=["thermal", "thermal-far-below", "thermal-far-above", "squeezed"])
+def test_default_grid_is_fine_within_six_kappa_of_each_kernel_feature(p):
+    # the kernel's side features sit at -delta (thermal), -delta_diff and -sigma_sum (squeezed),
+    # and each gets the 1201 points of a kappa / 100 spacing within 6 kappa
+    if isinstance(p, ThermalBathParams):
+        features = [-p.delta]
+    else:
+        features = [-bogoliubov_params(p).delta_diff, -bogoliubov_params(p).sigma_sum]
+    grid = default_frequency_grid(p)
+    for f in features:
+        window = grid[(grid >= f - 6 * p.kappa) & (grid <= f + 6 * p.kappa)]
+        assert window.size >= 1201
+        assert window[0] == f - 6 * p.kappa and window[-1] == f + 6 * p.kappa
+        assert np.diff(window).max() <= p.kappa / 100 * (1 + 1e-9)
+
+
 def test_locate_peak_refines_to_analytic_maximum():
     rates = effective_rates(THERMAL)
     fn = lambda d: markovian_spectrum(THERMAL, d)

@@ -920,30 +920,27 @@ def test_grid_sections_follow_what_the_runner_reads():
         assert "[grid" not in text and parse_config(text, scenario).grids == {}
 
 
-SCIPY_SUBMODULES = ("scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.integrate")
-# run in a fresh interpreter, since this one has scipy loaded; prints the submodules loaded after each scenario
-LOADED_AFTER_EACH = f"""
+# run in a fresh interpreter, since this one has scipy loaded; prints the scipy modules loaded after each scenario
+LOADED_AFTER_EACH = """
 import json, sys
 from fdqme.cli import main
 loaded = []
 for scenario, config, out in json.loads(sys.argv[1]):
     assert main([scenario, "--config", config, "--out", out]) == 0, scenario
-    loaded.append([name for name in {SCIPY_SUBMODULES!r} if name in sys.modules])
+    loaded.append(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
 print(json.dumps(loaded))
 """
 
 
 def test_scenarios_load_scipy_submodules_only_where_they_use_them(tmp_path):
-    # every scenario but oracle-compare, then oracle-compare, whose sparse joint model needs scipy.sparse
-    cases = [case for case in METADATA_CASES if case != "oracle-compare"] + ["oracle-compare"]
+    # no scenario uses scipy: all nine cases, oracle-compare among them, in one interpreter load none of it
     runs = []
-    for case in cases:
-        scenario, text = METADATA_CASES[case]
+    for case, (scenario, text) in METADATA_CASES.items():
         (tmp_path / f"{case}.cfg").write_text(text)
         runs.append([scenario, str(tmp_path / f"{case}.cfg"), str(tmp_path / case)])
     env = {**os.environ, "PYTHONPATH": str(Path(fdqme.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", LOADED_AFTER_EACH, json.dumps(runs)], env=env,
                           capture_output=True, text=True, check=True)
-    loaded = dict(zip(cases, json.loads(done.stdout.splitlines()[-1])))
-    assert {case: names for case, names in loaded.items() if names and case != "oracle-compare"} == {}
-    assert "scipy.sparse" in loaded["oracle-compare"]
+    loaded = dict(zip(METADATA_CASES, json.loads(done.stdout.splitlines()[-1])))
+    assert len(loaded) == 9 and "oracle-compare" in loaded
+    assert {case: names for case, names in loaded.items() if names} == {}

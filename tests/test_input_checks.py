@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from conftest import fwhm, kl_divergence, spectral_measure
+from conftest import fwhm, index_triples, kl_divergence, spectral_measure
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
@@ -184,10 +183,10 @@ def _bordered_ill_conditioned():
 def _non_positive_joint_generator():
     # L chi = 0 exactly for chi = diag(2, -1, 0, ...) on the joint populations
     diagonal = np.arange(8) * 9
-    gen = sparse.lil_array((64, 64), dtype=complex)
+    gen = np.zeros((64, 64), dtype=complex)
     gen[diagonal[1:], diagonal[1:]] = 1.0
     gen[diagonal[1], diagonal[0]] = 0.5
-    return sparse.csr_array(gen)
+    return index_triples(gen)
 
 
 # The numerical guards: a finite input on which a computation fails its own check.
@@ -210,7 +209,7 @@ GUARDS = {
     "gap-unitary": (lambda: spectral_gap(ThermalBathParams(**{**THERMAL, "g": 1e-200})), ValueError,
                     "generator is purely unitary; no spectral gap"),
     # pure decay of every element: no trace-preserving steady state
-    "oracle-residual": (lambda: full_steady_state(FullModel(4, 0.0, -sparse.eye_array(64, dtype=complex, format="csr"))),
+    "oracle-residual": (lambda: full_steady_state(FullModel(4, 0.0, index_triples(-np.eye(64)))),
                         RuntimeError, r"steady-state residual 1\.000e\+00 too large"),
     "oracle-positivity": (lambda: full_steady_state(FullModel(4, 0.0, _non_positive_joint_generator())), RuntimeError,
                           "joint steady state is not positive semidefinite"),

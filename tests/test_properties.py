@@ -16,14 +16,15 @@ from decimal import Decimal
 import numpy as np
 import pytest
 from conftest import (
+    bfs_blocks,
     br_reference,
     full_assembly_emission_spectrum,
+    index_triples,
     lapack_emission_spectrum,
     squeezed_steady_ground_population,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from fdqme.baths import (
     KernelModes,
@@ -282,13 +283,24 @@ def patterns_with_support(draw):
     return pattern, support
 
 
+def _one_way_pattern():
+    # one-way links 0 -> 2 and 5 -> 1 -> 6, a self-loop on the otherwise isolated 3, and 4 isolated
+    pattern = np.zeros((7, 7), dtype=complex)
+    pattern[[0, 5, 1, 3], [2, 1, 6, 3]] = [1.0, 2.0j, -1.0, 0.5]
+    return pattern
+
+
 @EXAMPLES
 @given(patterns_with_support())
+@example((_one_way_pattern(), [6, 3, 2, 4]))
+@example((_one_way_pattern(), []))
+@example((np.zeros((3, 3)), [2, 0]))
 def test_block_finder_gives_dense_and_sparse_inputs_identical_blocks(case):
+    # a dense pattern and its edge list (IndexTriples) against a breadth-first search
     pattern, support = case
     dense = _coupled_blocks(pattern, support)
-    from_sparse = _coupled_blocks(sparse.csr_array(pattern), support)
-    assert [b.tolist() for b in dense] == [b.tolist() for b in from_sparse]
+    from_edges = _coupled_blocks(index_triples(pattern), support)
+    assert [b.tolist() for b in dense] == [b.tolist() for b in from_edges] == bfs_blocks(pattern, support)
     # disjoint, ordered blocks that cover the support and are closed under the pattern
     members = np.concatenate([np.empty(0, dtype=int)] + dense)
     assert members.size == np.unique(members).size and set(support) <= set(members.tolist())
