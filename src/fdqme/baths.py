@@ -21,6 +21,7 @@ from .liouville import (
     SIGMA_PLUS,
     SIGMA_Z,
     commutator_superop,
+    expm,
     left_multiplier,
     right_multiplier,
 )
@@ -444,23 +445,21 @@ def generic_kernel_time(p, t) -> np.ndarray:
     This route never uses the per-entry closed forms: it exponentiates the
     4x4 adjoint-action matrix of the cavity superoperators and contracts with
     the steady-state correlator matrix, so it cross-checks every coefficient
-    of the mode tables.  All times share one stacked ``expm`` per matrix and
-    one contraction; shape (..., 4, 4) for finite t >= 0.  It is the one
-    function here that needs ``scipy.linalg``, and imports it when called.
+    of the mode tables.  Both exponentials at all times are one stacked
+    ``liouville.expm``, followed by one contraction; shape (..., 4, 4) for
+    finite t >= 0.
 
     The contraction cancels adjoint modes that grow as exp(+kappa t), so its
     absolute error grows like eps exp(kappa t) times the carrier scale.
     Against the mode tables (150 draws per family, g = 1, kappa 5-20) it
-    stays within 1e-9 below kappa t = 11.75 for thermal baths with carriers
-    of 50-300 and for squeezed baths, with a worst error of 2.0e-10 at
+    stays within 1e-9 below kappa t = 12.25 for thermal baths with carriers
+    of 50-300 and for squeezed baths, with a worst error of 1.0e-10 at
     kappa t = 10; lab-frame thermal baths (carrier 2e5, nbar > 0) leave
-    1e-9 from kappa t = 5.25 and reach 1.2e-7 at kappa t = 10.  At
-    kappa t = 100 the result is about 1e27-1e31 where the kernel is about
-    1e-44, and from kappa t of about 80 it is NaN.  So times with
-    kappa t > GENERIC_KAPPA_T_MAX raise, as does a non-finite result.
+    1e-9 from kappa t = 5.5 and reach 9.7e-8 at kappa t = 10.  At
+    kappa t = 100 the result is about 1e23-1e31 where the kernel is about
+    1e-44.  So times with kappa t > GENERIC_KAPPA_T_MAX raise, as does a
+    non-finite result.
     """
-    from scipy.linalg import expm
-
     if isinstance(p, SqueezedBathParams):
         b = bogoliubov_params(p)
         g1, g2, nbar, mbar, omega_b = b.g1, b.g2, b.nbar, b.mbar, b.delta_c_eff
@@ -479,8 +478,8 @@ def generic_kernel_time(p, t) -> np.ndarray:
     l_s = free_liouvillian(p)
     # an overflow or NaN here is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        west = G @ _correlator_matrix(nbar, mbar) @ expm(M.T * flat) @ G
-        e_ls = expm(l_s * flat)
+        e_m, e_ls = np.split(expm(np.concatenate([M.T * flat, l_s * flat])), 2)
+        west = G @ _correlator_matrix(nbar, mbar) @ e_m @ G
         # sum_ij west[i, j] S_i e_ls S_j over the stacked superoperators S
         out = -np.einsum("nij,niac,jcd->nad", west, _SIGMA_SUPEROPS @ e_ls[:, None], _SIGMA_SUPEROPS)
     if not np.all(np.isfinite(out)):

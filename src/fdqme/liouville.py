@@ -9,9 +9,9 @@ Liouvillian of ``-(w/2) sigma_z`` the diagonal matrix (0, iw, -iw, 0).
 The superoperator builders take and return dense arrays.  A large
 superoperator, such as the oracle's joint qubit-cavity Liouvillian, is held
 as ``IndexTriples``: its nonzeros by row, column and value, assembled from
-the nonzeros of dense Hilbert-space factors by index arithmetic.  Nothing
-here imports scipy but the defective fallback of the modal evolution, which
-loads ``scipy.linalg``.
+the nonzeros of dense Hilbert-space factors by index arithmetic.  The
+matrix exponential of a stack, ``expm``, is scaling and squaring with a Pade
+approximant, so nothing here needs scipy.
 
 States and Hilbert-space operators are plain arrays: a state may be given as
 a d x d matrix or as its row-stacked length-d^2 vector.  The private helpers
@@ -40,6 +40,7 @@ __all__ = [
     "SIGMA_MINUS",
     "SIGMA_PLUS",
     "qubit_state",
+    "expm",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -214,6 +215,52 @@ def qubit_state(name: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+# Pade [13/13] numerator coefficients of exp, over the first so that it is 1 and
+# the exponential of 0 is exactly I, and the 1-norm up to which the approximant
+# is accurate to double precision without scaling (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005), Table 2.3)
+_PADE13 = tuple(c / 64764752532480000 for c in (
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
+    10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1))
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of each matrix of a stack ``(..., n, n)``.
+
+    Scaling and squaring with the [13/13] Pade approximant (Higham 2005): each
+    matrix is scaled by its own power of two ``2^-s`` to a 1-norm of at most
+    theta_13, and only the matrices that still need a squaring are squared, so
+    a matrix's result does not depend on the rest of the stack.  A real stack
+    gives a real result.  A non-finite entry raises a ``ValueError``.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, 1.0))
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:])
+    norm = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)
+    if not np.all(np.isfinite(norm)):
+        raise ValueError("expm of a non-finite matrix")
+    # s = ceil(log2(norm / theta_13)), at least 0, without log2(0)
+    mantissa, exponent = np.frexp(norm / _THETA13)
+    s = np.maximum(exponent - (mantissa == 0.5), 0)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        index = np.flatnonzero(s > k)
+        r[index] = r[index] @ r[index]
+    return r.reshape(shape)
+
+
 def _components(n: int, rows, cols) -> np.ndarray:
     """Label of each of ``n`` indices: the first index of its weakly connected component.
 
@@ -318,7 +365,7 @@ def _modal_evolution(gen, y0, t_grid, n_out: int) -> np.ndarray:
 
     Modal expansion, unless the modes miss y0 at t = 0 by 1e-10 or rebuild
     it by a cancellation costing over 6 digits (a defective generator, such
-    as a Jordan block): then ``expm`` at each time.
+    as a Jordan block): then one stacked ``expm`` over all times.
     """
     try:
         lam, vmat = np.linalg.eig(gen)
@@ -329,6 +376,4 @@ def _modal_evolution(gen, y0, t_grid, n_out: int) -> np.ndarray:
             return (np.exp(np.outer(t_grid, lam)) * coef) @ vmat[:n_out, :].T
     except np.linalg.LinAlgError:
         pass
-    from scipy.linalg import expm
-
-    return np.array([(expm(gen * t) @ y0)[:n_out] for t in t_grid])
+    return (expm(gen * np.asarray(t_grid)[:, None, None]) @ y0)[:, :n_out]

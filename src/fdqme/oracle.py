@@ -8,8 +8,8 @@ benchmarked against; in particular the joint state can never lose
 positivity, in contrast to the time-local reduced equations.
 
 The joint Liouvillian is held by its nonzeros (``liouville.IndexTriples``),
-and only its invariant blocks that hold a solve are made dense; the module
-loads no scipy.
+and only its invariant blocks that hold a solve are made dense, with numpy
+alone.
 """
 
 from __future__ import annotations

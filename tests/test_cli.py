@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import fdqme
 from fdqme import cli, fdme, measures
-from fdqme.baths import SqueezedBathParams, squeezed_closed_spectrum
+from fdqme.baths import (
+    SqueezedBathParams,
+    ThermalBathParams,
+    squeezed_closed_spectrum,
+    squeezed_kernel_time,
+    thermal_kernel_time,
+)
 from fdqme.cli import ConfigError, _format_tables, _write_csvs, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
 
@@ -920,27 +926,44 @@ def test_grid_sections_follow_what_the_runner_reads():
         assert "[grid" not in text and parse_config(text, scenario).grids == {}
 
 
-# run in a fresh interpreter, since this one has scipy loaded; prints the scipy modules loaded after each scenario
-LOADED_AFTER_EACH = """
+# run in a fresh interpreter, since this one has scipy loaded; with scipy blocked, any import of
+# it or of a submodule raises ImportError.  Runs every scenario, then the time-domain kernels of
+# the mode equations and the expm fallback of the modal evolution, which no scenario reaches
+SCIPY_BLOCKED = """
 import json, sys
+sys.modules["scipy"] = None
+import numpy as np
+from fdqme.baths import SqueezedBathParams, ThermalBathParams, generic_kernel_time
 from fdqme.cli import main
-loaded = []
+from fdqme.liouville import _modal_evolution
 for scenario, config, out in json.loads(sys.argv[1]):
     assert main([scenario, "--config", config, "--out", out]) == 0, scenario
-    loaded.append(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
-print(json.dumps(loaded))
+times = [0.0, 0.05, 0.3]
+kernels = [generic_kernel_time(p, times) for p in (
+    ThermalBathParams(g=1.0, omega_q=200.0, omega_c=150.0, kappa=10.0, nbar=0.2),
+    SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0))]
+jordan = _modal_evolution(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), np.array([0.0, 1.0], dtype=complex),
+                          np.array(times), 2)
+print(json.dumps([[[k.real.tolist(), k.imag.tolist()] for k in kernels], [jordan.real.tolist(), jordan.imag.tolist()]]))
 """
 
 
-def test_scenarios_load_scipy_submodules_only_where_they_use_them(tmp_path):
-    # no scenario uses scipy: all nine cases, oracle-compare among them, in one interpreter load none of it
+def test_scenarios_and_kernels_run_with_scipy_blocked(tmp_path):
+    # nothing in fdqme needs scipy: all nine cases, oracle-compare among them, and both kernel baths
     runs = []
     for case, (scenario, text) in METADATA_CASES.items():
         (tmp_path / f"{case}.cfg").write_text(text)
         runs.append([scenario, str(tmp_path / f"{case}.cfg"), str(tmp_path / case)])
     env = {**os.environ, "PYTHONPATH": str(Path(fdqme.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_EACH, json.dumps(runs)], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded = dict(zip(METADATA_CASES, json.loads(done.stdout.splitlines()[-1])))
-    assert len(loaded) == 9 and "oracle-compare" in loaded
-    assert {case: names for case, names in loaded.items() if names} == {}
+    done = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, json.dumps(runs)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    kernels, jordan = json.loads(done.stdout.splitlines()[-1])
+    assert len(runs) == 9 and all((tmp_path / case).is_dir() for case in METADATA_CASES)
+    times = [0.0, 0.05, 0.3]
+    baths = (ThermalBathParams(g=1.0, omega_q=200.0, omega_c=150.0, kappa=10.0, nbar=0.2),
+             SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0))
+    for (real, imag), p, kernel in zip(kernels, baths, (thermal_kernel_time, squeezed_kernel_time)):
+        assert np.abs(np.array(real) + 1j * np.array(imag) - kernel(p, times)).max() <= 1e-9
+    # the Jordan block has no eigenbasis: exp(gen t) (0, 1) = (t, 1)
+    assert np.array_equal(np.array(jordan[0]), [[t, 1.0] for t in times]) and not np.any(jordan[1])

@@ -23,7 +23,7 @@ from fdqme.fdme import (
     steady_state,
     thermal_propagator,
 )
-from fdqme.liouville import SIGMA_MINUS, _steady_state, left_multiplier, lindblad_dissipator, qubit_state
+from fdqme.liouville import SIGMA_MINUS, _steady_state, expm, left_multiplier, lindblad_dissipator, qubit_state
 from fdqme.measures import (
     MeasureResult,
     backflow,
@@ -78,6 +78,11 @@ CHECKS = {
     "spectrum-negative": (lambda: Spectrum(GRID, [1.0, 1.0, -1e-3, 1.0, 1.0], norm=1.0), ValueError,
                           "spectrum values must be nonnegative"),
     "qubit-state-name": (lambda: qubit_state("z+"), ValueError, "unknown qubit state 'z\\+'"),
+    # a NaN or inf entry would give an all-NaN exponential
+    "expm-non-finite": (lambda: expm(np.stack([np.eye(2), [[0.0, np.inf], [0.0, 0.0]]])), ValueError,
+                        "^expm of a non-finite matrix$"),
+    "expm-not-square": (lambda: expm(np.zeros((3, 2, 3))), ValueError,
+                        r"^expected a stack of square matrices, got shape \(3, 2, 3\)$"),
     "non-square": (lambda: left_multiplier(np.zeros((2, 3))), ValueError,
                    r"expected a square matrix, got shape \(2, 3\)"),
     # an initial state is checked before it is evolved
@@ -233,6 +238,7 @@ def test_valid_inputs_of_the_checks_pass():
     assert spectral_measure(LINE, LINE, 1.0).value == pytest.approx(0.0, abs=1e-15)
     assert backflow([0.1, 0.0, 0.3]) == pytest.approx(0.3)
     assert trace_distance(qubit_state("g"), qubit_state("e")) == pytest.approx(1.0)
+    assert np.array_equal(expm([[0.0, 1e300], [0.0, 0.0]]), [[1.0, 1e300], [0.0, 1.0]])
     assert resonant_eta_grid(WAVEGUIDE, 0).tolist() == [0.0]
     assert resonant_eta_grid(WAVEGUIDE, 3, 1).tolist() == pytest.approx([2.0 * np.pi * n / 200.0 for n in range(4)])
     assert inverse_transform(FP, [0.5, 0.0, 0.0, 0.5], [0.0]) == pytest.approx(np.array([[0.5, 0.0, 0.0, 0.5]]))
