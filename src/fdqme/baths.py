@@ -6,8 +6,8 @@ rotating at half the pump frequency).  Every kernel entry is a finite sum of
 decaying exponentials c * exp(-kappa t) * exp(i mu t), so both the time-domain
 matrix and its one-sided Fourier transform c / (kappa + i (omega - mu)) come
 from one mode table.  Frequency arguments named ``delta`` are measured from
-the qubit frequency (omega_q or delta_q); bare transform variables are named
-``omega``.
+the qubit frequency, the bath's ``omega_ref``; bare transform variables are
+named ``omega``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ class ThermalBathParams:
     """Qubit coupled to a lossy cavity held in a thermal state.
 
     All rates share one arbitrary frequency unit; inputs quoted in units of
-    the coupling correspond to g = 1.
+    the coupling correspond to g = 1.  ``omega_ref`` (omega_q, the lab) is the
+    frame of U[omega] and the zero of the detuning axis; ``features`` are the
+    detunings where the kernel's poles put side features (the cavity, -delta).
     """
 
     g: float
@@ -81,6 +83,14 @@ class ThermalBathParams:
         """Qubit-cavity detuning omega_q - omega_c."""
         return self.omega_q - self.omega_c
 
+    @property
+    def omega_ref(self) -> float:
+        return self.omega_q
+
+    @property
+    def features(self) -> tuple[float, ...]:
+        return (-self.delta,)
+
 
 @dataclass(frozen=True)
 class SqueezedBathParams:
@@ -88,6 +98,8 @@ class SqueezedBathParams:
 
     Detunings are measured from half the pump frequency; r is the squeezing
     strength and must satisfy r < |delta_c| for the drive to be stable.
+    ``omega_ref`` (delta_q) and ``features`` (-delta_diff and -sigma_sum of
+    ``bogoliubov_params``) mean what they do for ``ThermalBathParams``.
     """
 
     g: float
@@ -102,6 +114,15 @@ class SqueezedBathParams:
             raise ValueError("g and kappa must be positive")
         if not 0 <= self.r < abs(self.delta_c):
             raise ValueError(f"require 0 <= r < |delta_c|, got r={self.r}, delta_c={self.delta_c}")
+
+    @property
+    def omega_ref(self) -> float:
+        return self.delta_q
+
+    @property
+    def features(self) -> tuple[float, ...]:
+        b = bogoliubov_params(self)
+        return (-b.delta_diff, -b.sigma_sum)
 
 
 @dataclass(frozen=True)
@@ -134,6 +155,7 @@ def bogoliubov_params(p: SqueezedBathParams) -> BogoliubovParams:
     nbar/mbar the steady-state occupation and two-photon coherence of the
     transformed mode.
     """
+    _cavity_bath(p, SqueezedBathParams)
     zeta = 0.5 * np.arctanh(p.r / p.delta_c)
     delta_c_eff = float(np.sqrt(p.delta_c**2 - p.r**2))
     g1 = p.g * float(np.cosh(zeta))
@@ -282,6 +304,7 @@ def _conj_transform_modes(modes):
 
 
 def _thermal_modes(p: ThermalBathParams) -> KernelModes:
+    _cavity_bath(p, ThermalBathParams)
     g2, nb = p.g**2, p.nbar
     delta = p.delta
     k11 = ((-nb * g2, delta), (-nb * g2, -delta))
@@ -295,7 +318,7 @@ def _thermal_modes(p: ThermalBathParams) -> KernelModes:
         ((1, 1), k22),
         ((2, 2), _conj_transform_modes(k22)),
     )
-    return _mode_table(p.kappa, p.omega_q, entries)
+    return _mode_table(p.kappa, p.omega_ref, entries)
 
 
 def _squeezed_modes(p: SqueezedBathParams, include_sum_frequency: bool = True) -> KernelModes:
@@ -340,27 +363,26 @@ def _squeezed_modes(p: SqueezedBathParams, include_sum_frequency: bool = True) -
         ((2, 1), tuple(k32)),
         ((1, 2), _conj_transform_modes(k32)),
     )
-    return _mode_table(p.kappa, p.delta_q, entries)
+    return _mode_table(p.kappa, p.omega_ref, entries)
+
+
+def _cavity_bath(p, *kinds):
+    """p if it is one of ``kinds``, by default either cavity bath; else the TypeError of every bath entry point."""
+    if not isinstance(p, kinds or (ThermalBathParams, SqueezedBathParams)):
+        raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
+    return p
 
 
 def kernel_modes(p, include_sum_frequency: bool = True) -> KernelModes:
     """Mode table for either bath type."""
-    if isinstance(p, ThermalBathParams):
+    if isinstance(_cavity_bath(p), ThermalBathParams):
         return _thermal_modes(p)
-    if isinstance(p, SqueezedBathParams):
-        return _squeezed_modes(p, include_sum_frequency)
-    raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
+    return _squeezed_modes(p, include_sum_frequency)
 
 
 def free_liouvillian(p) -> np.ndarray:
-    """Free qubit Liouvillian diag(0, i w, -i w, 0) for either bath, w = omega_q or delta_q."""
-    if isinstance(p, ThermalBathParams):
-        w = p.omega_q
-    elif isinstance(p, SqueezedBathParams):
-        w = p.delta_q
-    else:
-        raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
-    return commutator_superop(-(w / 2.0) * SIGMA_Z)
+    """Free qubit Liouvillian diag(0, i w, -i w, 0) of either bath in its frame w = ``p.omega_ref``."""
+    return commutator_superop(-(_cavity_bath(p).omega_ref / 2.0) * SIGMA_Z)
 
 
 def thermal_kernel_time(p: ThermalBathParams, t) -> np.ndarray:
@@ -370,7 +392,7 @@ def thermal_kernel_time(p: ThermalBathParams, t) -> np.ndarray:
 
 def thermal_kernel_freq(p: ThermalBathParams, delta) -> np.ndarray:
     """Thermal kernel transform at detuning(s) delta from the qubit frequency."""
-    return _thermal_modes(p).freq_matrix(np.asarray(delta) + p.omega_q)
+    return _thermal_modes(p).freq_matrix(np.asarray(delta) + p.omega_ref)
 
 
 def squeezed_kernel_time(p: SqueezedBathParams, t, include_sum_frequency: bool = True) -> np.ndarray:
@@ -380,7 +402,7 @@ def squeezed_kernel_time(p: SqueezedBathParams, t, include_sum_frequency: bool =
 
 def squeezed_kernel_freq(p: SqueezedBathParams, delta, include_sum_frequency: bool = True) -> np.ndarray:
     """Squeezed-cavity kernel transform at detuning(s) delta from delta_q."""
-    return _squeezed_modes(p, include_sum_frequency).freq_matrix(np.asarray(delta) + p.delta_q)
+    return _squeezed_modes(p, include_sum_frequency).freq_matrix(np.asarray(delta) + p.omega_ref)
 
 
 # --------------------------------------------------------------------------
@@ -460,13 +482,11 @@ def generic_kernel_time(p, t) -> np.ndarray:
     1e-44.  So times with kappa t > GENERIC_KAPPA_T_MAX raise, as does a
     non-finite result.
     """
-    if isinstance(p, SqueezedBathParams):
+    if isinstance(_cavity_bath(p), SqueezedBathParams):
         b = bogoliubov_params(p)
         g1, g2, nbar, mbar, omega_b = b.g1, b.g2, b.nbar, b.mbar, b.delta_c_eff
-    elif isinstance(p, ThermalBathParams):
-        g1, g2, nbar, mbar, omega_b = p.g, 0.0, p.nbar, 0.0 + 0.0j, p.omega_c
     else:
-        raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
+        g1, g2, nbar, mbar, omega_b = p.g, 0.0, p.nbar, 0.0 + 0.0j, p.omega_c
     t = _kernel_times(t)
     t_max = float(t.max(initial=0.0))
     if p.kappa * t_max > GENERIC_KAPPA_T_MAX:
@@ -553,7 +573,7 @@ def thermal_closed_spectrum(p: ThermalBathParams, delta) -> np.ndarray:
     The line is a nested Lorentzian: width -Re K22[delta] and center
     Im K22[delta] are themselves frequency dependent.
     """
-    return _thermal_line(kernel_modes(p), np.asarray(delta, dtype=float))
+    return _thermal_line(kernel_modes(_cavity_bath(p, ThermalBathParams)), np.asarray(delta, dtype=float))
 
 
 def squeezed_closed_spectrum(p: SqueezedBathParams, delta) -> np.ndarray:
@@ -563,7 +583,7 @@ def squeezed_closed_spectrum(p: SqueezedBathParams, delta) -> np.ndarray:
     coupling by the product of the (3,2) kernel transform and the transform
     of its conjugated time function (which is not |K32|^2).
     """
-    return _squeezed_line(kernel_modes(p), np.asarray(delta, dtype=float))
+    return _squeezed_line(kernel_modes(_cavity_bath(p, SqueezedBathParams)), np.asarray(delta, dtype=float))
 
 
 # --------------------------------------------------------------------------
@@ -574,21 +594,16 @@ def squeezed_closed_spectrum(p: SqueezedBathParams, delta) -> np.ndarray:
 def default_frequency_grid(p) -> np.ndarray:
     """Symmetric detuning grid, densified around the emission features.
 
-    Covers +/- (|detuning| + sum-frequency span + 40 kappa) with 2**14
-    uniform points, plus a fine window around the central line
-    (scale gamma_eff) with logarithmic shoulders out to the grid edge, and
-    fine windows around each kernel resonance (scale kappa).  The shoulders
-    keep the trapezoid rule accurate on the 1/x^2 Lorentzian wings even when
+    Covers +/- (the sum of |``p.features``| + 40 kappa) with 2**14 uniform
+    points, plus a fine window around the central line (scale gamma_eff)
+    with logarithmic shoulders out to the grid edge, and a fine window
+    around each of ``p.features`` (scale kappa).  The shoulders keep the
+    trapezoid rule accurate on the 1/x^2 Lorentzian wings even when
     gamma_eff is orders of magnitude below the base spacing.
     """
     rates = effective_rates(p)
-    if isinstance(p, ThermalBathParams):
-        span = abs(p.delta) + 40 * p.kappa
-        features = [-p.delta]
-    else:
-        b = bogoliubov_params(p)
-        span = abs(b.delta_diff) + abs(b.sigma_sum) + 40 * p.kappa
-        features = [-b.delta_diff, -b.sigma_sum]
+    features = p.features
+    span = sum(abs(f) for f in features) + 40 * p.kappa
     base = np.linspace(-span, span, 2**14)
     core_halfwidth = 30 * rates.gamma_eff
     fine = [rates.delta_eff + np.linspace(-core_halfwidth, core_halfwidth, 2001)]

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, _mode_table, free_liouvillian, kernel_modes
+from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, _cavity_bath, _mode_table, free_liouvillian
+from .baths import kernel_modes
 from .liouville import (
     SIGMA_MINUS,
     _coupled_block,
@@ -193,12 +194,14 @@ class FrequencyPropagator:
 
 def thermal_propagator(p: ThermalBathParams, markov: bool = False) -> FrequencyPropagator:
     """Propagator of a qubit with a thermal-cavity kernel (lab frame)."""
-    return FrequencyPropagator(l0=free_liouvillian(p), modes=kernel_modes(p), markov=markov)
+    modes = kernel_modes(_cavity_bath(p, ThermalBathParams))
+    return FrequencyPropagator(l0=free_liouvillian(p), modes=modes, markov=markov)
 
 
 def squeezed_propagator(p: SqueezedBathParams, markov: bool = False) -> FrequencyPropagator:
     """Propagator of a qubit with a squeezed-cavity kernel (pump frame), full mode table."""
-    return FrequencyPropagator(l0=free_liouvillian(p), modes=kernel_modes(p), markov=markov)
+    modes = kernel_modes(_cavity_bath(p, SqueezedBathParams))
+    return FrequencyPropagator(l0=free_liouvillian(p), modes=modes, markov=markov)
 
 
 def free_propagator(l0, omega_ref: float = 0.0) -> FrequencyPropagator:

@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .baths import ThermalBathParams, _rates, _squeezed_line, _thermal_line, bogoliubov_params
+from .baths import ThermalBathParams, _rates, _squeezed_line, _thermal_line
 from .baths import free_liouvillian, kernel_modes
 from .liouville import devectorize
 from .redfield import Trajectory, _markov_generator
@@ -166,27 +166,16 @@ def _divergence_bits(weights, r) -> tuple[float, float]:
     return float(weights @ (s_log_s - s + 1.0) / np.log(2.0)), z
 
 
-def _panel_cuts(p, modes, rates) -> np.ndarray:
+def _panel_cuts(rates, kappa, features, line_cuts) -> np.ndarray:
     """Panel edges in theta, from -pi/2 to pi/2, where delta = delta_eff + gamma_eff tan(theta).
 
     Cuts sit at the line core (delta_eff +/- 1, 4, 30 gamma_eff), geometrically
-    at ratio 8 from gamma_eff out to the farthest feature plus 40 kappa, and at
-    each kernel feature +/- 1 and 6 kappa.  The squeezed line also has a narrow
-    counter-rotating coherence feature (the b term of its closed form), cut
-    geometrically from a quarter of its width out to 6 kappa.
+    at ratio 8 from gamma_eff out to the farthest feature plus 40 kappa, at
+    each of ``features`` (the bath's ``features`` and the line's own) +/- 1
+    and 6 kappa, and at ``line_cuts``.
     """
-    d0, gamma, kappa = rates.delta_eff, rates.gamma_eff, modes.kappa
-    cuts = [d0 + np.array([-30.0, -4.0, -1.0, 1.0, 4.0, 30.0]) * gamma]
-    if isinstance(p, ThermalBathParams):
-        features = [-p.delta]
-    else:
-        b = bogoliubov_params(p)
-        features = [-b.delta_diff, -b.sigma_sum]
-        k33 = complex(modes.freq_matrix(-p.delta_q, block=(2,))[0, 0])
-        center = -2.0 * p.delta_q + k33.imag
-        offsets = _ratio_steps(abs(k33.real) / 4.0, 6.0 * kappa)
-        cuts += [center - offsets, center + offsets]
-        features.append(center)
+    d0, gamma = rates.delta_eff, rates.gamma_eff
+    cuts = [d0 + np.array([-30.0, -4.0, -1.0, 1.0, 4.0, 30.0]) * gamma, *line_cuts]
     cuts += [f + np.array([-6.0, -1.0, 1.0, 6.0]) * kappa for f in features]
     offsets = _ratio_steps(gamma, max(abs(f) for f in features) + 40.0 * kappa)
     cuts += [d0 - offsets, d0 + offsets]
@@ -205,21 +194,34 @@ def _mapped_divergence(p, modes, n: int) -> tuple[float, dict]:
 
     In theta q is 1/pi, so ``panel_divergence`` sums r = line / q against
     weights dtheta / pi, on the panels of ``_panel_cuts`` with n and 2n
-    Gauss-Legendre nodes each.
+    Gauss-Legendre nodes each.  The metadata also holds p's ``gap``, from
+    the table ``bath_measure`` names.  The squeezed line has a narrow
+    counter-rotating coherence feature (the b term of its closed form), cut
+    geometrically from a quarter of its width out to 6 kappa.
     """
     rates = _rates(modes)
     if rates.gamma_eff <= 0:
         raise ValueError(f"gamma_eff must be positive, got {rates.gamma_eff}")
-    line = _thermal_line if isinstance(p, ThermalBathParams) else _squeezed_line
+    if isinstance(p, ThermalBathParams):
+        line, gap_modes, features, line_cuts = _thermal_line, modes, p.features, []
+    else:
+        line, gap_modes = _squeezed_line, kernel_modes(p, include_sum_frequency=False)
+        k33 = complex(modes.freq_matrix(-p.delta_q, block=(2,))[0, 0])
+        center = -2.0 * p.delta_q + k33.imag
+        offsets = _ratio_steps(abs(k33.real) / 4.0, 6.0 * modes.kappa)
+        features, line_cuts = (*p.features, center), [center - offsets, center + offsets]
+    gap = _gap(p, gap_modes)
 
     def ratio(theta):  # r = p / q, with q = 1 / (pi gamma_eff (1 + tan^2)) the Markov Lorentzian at the node
         tan = np.tan(theta)
         return line(modes, rates.delta_eff + rates.gamma_eff * tan) * (np.pi * rates.gamma_eff) * (1.0 + tan * tan)
 
-    cuts = _panel_cuts(p, modes, rates)
+    cuts = _panel_cuts(rates, modes.kappa, features, line_cuts)
     lo, hi = cuts[:-1], cuts[1:]
     rules = [gauss_legendre(m) for m in (n, 2 * n)]
-    return panel_divergence(lo, hi, rules, rule_ratios(lo, hi, rules, ratio), lambda half, w: half[:, None] * w / np.pi)
+    kl, metadata = panel_divergence(lo, hi, rules, rule_ratios(lo, hi, rules, ratio),
+                                    lambda half, w: half[:, None] * w / np.pi)
+    return kl, {"gap": gap, **metadata}
 
 
 def bath_measure(p) -> MeasureResult:
@@ -238,10 +240,8 @@ def bath_measure(p) -> MeasureResult:
     full one: the gap is 0.56% below the full table's at r = 115 and 39% below
     at r = 300 (``spectral_gap`` gives the bath).
     """
-    modes = kernel_modes(p)
-    gap = _gap(p, modes if isinstance(p, ThermalBathParams) else kernel_modes(p, include_sum_frequency=False))
-    kl, metadata = _mapped_divergence(p, modes, PANEL_NODES)
-    return MeasureResult(value=kl / gap, method="spectral", metadata={"gap": gap, **metadata})
+    kl, metadata = _mapped_divergence(p, kernel_modes(p), PANEL_NODES)
+    return MeasureResult(value=kl / metadata["gap"], method="spectral", metadata=metadata)
 
 
 def trace_distance(rho1, rho2) -> float | np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import SqueezedBathParams, ThermalBathParams
+from .baths import ThermalBathParams, _cavity_bath
 from .fdme import Spectrum, _checked_grid, make_spectrum
 from .liouville import (
     SIGMA_MINUS,
@@ -99,18 +99,13 @@ def build_full_model(p, n_fock: int) -> FullModel:
     eye_q = np.eye(2, dtype=complex)
     a_joint = _kron(eye_q, a)
     coupling = lambda g: g * (_kron(SIGMA_PLUS, a) + _kron(SIGMA_MINUS, ad))
-    if isinstance(p, ThermalBathParams):
-        h = _kron(-(p.omega_q / 2.0) * SIGMA_Z, eye_c) + _kron(eye_q, p.omega_c * (ad @ a)) + coupling(p.g)
+    if isinstance(_cavity_bath(p), ThermalBathParams):
+        h_cav = p.omega_c * (ad @ a)
         dissipators = ((p.kappa * (p.nbar + 1.0), a_joint), (p.kappa * p.nbar, a_joint.conj().T))
-        omega_ref = p.omega_q
-    elif isinstance(p, SqueezedBathParams):
-        h_cav = p.delta_c * (ad @ a) + 0.5 * p.r * (a @ a + ad @ ad)
-        h = _kron(-(p.delta_q / 2.0) * SIGMA_Z, eye_c) + _kron(eye_q, h_cav) + coupling(p.g)
-        dissipators = ((p.kappa, a_joint),)
-        omega_ref = p.delta_q
     else:
-        raise TypeError(f"unsupported bath parameters: {type(p).__name__}")
-    h = _hermitian(h)
+        h_cav = p.delta_c * (ad @ a) + 0.5 * p.r * (a @ a + ad @ ad)
+        dissipators = ((p.kappa, a_joint),)
+    h = _hermitian(_kron(-(p.omega_ref / 2.0) * SIGMA_Z, eye_c) + _kron(eye_q, h_cav) + coupling(p.g))
     eye = np.eye(2 * n_fock, dtype=complex)
     pairs = [(h, eye), (eye, h.T)]
     for _, o in dissipators:
@@ -135,7 +130,7 @@ def build_full_model(p, n_fock: int) -> FullModel:
     kept = np.flatnonzero(lv)
     kept = kept[np.argsort(keys[kept])]
     rows, cols = np.divmod(keys[kept], eye.size)
-    return FullModel(n_fock=n_fock, qubit_frequency=omega_ref, liouvillian=IndexTriples(eye.size, rows, cols, lv[kept]))
+    return FullModel(n_fock=n_fock, qubit_frequency=p.omega_ref, liouvillian=IndexTriples(eye.size, rows, cols, lv[kept]))
 
 
 def full_steady_state(m: FullModel) -> np.ndarray:

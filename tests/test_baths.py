@@ -10,6 +10,7 @@ from fdqme.baths import (
     bogoliubov_params,
     default_frequency_grid,
     effective_rates,
+    free_liouvillian,
     generic_kernel_time,
     kernel_modes,
     markovian_spectrum,
@@ -410,6 +411,17 @@ def test_default_grid_is_fine_within_six_kappa_of_each_kernel_feature(p):
         assert window.size >= 1201
         assert window[0] == f - 6 * p.kappa and window[-1] == f + 6 * p.kappa
         assert np.diff(window).max() <= p.kappa / 100 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("p, frame", [(THERMAL, THERMAL.omega_q), (SQUEEZED, SQUEEZED.delta_q)],
+                         ids=["thermal", "squeezed"])
+def test_features_are_the_coherence_poles_seen_from_the_frame(p, frame):
+    # the mode table rotates in the bath's frame, and the side features are the poles of the
+    # coherence entry K22 measured from it
+    modes = kernel_modes(p)
+    assert p.omega_ref == modes.omega_ref == frame
+    assert np.array_equal(free_liouvillian(p).diagonal(), [0.0, 1j * frame, -1j * frame, 0.0])
+    assert sorted(p.features) == sorted(modes.mus[modes.coef[:, 1, 1] != 0] - frame)
 
 
 def test_locate_peak_refines_to_analytic_maximum():

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,31 @@ def test_package_exports_the_exceptions_its_functions_raise():
 
     assert issubclass(InversionAccuracyError, RuntimeError)
     assert issubclass(TruncationError, RuntimeError)
+
+
+CAVITY_BATHS = {"ThermalBathParams", "SqueezedBathParams"}
+# the functions that test a cavity bath's type: the shared check and the mode-table dispatch beside
+# it, the independent kernel reference, the measure's line and gap, the oracle's physics and the
+# CLI's pick of the propagator builder that the benchmark's propagator span names
+BATH_TYPE_TESTS = {"baths._cavity_bath", "baths.kernel_modes", "baths.generic_kernel_time",
+                   "measures._mapped_divergence", "oracle.build_full_model", "cli._emission"}
+
+
+def _bath_type_tests(node, scope, found):
+    """Add to ``found`` the innermost enclosing scope of each isinstance that names a cavity bath class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _bath_type_tests(child, f"{scope}.{child.name}", found)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "isinstance":
+            if CAVITY_BATHS & {n.id for n in ast.walk(child) if isinstance(n, ast.Name)}:
+                found.add(scope)
+        _bath_type_tests(child, scope, found)
+
+
+def test_cavity_bath_types_are_tested_in_known_functions_only():
+    # every other reader takes the bath's frame and features from omega_ref and features
+    found = set()
+    for path in sorted(Path(fdqme.__file__).parent.glob("*.py")):
+        _bath_type_tests(ast.parse(path.read_text()), path.stem, found)
+    assert found == BATH_TYPE_TESTS

@@ -7,9 +7,18 @@ from conftest import fwhm, index_triples, kl_divergence, spectral_measure
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
+    bogoliubov_params,
+    default_frequency_grid,
+    effective_rates,
     free_liouvillian,
     generic_kernel_time,
     kernel_modes,
+    markovian_spectrum,
+    squeezed_closed_spectrum,
+    squeezed_kernel_freq,
+    squeezed_kernel_time,
+    thermal_closed_spectrum,
+    thermal_kernel_freq,
     thermal_kernel_time,
 )
 from fdqme.fdme import (
@@ -20,6 +29,7 @@ from fdqme.fdme import (
     make_spectrum,
     propagate,
     purity,
+    squeezed_propagator,
     steady_state,
     thermal_propagator,
 )
@@ -32,7 +42,7 @@ from fdqme.measures import (
     trace_distance,
 )
 from fdqme.oracle import FullModel, build_full_model, full_steady_state
-from fdqme.redfield import Trajectory, br_evolve
+from fdqme.redfield import Trajectory, bm_evolve, br_evolve, br_ge_distance
 from fdqme.waveguide import WaveguideParams, resonant_eta_grid, waveguide_measure_sweep
 
 THERMAL = dict(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
@@ -157,6 +167,40 @@ CHECKS = {
                                                              [0.0]), ValueError,
                                    r"propagator l0 must be 4x4 like its mode table, got shape \(9, 9\)"),
 }
+# Every cavity-bath entry point raises the one TypeError for parameters of another kind.  A
+# bath-named function refuses the other cavity bath too: thermal_closed_spectrum of a squeezed
+# bath returned the thermal form on the squeezed table, off by 6.9e-3 of the peak at FIG8.
+_CAVITY_ENTRY_POINTS = {
+    "effective-rates": effective_rates,
+    "markovian-spectrum": lambda p: markovian_spectrum(p, GRID),
+    "default-grid": default_frequency_grid,
+    "spectral-gap": spectral_gap,
+    "br-evolve": lambda p: br_evolve(p, qubit_state("e"), [0.0, 0.1]),
+    "br-ge-distance": lambda p: br_ge_distance(p, [0.0, 0.1]),
+    "bm-evolve": lambda p: bm_evolve(p, qubit_state("e"), [0.0, 0.1]),
+}
+CHECKS |= {
+    f"{name}-type": (lambda call=call: call(WAVEGUIDE), TypeError, "^unsupported bath parameters: WaveguideParams$")
+    for name, call in _CAVITY_ENTRY_POINTS.items()
+}
+# (name, call, the bath it takes); each is also given the other cavity bath and the waveguide
+_BATH_NAMED = [
+    ("thermal-closed-spectrum", lambda p: thermal_closed_spectrum(p, GRID), ThermalBathParams),
+    ("squeezed-closed-spectrum", lambda p: squeezed_closed_spectrum(p, GRID), SqueezedBathParams),
+    ("thermal-propagator", thermal_propagator, ThermalBathParams),
+    ("squeezed-propagator", squeezed_propagator, SqueezedBathParams),
+    ("thermal-kernel-time", lambda p: thermal_kernel_time(p, GRID + 1.0), ThermalBathParams),
+    ("thermal-kernel-freq", lambda p: thermal_kernel_freq(p, GRID), ThermalBathParams),
+    ("squeezed-kernel-time", lambda p: squeezed_kernel_time(p, GRID + 1.0), SqueezedBathParams),
+    ("squeezed-kernel-freq", lambda p: squeezed_kernel_freq(p, GRID), SqueezedBathParams),
+    ("bogoliubov", bogoliubov_params, SqueezedBathParams),
+]
+_OTHER = {ThermalBathParams: SqueezedBathParams(**SQUEEZED), SqueezedBathParams: ThermalBathParams(**THERMAL)}
+CHECKS |= {
+    f"{name}-{type(p).__name__}": (lambda call=call, p=p: call(p), TypeError,
+                                   f"^unsupported bath parameters: {type(p).__name__}$")
+    for name, call, kind in _BATH_NAMED for p in (_OTHER[kind], WAVEGUIDE)
+}
 # NaN and inf pass every comparison of the parameter checks: each field of each
 # parameter class is checked for finiteness first, and named
 _VALID = {ThermalBathParams: THERMAL, SqueezedBathParams: SQUEEZED,
@@ -242,6 +286,10 @@ def test_valid_inputs_of_the_checks_pass():
     assert resonant_eta_grid(WAVEGUIDE, 0).tolist() == [0.0]
     assert resonant_eta_grid(WAVEGUIDE, 3, 1).tolist() == pytest.approx([2.0 * np.pi * n / 200.0 for n in range(4)])
     assert inverse_transform(FP, [0.5, 0.0, 0.0, 0.5], [0.0]) == pytest.approx(np.array([[0.5, 0.0, 0.0, 0.5]]))
+    for call in _CAVITY_ENTRY_POINTS.values():
+        call(ThermalBathParams(**THERMAL))
+    for _, call, kind in _BATH_NAMED:
+        call(kind(**_VALID[kind]))
 
 
 def test_kernel_decay_overflow_at_a_finite_phase_gives_zero():
