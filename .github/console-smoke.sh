@@ -238,13 +238,15 @@ echo "::endgroup::"
 # import of it raises ImportError), a thermal spectrum, the Born-Redfield positivity
 # run and the exact qubit-plus-cavity model run through main(), and the kernels of
 # the installed package, generic_kernel_time (whose exponentials are fdqme's own
-# expm) included, agree with the mode tables.  The installed package is imported,
-# with PYTHONPATH unset, at the numpy of the job, the floor job included.
-echo "::group::thermal-spectrum, positivity, oracle-compare and the kernels with scipy blocked"
+# expm) included, agree with the mode tables.  None of it imports numpy.ma, where
+# numpy itself does not on import.  The installed package is imported, with
+# PYTHONPATH unset, at the numpy of the job, the floor job included.
+echo "::group::thermal-spectrum, positivity, oracle-compare and the kernels with scipy blocked and no numpy.ma"
 env -u PYTHONPATH python - "$work" <<'PY'
 import sys
 sys.modules["scipy"] = None
 import numpy as np
+loaded_by_numpy = "numpy.ma" in sys.modules
 import fdqme
 from fdqme import (SqueezedBathParams, ThermalBathParams, generic_kernel_time, squeezed_kernel_time,
                    thermal_kernel_time)
@@ -259,6 +261,8 @@ for p, kernel in ((ThermalBathParams(g=1.0, omega_q=200.0, omega_c=150.0, kappa=
     generic = np.abs(kernel(p, t) - generic_kernel_time(p, t)).max()
     assert generic <= 1e-9, generic
     print(f"{type(p).__name__}: generic_kernel_time {generic:.2e} from the mode table with scipy blocked")
+assert loaded_by_numpy or "numpy.ma" not in sys.modules
+print("numpy.ma " + ("loaded by numpy itself" if loaded_by_numpy else "never imported"))
 PY
 echo "::endgroup::"
 

@@ -20,6 +20,7 @@ from .liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    _sorted_unique,
     commutator_superop,
     expm,
     left_multiplier,
@@ -614,5 +615,5 @@ def default_frequency_grid(p) -> np.ndarray:
         fine.append(rates.delta_eff - shoulder)
     for f in features:
         fine.append(np.linspace(f - 6 * p.kappa, f + 6 * p.kappa, 1201))
-    grid = np.unique(np.concatenate([base] + fine))
+    grid = _sorted_unique(np.concatenate([base] + fine))
     return grid[(grid >= -span) & (grid <= span)]

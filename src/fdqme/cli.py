@@ -252,8 +252,9 @@ _P_HI, _P_LO = np.array([_pow10(j) for j in range(-300, 301)]).T
 _P_HH = _P_HI * _SPLIT - (_P_HI * _SPLIT - _P_HI)
 _P_HL = _P_HI - _P_HH
 _P_CEIL = np.where(_P_LO > 0, np.nextafter(_P_HI, np.inf), _P_HI)
-# "%04d" % g as one 4-byte word, gathered whole
-_QUAD = np.array([b"%04d" % g for g in range(10000)], dtype="S4").view(np.uint32)
+# "%04d" % g as one 4-byte word, gathered whole; built as the digit bytes (b"0".."9" are 48..57) of
+# every g at once, most significant first
+_QUAD = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 # sign and "0.000" prefix by 5 * negative + (-k in fixed notation with k < 0)
 _PREFIX = _slots([sign + ("0." + "0" * (c - 1) if c else "") for sign in ("", "-") for c in range(5)], 6)
 # exponent by k + 300; index 601 is empty

@@ -28,7 +28,7 @@ import numpy as np
 
 from .baths import ThermalBathParams, _rates, _squeezed_line, _thermal_line
 from .baths import free_liouvillian, kernel_modes
-from .liouville import devectorize
+from .liouville import _sorted_unique, devectorize
 from .redfield import Trajectory, _markov_generator
 
 __all__ = [
@@ -180,7 +180,7 @@ def _panel_cuts(rates, kappa, features, line_cuts) -> np.ndarray:
     offsets = _ratio_steps(gamma, max(abs(f) for f in features) + 40.0 * kappa)
     cuts += [d0 - offsets, d0 + offsets]
     theta = np.arctan((np.concatenate(cuts) - d0) / gamma)
-    return np.unique(np.concatenate([[-np.pi / 2], theta, [np.pi / 2]]))
+    return _sorted_unique(np.concatenate([[-np.pi / 2], theta, [np.pi / 2]]))
 
 
 def _ratio_steps(start: float, stop: float) -> np.ndarray:

@@ -13,11 +13,15 @@ integral starts.  The Born-Redfield equation is linear, y' = A(t) y, so every
 DOP853 stage, step, error estimate and dense-output coefficient is a matrix
 that depends on (t, h) only.  br_evolve keeps only the exact blocks of A that
 hold the initial state (the other components stay exactly 0) and integrates
-in the interaction picture of the free phases, y~ = e^{-D t} y with D the
-imaginary diagonal of the free Liouvillian, so the steps follow the bath and
-not the free rotation.  It builds the step matrices for a window of equal
-steps as elementwise products of blocks stored stage-major, and propagates y
-by their prefix products.
+in the frame of the Markov generator G_inf = A(infinity): in its
+eigencomponents, turned back by their frequencies, z = e^{-i Im(Lambda) t}
+V^-1 y.  There no constant mixing or rotation is left, only the real decay
+rates Re Lambda and the transients, which decay like e^{-kappa t}, so the
+steps follow the bath and grow as it relaxes.  Where G_inf is not finite or
+nearly defective, the frame is that of the free phases (V = I, the imaginary
+diagonal of the free Liouvillian).  It builds the step matrices for a window
+of equal steps as elementwise products of blocks stored stage-major, and
+propagates y by their prefix products.
 
 The runs from the ground and the excited state stay on the population
 block, whose generator has zero column sums, so their trace distance is the
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baths import ThermalBathParams, effective_rates, free_liouvillian, kernel_modes
+from .baths import ThermalBathParams, _cavity_bath, effective_rates, free_liouvillian, kernel_modes
 from .fdme import Spectrum, make_spectrum
 from .liouville import _coupled_blocks, _density_vector, _modal_evolution
 
@@ -224,6 +228,15 @@ _STAGE_A = _dop853_stage_table()
 # speculative windows of equal steps: doubled after a fully accepted window,
 # halved after a rejection
 _WINDOW_MIN, _WINDOW_MAX = 32, 256
+# the first step turns the fastest term of the generator by at most this many radians (or e-folds).
+# On 10 baths of the positivity ranges no window is rejected with a cap up to 3.0, one a run at 4.0,
+# and two a run without the cap
+_FIRST_STEP_TURN = 2.5
+# largest condition number of the eigenvectors (unit columns) of a block of G_inf in whose frame
+# br_evolve integrates, so that ODE_RTOL times it stays within TRAJECTORY_TOL.  Over 200 draws of
+# each bath range of the benchmark it is at most 2.4; 9 of 3,000 wide squeezed draws exceed it
+# (largest 1.9e3, near a defective population block)
+_FRAME_COND_MAX = 100.0
 
 
 def _rms(v) -> float:
@@ -239,8 +252,12 @@ def _block_product(a, b) -> np.ndarray:
     return out
 
 
-def _first_step(generator, y0, t_end) -> float:
-    """Starting step for an order-7 error estimate (Hairer, Norsett & Wanner, II.4)."""
+def _first_step(generator, y0, t_end, max_rate) -> float:
+    """Starting step for an order-7 error estimate (Hairer, Norsett & Wanner, II.4).
+
+    Capped at _FIRST_STEP_TURN / max_rate, with max_rate the largest |rate|
+    of a term of the generator.
+    """
 
     def rhs(t, y):  # A(t) y on the held blocks
         a = generator(np.array([t]), np.zeros(1)).reshape(y.shape + y.shape[-1:] + (1,))
@@ -252,7 +269,7 @@ def _first_step(generator, y0, t_end) -> float:
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
     d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, t_end)
+    return min(100 * h0, h1, t_end, _FIRST_STEP_TURN / max_rate if max_rate > 0 else np.inf)
 
 
 def _window(generator, y, edges, h_nominal):
@@ -321,19 +338,20 @@ def _dense_weights(x):
     return x ** np.array([1, 1, 2, 2, 3, 3, 4]) * u ** np.array([0, 1, 1, 2, 2, 3, 3])
 
 
-def _integrate_linear(generator, y0, t_out):
+def _integrate_linear(generator, y0, t_out, max_rate):
     """States of y' = A(t) y, y(0) = y0, at the sorted nonnegative times t_out.
 
     y0 is the held state (n_blocks, m), and ``generator(starts, offsets)``
     is A on the held blocks at every starts[w] + offsets[s], as
-    (n_offsets, n_blocks * m * m, n_starts).  Adaptive DOP853 with DOP853's
-    step control (safety 0.9, factor in [0.2, 10], exponent -1/8, no growth
-    right after a rejection) applied to windows of equal steps; a step is
-    accepted when it and every step before it in its window pass the error
-    test.  A non-finite error estimate is a rejection, so a diverging
-    generator ends in the step-size underflow error.  Returns the states
-    (n_out, n_blocks, m) and the counts of accepted steps, rejected steps
-    and windows.
+    (n_offsets, n_blocks * m * m, n_starts), whose terms turn at rates of
+    modulus at most max_rate (which caps the first step).  Adaptive DOP853
+    with DOP853's step control (safety 0.9, factor in [0.2, 10], exponent
+    -1/8, no growth right after a rejection) applied to windows of equal
+    steps; a step is accepted when it and every step before it in its window
+    pass the error test.  A non-finite error estimate is a rejection, so a
+    diverging generator ends in the step-size underflow error.  Returns the
+    states (n_out, n_blocks, m) and the counts of accepted steps, rejected
+    steps and windows.
     """
     states = np.empty((t_out.size,) + y0.shape, dtype=complex)
     states[t_out == 0.0] = y0
@@ -342,7 +360,7 @@ def _integrate_linear(generator, y0, t_out):
     counts = {"accepted_steps": 0, "rejected_steps": 0, "windows": 0}
     # rejected speculative steps may overflow; their results are discarded
     with np.errstate(all="ignore"):
-        h = _first_step(generator, y0, t_end) if t_end > 0 else 0.0
+        h = _first_step(generator, y0, t_end, max_rate) if t_end > 0 else 0.0
         while t < t_end:
             if not h >= 10 * np.spacing(t):
                 raise RuntimeError(f"integration failed: step size {h:.3g} underflows at t = {t:.9g}")
@@ -373,6 +391,43 @@ def _integrate_linear(generator, y0, t_out):
     return states, counts
 
 
+def _eigen_stack(g):
+    """Eigenvalues, unit eigenvectors V and V^-1 of a stack of matrices, or None.
+
+    None when a matrix is not finite or its V has a condition number above
+    _FRAME_COND_MAX (a defective or nearly defective matrix).
+    """
+    if not np.all(np.isfinite(g)):
+        return None
+    vals, vecs = np.linalg.eig(g)
+    if not np.all(np.linalg.cond(vecs) <= _FRAME_COND_MAX):
+        return None
+    return vals, vecs, np.linalg.inv(vecs)
+
+
+def _markov_frame(g_inf, held, blocks):
+    """``_eigen_stack`` of G_inf on each held block: (vals, V, V^-1) over ``held``, or None.
+
+    Stacked blocks are decomposed in one call.  The blocks of a union are
+    decomposed one by one and placed on their positions in it, so V is block
+    diagonal there and an entry that links two blocks stays exactly 0 in the
+    frame.
+    """
+    if held.shape[0] == len(blocks):
+        return _eigen_stack(g_inf[held[:, :, None], held[:, None, :]])
+    vals = np.empty(held.shape, dtype=complex)
+    vecs = np.zeros(held.shape + held.shape[-1:], dtype=complex)
+    inverse = np.zeros_like(vecs)
+    for block in blocks:
+        part = _eigen_stack(g_inf[np.ix_(block, block)])
+        if part is None:
+            return None
+        at = np.searchsorted(held[0], block)
+        vals[0, at] = part[0]
+        vecs[0, at[:, None], at], inverse[0, at[:, None], at] = part[1:]
+    return vals, vecs, inverse
+
+
 def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
     """Integrate the time-local equation with running rates.
 
@@ -382,12 +437,27 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     y' = A(t) y with A(t) = G_inf - sum_k B_k e^{lambda_k t}, so DOP853
     (tolerances ODE_RTOL and ODE_ATOL) runs on step matrices of the exact
     blocks of A that hold rho0; the other components stay exactly 0.
-    It integrates y~ = e^{-D t} y, D = i Im diag(free Liouvillian), whose
-    generator e^{-D t} (A - D) e^{D t} is again a sum of exponentials: entry
-    (i, j) of every term turns at d_j - d_i more.  D is the free rotation
-    alone, so a real (non-Hermitian) free part stays in the generator, and
-    |y~_i| = |y_i| keeps the step control's tolerances as they are; the
-    states are turned back by e^{D t} at t_grid.
+    It integrates z = e^{-i Omega t} V^-1 y in the frame of the Markov
+    generator: G_inf = V Lambda V^-1 on each held block, with unit columns
+    of V, and Omega = Im Lambda.  Then z' = (e^{-i Omega t} V^-1 A V
+    e^{i Omega t} - i Omega) z, whose constant part V^-1 G_inf V - i Omega
+    is the real diagonal Re Lambda up to round-off (kept as it comes), and
+    whose other terms -V^-1 B_k V e^{lambda_k t} all decay like
+    e^{-kappa t}; entry (i, j) of each turns at Omega_j - Omega_i more.  No
+    constant mixing or rotation is left, so the steps grow as the
+    transients decay.  Re Lambda stays in the generator: taken into the
+    frame, it would make an entry from a decaying to a steady
+    eigencomponent grow as e^{Re(Lambda_j - Lambda_i) t} and overflow.
+    Where a block of G_inf is not finite, or cond(V) exceeds
+    _FRAME_COND_MAX, V = I and Omega = Im diag(free Liouvillian): the frame
+    of the free phases, which leaves the rest of G_inf in the generator.
+    The step control's tolerances hold for z, and |z_i| = |(V^-1 y)_i|:
+    they bound the error of each eigencomponent of y, and so that of y to
+    at most |V| <= sqrt(m) times as much, m the block size.  The first step
+    turns no term by more than _FIRST_STEP_TURN: it is at most that over
+    the largest |lambda_k + i (Omega_j - Omega_i)| of an entry (i, j) on
+    which term k acts.  The states are turned back by V e^{i Omega t} at
+    t_grid.
     Raises RuntimeError on step-size underflow.  The trajectory's
     ``diagnostics`` count accepted steps, rejected steps and windows.
     """
@@ -402,19 +472,26 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     else:
         held = np.sort(np.concatenate(blocks))[None, :]
     rows, cols = held[:, :, None], held[:, None, :]
+    frame = _markov_frame(g_inf, held, blocks)
+    if frame is None:  # the frame of the free phases
+        vals = free_liouvillian(p).diagonal()[held]
+        vecs = inverse = np.broadcast_to(np.eye(held.shape[1]), held.shape + held.shape[-1:])
+    else:
+        vals, vecs, inverse = frame
+    phases = 1j * vals.imag
     mode, col = np.nonzero(np.any(residues != 0, axis=1))  # contributing pairs
     basis = np.zeros((mode.size, 4, 4), dtype=complex)
     basis[np.arange(mode.size), :, col] = residues[mode, :, col]
-    basis = basis[:, rows, cols].reshape(mode.size, -1)
+    basis = (inverse @ basis[:, rows, cols] @ vecs).reshape(mode.size, -1)
     keep = np.any(basis != 0, axis=1)  # the pairs that act on the held blocks
     lam = lams[mode[keep], col[keep]]
     basis_t = basis[keep].T
-    # the free phases d: y~ = e^{-D t} y obeys y~' = e^{-D t} (A - D) e^{D t} y~, whose entry
-    # (i, j) turns at s = d_j - d_i; G_inf - D is a term of rate s, and every other rate shifts by s
-    free_phases = 1j * free_liouvillian(p).diagonal().imag
-    phases = free_phases[held]
+    # z = e^{-i Omega t} V^-1 y obeys z' = e^{-i Omega t} (V^-1 A V - i Omega) e^{i Omega t} z, whose
+    # entry (i, j) turns at s = i (Omega_j - Omega_i); V^-1 G_inf V - i Omega is a term of rate s, and
+    # every other rate shifts by s
     shift = (phases[:, None, :] - phases[:, :, None]).reshape(-1)
-    g_held = (g_inf - np.diag(free_phases))[rows, cols].reshape(-1)
+    g_held = (inverse @ g_inf[rows, cols] @ vecs - phases[..., None] * np.eye(held.shape[1])).reshape(-1)
+    fastest = np.abs(lam + shift[:, None])[basis_t != 0].max(initial=0.0)
 
     def generator(starts, offsets):
         # a term of rate r = lambda + s at t + c is e^{r c} e^{lambda t} e^{s t}: the offset
@@ -429,9 +506,9 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
         terms *= np.exp(np.multiply.outer(shift, starts))
         return terms
 
+    z, counts = _integrate_linear(generator, (inverse @ rho0[held][..., None])[..., 0], t_grid, fastest)
     states = np.zeros((t_grid.size, 4), dtype=complex)
-    held_states, counts = _integrate_linear(generator, rho0[held], t_grid)
-    states[:, held] = held_states * np.exp(np.multiply.outer(t_grid, phases))
+    states[:, held] = (vecs @ (z * np.exp(np.multiply.outer(t_grid, phases)))[..., None])[..., 0]
     return Trajectory(times=t_grid, states=states, diagnostics=counts)
 
 
@@ -477,9 +554,10 @@ def _br_line(p: ThermalBathParams, delta) -> np.ndarray:
 
     The first-order-in-g^2 expansion: a central Lorentzian at the
     Markov-limit shift plus a side Lorentzian and a Fano term displaced by
-    exactly the bare detuning.
+    exactly the bare detuning.  Raises the shared TypeError for any bath but
+    a thermal one.
     """
-    rates = effective_rates(p)
+    rates = effective_rates(_cavity_bath(p, ThermalBathParams))
     de, ge = rates.delta_eff, rates.gamma_eff
     denom = p.delta**2 + p.kappa**2
     a_lor = (de * p.delta - ge * p.kappa) / denom

@@ -20,6 +20,7 @@ import numpy as np
 
 from .baths import _require_finite
 from .fdme import Spectrum, make_spectrum
+from .liouville import _sorted_unique
 from .measures import gauss_legendre, panel_divergence, rule_ratios
 
 __all__ = [
@@ -178,7 +179,7 @@ def _band_divergence(p: WaveguideParams, n: int, rounds: int) -> tuple[float, di
     k = np.arange(np.ceil((p.omega0 - band) / period - 0.5), np.floor((p.omega0 + band) / period - 0.5) + 1)
     zeros = (k + 0.5) * period
     cuts = np.concatenate([[-band, band], np.array([-30.0, -4.0, -1.0, 1.0, 4.0, 30.0]) * h, zeros - p.omega0])
-    edges = np.unique(np.arctan(cuts[np.abs(cuts) <= band] / h))
+    edges = _sorted_unique(np.arctan(cuts[np.abs(cuts) <= band] / h))
     rules = [_graded_rule(m) for m in (n, 2 * n)]
 
     def ratios(lo, hi):  # the line ratio at each rule's nodes, (panels, nodes) per rule

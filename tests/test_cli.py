@@ -967,3 +967,33 @@ def test_scenarios_and_kernels_run_with_scipy_blocked(tmp_path):
         assert np.abs(np.array(real) + 1j * np.array(imag) - kernel(p, times)).max() <= 1e-9
     # the Jordan block has no eigenbasis: exp(gen t) (0, 1) = (t, 1)
     assert np.array_equal(np.array(jordan[0]), [[t, 1.0] for t in times]) and not np.any(jordan[1])
+
+
+# run in a fresh interpreter, since this one has numpy.ma loaded; prints whether numpy itself loads
+# numpy.ma on import (numpy 2.4 does not), then whether it is loaded after all nine cases
+MASKED_ARRAYS = """
+import json, sys
+import numpy
+loaded_by_numpy = "numpy.ma" in sys.modules
+from fdqme.cli import main
+for scenario, config, out in json.loads(sys.argv[1]):
+    assert main([scenario, "--config", config, "--out", out]) == 0, scenario
+print(json.dumps([loaded_by_numpy, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_scenarios_never_import_numpy_ma(tmp_path):
+    # np.unique (without return_* flags) imports numpy.ma on its first call, at 13-15 ms, so a
+    # one-item process would pay it; fdqme takes sorted distinct values from liouville._sorted_unique
+    runs = []
+    for case, (scenario, text) in METADATA_CASES.items():
+        (tmp_path / f"{case}.cfg").write_text(text)
+        runs.append([scenario, str(tmp_path / f"{case}.cfg"), str(tmp_path / case)])
+    env = {**os.environ, "PYTHONPATH": str(Path(fdqme.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", MASKED_ARRAYS, json.dumps(runs)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    loaded_by_numpy, loaded = json.loads(done.stdout.splitlines()[-1])
+    if loaded_by_numpy:
+        pytest.skip("this numpy imports numpy.ma itself")
+    assert len(runs) == 9 and not loaded

@@ -42,7 +42,7 @@ from fdqme.measures import (
     trace_distance,
 )
 from fdqme.oracle import FullModel, build_full_model, full_steady_state
-from fdqme.redfield import Trajectory, bm_evolve, br_evolve, br_ge_distance
+from fdqme.redfield import Trajectory, bm_evolve, br_evolve, br_ge_distance, br_spectrum
 from fdqme.waveguide import WaveguideParams, resonant_eta_grid, waveguide_measure_sweep
 
 THERMAL = dict(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
@@ -194,6 +194,8 @@ _BATH_NAMED = [
     ("squeezed-kernel-time", lambda p: squeezed_kernel_time(p, GRID + 1.0), SqueezedBathParams),
     ("squeezed-kernel-freq", lambda p: squeezed_kernel_freq(p, GRID), SqueezedBathParams),
     ("bogoliubov", bogoliubov_params, SqueezedBathParams),
+    # br_spectrum read the thermal detuning p.delta: AttributeError on a squeezed bath
+    ("br-spectrum", lambda p: br_spectrum(p, GRID), ThermalBathParams),
 ]
 _OTHER = {ThermalBathParams: SqueezedBathParams(**SQUEEZED), SqueezedBathParams: ThermalBathParams(**THERMAL)}
 CHECKS |= {
