@@ -201,8 +201,10 @@ PY
 echo "::endgroup::"
 
 # Both spectrum calls behind the entry point, the FD-QME resolvent and the exact
-# qubit-plus-cavity model, on a 3001-point window like the benchmark's: the two
-# spectra peak at the same detuning, within 1 g.
+# qubit-plus-cavity model, on a 3001-point window like the benchmark's: every
+# density_fdqme and density_full cell is the installed library's emission_spectrum
+# and full_steady_spectrum (whose Liouvillian build_full_model assembles), to the
+# last digit, and the two spectra peak at the same detuning, within 1 g.
 echo "::group::oracle-compare through the console script"
 cat > "$work/oracle.cfg" <<'CFG'
 [params]
@@ -224,13 +226,23 @@ CFG
 fdqme oracle-compare --config "$work/oracle.cfg" --out "$work/oracle"
 python - "$work/oracle/oracle.csv" <<'PY'
 import sys
+import numpy as np
+from fdqme import ThermalBathParams, build_full_model, emission_spectrum, full_steady_spectrum, thermal_propagator
 lines = [line for line in open(sys.argv[1]).read().splitlines() if not line.startswith("#")]
-header, rows = lines[0].split(","), [[float(x) for x in line.split(",")] for line in lines[1:]]
+header, cells = lines[0].split(","), [line.split(",") for line in lines[1:]]
 expected = ["frequency_minus_qubit[g]", "density_fdqme[1/g]", "density_full[1/g]"]
-assert header == expected and len(rows) == 3001, (header, len(rows))
+assert header == expected and len(cells) == 3001, (header, len(cells))
+p = ThermalBathParams(g=1.0, omega_q=2000.0, omega_c=2000.0 - 100.0, kappa=10.0, nbar=0.1)
+grid = np.linspace(-160.0, 80.0, 3001)
+columns = (grid, emission_spectrum(thermal_propagator(p), grid).values,
+           full_steady_spectrum(build_full_model(p, 10), grid).values)
+for row, values in zip(cells, zip(*columns)):
+    assert row == [format(v, ".17g") for v in values], (row, values)
+rows = [[float(x) for x in row] for row in cells]
 peak_fd, peak_full = (max(rows, key=lambda row: row[k])[0] for k in (1, 2))
 assert abs(peak_fd - peak_full) < 1.0, (peak_fd, peak_full)
-print(f"peak detuning: FD-QME {peak_fd:.4f} g, exact {peak_full:.4f} g")
+print(f"peak detuning: FD-QME {peak_fd:.4f} g, exact {peak_full:.4f} g; every density cell equal to "
+      "emission_spectrum's and full_steady_spectrum's")
 PY
 echo "::endgroup::"
 

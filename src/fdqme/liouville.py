@@ -56,7 +56,8 @@ class IndexTriples(NamedTuple):
     """An n x n matrix by its nonzeros: ``values[k]`` sits at ``(rows[k], cols[k])``.
 
     The entries are sorted row-major, with no duplicates and no zeros, so the
-    triples are also the matrix's nonzero pattern.
+    triples are also the matrix's nonzero pattern.  A sum of Kronecker
+    products takes that order from the sorted keys of ``_kron_terms``.
     """
 
     n: int
@@ -112,40 +113,23 @@ def _kron_terms(pairs) -> tuple[np.ndarray, np.ndarray]:
 
     The factors are dense square matrices, the left ones of one size and the
     right ones of one size, and only their nonzeros are multiplied.  Returns
-    the flat index ``row * n + col`` of each entry of the union, in no
-    particular order, and a (len(pairs), entries) array of each term's values
-    there, +0 where the term has no entry.  A left index pair (i, k) and a
-    right pair (j, l) give the entry ((i, j), (k, l)).  The pairs of each side
-    are grouped by the set of terms whose factor holds them, so a group of
-    one side and a group of the other share one set of terms (a bit per
-    pair, so at most 63 pairs), and each term is one outer product per such
-    block.
+    the flat index ``row * n + col`` of each entry of the union, sorted and
+    distinct, and a (len(pairs), entries) array of each term's values there,
+    +0 where the term has no entry.  A left index pair (i, k) and a right
+    pair (j, l) give the entry ((i, j), (k, l)).
     """
-    left = np.array([a.ravel() for a, _ in pairs])
-    right = np.array([b.ravel() for _, b in pairs])
-    n_left, n_right = pairs[0][0].shape[0], pairs[0][1].shape[0]
-    n = n_left * n_right
-    bits = 1 << np.arange(len(pairs), dtype=np.int64)
-
-    def grouped(factors, size, row_step, col_step):
-        # (set of terms, flat pairs, their part of the flat index) for each set that holds a pair
-        terms = bits @ (factors != 0)
-        held = np.flatnonzero(terms)
-        members = [held[terms[held] == s] for s in _sorted_unique(terms[held]).tolist()]
-        return [(int(terms[m[0]]), m, m // size * row_step + m % size * col_step) for m in members]
-
-    left_groups, right_groups = grouped(left, n_left, n_right * n, n_right), grouped(right, n_right, n, 1)
-    blocks = [(sl & sr, ml, mr, kl[:, None] + kr)
-              for sl, ml, kl in left_groups for sr, mr, kr in right_groups if sl & sr]
-    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [block_keys.ravel() for *_, block_keys in blocks])
-    values = np.zeros((len(pairs), keys.size), dtype=complex)
-    end = 0
-    for terms, ml, mr, block_keys in blocks:
-        start, end = end, end + block_keys.size
-        for t in range(len(pairs)):
-            if terms >> t & 1:
-                np.multiply.outer(left[t, ml], right[t, mr], out=values[t, start:end].reshape(block_keys.shape))
-    return keys, values
+    n_right = pairs[0][1].shape[0]
+    n = pairs[0][0].shape[0] * n_right
+    keys, products = [], []
+    for a, b in pairs:
+        (i, k), (j, l) = np.nonzero(a), np.nonzero(b)
+        keys.append(((i * n_right * n + k * n_right)[:, None] + (j * n + l)).ravel())
+        products.append(np.multiply.outer(a[i, k], b[j, l]).ravel())
+    union = _sorted_unique(np.concatenate(keys))
+    values = np.zeros((len(pairs), union.size), dtype=complex)
+    for term, term_keys, term_products in zip(values, keys, products):
+        term[np.searchsorted(union, term_keys)] = term_products
+    return union, values
 
 
 def vectorize(op) -> np.ndarray:

@@ -66,17 +66,6 @@ class FullModel:
         return 2 * self.n_fock
 
 
-def _dropped(x: np.ndarray) -> np.ndarray:
-    """Set every zero entry of ``x`` to +0, in place, and return ``x``.
-
-    A sparse sum drops the entries it cancels, and a later sum reads an
-    absent entry as +0, whatever the sign of the zeros it cancelled to (or
-    that ``-1j`` gave it).
-    """
-    x[x == 0] = 0
-    return x
-
-
 def build_full_model(p, n_fock: int) -> FullModel:
     """Assemble the joint model for either bath.
 
@@ -84,12 +73,18 @@ def build_full_model(p, n_fock: int) -> FullModel:
     frame rotating at half the pump, two-photon drive on the cavity and a
     single loss channel.  The Hilbert-space operators are dense, and L is
     -i[H, .] plus ``rate * (2 o . o^dag - o^dag o . - . o^dag o)`` per
-    channel, in the row-stacked convention of ``liouville``.  Only the
-    nonzeros of the Kronecker factors are multiplied, and the terms are
-    summed pairwise in the order ``-1j * (K1 - K2)``, then
-    ``+ rate * ((2 K3 - K4) - K5)`` per channel, with the entries a sum
-    cancels dropped, so each entry is that of a sparse assembly of the same
-    sums, to the bit.
+    channel, in the row-stacked convention of ``liouville``.  The terms of
+    ``_kron_terms`` are summed on their sorted union in the order
+    ``-1j * (K1 - K2)``, then ``+ rate * ((2 K3 - K4) - K5)`` per channel,
+    and the nonzero sums are kept.  Each is that of a sparse assembly of the
+    same sums, to the bit, since no signed zero reaches it: one factor of
+    each pair is positive with imaginary part +0, and the other real with
+    imaginary part +0, or -0 where it is positive, so every product, channel
+    sum and difference has imaginary part +0 and cancels to (+0, +0).  A
+    rate of 0 gives -0 only to a real part, which the sum's +0 or nonzero
+    real part absorbs.  ``-1j`` times a zero of ``K1 - K2`` is (+0, -0): it
+    stays zero and is left out, or a channel value's imaginary part +0
+    turns it to +0, as an absent entry of a sparse sum does.
     """
     if n_fock < 4:
         raise ValueError("n_fock must be at least 4")
@@ -113,22 +108,11 @@ def build_full_model(p, n_fock: int) -> FullModel:
         odo = od @ o
         pairs += [(o, od.T), (odo, eye), (eye, odo.T)]
     keys, terms = _kron_terms(pairs)
-    lv = terms[0]
-    lv -= terms[1]
-    lv *= -1j
-    _dropped(lv)
+    lv = -1j * (terms[0] - terms[1])
     for k, (rate, _) in enumerate(dissipators):
-        channel, kron_left, kron_right = terms[2 + 3 * k:5 + 3 * k]
-        channel *= 2.0
-        channel -= kron_left
-        _dropped(channel)
-        channel -= kron_right
-        _dropped(channel)
-        channel *= rate
-        lv += channel
-        _dropped(lv)
+        sandwich, kron_left, kron_right = terms[2 + 3 * k:5 + 3 * k]
+        lv += rate * ((2.0 * sandwich - kron_left) - kron_right)
     kept = np.flatnonzero(lv)
-    kept = kept[np.argsort(keys[kept])]
     rows, cols = np.divmod(keys[kept], eye.size)
     return FullModel(n_fock=n_fock, qubit_frequency=p.omega_ref, liouvillian=IndexTriples(eye.size, rows, cols, lv[kept]))
 

@@ -54,6 +54,8 @@ __all__ = [
 TRAJECTORY_TOL = 1e-8
 # relative and absolute error tolerances of the DOP853 step control in br_evolve
 ODE_RTOL, ODE_ATOL = 1e-10, 1e-12
+# a density matrix entry is at most 1 in modulus; ODE_RTOL of an entry past this exceeds TRAJECTORY_TOL
+_DIVERGENCE_BOUND = TRAJECTORY_TOL / ODE_RTOL
 
 
 @dataclass(frozen=True)
@@ -458,7 +460,9 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     the largest |lambda_k + i (Omega_j - Omega_i)| of an entry (i, j) on
     which term k acts.  The states are turned back by V e^{i Omega t} at
     t_grid.
-    Raises RuntimeError on step-size underflow.  The trajectory's
+    Raises RuntimeError on step-size underflow, and ValueError, naming the
+    first such output time, where the solution diverges: a state entry is
+    not finite or exceeds _DIVERGENCE_BOUND in modulus.  The trajectory's
     ``diagnostics`` count accepted steps, rejected steps and windows.
     """
     t_grid = _time_grid(t_grid)
@@ -509,6 +513,10 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     z, counts = _integrate_linear(generator, (inverse @ rho0[held][..., None])[..., 0], t_grid, fastest)
     states = np.zeros((t_grid.size, 4), dtype=complex)
     states[:, held] = (vecs @ (z * np.exp(np.multiply.outer(t_grid, phases)))[..., None])[..., 0]
+    diverged = ~np.all(np.abs(states) <= _DIVERGENCE_BOUND, axis=1)  # NaN fails too
+    if diverged.any():
+        raise ValueError(f"the Born-Redfield solution diverges: a state entry exceeds {_DIVERGENCE_BOUND:.3g} "
+                         f"in modulus at t = {t_grid[diverged.argmax()]:.9g}")
     return Trajectory(times=t_grid, states=states, diagnostics=counts)
 
 

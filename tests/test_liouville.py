@@ -9,6 +9,7 @@ from fdqme.liouville import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    _kron_terms,
     _modal_evolution,
     commutator_superop,
     devectorize,
@@ -212,6 +213,33 @@ def test_free_liouvillian_and_sigma_superops_equal_the_kron_construction_bit_for
     want = np.stack([np.kron(SIGMA_PLUS, eye), np.kron(SIGMA_MINUS, eye),
                      np.kron(eye, SIGMA_MINUS.T), np.kron(eye, SIGMA_PLUS.T)])
     assert np.array_equal(_bits(_SIGMA_SUPEROPS), _bits(want))
+
+
+def test_kron_terms_are_the_kron_products_on_their_sorted_union():
+    # 3x3 left and 4x4 right factors with explicit zeros of both signs; the last pair has
+    # its left nonzeros where every other left factor is zero, so it shares no entry with
+    # any other term, and one pair has a zero factor
+    for _ in range(20):
+        lefts = [_with_zeros(random_matrix(3)) for _ in range(4)]
+        rights = [_with_zeros(random_matrix(4)) for _ in range(5)]
+        rights[3][:] = 0.0
+        free = np.all(np.stack(lefts) == 0, axis=0)
+        free[0, 0] = True
+        lefts.append(np.where(free, random_matrix(3), -0.0))
+        for m in lefts[:-1]:
+            m[0, 0] = 0.0
+        pairs = list(zip(lefts, rights))
+        keys, terms = _kron_terms(pairs)
+        products = [np.kron(a, b).ravel() for a, b in pairs]
+        want = np.flatnonzero(np.any(np.stack(products) != 0, axis=0))
+        np.testing.assert_array_equal(keys, want)  # sorted, distinct, and the union of the nonzeros
+        assert terms.shape == (len(pairs), keys.size)
+        for term, product in zip(terms, products):
+            held = product[keys] != 0
+            assert np.array_equal(_bits(term[held]), _bits(product[keys][held]))
+            assert not _bits(term[~held]).any()  # +0 in both parts
+        lonely = products[-1][keys] != 0
+        assert lonely.any() and not np.any(np.stack(products[:-1])[:, keys][:, lonely] != 0)
 
 
 # --------------------------------------------------------------------------

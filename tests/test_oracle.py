@@ -285,12 +285,28 @@ def _validation_bath(rng, bath):
                               r=rng.uniform(0.93, 0.97) * delta_c, kappa=rng.uniform(8.0, 12.0))
 
 
+def _wide_bath(rng, bath):
+    # beyond the benchmark: zero (of either sign) or negative qubit and cavity frequencies, a
+    # heating channel of rate 0 (nbar = 0), a negative delta_c and r = 0, on which the signs of
+    # the zeros of build_full_model's sums could differ from a sparse sum's
+    either = lambda lo, hi: rng.choice([0.0, -0.0, rng.uniform(lo, hi)], p=[0.15, 0.1, 0.75])
+    g, kappa = rng.uniform(0.1, 3.0), rng.uniform(0.5, 20.0)
+    if bath == "thermal":
+        return ThermalBathParams(g=g, omega_q=either(-3000.0, 3000.0), omega_c=either(-3000.0, 3000.0),
+                                 kappa=kappa, nbar=rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+    delta_c = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 300.0)
+    return SqueezedBathParams(g=g, delta_q=either(-300.0, 300.0), delta_c=delta_c,
+                              r=rng.choice([0.0, rng.uniform(0.0, 0.99) * abs(delta_c)]), kappa=kappa)
+
+
 @pytest.mark.parametrize("bath", ["thermal", "squeezed"])
 def test_liouvillian_equals_the_sparse_assembly_bit_for_bit(bath):
-    # 200 draws of the validation ranges, with n_fock 4..16 (10..14 in the benchmark)
-    rng = np.random.default_rng(31 if bath == "thermal" else 32)
-    for _ in range(200):
-        p, n_fock = _validation_bath(rng, bath), int(rng.integers(4, 17))
+    # 200 draws of the validation ranges, with n_fock 4..16 (10..14 in the benchmark), then 50
+    # of the wide ranges, with n_fock 4..20
+    rng, wide = (np.random.default_rng(seed) for seed in ((31, 33) if bath == "thermal" else (32, 34)))
+    draws = [(_validation_bath(rng, bath), int(rng.integers(4, 17))) for _ in range(200)]
+    draws += [(_wide_bath(wide, bath), int(wide.integers(4, 21))) for _ in range(50)]
+    for p, n_fock in draws:
         lv = build_full_model(p, n_fock).liouvillian
         ref = sparse_full_liouvillian(p, n_fock)
         assert lv.n == (2 * n_fock) ** 2

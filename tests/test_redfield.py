@@ -377,6 +377,16 @@ def test_br_evolve_raises_when_the_step_size_underflows(monkeypatch, free):
         br_evolve(THERMAL_300, qubit_state("x+").reshape(-1), np.linspace(0.0, 1.0, 11))
 
 
+def test_br_evolve_raises_when_the_solution_diverges():
+    # G_inf of FIG8 has eigenvalues of real part +1.3e-2 and +6.6e-3: the largest state entry is
+    # 88.5 at t = 551.0 and 198 at 612.2, past the bound of 100; the trajectory keeps Hermiticity
+    # to TRAJECTORY_TOL up to t = 979.6, where it is 2.5e4
+    ts = np.linspace(0.0, 3000.0, 50)
+    with pytest.raises(ValueError, match=r"Born-Redfield solution diverges: .* exceeds 100 .* at t = 612\.244898"):
+        br_evolve(FIG8, qubit_state("y-"), ts)
+    assert np.abs(br_evolve(FIG8, qubit_state("y-"), ts[:10]).states).max() > 88.0
+
+
 def test_bm_thermal_matches_rate_equation():
     p = ThermalBathParams(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
     ts = np.linspace(0.0, 60.0, 301)
