@@ -154,6 +154,28 @@ print(f"largest purity: Born-Redfield {br:.6f}, FD-QME {fd:.6f}; every purity_br
 PY
 echo "::endgroup::"
 
+# The Born-Redfield integrator of the installed package on a thermal bath from x+: it holds
+# the population block {0, 3} and the coherence block {1, 2}, on which the thermal
+# generator is diagonal, stacked.  Within 1e-8 of the tests' scipy reference, with both
+# coherences nonzero throughout.
+echo "::group::Born-Redfield from x+ on a thermal bath through the installed package"
+env -u PYTHONPATH python - "$(dirname "$0")/../tests" <<'PY'
+import sys
+import numpy as np
+import fdqme
+from fdqme import ThermalBathParams, br_evolve, qubit_state
+sys.path.insert(0, sys.argv[1])
+from conftest import br_reference  # scipy's DOP853 at rtol 1e-13, atol 1e-15, in the lab frame
+p = ThermalBathParams(g=1.0, omega_q=300.0, omega_c=250.0, kappa=10.0, nbar=0.1)
+ts = np.linspace(0.0, 2.0, 41)
+states = br_evolve(p, qubit_state("x+"), ts).states
+error = np.abs(states - br_reference(p, qubit_state("x+").reshape(-1), ts)).max()
+assert error <= 1e-8, error
+assert np.all(states[:, [1, 2]] != 0.0)
+print(f"{fdqme.__file__}: br_evolve from x+ {error:.2e} from the scipy reference at {ts.size} times")
+PY
+echo "::endgroup::"
+
 # The ground/excited trace distance in closed form (Abel's identity) per detuning:
 # each backflow within 1e-9 of blp_measure of the library's integrated ground and
 # excited runs, no backflow at the smallest detuning, backflow at the largest, and

@@ -396,14 +396,14 @@ def thermal_kernel_freq(p: ThermalBathParams, delta) -> np.ndarray:
     return _thermal_modes(p).freq_matrix(np.asarray(delta) + p.omega_ref)
 
 
-def squeezed_kernel_time(p: SqueezedBathParams, t, include_sum_frequency: bool = True) -> np.ndarray:
+def squeezed_kernel_time(p: SqueezedBathParams, t) -> np.ndarray:
     """Squeezed-cavity kernel at time(s) t, including the coherence coupling."""
-    return _squeezed_modes(p, include_sum_frequency).time_matrix(t)
+    return _squeezed_modes(p).time_matrix(t)
 
 
-def squeezed_kernel_freq(p: SqueezedBathParams, delta, include_sum_frequency: bool = True) -> np.ndarray:
+def squeezed_kernel_freq(p: SqueezedBathParams, delta) -> np.ndarray:
     """Squeezed-cavity kernel transform at detuning(s) delta from delta_q."""
-    return _squeezed_modes(p, include_sum_frequency).freq_matrix(np.asarray(delta) + p.omega_ref)
+    return _squeezed_modes(p).freq_matrix(np.asarray(delta) + p.omega_ref)
 
 
 # --------------------------------------------------------------------------

@@ -279,27 +279,22 @@ def _components(n: int, rows, cols) -> np.ndarray:
             labels, jumped = jumped, jumped[jumped]
 
 
-def _coupled_blocks(gen, support) -> list[np.ndarray]:
-    """The exact blocks of ``gen`` that touch ``support``, in order of their first index.
+def _coupled_block(gen, support) -> np.ndarray:
+    """Sorted indices of the exact blocks of ``gen`` that touch ``support``.
 
     The blocks are the weakly connected components of the nonzero pattern of
     ``gen``, a dense array (whose links are its ``np.nonzero``) or
-    ``IndexTriples``, each as sorted indices.  A solve, resolvent or
-    evolution whose source lies in ``support`` never leaves them; round-off
-    in the pattern could only merge blocks, never drop one.
+    ``IndexTriples``.  A solve, resolvent or evolution whose source lies in
+    ``support`` never leaves them; round-off in the pattern could only merge
+    blocks, never drop one.
     """
     if isinstance(gen, IndexTriples):
         labels = _components(gen.n, gen.rows, gen.cols)
     else:
         labels = _components(gen.shape[0], *np.nonzero(gen))
-    blocks = [np.flatnonzero(labels == lab) for lab in set(labels[support].tolist())]
-    return sorted(blocks, key=lambda block: block[0])
-
-
-def _coupled_block(gen, support) -> np.ndarray:
-    """Sorted indices of the union of the exact blocks of ``gen`` that touch ``support``."""
-    blocks = _coupled_blocks(gen, support)
-    return np.sort(np.concatenate(blocks)) if blocks else np.empty(0, dtype=np.intp)
+    touched = np.zeros(labels.size, dtype=bool)
+    touched[labels[support]] = True
+    return np.flatnonzero(touched[labels])
 
 
 def _dense_block(gen, block) -> np.ndarray:

@@ -160,7 +160,7 @@ def full_steady_spectrum(m: FullModel, grid) -> Spectrum:
     """
     grid = _checked_grid(grid)
     chi_ss = full_steady_state(m)
-    sm_joint = np.kron(SIGMA_MINUS, np.eye(m.n_fock, dtype=complex))
+    sm_joint = _kron(SIGMA_MINUS, np.eye(m.n_fock, dtype=complex))
     src = (sm_joint @ chi_ss).reshape(-1)
     dual = sm_joint.reshape(-1).conj()
     block = _coupled_block(m.liouvillian, np.flatnonzero(src))

@@ -11,17 +11,20 @@ peak and, for the squeezed bath, can transiently break positivity.
 Both trajectories start from the state prepared at t = 0, where the running
 integral starts.  The Born-Redfield equation is linear, y' = A(t) y, so every
 DOP853 stage, step, error estimate and dense-output coefficient is a matrix
-that depends on (t, h) only.  br_evolve keeps only the exact blocks of A that
-hold the initial state (the other components stay exactly 0) and integrates
-in the frame of the Markov generator G_inf = A(infinity): in its
-eigencomponents, turned back by their frequencies, z = e^{-i Im(Lambda) t}
-V^-1 y.  There no constant mixing or rotation is left, only the real decay
-rates Re Lambda and the transients, which decay like e^{-kappa t}, so the
-steps follow the bath and grow as it relaxes.  Where G_inf is not finite or
-nearly defective, the frame is that of the free phases (V = I, the imaginary
-diagonal of the free Liouvillian).  It builds the step matrices for a window
-of equal steps as elementwise products of blocks stored stage-major, and
-propagates y by their prefix products.
+that depends on (t, h) only.  Every kernel term changes the coherence order
+by 0 or +-2 and the free Liouvillian is diagonal, so A never links the
+population block {0, 3} to the coherence block {1, 2}.  br_evolve holds the
+population block, and the coherence block too unless the initial state has
+no coherence (then it stays exactly 0), and integrates in the frame of the
+Markov generator G_inf = A(infinity): in its eigencomponents, turned back by
+their frequencies, z = e^{-i Im(Lambda) t} V^-1 y.  There no constant
+mixing or rotation is left, only the real decay rates Re Lambda and the
+transients, which decay like e^{-kappa t}, so the steps follow the bath and
+grow as it relaxes.  Where G_inf is not finite or nearly defective, the
+frame is that of the free phases (V = I, the imaginary diagonal of the free
+Liouvillian).  It builds the step matrices for a window of equal steps as
+elementwise products of blocks stored stage-major, and propagates y by
+their prefix products.
 
 The runs from the ground and the excited state stay on the population
 block, whose generator has zero column sums, so their trace distance is the
@@ -39,7 +42,7 @@ import numpy as np
 
 from .baths import ThermalBathParams, _cavity_bath, effective_rates, free_liouvillian, kernel_modes
 from .fdme import Spectrum, make_spectrum
-from .liouville import _coupled_blocks, _density_vector, _modal_evolution
+from .liouville import _density_vector, _modal_evolution
 
 __all__ = [
     "Trajectory",
@@ -113,32 +116,33 @@ def _column_nus(modes):
     return modes.mus[:, None] + np.array([0.0, -modes.omega_ref, modes.omega_ref, 0.0])
 
 
-def _running_generator(p, include_sum_frequency):
+def _running_generator(p):
     """Rates lambda, residues E and G_inf of A(t) = G_inf - sum E e^{lambda t}, per (mode, column).
 
     L2(t) = sum over (mode, column) of E (1 - e^{lambda t}) with residue
     E = coef / (kappa - i nu) and lambda = -kappa + i nu, so the generator is
     the free Liouvillian plus the residues' sum, less the decaying terms.
+    The mode table is the one without sum-frequency modes.
     """
-    modes = kernel_modes(p, include_sum_frequency)
+    modes = kernel_modes(p, include_sum_frequency=False)
     nus = _column_nus(modes)
     residues = modes.coef / (modes.kappa - 1j * nus)[:, None, :]
     return -modes.kappa + 1j * nus, residues, free_liouvillian(p) + residues.sum(axis=0)
 
 
-def br_induced_generator(p, t: float, include_sum_frequency: bool = False) -> np.ndarray:
+def br_induced_generator(p, t: float) -> np.ndarray:
     """Induced generator L2(t) = -sum over (mode, column) of E expm1(lambda t), from _running_generator.
 
     Equals the closed-form rate decomposition, which the tests keep as an
     independent reference construction.
     """
-    lams, residues, _ = _running_generator(p, include_sum_frequency)
+    lams, residues, _ = _running_generator(p)
     return -np.einsum("kij,kj->ij", residues, np.expm1(lams * float(t)))
 
 
-def bm_induced_generator(p, include_sum_frequency: bool = False) -> np.ndarray:
-    """Markov-limit induced generator (running integral frozen at infinity)."""
-    return _markov_generator(kernel_modes(p, include_sum_frequency))
+def bm_induced_generator(p) -> np.ndarray:
+    """Markov-limit induced generator (running integral frozen at infinity), of _running_generator's table."""
+    return _markov_generator(kernel_modes(p, include_sum_frequency=False))
 
 
 def _markov_generator(modes) -> np.ndarray:
@@ -234,6 +238,10 @@ _WINDOW_MIN, _WINDOW_MAX = 32, 256
 # On 10 baths of the positivity ranges no window is rejected with a cap up to 3.0, one a run at 4.0,
 # and two a run without the cap
 _FIRST_STEP_TURN = 2.5
+# the blocks of A(t) that br_evolve holds: the populations alone when the initial state has no
+# coherence, else the populations and the coherences, stacked
+_POPULATIONS = np.array([[0, 3]])
+_BOTH_BLOCKS = np.array([[0, 3], [1, 2]])
 # largest condition number of the eigenvectors (unit columns) of a block of G_inf in whose frame
 # br_evolve integrates, so that ODE_RTOL times it stays within TRAJECTORY_TOL.  Over 200 draws of
 # each bath range of the benchmark it is at most 2.4; 9 of 3,000 wide squeezed draws exceed it
@@ -277,9 +285,8 @@ def _first_step(generator, y0, t_end, max_rate) -> float:
 def _window(generator, y, edges, h_nominal):
     """DOP853 on consecutive steps edges[w] -> edges[w+1] of y' = A(t) y.
 
-    The held state y is (n_blocks, m): the components on each of the blocks
-    of A that hold the initial state, stacked when they have one size and
-    else merged into one, outside which every component stays exactly 0.
+    The held state y is (n_blocks, m): the components on each held block
+    of A, stacked, outside which every component stays exactly 0.
     For a linear equation every stage is a matrix M_s with k_s = M_s y.  The
     stage matrices of all steps are stored stage-major, (16, n_blocks, m, m,
     n), so a stage combination is one GEMV and a stage product m elementwise
@@ -407,30 +414,7 @@ def _eigen_stack(g):
     return vals, vecs, np.linalg.inv(vecs)
 
 
-def _markov_frame(g_inf, held, blocks):
-    """``_eigen_stack`` of G_inf on each held block: (vals, V, V^-1) over ``held``, or None.
-
-    Stacked blocks are decomposed in one call.  The blocks of a union are
-    decomposed one by one and placed on their positions in it, so V is block
-    diagonal there and an entry that links two blocks stays exactly 0 in the
-    frame.
-    """
-    if held.shape[0] == len(blocks):
-        return _eigen_stack(g_inf[held[:, :, None], held[:, None, :]])
-    vals = np.empty(held.shape, dtype=complex)
-    vecs = np.zeros(held.shape + held.shape[-1:], dtype=complex)
-    inverse = np.zeros_like(vecs)
-    for block in blocks:
-        part = _eigen_stack(g_inf[np.ix_(block, block)])
-        if part is None:
-            return None
-        at = np.searchsorted(held[0], block)
-        vals[0, at] = part[0]
-        vecs[0, at[:, None], at], inverse[0, at[:, None], at] = part[1:]
-    return vals, vecs, inverse
-
-
-def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
+def br_evolve(p, rho0, t_grid) -> Trajectory:
     """Integrate the time-local equation with running rates.
 
     The state rho0, a 2x2 matrix or its row-stacked 4-vector, is prepared at
@@ -438,7 +422,9 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     (nonnegative, increasing) times of t_grid.  The equation is linear,
     y' = A(t) y with A(t) = G_inf - sum_k B_k e^{lambda_k t}, so DOP853
     (tolerances ODE_RTOL and ODE_ATOL) runs on step matrices of the exact
-    blocks of A that hold rho0; the other components stay exactly 0.
+    blocks of A: the population block {0, 3}, and the coherence block
+    {1, 2} unless rho0[1] and rho0[2] are both exactly 0, in which case the
+    coherences stay exactly 0.
     It integrates z = e^{-i Omega t} V^-1 y in the frame of the Markov
     generator: G_inf = V Lambda V^-1 on each held block, with unit columns
     of V, and Omega = Im Lambda.  Then z' = (e^{-i Omega t} V^-1 A V
@@ -467,16 +453,10 @@ def br_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajector
     """
     t_grid = _time_grid(t_grid)
     rho0 = _density_vector(rho0)
-    lams, residues, g_inf = _running_generator(p, include_sum_frequency)
-    pattern = (g_inf != 0) | np.any(residues != 0, axis=0)
-    blocks = _coupled_blocks(pattern, np.flatnonzero(rho0))
-    # held blocks of one size are stacked; blocks of different sizes run as their union
-    if len({block.size for block in blocks}) == 1:
-        held = np.array(blocks)  # (n_blocks, m)
-    else:
-        held = np.sort(np.concatenate(blocks))[None, :]
+    lams, residues, g_inf = _running_generator(p)
+    held = _POPULATIONS if rho0[1] == 0 and rho0[2] == 0 else _BOTH_BLOCKS  # (n_blocks, m)
     rows, cols = held[:, :, None], held[:, None, :]
-    frame = _markov_frame(g_inf, held, blocks)
+    frame = _eigen_stack(g_inf[rows, cols])
     if frame is None:  # the frame of the free phases
         vals = free_liouvillian(p).diagonal()[held]
         vecs = inverse = np.broadcast_to(np.eye(held.shape[1]), held.shape + held.shape[-1:])
@@ -536,7 +516,7 @@ def br_ge_distance(p, t_grid) -> np.ndarray:
     imaginary part exceeds TRAJECTORY_TOL or D is not finite.
     """
     t_grid = _time_grid(t_grid)
-    lams, residues, g_inf = _running_generator(p, False)
+    lams, residues, g_inf = _running_generator(p)
     lam = lams[:, 0]  # the population columns rotate at the mode frequencies
     traces = residues[:, 0, 0] + residues[:, 3, 3]
     integral = (g_inf[0, 0] + g_inf[3, 3]) * t_grid - (np.expm1(np.multiply.outer(t_grid, lam)) / lam) @ traces
@@ -548,11 +528,11 @@ def br_ge_distance(p, t_grid) -> np.ndarray:
     return np.exp(integral.real)
 
 
-def bm_evolve(p, rho0, t_grid, include_sum_frequency: bool = False) -> Trajectory:
+def bm_evolve(p, rho0, t_grid) -> Trajectory:
     """Propagate under the constant Markov-limit generator from t = 0 (checked modal form)."""
     t_grid = _time_grid(t_grid)
     rho0_vec = _density_vector(rho0)
-    gen = free_liouvillian(p) + bm_induced_generator(p, include_sum_frequency)
+    gen = free_liouvillian(p) + bm_induced_generator(p)
     states = _modal_evolution(gen, rho0_vec, t_grid, 4)
     return Trajectory(times=t_grid, states=states)
 

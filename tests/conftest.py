@@ -50,19 +50,29 @@ def one_sided_transform(time_fn, omega, kappa, points_per_period: int = 80):
 
 
 
-def br_reference(p, rho0, t_grid, include_sum_frequency=False):
+def running_kernel_integral(modes):
+    """The function t -> int_0^t K(s) e^{-Ls s} ds of a mode table, mode by mode.
+
+    The induced generator of the time-local equation, with the running
+    integral starting at t = 0.
+    """
+    # under e^{-Ls s} the columns of the kernel rotate at 0, -omega_ref, +omega_ref, 0
+    rate = -modes.kappa + 1j * (modes.mus[:, None] + modes.omega_ref * np.array([0.0, -1.0, 1.0, 0.0]))
+    return lambda t: np.einsum("kij,kj->ij", modes.coef, (np.exp(rate * t) - 1.0) / rate)
+
+
+def br_reference(p, rho0, t_grid):
     """Time-local trajectory from scipy's DOP853 at rtol 1e-13, atol 1e-15.
 
     The generator is the free Liouvillian plus the running kernel integral
-    int_0^t K(s) e^{-Ls s} ds, mode by mode, with the state prepared at t = 0.
+    of the table without sum-frequency modes, with the state prepared at
+    t = 0.
     """
     free = free_liouvillian(p)
-    modes = kernel_modes(p, include_sum_frequency)
-    # under e^{-Ls s} the columns of the kernel rotate at 0, -omega_ref, +omega_ref, 0
-    rate = -modes.kappa + 1j * (modes.mus[:, None] + modes.omega_ref * np.array([0.0, -1.0, 1.0, 0.0]))
+    induced = running_kernel_integral(kernel_modes(p, include_sum_frequency=False))
 
     def rhs(t, y):
-        return (free + np.einsum("kij,kj->ij", modes.coef, (np.exp(rate * t) - 1.0) / rate)) @ y
+        return (free + induced(t)) @ y
 
     sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), np.asarray(rho0, dtype=complex).reshape(-1),
                     t_eval=t_grid, method="DOP853", rtol=1e-13, atol=1e-15)
@@ -146,27 +156,22 @@ def dense_matrix(t: IndexTriples) -> np.ndarray:
     return m
 
 
-def bfs_blocks(pattern, support) -> list[list[int]]:
-    """The weakly connected components of a dense pattern that touch ``support``, by breadth-first search.
+def bfs_block(pattern, support) -> list[int]:
+    """Sorted indices of the weakly connected components of a dense pattern that touch ``support``.
 
-    A plain reference for ``liouville._coupled_blocks``: each component as
-    sorted indices, the components in order of their first index.
+    A plain reference for ``liouville._coupled_block``, by breadth-first
+    search from the support.
     """
     linked = np.asarray(pattern) != 0
     linked = linked | linked.T
-    blocks, seen = [], set()
-    for start in sorted(set(support)):
-        if start in seen:
-            continue
-        block, queue = {start}, deque([start])
-        while queue:
-            for j in np.flatnonzero(linked[queue.popleft()]).tolist():
-                if j not in block:
-                    block.add(j)
-                    queue.append(j)
-        seen |= block
-        blocks.append(sorted(block))
-    return sorted(blocks)
+    block = set(support)
+    queue = deque(block)
+    while queue:
+        for j in np.flatnonzero(linked[queue.popleft()]).tolist():
+            if j not in block:
+                block.add(j)
+                queue.append(j)
+    return sorted(block)
 
 
 def full_system_matrix_delta(fp, delta):

@@ -16,7 +16,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 from conftest import (
-    bfs_blocks,
+    bfs_block,
     br_reference,
     full_assembly_emission_spectrum,
     index_triples,
@@ -36,7 +36,7 @@ from fdqme.baths import (
     markovian_spectrum,
 )
 from fdqme.fdme import emission_spectrum, make_spectrum, squeezed_propagator, steady_state, thermal_propagator
-from fdqme.liouville import _coupled_blocks, qubit_state, trace_dual
+from fdqme.liouville import _coupled_block, qubit_state, trace_dual
 from fdqme.measures import PANEL_NODES, _mapped_divergence, backflow, bath_measure, blp_measure, trace_distance
 from fdqme.oracle import build_full_model, full_steady_spectrum
 from fdqme.redfield import br_evolve, br_ge_distance
@@ -298,15 +298,13 @@ def _one_way_pattern():
 def test_block_finder_gives_dense_and_sparse_inputs_identical_blocks(case):
     # a dense pattern and its edge list (IndexTriples) against a breadth-first search
     pattern, support = case
-    dense = _coupled_blocks(pattern, support)
-    from_edges = _coupled_blocks(index_triples(pattern), support)
-    assert [b.tolist() for b in dense] == [b.tolist() for b in from_edges] == bfs_blocks(pattern, support)
-    # disjoint, ordered blocks that cover the support and are closed under the pattern
-    members = np.concatenate([np.empty(0, dtype=int)] + dense)
-    assert members.size == np.unique(members).size and set(support) <= set(members.tolist())
-    assert [b[0] for b in dense] == sorted(b[0] for b in dense)
-    outside = np.setdiff1d(np.arange(pattern.shape[0]), members)
-    assert not np.any(pattern[np.ix_(members, outside)]) and not np.any(pattern[np.ix_(outside, members)])
+    dense = _coupled_block(pattern, support)
+    from_edges = _coupled_block(index_triples(pattern), support)
+    assert dense.tolist() == from_edges.tolist() == bfs_block(pattern, support)
+    # sorted, distinct indices that cover the support and are closed under the pattern
+    assert np.all(np.diff(dense) > 0) and set(support) <= set(dense.tolist())
+    outside = np.setdiff1d(np.arange(pattern.shape[0]), dense)
+    assert not np.any(pattern[np.ix_(dense, outside)]) and not np.any(pattern[np.ix_(outside, dense)])
 
 
 @settings(max_examples=8, derandomize=True, deadline=None, database=None)

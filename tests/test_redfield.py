@@ -11,6 +11,7 @@ from conftest import (
     locate_peak,
     rates_generator_squeezed,
     rates_generator_thermal,
+    running_kernel_integral,
 )
 
 from fdqme import redfield
@@ -19,6 +20,7 @@ from fdqme.baths import (
     ThermalBathParams,
     effective_rates,
     free_liouvillian,
+    kernel_modes,
     thermal_kernel_time,
 )
 from fdqme.liouville import qubit_state
@@ -114,9 +116,10 @@ def test_squeezed_rate_decomposition_matches_kernel_integral():
 
 
 def test_squeezed_rate_decomposition_with_sum_frequency():
+    # the FD-QME runs the table with sum-frequency modes
     t = 0.31
     gen_rates = rates_generator_squeezed(br_rates_squeezed(FIG8, t, include_sum_frequency=True))
-    gen_modes = br_induced_generator(FIG8, t, include_sum_frequency=True)
+    gen_modes = running_kernel_integral(kernel_modes(FIG8, include_sum_frequency=True))(t)
     assert np.abs(gen_rates - gen_modes).max() < 1e-9
 
 
@@ -235,7 +238,7 @@ def test_br_evolve_matches_tight_reference_in_the_positivity_regime():
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-9], ids=["defective", "ill-conditioned"])
-@pytest.mark.parametrize("p, state", [(THERMAL_300, "x+"), (FIG8, "y-")], ids=["thermal-union", "squeezed-stacked"])
+@pytest.mark.parametrize("p, state", [(THERMAL_300, "x+"), (FIG8, "y-")], ids=["thermal-stacked", "squeezed-stacked"])
 def test_br_evolve_integrates_a_nearly_defective_generator_in_the_frame_of_the_free_phases(
         monkeypatch, p, state, spread):
     # the population block of G_inf becomes [[-a, -c], [a, c]] with c = (1 - spread) a: trace preserving,
@@ -245,7 +248,7 @@ def test_br_evolve_integrates_a_nearly_defective_generator_in_the_frame_of_the_f
     pop = np.ix_([0, 3], [0, 3])
     target = np.array([[-a, -(1 - spread) * a], [a, (1 - spread) * a]])
     extra = np.zeros((4, 4), dtype=complex)
-    extra[pop] = target - redfield._running_generator(p, False)[2][pop]
+    extra[pop] = target - redfield._running_generator(p)[2][pop]
 
     def patched(q):
         return free_liouvillian(q) + extra
@@ -253,8 +256,8 @@ def test_br_evolve_integrates_a_nearly_defective_generator_in_the_frame_of_the_f
     monkeypatch.setattr(redfield, "free_liouvillian", patched)
     monkeypatch.setattr(conftest, "free_liouvillian", patched)
     frames = []
-    markov_frame = redfield._markov_frame
-    monkeypatch.setattr(redfield, "_markov_frame", lambda *args: frames.append(markov_frame(*args)) or frames[-1])
+    eigen_stack = redfield._eigen_stack
+    monkeypatch.setattr(redfield, "_eigen_stack", lambda g: frames.append(eigen_stack(g)) or frames[-1])
     rho0 = qubit_state(state).reshape(-1)
     ts = np.linspace(0.0, 1.0, 101)
     traj = br_evolve(p, rho0, ts)
@@ -263,11 +266,11 @@ def test_br_evolve_integrates_a_nearly_defective_generator_in_the_frame_of_the_f
 
 
 def test_br_evolve_follows_the_closed_form_coherence_far_off_the_carrier():
-    # the thermal coherence is a 1x1 block: rho_01(t) = 0.5 exp(int_0^t A_11), with
+    # the thermal coherence block is diagonal: rho_01(t) = 0.5 exp(int_0^t A_11), with
     # int_0^t A_11 = G_inf[1,1] t - sum_k E_k[1,1] expm1(lambda_k t) / lambda_k
     ts = np.linspace(0.0, 0.5, 201)
     traj = br_evolve(THERMAL, qubit_state("x+"), ts)
-    lams, residues, g_inf = redfield._running_generator(THERMAL, False)
+    lams, residues, g_inf = redfield._running_generator(THERMAL)
     integral = g_inf[1, 1] * ts - (np.expm1(np.multiply.outer(ts, lams[:, 1])) / lams[:, 1]) @ residues[:, 1, 1]
     assert np.abs(traj.states[:, 1] - 0.5 * np.exp(integral)).max() < 1e-10  # 9.6e-12
     # the free rotation at omega_q = 2e5 costs no steps: 22, against 302,503 in the lab frame
@@ -305,16 +308,20 @@ def test_br_evolve_takes_one_state():
 
 @pytest.mark.parametrize(
     "p",
-    [THERMAL_300, THERMAL, ThermalBathParams(g=2.0, omega_q=150.0, omega_c=260.0, kappa=5.0, nbar=0.5), FIG8,
-     SqueezedBathParams(g=1.0, delta_q=150.0, delta_c=300.0, r=270.0, kappa=5.0)],
-    ids=["thermal-300", "thermal-2e5", "thermal-blue", "fig8", "squeezed-strong"],
+    [THERMAL_300, THERMAL, ThermalBathParams(g=2.0, omega_q=150.0, omega_c=260.0, kappa=5.0, nbar=0.5),
+     ThermalBathParams(g=1.0, omega_q=300.0, omega_c=250.0, kappa=10.0, nbar=0.0), FIG8,
+     SqueezedBathParams(g=1.0, delta_q=150.0, delta_c=300.0, r=270.0, kappa=5.0),
+     SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=120.0, r=0.0, kappa=10.0)],
+    ids=["thermal-300", "thermal-2e5", "thermal-blue", "thermal-nbar-0", "fig8", "squeezed-strong", "squeezed-r-0"],
 )
 def test_the_population_block_of_every_bath_is_closed(p):
-    # br_ge_distance rests on this: no term of either kernel feeds a coherence from a population
-    for include_sum_frequency in (False, True):
-        _, residues, g_inf = redfield._running_generator(p, include_sum_frequency)
-        assert np.all(g_inf[1:3][:, [0, 3]] == 0.0)
-        assert np.all(residues[:, 1:3][:, :, [0, 3]] == 0.0)
+    # br_ge_distance and br_evolve's two fixed blocks rest on this: no term of either kernel table links
+    # the populations {0, 3} to the coherences {1, 2}, in either direction
+    _, residues, g_inf = redfield._running_generator(p)
+    tables = [kernel_modes(p, include_sum_frequency).coef for include_sum_frequency in (False, True)]
+    for matrices in [g_inf[None], residues] + tables:
+        assert np.all(matrices[:, 1:3][:, :, [0, 3]] == 0.0)
+        assert np.all(matrices[:, [0, 3]][:, :, 1:3] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -333,6 +340,22 @@ def test_br_ge_distance_raises_on_a_complex_or_infinite_determinant(monkeypatch,
 def test_br_ge_distance_checks_its_times():
     with pytest.raises(ValueError, match="t_grid must be a 1-d array of increasing nonnegative times"):
         br_ge_distance(THERMAL, [0.0, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("entry", [1, 2])
+def test_br_evolve_holds_the_coherences_when_either_is_nonzero(entry):
+    # a state Hermitian within 1e-9 may carry a coherence in one entry only; the thermal coherence block is
+    # diagonal, so that entry follows rho_k(t) = rho_k(0) exp(int_0^t A_kk) and the other stays exactly 0
+    rho0 = np.array([0.5, 0.0, 0.0, 0.5], dtype=complex)
+    rho0[entry] = 1e-10
+    ts = np.linspace(0.0, 0.5, 51)
+    traj = br_evolve(THERMAL_300, rho0, ts)
+    lams, residues, g_inf = redfield._running_generator(THERMAL_300)
+    integral = (g_inf[entry, entry] * ts
+                - (np.expm1(np.multiply.outer(ts, lams[:, entry])) / lams[:, entry]) @ residues[:, entry, entry])
+    assert np.all(traj.states[:, entry] != 0.0)
+    assert np.abs(traj.states[:, entry] - 1e-10 * np.exp(integral)).max() < 1e-18  # 8.4e-22
+    assert np.all(traj.states[:, 3 - entry] == 0.0)
 
 
 def test_br_evolve_does_not_depend_on_the_output_grid():
