@@ -95,28 +95,26 @@ class Spectrum:
         return float(np.trapezoid(self.values, self.grid))
 
 
-def make_spectrum(grid, values, clip_rel: float = NEGATIVE_CLIP_REL) -> Spectrum:
+def make_spectrum(grid, values) -> Spectrum:
     """Clip round-off negativity and normalize to unit area.
 
-    Negative values beyond ``clip_rel`` of the peak indicate a sign error in
-    the kernel and raise instead of being hidden, as do non-finite values.
+    The one negativity rule of every spectrum: values below -NEGATIVE_CLIP_REL
+    of the peak indicate a sign error in the kernel and raise instead of being
+    hidden, as do non-finite values and a grid that breaks the grid rule.
     The raw curve is ``values * norm`` of the result.
     """
+    grid = _checked_grid(grid)
     values = np.asarray(values, dtype=float)
-    grid = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("spectrum values must be finite")
     peak = values.max() if values.size else 0.0
     if peak <= 0:
         raise ValueError("spectrum has no positive values")
-    worst = values.min()
-    if worst < -clip_rel * peak:
-        raise ValueError(f"spectrum negativity {worst:.3e} exceeds {clip_rel:.1e} of peak {peak:.3e}")
+    if values.min() < -NEGATIVE_CLIP_REL * peak:
+        raise ValueError(f"spectrum negativity {values.min():.3e} exceeds {NEGATIVE_CLIP_REL:.1e} of peak {peak:.3e}")
     values = np.clip(values, 0.0, None)
-    # a non-finite grid would make the trapezoid warn; the grid rule names it below
-    area = float(np.trapezoid(values, grid)) if grid.ndim == 1 and np.all(np.isfinite(grid)) else np.nan
+    area = float(np.trapezoid(values, grid))
     if not area > 0:
-        _checked_grid(grid)
         raise ValueError("cannot normalize zero-area spectrum")
     return Spectrum(grid=grid, values=values / area, norm=area, normalized=True)
 

@@ -169,7 +169,5 @@ def full_steady_spectrum(m: FullModel, grid) -> Spectrum:
     # drop numerically-zero weights (a steady-state mode in the block) to avoid 0/0 at the pole
     keep = np.abs(weights) > 1e-14 * np.abs(weights).max()
     omega = grid + m.qubit_frequency
-    dens = 2.0 * np.real(
-        (weights[keep] / (1j * omega[:, None] - lam[keep][None, :])).sum(axis=1)
-    )
-    return make_spectrum(grid, dens, clip_rel=1e-7)
+    dens = 2.0 * np.real((weights[keep] / (1j * omega[:, None] - lam[keep])).sum(axis=1))
+    return make_spectrum(grid, dens)

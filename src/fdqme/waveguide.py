@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .baths import _require_finite
-from .fdme import Spectrum, make_spectrum
+from .fdme import Spectrum, _checked_grid, make_spectrum
 from .liouville import _sorted_unique
 from .measures import gauss_legendre, panel_divergence, rule_ratios
 
@@ -41,6 +41,7 @@ _BAND_NODES = 16
 # is halved, for at most _SPLIT_ROUNDS rounds
 _SPLIT_RTOL = 1e-9
 _SPLIT_ROUNDS = 16
+MAX_DEFAULT_GRID_POINTS = 2**22  # the most points of default_waveguide_grid
 
 
 @dataclass(frozen=True)
@@ -107,19 +108,24 @@ def default_waveguide_grid(p: WaveguideParams) -> np.ndarray:
     """Frequency grid around omega0 resolving the Fano comb.
 
     At least 40 points per interference period 2 pi gamma / eta, and never
-    fewer than 20001 across +/- 60 gamma.
+    fewer than 20001 across +/- 60 gamma.  Above MAX_DEFAULT_GRID_POINTS
+    (32 MiB, twice that for the amplitude: eta above about 5,490) it raises
+    a ValueError before it allocates.
     """
     half = 60.0 * p.gamma
     n = 20001
     if p.eta > 0:
         period = 2.0 * np.pi * p.gamma / p.eta
         n = max(n, int(np.ceil(2 * half / (period / 40.0))) + 1)
+    if n > MAX_DEFAULT_GRID_POINTS:
+        raise ValueError(f"eta = {p.eta:.6g} needs a default grid of {n} points, above {MAX_DEFAULT_GRID_POINTS}; "
+                         "give the grid in [grid.frequency]")
     return np.linspace(p.omega0 - half, p.omega0 + half, n)
 
 
 def waveguide_spectrum(p: WaveguideParams, grid) -> Spectrum:
-    """Conditional emission spectrum |c[omega]|^2 normalized to unit area."""
-    grid = np.asarray(grid, dtype=float)
+    """Conditional emission spectrum |c[omega]|^2 normalized to unit area; the grid is checked first."""
+    grid = _checked_grid(grid)
     if grid[0] > p.omega0 - 40 * p.gamma or grid[-1] < p.omega0 + 40 * p.gamma:
         raise ValueError("grid must extend at least 40 gamma beyond omega0 on both sides")
     dens = np.abs(field_amplitude(p, grid)) ** 2

@@ -38,7 +38,8 @@ from fdqme.liouville import (
     trace_dual,
 )
 from fdqme.oracle import build_full_model, full_steady_spectrum
-from fdqme.redfield import bm_evolve
+from fdqme.redfield import bm_evolve, br_spectrum
+from fdqme.waveguide import WaveguideParams, waveguide_spectrum
 
 RNG = np.random.default_rng(31415)
 
@@ -321,6 +322,8 @@ GRID_ENTRY_POINTS = {
     "make_spectrum": lambda grid: make_spectrum(grid, np.ones(np.shape(grid))),
     "emission_spectrum": lambda grid: emission_spectrum(thermal_propagator(THERMAL), grid),
     "full_steady_spectrum": lambda grid: full_steady_spectrum(ORACLE_MODEL, grid),
+    "waveguide_spectrum": lambda grid: waveguide_spectrum(WaveguideParams(omega0=0.0, gamma=1.0, beta=0.9), grid),
+    "br_spectrum": lambda grid: br_spectrum(THERMAL, grid),
 }
 BAD_GRIDS = {
     "decreasing": [1.0, 0.0, -1.0],
@@ -349,6 +352,16 @@ def test_spectrum_container_invariants():
     assert s.norm == pytest.approx(np.trapezoid(vals, grid))
     with pytest.raises(ValueError, match="negativity"):
         make_spectrum(grid, vals - 0.5)
+
+
+def test_make_spectrum_has_one_negativity_rule_at_1e_12_of_the_peak():
+    grid = np.linspace(-1.0, 1.0, 5)
+    inside = make_spectrum(grid, [1.0, -0.5e-12, 1.0, 0.5, 1.0])
+    assert inside.values[1] == 0.0
+    assert inside.norm == np.trapezoid([1.0, 0.0, 1.0, 0.5, 1.0], grid)
+    assert abs(inside.area - 1.0) < 1e-15
+    with pytest.raises(ValueError, match=r"^spectrum negativity -2.000e-12 exceeds 1.0e-12 of peak 1.000e\+00$"):
+        make_spectrum(grid, [1.0, -2e-12, 1.0, 0.5, 1.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -43,7 +43,7 @@ from fdqme.measures import (
 )
 from fdqme.oracle import FullModel, build_full_model, full_steady_state
 from fdqme.redfield import Trajectory, bm_evolve, br_evolve, br_ge_distance, br_spectrum
-from fdqme.waveguide import WaveguideParams, resonant_eta_grid, waveguide_measure_sweep
+from fdqme.waveguide import WaveguideParams, resonant_eta_grid, waveguide_measure_sweep, waveguide_spectrum
 
 THERMAL = dict(g=1.0, omega_q=120.0, omega_c=100.0, kappa=8.0, nbar=0.2)
 SQUEEZED = dict(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0)
@@ -126,6 +126,11 @@ CHECKS = {
                          ValueError, r"states shape \(3, 4\) does not match times"),
     "waveguide-gamma": (lambda: WaveguideParams(omega0=200.0, gamma=0.0, beta=0.9), ValueError,
                         "gamma must be positive"),
+    # before the grid rule came first, an empty or 0-d grid raised an IndexError at grid[0]
+    "waveguide-grid-empty": (lambda: waveguide_spectrum(WAVEGUIDE, []), ValueError,
+                             "^grid must be finite, 1-d, strictly increasing and at least 2 points long$"),
+    "waveguide-grid-0d": (lambda: waveguide_spectrum(WAVEGUIDE, np.array(200.0)), ValueError,
+                          "^grid must be finite, 1-d, strictly increasing and at least 2 points long$"),
     "eta-grid-size": (lambda: waveguide_measure_sweep(WAVEGUIDE, [0.5]), ValueError,
                       "eta_grid must be strictly increasing with at least 2 points"),
     "eta-grid-order": (lambda: waveguide_measure_sweep(WAVEGUIDE, [0.0, 0.5, 0.5]), ValueError,

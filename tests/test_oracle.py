@@ -256,7 +256,7 @@ def test_block_spectrum_matches_direct_full_space_solve(bath):
         2.0 * np.real(dual @ np.linalg.solve(1j * (w + m.qubit_frequency) * eye - dense_matrix(m.liouvillian), src))
         for w in grid
     ]
-    ref = make_spectrum(grid, direct, clip_rel=1e-7)
+    ref = make_spectrum(grid, direct)
     assert np.abs(spec.values - ref.values).max() < 1e-9 * ref.values.max()
 
 

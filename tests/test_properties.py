@@ -23,9 +23,10 @@ from conftest import (
     lapack_emission_spectrum,
     squeezed_steady_ground_population,
 )
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fdqme import oracle, redfield
 from fdqme.baths import (
     KernelModes,
     SqueezedBathParams,
@@ -39,7 +40,7 @@ from fdqme.fdme import emission_spectrum, make_spectrum, squeezed_propagator, st
 from fdqme.liouville import _coupled_block, qubit_state, trace_dual
 from fdqme.measures import PANEL_NODES, _mapped_divergence, backflow, bath_measure, blp_measure, trace_distance
 from fdqme.oracle import build_full_model, full_steady_spectrum
-from fdqme.redfield import br_evolve, br_ge_distance
+from fdqme.redfield import BR_SERIES_C_MAX, br_evolve, br_ge_distance
 
 EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
@@ -72,6 +73,9 @@ squeezed_emitting = st.builds(_squeezed, st.floats(150.0, 250.0), st.floats(250.
 # oracle-comparison range: weak coupling (g = 1 against kappa >= 8), nbar small enough for n_fock = 10
 oracle_thermal = st.builds(_thermal, st.floats(1000.0, 3000.0), st.floats(60.0, 150.0),
                            st.floats(8.0, 15.0), st.floats(0.02, 0.2))
+# the Born-Redfield line's range: lab-frame thermal baths, |delta| <= 300, kappa 0.5-30, nbar 0-1
+br_line_thermal = st.builds(_thermal, st.just(2.0e5), st.floats(-300.0, 300.0), st.floats(0.5, 30.0),
+                            st.floats(0.0, 1.0))
 # Born-Redfield ranges: the lab-frame BLP comparison (ground and excited states
 # up to t_max 0.4-0.8) and the squeezed positivity example (sigma_y- up to 2)
 br_cases = st.one_of(
@@ -270,6 +274,37 @@ def test_fd_spectrum_matches_oracle_at_weak_coupling(p):
     fd = emission_spectrum(fp, grid)
     full = full_steady_spectrum(build_full_model(p, n_fock=10), grid)
     assert abs(grid[np.argmax(fd.values)] - grid[np.argmax(full.values)]) < 1.0
+
+
+def _oracle_line(p, n_fock, grid):
+    """full_steady_spectrum's line before make_spectrum clips and normalizes it."""
+    lines = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "make_spectrum", lambda grid, values: lines.append(values) or make_spectrum(grid, values))
+        full_steady_spectrum(build_full_model(p, n_fock), grid)
+    return lines[0]
+
+
+@EXAMPLES
+@given(oracle_thermal)
+@example(SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0))
+def test_oracle_line_has_no_negative_value(p):
+    # the pole sum stays positive: its smallest value is 1.0e-10 of the peak over 300 draws of
+    # these ranges and 1.8e-15 at r = 115, where make_spectrum would let -1e-12 of the peak pass
+    if isinstance(p, ThermalBathParams):
+        line = _oracle_line(p, 10, np.linspace(-(p.delta + 60.0), 80.0, 3001))
+    else:
+        line = _oracle_line(p, 12, default_frequency_grid(p))
+    assert line.min() >= 0.0
+
+
+@EXAMPLES
+@given(br_line_thermal)
+def test_br_line_is_nonnegative(p):
+    # on the default grid, up to the series' trusted |c|; its smallest value over 1,500 draws is
+    # 7.1e-17 of the peak, far in the wings
+    assume((2 * p.nbar + 1) * p.g**2 / abs(p.kappa + 1j * p.delta) ** 2 <= BR_SERIES_C_MAX)
+    assert redfield._br_line(p, default_frequency_grid(p)).min() >= 0.0
 
 
 @st.composite

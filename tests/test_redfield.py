@@ -5,6 +5,7 @@ from scipy.integrate import DOP853
 from conftest import (
     br_correlator,
     br_fft_spectrum,
+    br_quadrature_line,
     br_rates_squeezed,
     br_rates_thermal,
     br_reference,
@@ -26,6 +27,7 @@ from fdqme.baths import (
 from fdqme.liouville import qubit_state
 from fdqme.measures import trace_distance
 from fdqme.redfield import (
+    BR_SERIES_C_MAX,
     Trajectory,
     bm_evolve,
     bm_induced_generator,
@@ -539,6 +541,37 @@ def test_br_spectrum_side_peak_separation_is_bare_detuning():
     assert abs(separation - p.delta) < 0.2 * p.kappa
     # and clearly distinct from the frequency-domain separation delta + 2 delta_eff
     assert abs(separation - (p.delta + 2 * rates.delta_eff)) > 0.2 * p.kappa
+
+
+def _c_bath(c):
+    # delta_bath = 0 makes c = g^2 / kappa^2 real, where the series cancels most
+    return ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5, kappa=c**-0.5, nbar=0.0)
+
+
+@pytest.mark.parametrize("p", [
+    ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 10.0, kappa=0.5, nbar=1.0),  # side peak, |c| 0.03
+    ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5 - 100.0, kappa=10.0, nbar=0.1),  # FIG1, |c| 1.2e-4
+    ThermalBathParams(g=1.0, omega_q=1.0e3, omega_c=1.0e3 - 50.0, kappa=10.0, nbar=0.1),  # FFT route
+    _c_bath(3.0),
+    _c_bath(4.9),
+], ids=["side-peak", "fig1", "fft-route", "c3", "c4.9"])
+def test_br_line_is_the_exact_transform_of_the_correlator(p):
+    # measured 2.2e-16, 9.7e-17, 3.1e-16, 3.3e-14 and 3.6e-13 of the largest value
+    lo, hi = min(-p.delta, 0.0) - 10 * p.kappa - 5, max(-p.delta, 0.0) + 10 * p.kappa + 5
+    delta = np.linspace(lo, hi, 401)
+    ref = br_quadrature_line(p, delta)
+    assert np.abs(redfield._br_line(p, delta) - ref).max() <= 1e-12 * ref.max()
+
+
+def test_br_spectrum_refuses_a_bath_beyond_its_trusted_series():
+    assert BR_SERIES_C_MAX == 5.0
+    grid = np.linspace(-30.0, 30.0, 601)
+    br_spectrum(_c_bath(4.99), grid)
+    with pytest.raises(ValueError, match=r"trusted for \|c\| = .* <= 5.0 only, got 5.01"):
+        br_spectrum(_c_bath(5.01), grid)
+    # nbar = 1 and kappa = 0.5 on resonance: |c| = 12, where the series is off by 1.8e-7 of the peak
+    with pytest.raises(ValueError, match="got 12$"):
+        br_spectrum(ThermalBathParams(g=1.0, omega_q=2.0e5, omega_c=2.0e5, kappa=0.5, nbar=1.0), grid)
 
 
 def test_br_spectrum_fft_route_agrees_with_closed_form():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import fwhm
 from fdqme import waveguide
 from fdqme.measures import QUADRATURE_RTOL, gauss_legendre
 from fdqme.waveguide import (
+    MAX_DEFAULT_GRID_POINTS,
     MEASURE_BAND,
     WaveguideParams,
     _band_divergence,
@@ -33,6 +35,22 @@ def test_resonant_grid_spacing():
     etas = resonant_eta_grid(P0, n_max=10)
     assert etas[0] == 0.0
     assert np.allclose(np.diff(etas), 2 * np.pi * P0.gamma / P0.omega0)
+
+
+def test_default_grid_refuses_a_huge_eta_before_it_allocates():
+    # eta = 1e6 asked for 7.6e8 points: 6.1 GB for the grid alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^eta = 1e\+06 needs a default grid of 763943728 points, above "
+                                             r"4194304; give the grid in \[grid.frequency\]$"):
+            default_waveguide_grid(replace(P0, eta=1e6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # at eta = 10, the largest of the benchmark's range, 40 points a period are 7,641, under the floor
+    assert MAX_DEFAULT_GRID_POINTS == 2**22
+    assert default_waveguide_grid(replace(P0, eta=10.0)).size == 20001
 
 
 def test_zero_delay_amplitude_is_lorentzian():
