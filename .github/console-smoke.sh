@@ -39,6 +39,29 @@ for path in sys.argv[1:]:
         assert line == ",".join(format(float(c), ".17g") for c in cells), (path, line)
     print(f"{path}: {len(lines)} rows in %.17g")
 PY
+# weak coupling in the lab frame: the population decay rate (1.07e-7) is far below the
+# coherences' rotation at omega_q, and the steady state is still unique
+cat > "$work/weak.cfg" <<'CFG'
+[params]
+g = 0.02
+omega_q = 2.0e5
+kappa = 10.0
+nbar = 0.1
+delta = 300.0
+
+[output]
+path = weak.csv
+CFG
+fdqme thermal-spectrum --config "$work/weak.cfg" --out "$work/weak"
+python - "$work/weak/weak.csv" "$work/weak/weak.markov.csv" <<'PY'
+import sys
+import numpy as np
+for path in sys.argv[1:]:
+    lines = [line for line in open(path).read().splitlines() if not line.startswith("#")][1:]
+    rows = np.array([line.split(",") for line in lines], dtype=float)
+    assert rows.shape[0] > 10000 and np.all(np.isfinite(rows)), (path, rows.shape)
+    print(f"{path}: {rows.shape[0]} finite rows at g = 0.02")
+PY
 echo "::endgroup::"
 
 # The squeezed bath's 2x2 coherence source block behind the entry point, on its

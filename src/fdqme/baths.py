@@ -64,6 +64,7 @@ class ThermalBathParams:
     the coupling correspond to g = 1.  ``omega_ref`` (omega_q, the lab) is the
     frame of U[omega] and the zero of the detuning axis; ``features`` are the
     detunings where the kernel's poles put side features (the cavity, -delta).
+    ``cavity_mode`` is the identity Bogoliubov transform: g2 = 0, mbar = 0.
     """
 
     g: float
@@ -91,6 +92,11 @@ class ThermalBathParams:
     @property
     def features(self) -> tuple[float, ...]:
         return (-self.delta,)
+
+    @property
+    def cavity_mode(self) -> BogoliubovParams:
+        return BogoliubovParams(zeta=0.0, delta_c_eff=self.omega_c, g1=self.g, g2=0.0, nbar=self.nbar,
+                                mbar=0j, delta_diff=self.delta, sigma_sum=self.omega_q + self.omega_c)
 
 
 @dataclass(frozen=True)
@@ -125,10 +131,14 @@ class SqueezedBathParams:
         b = bogoliubov_params(self)
         return (-b.delta_diff, -b.sigma_sum)
 
+    @property
+    def cavity_mode(self) -> BogoliubovParams:
+        return bogoliubov_params(self)
+
 
 @dataclass(frozen=True)
 class BogoliubovParams:
-    """Derived quantities of the transform that diagonalizes the driven cavity."""
+    """Derived quantities of the transform that diagonalizes a cavity bath (the identity for a thermal one)."""
 
     zeta: float
     delta_c_eff: float
@@ -151,14 +161,14 @@ class EffectiveRates:
 def bogoliubov_params(p: SqueezedBathParams) -> BogoliubovParams:
     """Transform parameters of the squeezed cavity.
 
-    zeta is the squeeze angle, delta_c_eff the diagonalized cavity frequency,
-    g1/g2 the rotating/counter-rotating couplings (g2 = -g sinh zeta), and
-    nbar/mbar the steady-state occupation and two-photon coherence of the
-    transformed mode.
+    zeta is the squeeze angle, delta_c_eff the diagonalized cavity frequency
+    (with the sign of delta_c), g1/g2 the rotating/counter-rotating couplings
+    (g2 = -g sinh zeta), and nbar/mbar the steady-state occupation and
+    two-photon coherence of the transformed mode.
     """
     _cavity_bath(p, SqueezedBathParams)
     zeta = 0.5 * np.arctanh(p.r / p.delta_c)
-    delta_c_eff = float(np.sqrt(p.delta_c**2 - p.r**2))
+    delta_c_eff = float(np.copysign(np.sqrt(p.delta_c**2 - p.r**2), p.delta_c))
     g1 = p.g * float(np.cosh(zeta))
     g2 = -p.g * float(np.sinh(zeta))
     nbar = float(np.sinh(zeta) ** 2)
@@ -304,46 +314,35 @@ def _conj_transform_modes(modes):
     return tuple((np.conj(c), -mu) for c, mu in modes)
 
 
-def _thermal_modes(p: ThermalBathParams) -> KernelModes:
-    _cavity_bath(p, ThermalBathParams)
-    g2, nb = p.g**2, p.nbar
-    delta = p.delta
-    k11 = ((-nb * g2, delta), (-nb * g2, -delta))
-    k44 = ((-(nb + 1) * g2, delta), (-(nb + 1) * g2, -delta))
-    k22 = ((-(2 * nb + 1) * g2, p.omega_c),)
-    entries = (
-        ((0, 0), k11),
-        ((3, 3), k44),
-        ((0, 3), tuple((-c, mu) for c, mu in k44)),
-        ((3, 0), tuple((-c, mu) for c, mu in k11)),
-        ((1, 1), k22),
-        ((2, 2), _conj_transform_modes(k22)),
-    )
-    return _mode_table(p.kappa, p.omega_ref, entries)
+def _cavity_modes(p, include_sum_frequency: bool = True) -> KernelModes:
+    """Mode table of either cavity bath, from its ``cavity_mode``.
 
-
-def _squeezed_modes(p: SqueezedBathParams, include_sum_frequency: bool = True) -> KernelModes:
-    b = bogoliubov_params(p)
+    Without squeezing (zeta = 0: the thermal cavity, or r = 0) g2 and mbar
+    are exactly 0, so the terms they weight (the mbar and counter-rotating
+    population terms, K32/K23 and the sum-frequency modes) are not formed.
+    """
+    b = p.cavity_mode
     g1, g2, nb, mb = b.g1, b.g2, b.nbar, b.mbar
     dc, dd, ss = b.delta_c_eff, b.delta_diff, b.sigma_sum
     two_n1 = 2 * nb + 1
+    squeezed = b.zeta != 0
+    sums = include_sum_frequency and squeezed
 
     # coherence sector; poles at the diagonalized cavity frequency +/- dc
-    k22 = [(-(2 * g1 * g2 * np.conj(mb) + g1**2 * two_n1), dc)]
-    k32 = [((2 * g2**2 * np.conj(mb) + g1 * g2 * two_n1), dc)]
-    if include_sum_frequency:
+    if squeezed:
+        k22 = [(-(2 * g1 * g2 * np.conj(mb) + g1**2 * two_n1), dc)]
+        k32 = [((2 * g2**2 * np.conj(mb) + g1 * g2 * two_n1), dc)]
+    else:
+        k22, k32 = [(-(g1**2 * two_n1), dc)], []
+    if sums:
         k22.append((-(2 * g1 * g2 * mb + g2**2 * two_n1), -dc))
         k32.append(((2 * g1**2 * mb + g1 * g2 * two_n1), -dc))
 
     # population sector; difference- and sum-frequency modes
     def _pop(n_diff, n_sum):
-        modes = [
-            (-g1 * g2 * mb, dd),
-            (-g1 * g2 * np.conj(mb), -dd),
-            (-g1**2 * n_diff, dd),
-            (-g1**2 * n_diff, -dd),
-        ]
-        if include_sum_frequency:
+        modes = [(-g1 * g2 * mb, dd), (-g1 * g2 * np.conj(mb), -dd)] if squeezed else []
+        modes += [(-g1**2 * n_diff, dd), (-g1**2 * n_diff, -dd)]
+        if sums:
             modes += [
                 (-g1 * g2 * np.conj(mb), ss),
                 (-g1 * g2 * mb, -ss),
@@ -376,9 +375,7 @@ def _cavity_bath(p, *kinds):
 
 def kernel_modes(p, include_sum_frequency: bool = True) -> KernelModes:
     """Mode table for either bath type."""
-    if isinstance(_cavity_bath(p), ThermalBathParams):
-        return _thermal_modes(p)
-    return _squeezed_modes(p, include_sum_frequency)
+    return _cavity_modes(_cavity_bath(p), include_sum_frequency)
 
 
 def free_liouvillian(p) -> np.ndarray:
@@ -388,22 +385,22 @@ def free_liouvillian(p) -> np.ndarray:
 
 def thermal_kernel_time(p: ThermalBathParams, t) -> np.ndarray:
     """Thermal memory kernel at time(s) t; heating (1,1), cooling (4,4)."""
-    return _thermal_modes(p).time_matrix(t)
+    return _cavity_modes(_cavity_bath(p, ThermalBathParams)).time_matrix(t)
 
 
 def thermal_kernel_freq(p: ThermalBathParams, delta) -> np.ndarray:
     """Thermal kernel transform at detuning(s) delta from the qubit frequency."""
-    return _thermal_modes(p).freq_matrix(np.asarray(delta) + p.omega_ref)
+    return _cavity_modes(_cavity_bath(p, ThermalBathParams)).freq_matrix(np.asarray(delta) + p.omega_ref)
 
 
 def squeezed_kernel_time(p: SqueezedBathParams, t) -> np.ndarray:
     """Squeezed-cavity kernel at time(s) t, including the coherence coupling."""
-    return _squeezed_modes(p).time_matrix(t)
+    return _cavity_modes(_cavity_bath(p, SqueezedBathParams)).time_matrix(t)
 
 
 def squeezed_kernel_freq(p: SqueezedBathParams, delta) -> np.ndarray:
     """Squeezed-cavity kernel transform at detuning(s) delta from delta_q."""
-    return _squeezed_modes(p).freq_matrix(np.asarray(delta) + p.omega_ref)
+    return _cavity_modes(_cavity_bath(p, SqueezedBathParams)).freq_matrix(np.asarray(delta) + p.omega_ref)
 
 
 # --------------------------------------------------------------------------
@@ -483,24 +480,20 @@ def generic_kernel_time(p, t) -> np.ndarray:
     1e-44.  So times with kappa t > GENERIC_KAPPA_T_MAX raise, as does a
     non-finite result.
     """
-    if isinstance(_cavity_bath(p), SqueezedBathParams):
-        b = bogoliubov_params(p)
-        g1, g2, nbar, mbar, omega_b = b.g1, b.g2, b.nbar, b.mbar, b.delta_c_eff
-    else:
-        g1, g2, nbar, mbar, omega_b = p.g, 0.0, p.nbar, 0.0 + 0.0j, p.omega_c
+    b = _cavity_bath(p).cavity_mode
     t = _kernel_times(t)
     t_max = float(t.max(initial=0.0))
     if p.kappa * t_max > GENERIC_KAPPA_T_MAX:
         raise ValueError(f"generic_kernel_time is trusted for kappa t <= {GENERIC_KAPPA_T_MAX} only, "
                          f"got kappa t = {p.kappa * t_max:.6g} at t={t_max}")
     flat = t.reshape(-1, 1, 1)
-    M = _mode_matrix(nbar, mbar, p.kappa, omega_b)
-    G = _coupling_matrix(g1, g2)
+    M = _mode_matrix(b.nbar, b.mbar, p.kappa, b.delta_c_eff)
+    G = _coupling_matrix(b.g1, b.g2)
     l_s = free_liouvillian(p)
     # an overflow or NaN here is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         e_m, e_ls = np.split(expm(np.concatenate([M.T * flat, l_s * flat])), 2)
-        west = G @ _correlator_matrix(nbar, mbar) @ e_m @ G
+        west = G @ _correlator_matrix(b.nbar, b.mbar) @ e_m @ G
         # sum_ij west[i, j] S_i e_ls S_j over the stacked superoperators S
         out = -np.einsum("nij,niac,jcd->nad", west, _SIGMA_SUPEROPS @ e_ls[:, None], _SIGMA_SUPEROPS)
     if not np.all(np.isfinite(out)):

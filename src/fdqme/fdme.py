@@ -26,6 +26,7 @@ from .baths import KernelModes, SqueezedBathParams, ThermalBathParams, _cavity_b
 from .baths import kernel_modes
 from .liouville import (
     SIGMA_MINUS,
+    _components,
     _coupled_block,
     _density_vector,
     _modal_evolution,
@@ -234,14 +235,21 @@ def steady_state(fp: FrequencyPropagator) -> np.ndarray:
     of the generator with the kernel at transform variable 0 (detuning
     -omega_ref), the same for every initial state rho0 when that null vector
     is unique.  A generator without exactly one zero eigenvalue has a
-    degenerate steady-state manifold and raises.  Otherwise the null vector
-    comes from ``liouville._steady_state``: the trace-bordered solve on the
-    blocks that hold the populations, Hermitized and checked for unit trace.
+    degenerate steady-state manifold and raises; zero is judged per exact
+    block against the block's largest |eigenvalue|, so the lab-frame rotation
+    of the coherences at omega_ref sets no threshold for a weak decay rate.
+    Otherwise the null vector comes from ``liouville._steady_state``: the
+    trace-bordered solve on the blocks that hold the populations, Hermitized
+    and checked for unit trace.
     Returns the row-stacked vector (gg, ge, eg, ee).
     """
     generator = fp.l0 + fp.kernel_freq(-fp.omega_ref)
-    lam = np.linalg.eigvals(generator)
-    if np.count_nonzero(np.abs(lam) < 1e-12 * np.abs(lam).max()) != 1:
+    labels = _components(generator.shape[0], *np.nonzero(generator))
+    zeros = 0
+    for root in np.flatnonzero(labels == np.arange(labels.size)):
+        lam = np.abs(np.linalg.eigvals(generator[np.ix_(labels == root, labels == root)]))
+        zeros += np.count_nonzero(lam <= 1e-12 * lam.max())
+    if zeros != 1:
         raise ValueError("steady-state manifold is degenerate; final value is not unique")
     return _steady_state(generator, int(round(np.sqrt(generator.shape[0])))).reshape(-1)
 

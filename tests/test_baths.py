@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from conftest import locate_peak, one_sided_transform, squeezed_steady_ground_population
@@ -129,6 +131,37 @@ def test_thermal_freq_kernel_poles_are_causal():
     assert np.all(modes.pole_frequencies().imag > 0)
 
 
+def test_thermal_cavity_mode_is_the_identity_transform():
+    b = THERMAL.cavity_mode
+    assert {f.name: getattr(b, f.name) for f in fields(b)} == {
+        "zeta": 0.0, "delta_c_eff": THERMAL.omega_c, "g1": THERMAL.g, "g2": 0.0, "nbar": THERMAL.nbar,
+        "mbar": 0j, "delta_diff": THERMAL.delta, "sigma_sum": THERMAL.omega_q + THERMAL.omega_c,
+    }
+    assert type(b.mbar) is complex
+    assert SQUEEZED.cavity_mode == bogoliubov_params(SQUEEZED)
+
+
+# a cavity and detuning of either sign, delta = 0, delta = omega_c, omega_c = 0 and nbar = 0
+TABLE_THERMALS = [THERMAL, ThermalBathParams(1.0, 120.0, 120.0, 5.0, 0.3), ThermalBathParams(1.0, 50.0, 25.0, 5.0, 0.3),
+                  ThermalBathParams(0.5, -80.0, 0.0, 5.0, 0.0), ThermalBathParams(2.0, 30.0, -70.0, 5.0, 1.0)]
+
+
+@pytest.mark.parametrize("include_sum_frequency", [True, False])
+def test_thermal_table_holds_the_cavity_and_detuning_modes_only(include_sum_frequency):
+    for p in TABLE_THERMALS:
+        mus = kernel_modes(p, include_sum_frequency).mus
+        assert mus.tolist() == sorted({-p.omega_c, -p.delta, p.delta, p.omega_c})
+
+
+@pytest.mark.parametrize("include_sum_frequency", [True, False])
+def test_no_mode_table_holds_an_all_zero_mode(include_sum_frequency):
+    # without squeezing (thermal, or r = 0) the terms weighted by g2 or mbar are not formed
+    pairs = ((320.0, 115.0), (320.0, 0.0), (-320.0, 0.0), (-320.0, 50.0))  # (delta_c, r)
+    for p in TABLE_THERMALS + [SqueezedBathParams(1.0, 200.0, dc, r, 10.0) for dc, r in pairs]:
+        coef = kernel_modes(p, include_sum_frequency).coef
+        assert np.all(np.abs(coef).reshape(coef.shape[0], -1).max(axis=1) > 0)
+
+
 # --------------------------------------------------------------------------
 # Bogoliubov parameters
 # --------------------------------------------------------------------------
@@ -146,8 +179,10 @@ def test_bogoliubov_no_squeezing():
 
 
 def test_bogoliubov_three_four_five():
-    p = SqueezedBathParams(g=1.0, delta_q=1.0, delta_c=5.0, r=3.0, kappa=1.0)
-    assert bogoliubov_params(p).delta_c_eff == pytest.approx(4.0)
+    # the diagonalized cavity keeps the side of the pump that delta_c is on
+    for sign in (1.0, -1.0):
+        p = SqueezedBathParams(g=1.0, delta_q=1.0, delta_c=sign * 5.0, r=3.0, kappa=1.0)
+        assert bogoliubov_params(p).delta_c_eff == pytest.approx(sign * 4.0)
 
 
 def test_bogoliubov_coupling_identity_across_r():
@@ -168,13 +203,13 @@ def test_squeezed_params_rejects_unstable_drive():
 
 
 def test_squeezed_kernel_reduces_to_zero_temperature_thermal():
-    p0 = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=0.0, kappa=10.0)
-    therm = ThermalBathParams(g=1.0, omega_q=200.0, omega_c=320.0, kappa=10.0, nbar=0.0)
-    t = np.linspace(0.0, 0.5, 40)
-    ks = squeezed_kernel_time(p0, t)
-    kt = thermal_kernel_time(therm, t)
-    assert np.abs(ks - kt).max() < 1e-12
-    assert np.abs(ks[:, 2, 1]).max() == 0.0
+    for delta_c in (320.0, -320.0):
+        p0 = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=delta_c, r=0.0, kappa=10.0)
+        therm = ThermalBathParams(g=1.0, omega_q=200.0, omega_c=delta_c, kappa=10.0, nbar=0.0)
+        squeezed, thermal = kernel_modes(p0), kernel_modes(therm)
+        np.testing.assert_array_equal(squeezed.mus, thermal.mus)
+        np.testing.assert_array_equal(squeezed.coef, thermal.coef)
+        assert np.abs(squeezed_kernel_time(p0, np.linspace(0.0, 0.5, 40))[:, 2, 1]).max() == 0.0
 
 
 def test_squeezed_kernel_value_at_zero_time():

@@ -36,11 +36,10 @@ def test_package_exports_the_exceptions_its_functions_raise():
 
 
 CAVITY_BATHS = {"ThermalBathParams", "SqueezedBathParams"}
-# the functions that test a cavity bath's type: the shared check and the mode-table dispatch beside
-# it, the independent kernel reference, the measure's line and gap, the oracle's physics and the
-# CLI's pick of the propagator builder that the benchmark's propagator span names
-BATH_TYPE_TESTS = {"baths._cavity_bath", "baths.kernel_modes", "baths.generic_kernel_time",
-                   "measures._mapped_divergence", "oracle.build_full_model", "cli._emission"}
+# the functions that test a cavity bath's type: the shared check, the measure's line and gap, the
+# oracle's physics and the CLI's pick of the propagator builder that the benchmark's propagator span
+# names; the mode tables and the independent kernel reference read the bath's cavity_mode
+BATH_TYPE_TESTS = {"baths._cavity_bath", "measures._mapped_divergence", "oracle.build_full_model", "cli._emission"}
 
 
 def _bath_type_tests(node, scope, found):

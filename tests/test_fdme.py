@@ -150,9 +150,20 @@ def test_squeezed_steady_state_needs_kernel_at_zero_frequency(r):
 
 
 def test_steady_state_degenerate_manifold_detected():
-    fp = free_propagator(commutator_superop(-(5.0 / 2) * SIGMA_Z), omega_ref=5.0)
-    with pytest.raises(ValueError):
-        steady_state(fp)
+    # two zero eigenvalues (the populations) under free rotation, four for a zero generator
+    for l0 in (commutator_superop(-(5.0 / 2) * SIGMA_Z), np.zeros((4, 4))):
+        with pytest.raises(ValueError, match="degenerate"):
+            steady_state(free_propagator(l0, omega_ref=5.0))
+
+
+@pytest.mark.parametrize("g", [0.02, 0.01])
+def test_steady_state_is_unique_under_weak_lab_frame_coupling(g):
+    # the coherences rotate at omega_q = 2e5, while the population decay rate is 1.07e-7 at
+    # g = 0.02: zero is judged per exact block, so that rate is not mistaken for a second zero
+    p = ThermalBathParams(g=g, omega_q=2.0e5, omega_c=2.0e5 - 300.0, kappa=10.0, nbar=0.1)
+    n = p.nbar / (2 * p.nbar + 1)
+    ss = steady_state(thermal_propagator(p))
+    assert np.abs(ss - [1 - n, 0.0, 0.0, n]).max() < 1e-9
 
 
 # --------------------------------------------------------------------------

@@ -256,23 +256,18 @@ def test_bath_measure_builds_each_mode_table_once(monkeypatch):
     # the thermal line and its gap share one table; the squeezed line takes the full table and
     # its gap the one without sum-frequency modes, bm_induced_generator's default
     calls = []
+    build = baths._cavity_modes
 
-    def counted(name):
-        build = getattr(baths, name)
+    def counted(p, *args):
+        calls.append((type(p).__name__, *args))
+        return build(p, *args)
 
-        def wrapper(p, *args):
-            calls.append((name, *args))
-            return build(p, *args)
-
-        return wrapper
-
-    for name in ("_thermal_modes", "_squeezed_modes"):
-        monkeypatch.setattr(baths, name, counted(name))
+    monkeypatch.setattr(baths, "_cavity_modes", counted)
     bath_measure(THERMAL)
-    assert calls == [("_thermal_modes",)]
+    assert calls == [("ThermalBathParams", True)]
     calls.clear()
     bath_measure(SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=115.0, kappa=10.0))
-    assert sorted(calls) == [("_squeezed_modes", False), ("_squeezed_modes", True)]
+    assert sorted(calls) == [("SqueezedBathParams", False), ("SqueezedBathParams", True)]
 
 
 def test_bath_measure_rejects_a_vanishing_linewidth():

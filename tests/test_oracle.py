@@ -22,7 +22,7 @@ from fdqme.baths import (
     squeezed_closed_spectrum,
     thermal_closed_spectrum,
 )
-from fdqme.fdme import make_spectrum, purity
+from fdqme.fdme import emission_spectrum, make_spectrum, purity, squeezed_propagator, steady_state
 from fdqme.liouville import annihilation, qubit_state
 from fdqme.oracle import (
     FullModel,
@@ -172,6 +172,21 @@ def test_squeezed_full_spectrum_cross_validation():
         full_pos = locate_peak(interp(spec), center, 5 * p.kappa, p.kappa / 50)
         red_pos = locate_peak(interp(closed), center, 5 * p.kappa, p.kappa / 50)
         assert abs(full_pos - red_pos) < 0.2 * p.kappa
+
+
+def test_squeezed_bath_below_the_pump_against_full_model():
+    # delta_c < 0: the diagonalized cavity keeps its sign, where a positive delta_c_eff computes the
+    # mirror bath at |delta_c| (rho_ee 9.2e-3 there). Measured: rho_ee 0.1470588 against the exact
+    # 0.1470660, the spectrum within 1.06e-4 of the peak (as at delta_c = +320); the mirror is off by
+    # 0.138 and by the whole peak
+    p = SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=-320.0, r=50.0, kappa=10.0)
+    m = build_full_model(p, n_fock=16)
+    fp = squeezed_propagator(p)
+    rho_ee = reduced_qubit_state(full_steady_state(m), 16)[1, 1].real
+    assert abs(steady_state(fp)[3].real - rho_ee) < 5e-5
+    grid = default_frequency_grid(p)
+    full = full_steady_spectrum(m, grid)
+    assert np.abs(emission_spectrum(fp, grid).values - full.values).max() < 1e-3 * full.values.max()
 
 
 def test_full_evolution_preserves_positivity_in_squeezed_regime():

@@ -579,4 +579,5 @@ def test_br_spectrum_fft_route_agrees_with_closed_form():
     grid = np.linspace(-120.0, 60.0, 2001)
     s_closed = br_spectrum(p, grid)
     s_fft = br_fft_spectrum(p, grid)
-    assert np.abs(s_closed.values - s_fft.values).max() / s_closed.values.max() < 5e-3
+    # 2.4e-4 of the peak; the series with n * pole.conjugate() in place of n * pole reads 1.2e-3
+    assert np.abs(s_closed.values - s_fft.values).max() / s_closed.values.max() < 5e-4
