@@ -472,6 +472,24 @@ case "$(cat "$work/bad-sweep.err")" in "error: invalid config"*) ;; *) exit 1 ;;
 test -z "$(find "$work" -name 'bad-sweep*.csv')"
 echo "::endgroup::"
 
+# A point count above 2**22 is a config error, found before any bath is built or
+# any array made (kappa_points = 100000000 once built 1e8 baths until memory ran
+# out): exit status 1 within a few seconds, the key and the bound on stderr, and
+# no --out directory made.
+echo "::group::Oversized sweep config through the console script"
+sed 's/^kappa_points = 10$/kappa_points = 100000000/' "$work/kappa.cfg" > "$work/huge-sweep.cfg"
+grep -qx 'kappa_points = 100000000' "$work/huge-sweep.cfg"
+status=0
+start=$SECONDS
+timeout 60 fdqme measure-sweep --config "$work/huge-sweep.cfg" --out "$work/huge-sweep" 2> "$work/huge-sweep.err" \
+  || status=$?
+cat "$work/huge-sweep.err"
+test "$status" -eq 1
+test $((SECONDS - start)) -le 10
+grep -qF "[params] kappa_points must be at most 4194304, got 100000000" "$work/huge-sweep.err"
+test ! -e "$work/huge-sweep"
+echo "::endgroup::"
+
 # A grid section the scenario does not read is a config error, never a grid
 # recorded but unused: the eta axis of measure-sweep computes each point on the
 # waveguide's own grid, so a [grid.time] fails with exit status 1, the section

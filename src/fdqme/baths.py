@@ -543,41 +543,34 @@ def markovian_spectrum(p, delta) -> np.ndarray:
     return (rates.gamma_eff / np.pi) / ((delta - rates.delta_eff) ** 2 + rates.gamma_eff**2)
 
 
-def _thermal_line(modes: KernelModes, delta: np.ndarray) -> np.ndarray:
-    """``thermal_closed_spectrum`` of a mode table."""
+def _line(modes: KernelModes, delta: np.ndarray) -> np.ndarray:
+    """Closed-form emission line of a mode table: the nested Lorentzian of the coherence resolvent.
+
+    Width -Re K22[delta] and center Im K22[delta] are themselves frequency
+    dependent.  Where the table couples the coherences (the squeezed cavity
+    at r > 0), K22 gains K32 K23 / (i (delta + 2 omega_ref) - K33): the
+    product of the (3,2) kernel transform and the transform of its conjugated
+    time function (which is not |K32|^2), over the resolvent of the other
+    coherence.  Without that coupling (r = 0) the squeezed line is the thermal one.
+    """
     k22 = _k22_delta(modes, delta)
+    if np.any(modes.coef[:, 2, 1]):
+        # the coherence block (entries 1 and 2), bit-identical to those of the full matrix
+        mat = modes.freq_matrix(delta + modes.omega_ref, block=(1, 2))
+        k22 = k22 + mat[..., 1, 0] * mat[..., 0, 1] / (1j * (delta + 2 * modes.omega_ref) - mat[..., 1, 1])
     width = -np.real(k22)
     center = np.imag(k22)
     return (width / np.pi) / ((delta - center) ** 2 + width**2)
 
 
-def _squeezed_line(modes: KernelModes, delta: np.ndarray) -> np.ndarray:
-    """``squeezed_closed_spectrum`` of a mode table."""
-    dq = modes.omega_ref
-    # the coherence block (entries 1 and 2), bit-identical to those of the full matrix
-    mat = modes.freq_matrix(delta + dq, block=(1, 2))
-    b = 1j * (delta + 2 * dq) - mat[..., 1, 1]
-    a = 1j * delta - mat[..., 0, 0] - mat[..., 1, 0] * mat[..., 0, 1] / b
-    return 2.0 * np.real(1.0 / a) / (2.0 * np.pi)
-
-
 def thermal_closed_spectrum(p: ThermalBathParams, delta) -> np.ndarray:
-    """Steady-state emission density of the thermal bath, unit area.
-
-    The line is a nested Lorentzian: width -Re K22[delta] and center
-    Im K22[delta] are themselves frequency dependent.
-    """
-    return _thermal_line(kernel_modes(_cavity_bath(p, ThermalBathParams)), np.asarray(delta, dtype=float))
+    """Steady-state emission density of the thermal bath, unit area: the ``_line`` of its mode table."""
+    return _line(kernel_modes(_cavity_bath(p, ThermalBathParams)), np.asarray(delta, dtype=float))
 
 
 def squeezed_closed_spectrum(p: SqueezedBathParams, delta) -> np.ndarray:
-    """Steady-state emission density of the squeezed bath, unit area.
-
-    The nested Lorentzian with the squeezed K22, corrected for the coherence
-    coupling by the product of the (3,2) kernel transform and the transform
-    of its conjugated time function (which is not |K32|^2).
-    """
-    return _squeezed_line(kernel_modes(_cavity_bath(p, SqueezedBathParams)), np.asarray(delta, dtype=float))
+    """Steady-state emission density of the squeezed bath, unit area: the ``_line`` of its mode table."""
+    return _line(kernel_modes(_cavity_bath(p, SqueezedBathParams)), np.asarray(delta, dtype=float))
 
 
 # --------------------------------------------------------------------------

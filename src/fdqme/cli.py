@@ -2,11 +2,13 @@
 
 Configs are UTF-8 text with ``key = value`` lines inside the sections
 ``[params]``, ``[grid.frequency]``, ``[grid.time]``, and ``[output]``.  All
-parameter values are numbers (physical inputs in units of the coupling g, or
-of gamma for the waveguide).  Parsing is strict: unknown keys, duplicates,
-missing keys, malformed numbers, and physical-constraint violations are all
-collected and reported together.  Outputs are deterministic: fixed 17
-significant digit formatting, LF line endings, no timestamps.
+parameter values are numbers in one arbitrary unit shared by every rate and
+frequency; the units bracketed in the CSV headers ([g], [1/g], [gamma]) hold
+when the config sets g = 1 (or gamma = 1).  Parsing is strict: unknown keys,
+duplicates, missing keys, malformed numbers, point counts above 2**22, and
+physical-constraint violations are all collected and reported together.
+Outputs are deterministic: fixed 17 significant digit formatting, LF line
+endings, no timestamps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import sys
 from collections.abc import Callable
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from .liouville import qubit_state
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "run_scenario", "main"]
 
 _INTEGER_KEYS = ("n_fock", "delta_points", "kappa_points", "eta_index_max", "eta_index_step")
+_MAX_POINTS = waveguide.MAX_DEFAULT_GRID_POINTS  # the most points of a sweep axis or grid section
 
 
 class ConfigError(ValueError):
@@ -97,11 +100,10 @@ def _parse_sections(text: str, errors: list) -> dict:
     return sections
 
 
-def _number(sections, section, key, errors, required=True, integer=False):
+def _number(sections, section, key, errors, integer=False):
     entry = sections.get(section, {}).get(key)
     if entry is None:
-        if required:
-            errors.append(f"[{section}] missing required key {key!r}")
+        errors.append(f"[{section}] missing required key {key!r}")
         return None
     lineno, raw = entry
     try:
@@ -137,6 +139,9 @@ def _grid(sections, name, errors) -> GridSpec | None:
     if pts < 2 or hi <= lo:
         errors.append(f"[{name}] must span at least 2 increasing points")
         return None
+    if pts > _MAX_POINTS:
+        errors.append(f"[{name}] points must be at most {_MAX_POINTS}, got {pts}")
+        return None
     if name == "grid.time" and lo < 0:
         errors.append(f"[{name}] min must be nonnegative: the state is prepared at t = 0")
         return None
@@ -171,10 +176,16 @@ def parse_config(text: str, scenario: str) -> ScenarioConfig:
     for key in ("kappa_points", "delta_points", "eta_index_step"):
         if params.get(key, 1) < 1:
             errors.append(f"[params] {key} must be at least 1, got {params[key]}")
+    for key in ("kappa_points", "delta_points"):
+        if params.get(key, 1) > _MAX_POINTS:
+            errors.append(f"[params] {key} must be at most {_MAX_POINTS}, got {params[key]}")
     # the eta axis 0, step, 2 step, ..., eta_index_max needs two points for the sweep
     step, top = params.get("eta_index_step"), params.get("eta_index_max")
-    if step is not None and top is not None and 1 <= step and top < step:
-        errors.append(f"[params] eta_index_max must be at least eta_index_step ({step}), got {top}")
+    if step is not None and top is not None and 1 <= step:
+        if top < step:
+            errors.append(f"[params] eta_index_max must be at least eta_index_step ({step}), got {top}")
+        elif top // step + 1 > _MAX_POINTS:
+            errors.append(f"[params] eta_index_max = {top} in steps of {step} gives more than {_MAX_POINTS} points")
 
     for name in ("grid.frequency", "grid.time"):
         if name in sections and name not in record.grids:
@@ -397,19 +408,14 @@ def _write_sidecar(path: Path, payload: dict):
 # --------------------------------------------------------------------------
 
 
-def _thermal_bath(params: dict, delta: float, kappa: float) -> ThermalBathParams:
-    """Thermal bath of a [params] section at one detuning and cavity width."""
+def _thermal(params: dict) -> ThermalBathParams:
     return ThermalBathParams(
         g=params["g"],
         omega_q=params["omega_q"],
-        omega_c=params["omega_q"] - delta,
-        kappa=kappa,
+        omega_c=params["omega_q"] - params["delta"],
+        kappa=params["kappa"],
         nbar=params["nbar"],
     )
-
-
-def _thermal(params: dict) -> ThermalBathParams:
-    return _thermal_bath(params, params["delta"], params["kappa"])
 
 
 def _squeezed(params: dict) -> SqueezedBathParams:
@@ -429,19 +435,15 @@ def _log_axis(params: dict, axis: str) -> np.ndarray:
     return np.geomspace(lo, hi, params[f"{axis}_points"])
 
 
-def _kappa_sweep(params: dict):
-    kappas = _log_axis(params, "kappa")
-    return kappas, [_thermal_bath(params, params["delta"], float(k)) for k in kappas]
+def _linear_axis(params: dict, axis: str) -> np.ndarray:
+    """{axis}_min ... {axis}_max in {axis}_points even steps."""
+    return np.linspace(params[f"{axis}_min"], params[f"{axis}_max"], params[f"{axis}_points"])
 
 
-def _delta_sweep(params: dict):
-    deltas = _log_axis(params, "delta")
-    return deltas, [_thermal_bath(params, float(d), params["kappa"]) for d in deltas]
-
-
-def _blp_sweep(params: dict):
-    deltas = np.linspace(params["delta_min"], params["delta_max"], params["delta_points"])
-    return deltas, [_thermal_bath(params, float(d), params["kappa"]) for d in deltas]
+def _thermal_sweep(axis: str, spacing: Callable, params: dict):
+    """The values of [params] key ``axis`` that ``spacing`` lays out, and the thermal bath at each of them."""
+    xs = spacing(params, axis)
+    return xs, [_thermal({**params, axis: float(x)}) for x in xs]
 
 
 def _eta_sweep(params: dict):
@@ -532,7 +534,7 @@ class _Scenario:
 
 
 _THERMAL_KEYS = ("g", "omega_q", "kappa", "nbar", "delta")
-_SQUEEZED_KEYS = ("g", "delta_q", "delta_c", "r", "kappa")
+_SQUEEZED_KEYS = tuple(f.name for f in fields(SqueezedBathParams))
 _WAVEGUIDE_KEYS = ("omega0", "gamma", "beta")
 _FREQUENCY, _TIME = ("grid.frequency",), ("grid.time",)
 _SCENARIOS = {
@@ -542,13 +544,13 @@ _SCENARIOS = {
     # one record per axis; a [params] key starting "<axis>_" picks it
     "measure-sweep": {
         "kappa": _Scenario(("g", "omega_q", "nbar", "delta", "kappa_min", "kappa_max", "kappa_points"), (),
-                           _kappa_sweep, partial(_run_thermal_sweep, "kappa[g]")),
+                           partial(_thermal_sweep, "kappa", _log_axis), partial(_run_thermal_sweep, "kappa[g]")),
         "delta": _Scenario(("g", "omega_q", "nbar", "kappa", "delta_min", "delta_max", "delta_points"), (),
-                           _delta_sweep, partial(_run_thermal_sweep, "delta[g]")),
+                           partial(_thermal_sweep, "delta", _log_axis), partial(_run_thermal_sweep, "delta[g]")),
         "eta": _Scenario(_WAVEGUIDE_KEYS + ("eta_index_max", "eta_index_step"), (), _eta_sweep, _run_eta_sweep),
     },
     "blp-compare": _Scenario(("g", "omega_q", "kappa", "nbar", "delta_min", "delta_max", "delta_points"),
-                             _TIME, _blp_sweep, _run_blp_compare),
+                             _TIME, partial(_thermal_sweep, "delta", _linear_axis), _run_blp_compare),
     "positivity": _Scenario(_SQUEEZED_KEYS, _TIME, _squeezed, _run_positivity),
     "oracle-compare": _Scenario(_THERMAL_KEYS + ("n_fock",), _FREQUENCY, _thermal, _run_oracle_compare),
 }

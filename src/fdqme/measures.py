@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .baths import ThermalBathParams, _rates, _squeezed_line, _thermal_line
+from .baths import ThermalBathParams, _line, _rates
 from .baths import free_liouvillian, kernel_modes
 from .liouville import _sorted_unique, devectorize
 from .redfield import Trajectory, _markov_generator
@@ -196,16 +196,18 @@ def _mapped_divergence(p, modes, n: int) -> tuple[float, dict]:
     weights dtheta / pi, on the panels of ``_panel_cuts`` with n and 2n
     Gauss-Legendre nodes each.  The metadata also holds p's ``gap``, from
     the table ``bath_measure`` names.  The squeezed line has a narrow
-    counter-rotating coherence feature (the b term of its closed form), cut
-    geometrically from a quarter of its width out to 6 kappa.
+    counter-rotating coherence feature (the K33 resolvent of its coupling),
+    cut geometrically from a quarter of its width out to 6 kappa.  The bath's
+    type picks these cuts and the gap's table: at r = 0 the line is the
+    thermal one, yet without the cuts some such measures miss QUADRATURE_RTOL.
     """
     rates = _rates(modes)
     if rates.gamma_eff <= 0:
         raise ValueError(f"gamma_eff must be positive, got {rates.gamma_eff}")
     if isinstance(p, ThermalBathParams):
-        line, gap_modes, features, line_cuts = _thermal_line, modes, p.features, []
+        gap_modes, features, line_cuts = modes, p.features, []
     else:
-        line, gap_modes = _squeezed_line, kernel_modes(p, include_sum_frequency=False)
+        gap_modes = kernel_modes(p, include_sum_frequency=False)
         k33 = complex(modes.freq_matrix(-p.delta_q, block=(2,))[0, 0])
         center = -2.0 * p.delta_q + k33.imag
         offsets = _ratio_steps(abs(k33.real) / 4.0, 6.0 * modes.kappa)
@@ -214,7 +216,7 @@ def _mapped_divergence(p, modes, n: int) -> tuple[float, dict]:
 
     def ratio(theta):  # r = p / q, with q = 1 / (pi gamma_eff (1 + tan^2)) the Markov Lorentzian at the node
         tan = np.tan(theta)
-        return line(modes, rates.delta_eff + rates.gamma_eff * tan) * (np.pi * rates.gamma_eff) * (1.0 + tan * tan)
+        return _line(modes, rates.delta_eff + rates.gamma_eff * tan) * (np.pi * rates.gamma_eff) * (1.0 + tan * tan)
 
     cuts = _panel_cuts(rates, modes.kappa, features, line_cuts)
     lo, hi = cuts[:-1], cuts[1:]

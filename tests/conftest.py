@@ -307,6 +307,18 @@ def squeezed_steady_ground_population(p: SqueezedBathParams) -> float:
     return float(num / den)
 
 
+def squeezed_line_reference(p: SqueezedBathParams, delta) -> np.ndarray:
+    """The squeezed closed-form line in resolvent form, Re(1/a) / pi, from the full 4x4 kernel transform.
+
+    a = i delta - K22 - K32 K23 / (i (delta + 2 delta_q) - K33), each entry at delta + delta_q.
+    """
+    delta = np.asarray(delta, dtype=float)
+    k = kernel_modes(p).freq_matrix(delta + p.delta_q)
+    b = 1j * (delta + 2 * p.delta_q) - k[..., 2, 2]
+    a = 1j * delta - k[..., 1, 1] - k[..., 2, 1] * k[..., 1, 2] / b
+    return np.real(1.0 / a) / np.pi
+
+
 # --------------------------------------------------------------------------
 # the time-local correlator, its spectrum by FFT and its transform by
 # quadrature: two more routes to the exact series of redfield.br_spectrum

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import locate_peak, one_sided_transform, squeezed_steady_ground_population
+from conftest import locate_peak, one_sided_transform, squeezed_line_reference, squeezed_steady_ground_population
 
 from fdqme.baths import (
     SQUEEZED_STRUCTURE,
@@ -387,6 +387,33 @@ def test_squeezed_spectrum_reduces_to_thermal():
     therm = ThermalBathParams(g=1.0, omega_q=200.0, omega_c=320.0, kappa=10.0, nbar=0.0)
     grid = np.linspace(-400, 400, 4001)
     assert np.abs(squeezed_closed_spectrum(p0, grid) - thermal_closed_spectrum(therm, grid)).max() < 1e-10
+
+
+def test_squeezed_line_at_r0_is_the_thermal_line_bit_for_bit():
+    # without squeezing both baths have one mode table, and one closed-form line takes it
+    rng = np.random.default_rng(44)
+    grid = np.linspace(-600.0, 600.0, 1201)
+    for _ in range(200):
+        delta_q, kappa = rng.uniform(50.0, 300.0), rng.uniform(5.0, 30.0)
+        delta_c = rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 400.0)
+        squeezed = SqueezedBathParams(g=1.0, delta_q=delta_q, delta_c=delta_c, r=0.0, kappa=kappa)
+        thermal = ThermalBathParams(g=1.0, omega_q=delta_q, omega_c=delta_c, kappa=kappa, nbar=0.0)
+        a, b = kernel_modes(squeezed), kernel_modes(thermal)
+        assert np.array_equal(a.mus, b.mus) and np.array_equal(a.coef, b.coef)
+        assert np.array_equal(squeezed_closed_spectrum(squeezed, grid), thermal_closed_spectrum(thermal, grid))
+
+
+@pytest.mark.parametrize("p", [
+    SQUEEZED,
+    SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=120.0, r=float(np.sqrt(120.0**2 - 34.0**2)), kappa=10.0),
+    SqueezedBathParams(g=1.0, delta_q=150.0, delta_c=-250.0, r=0.97 * 250.0, kappa=5.0),
+    SqueezedBathParams(g=1.0, delta_q=200.0, delta_c=320.0, r=300.0, kappa=30.0),
+], ids=["squeezed", "fig8", "negative-delta_c", "r-0.94"])
+def test_squeezed_line_matches_the_resolvent_reference(p):
+    # the coherence coupling K32 K23 moves the line far more than 1e-13 of its peak
+    grid = default_frequency_grid(p)
+    ref = squeezed_line_reference(p, grid)
+    assert np.abs(squeezed_closed_spectrum(p, grid) - ref).max() <= 1e-13 * ref.max()
 
 
 def test_squeezed_resonance_single_peak_when_effective_detuning_vanishes():

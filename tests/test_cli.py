@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from fdqme.baths import (
 )
 from fdqme.cli import ConfigError, _format_tables, _write_csvs, main, parse_config, run_scenario
 from fdqme.liouville import qubit_state
+from fdqme.waveguide import MAX_DEFAULT_GRID_POINTS
 
 THERMAL_CONFIG = """
 [params]
@@ -823,6 +825,51 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert main(["thermal-spectrum", "--config", str(cfg), "--out", str(tmp_path / "out" / "sub")]) == 1
     assert capsys.readouterr().err.startswith("error: scenario thermal-spectrum failed")
     assert [p.name for p in tmp_path.iterdir()] == ["thermal.cfg"]
+
+
+TOO_MANY = MAX_DEFAULT_GRID_POINTS + 1
+
+
+@pytest.mark.parametrize(
+    "scenario, text, message",
+    [
+        (*_sweep_config("kappa", kappa_points=TOO_MANY), "[params] kappa_points must be at most 4194304, got 4194305"),
+        (*_sweep_config("kappa", kappa_points=10**8), "[params] kappa_points must be at most 4194304, got 100000000"),
+        (*_sweep_config("delta", delta_points=TOO_MANY), "[params] delta_points must be at most 4194304, got 4194305"),
+        (*_sweep_config("blp-compare", delta_points=TOO_MANY),
+         "[params] delta_points must be at most 4194304, got 4194305"),
+        # 0, 1, ..., 2**22: one point too many
+        (*_sweep_config("eta", eta_index_max=2**22, eta_index_step=1),
+         "[params] eta_index_max = 4194304 in steps of 1 gives more than 4194304 points"),
+        ("thermal-spectrum", THERMAL_CONFIG.replace("points = 4096", f"points = {TOO_MANY}"),
+         "[grid.frequency] points must be at most 4194304, got 4194305"),
+        ("positivity", POSITIVITY_CONFIG.replace("points = 400", f"points = {TOO_MANY}"),
+         "[grid.time] points must be at most 4194304, got 4194305"),
+    ],
+    ids=["kappa_points", "kappa_points-1e8", "delta_points", "blp-compare-delta_points", "eta_index_max",
+         "grid.frequency", "grid.time"],
+)
+def test_parse_refuses_a_point_count_above_the_bound_before_it_allocates(scenario, text, message):
+    # kappa_points = 1e8 once built 1e8 baths and ran out of memory; the bound is the waveguide's default grid's
+    text = text.replace("[params]\n", "[params]\nbogus = 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # reported together with the config's other faults
+    assert len(exc.value.errors) == 2 and message in exc.value.errors
+    assert f"[params] unknown key 'bogus' for scenario {scenario}" in exc.value.errors
+
+
+def test_parse_accepts_a_grid_at_the_bound():
+    # parsing makes no grid array; this config is never run
+    text = THERMAL_CONFIG.replace("points = 4096", f"points = {MAX_DEFAULT_GRID_POINTS}")
+    cfg = parse_config(text, "thermal-spectrum")
+    assert cfg.grids["grid.frequency"].points == 2**22
 
 
 SQUEEZED_CONFIG = POSITIVITY_CONFIG.replace("[grid.time]\nmin = 0.0\nmax = 2.0\npoints = 400\n", "")

@@ -13,8 +13,7 @@ from fdqme import baths, measures
 from fdqme.baths import (
     SqueezedBathParams,
     ThermalBathParams,
-    _squeezed_line,
-    _thermal_line,
+    _line,
     bogoliubov_params,
     default_frequency_grid,
     effective_rates,
@@ -188,7 +187,6 @@ def _quad_divergence(p, features):
     nonnegative and integrates to the divergence.
     """
     modes = kernel_modes(p)
-    line = _thermal_line if isinstance(p, ThermalBathParams) else _squeezed_line
     rates = effective_rates(p)
     d0, gamma = rates.delta_eff, rates.gamma_eff
     span = max(abs(f) for f in features) + 1000.0 * p.kappa
@@ -201,7 +199,7 @@ def _quad_divergence(p, features):
         return inner + sum(quad(fn, a, b, epsabs=0.0, epsrel=1e-10)[0] for a, b in ((-np.inf, -span), (span, np.inf)))
 
     def density(d):
-        return float(line(modes, np.asarray(d, dtype=float)))
+        return float(_line(modes, np.asarray(d, dtype=float)))
 
     z = integral(density)
 
@@ -279,7 +277,7 @@ def test_bath_measure_rejects_a_vanishing_linewidth():
 
 def test_bath_measure_rejects_a_negative_line(monkeypatch):
     # a closed form that dips below zero (or is not finite) cannot be a density
-    monkeypatch.setattr(measures, "_thermal_line", lambda modes, delta: np.where(delta > 0.0, -1e-3, np.nan))
+    monkeypatch.setattr(measures, "_line", lambda modes, delta: np.where(delta > 0.0, -1e-3, np.nan))
     with pytest.raises(ValueError, match="closed-form line is negative or not finite at a quadrature node"):
         bath_measure(THERMAL)
 
